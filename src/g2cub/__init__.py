@@ -56,6 +56,7 @@ from .chebyshev import (
 from .sturm import (
     OperatorCoeffs,
     apply_L,
+    eigen_poly,
     eigen_residual,
     eigenvalue,
     jacobi_poly,

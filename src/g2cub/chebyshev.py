@@ -5,9 +5,11 @@ rational coefficients.
 The map (x, y) = (cc_{1,0,-1}, cc_{1,1,-2}) sends the fundamental
 triangle onto the region between two hypocycloid arcs, cut out by
 F(x, y) >= 0.  Polynomials are graded by the weighted degree
-2*k1 + 3*k2; each weighted-degree class is generated recursively from
-hardcoded low-degree members, with out-of-range indices folded back by
-the reflection identities of the underlying trigonometric functions.
+2*k1 + 3*k2.  Each family member is the eigenpolynomial of the operator
+in `sturm` for its half-integer parameters, scaled by an exact leading
+coefficient so that it equals a quotient of trigonometric functions;
+`resolve_index` folds out-of-range indices back by the reflection
+identities of those functions.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import quad
-from .coords import make_index
+from .coords import make_index, orbit
 from .gentrig import TrigFamily, eval as trig_eval
 from .lattice import orbit_constant
 from .poly import BivarPoly, star_cmp, star_key  # star_cmp re-exported
@@ -91,10 +93,6 @@ def weight_w(p: WeightParams, x: float, y: float) -> float:
 
 # star order ---------------------------------------------------------------
 
-def star_sorted(indices):
-    return sorted((MIndex(*k) for k in indices), key=star_key)
-
-
 def star_indices_upto(max_mdeg: int):
     """All index pairs with weighted degree <= max_mdeg, in order."""
     out = [
@@ -110,56 +108,42 @@ def star_class(n: int):
     return [MIndex((n - 3 * j) // 2, j) for j in range(n % 2, n // 3 + 1, 2)]
 
 
-# exact polynomial tables ---------------------------------------------------
+# exact polynomials ----------------------------------------------------------
 
-def _poly(terms):
-    return BivarPoly({k: Fraction(c) for k, c in terms.items()})
-
-
-_X = BivarPoly.x()
-_Y = BivarPoly.y()
-
-# hardcoded members through weighted degree 6, keyed by (2*alpha, 2*beta)
-_SEEDS = {
-    (-1, -1): {
-        (0, 0): _poly({(0, 0): 1}),
-        (1, 0): _poly({(1, 0): 1}),
-        (0, 1): _poly({(0, 1): 1}),
-        (2, 0): _poly({(2, 0): 6, (1, 0): -2, (0, 1): -2, (0, 0): -1}),
-        (1, 1): _poly({(1, 1): 3, (2, 0): -6, (1, 0): 1, (0, 1): 2, (0, 0): 1}),
-        (3, 0): _poly({(3, 0): 36, (1, 1): -18, (1, 0): -9, (0, 1): -6, (0, 0): -2}),
-        (0, 2): _poly({(0, 2): 6, (0, 1): 10, (3, 0): -72, (1, 1): 36, (1, 0): 18, (0, 0): 3}),
-    },
-    (1, -1): {
-        (0, 0): _poly({(0, 0): 1}),
-        (1, 0): _poly({(1, 0): 6, (0, 0): 2}),
-        (0, 1): _poly({(1, 0): 6, (0, 1): 3, (0, 0): 1}),
-        (2, 0): _poly({(2, 0): 36, (0, 1): -6, (0, 0): -3}),
-        (1, 1): _poly({(1, 1): 18, (1, 0): 6, (0, 1): 9, (0, 0): 2}),
-        (3, 0): _poly({(3, 0): 216, (1, 1): -72, (1, 0): -48, (0, 1): -24, (0, 0): -8}),
-        (0, 2): _poly({(1, 1): 126, (0, 2): 18, (0, 1): 36, (1, 0): 54, (0, 0): 10, (3, 0): -216}),
-    },
-    (-1, 1): {
-        (0, 0): _poly({(0, 0): 1}),
-        (1, 0): _poly({(1, 0): 3}),
-        (0, 1): _poly({(0, 1): 6, (0, 0): 2}),
-        (2, 0): _poly({(2, 0): 18, (1, 0): -3, (0, 1): -6, (0, 0): -3}),
-        (1, 1): _poly({(1, 1): 18, (1, 0): 6, (2, 0): -18, (0, 1): 6, (0, 0): 3}),
-        (3, 0): _poly({(3, 0): 108, (1, 1): -54, (1, 0): -27, (0, 1): -12, (0, 0): -5}),
-        (0, 2): _poly({(0, 2): 36, (0, 1): 36, (3, 0): -216, (1, 1): 108, (1, 0): 54, (0, 0): 9}),
-    },
-    (1, 1): {
-        (0, 0): _poly({(0, 0): 1}),
-        (1, 0): _poly({(1, 0): 6, (0, 0): 1}),
-        (0, 1): _poly({(1, 0): 6, (0, 1): 6, (0, 0): 2}),
-        (2, 0): _poly({(2, 0): 36, (0, 1): -6, (0, 0): -3}),
-        (1, 1): _poly({(1, 1): 36, (1, 0): 12, (0, 1): 12, (0, 0): 4}),
-        (3, 0): _poly({(3, 0): 216, (1, 1): -72, (1, 0): -42, (0, 1): -18, (0, 0): -7}),
-        (0, 2): _poly({(1, 1): 144, (0, 2): 36, (0, 1): 42, (3, 0): -216, (1, 0): 60, (0, 0): 11}),
-    },
+_QUOTIENTS = {
+    # (2a, 2b) -> (family, numerator index builder, denominator index)
+    (-1, -1): (TrigFamily.CC, lambda k1, k2: (k1 + k2, k2), None),
+    (1, -1): (TrigFamily.SC, lambda k1, k2: (k1 + k2 + 1, k2), (1, 0)),
+    (-1, 1): (TrigFamily.CS, lambda k1, k2: (k1 + k2 + 1, k2 + 1), (1, 1)),
+    (1, 1): (TrigFamily.SS, lambda k1, k2: (k1 + k2 + 2, k2 + 1), (2, 1)),
 }
 
-_TABLES = {}
+
+def _quotient(p: WeightParams, k: MIndex):
+    """Trig family, numerator index and denominator index (None for the
+    first kind) of the quotient form of one family member."""
+    _require_half_integer(p)
+    fam, num, den = _QUOTIENTS[(int(2 * Fraction(p.alpha)), int(2 * Fraction(p.beta)))]
+    return fam, make_index(*num(k.k1, k.k2)), make_index(*den) if den else None
+
+
+def cheb_poly(p: WeightParams, k) -> BivarPoly:
+    """Exact rational polynomial of one family member.
+
+    It is the operator's eigenpolynomial whose leading coefficient
+    6^(k1+k2) |orbit(den)| / |orbit(num)|, that is 6^(k1+k2) times the
+    orthogonality constant, makes it equal to its trigonometric quotient.
+    """
+    from .sturm import eigen_poly  # sturm imports this module
+
+    k = MIndex(*k)
+    if k.k1 < 0 or k.k2 < 0:
+        raise ValueError("index components must be nonnegative")
+    _, num, den = _quotient(p, k)
+    lead = Fraction(6 ** (k.k1 + k.k2), len(orbit(num)))
+    if den is not None:
+        lead *= len(orbit(den))
+    return eigen_poly(WeightParams(*p.key()), k, lead)
 
 
 def resolve_index(alpha: Fraction, beta: Fraction, k1: int, k2: int):
@@ -189,115 +173,21 @@ def resolve_index(alpha: Fraction, beta: Fraction, k1: int, k2: int):
     raise RuntimeError("index reflection did not terminate")
 
 
-class _ChebTable:
-    """Lazily filled table of one family's exact polynomials, grown one
-    weighted-degree class at a time in the monomial order."""
-
-    def __init__(self, alpha: Fraction, beta: Fraction):
-        self.alpha = alpha
-        self.beta = beta
-        self.table = dict(_SEEDS[(int(2 * alpha), int(2 * beta))])
-        self.filled = 6
-
-    def get(self, k1: int, k2: int) -> BivarPoly:
-        n = 2 * k1 + 3 * k2
-        while self.filled < n:
-            self.filled += 1
-            for idx in star_class(self.filled):
-                self.table[tuple(idx)] = self._build(*idx)
-        return self.table[(k1, k2)]
-
-    def _lookup_resolved(self, k1, k2):
-        sign, idx = resolve_index(self.alpha, self.beta, k1, k2)
-        if sign == 0:
-            return 0, None
-        return sign, tuple(idx)
-
-    def _combine(self, lead_poly, raw_indices, target):
-        """target = lead_poly - sum of resolved members; members resolving
-        to the target itself are moved to the left-hand side."""
-        acc = lead_poly
-        self_count = 0
-        for k1, k2 in raw_indices:
-            sign, idx = self._lookup_resolved(k1, k2)
-            if idx is None:
-                continue
-            if idx == target:
-                self_count += sign
-            else:
-                acc = acc - sign * self.table[idx]
-        if self_count:
-            acc = acc / (1 + self_count)
-        return acc
-
-    def _build(self, k1: int, k2: int) -> BivarPoly:
-        if k1 >= 1:
-            base = self.table[(k1 - 1, k2)]
-            raw = [
-                (k1 + 1, k2 - 1),
-                (k1 - 2, k2 + 1),
-                (k1, k2 - 1),
-                (k1 - 3, k2 + 1),
-                (k1 - 2, k2),
-            ]
-            return self._combine(6 * _X * base, raw, (k1, k2))
-        base = self.table[(0, k2 - 1)]
-        raw = [
-            (3, k2 - 3),
-            (3, k2 - 2),
-            (-3, k2),
-            (-3, k2 + 1),
-            (0, k2 - 2),
-        ]
-        return self._combine(6 * _Y * base, raw, (k1, k2))
-
-
-def _table(p: WeightParams) -> _ChebTable:
-    _require_half_integer(p)
-    key = p.key()
-    if key not in _TABLES:
-        _TABLES[key] = _ChebTable(*key)
-    return _TABLES[key]
-
-
-def cheb_poly(p: WeightParams, k) -> BivarPoly:
-    """Exact rational polynomial of one family member."""
-    k = MIndex(*k)
-    if k.k1 < 0 or k.k2 < 0:
-        raise ValueError("index components must be nonnegative")
-    return _table(p).get(k.k1, k.k2)
-
-
 # trigonometric evaluation ---------------------------------------------------
-
-_QUOTIENTS = {
-    # (2a, 2b) -> (family, numerator index builder, denominator index)
-    (-1, -1): (TrigFamily.CC, lambda k1, k2: (k1 + k2, k2), None),
-    (1, -1): (TrigFamily.SC, lambda k1, k2: (k1 + k2 + 1, k2), (1, 0)),
-    (-1, 1): (TrigFamily.CS, lambda k1, k2: (k1 + k2 + 1, k2 + 1), (1, 1)),
-    (1, 1): (TrigFamily.SS, lambda k1, k2: (k1 + k2 + 2, k2 + 1), (2, 1)),
-}
-
 
 def cheb_eval_trig(p: WeightParams, k, t) -> float:
     """Evaluate a family member through its trigonometric quotient form,
     falling back to the exact polynomial when the denominator is tiny."""
-    _require_half_integer(p)
     k = MIndex(*k)
-    fam, num, den = _QUOTIENTS[(int(2 * Fraction(p.alpha)), int(2 * Fraction(p.beta)))]
-    numerator = trig_eval(fam, make_index(*num(k.k1, k.k2)), t)
+    fam, num, den = _quotient(p, k)
+    numerator = trig_eval(fam, num, t)
     if den is None:
         return numerator
-    denominator = trig_eval(fam, make_index(*den), t)
+    denominator = trig_eval(fam, den, t)
     if abs(denominator) < DENOM_FALLBACK:
         x, y = xy_map(t)
         return float(cheb_poly(p, k)(x, y))
     return numerator / denominator
-
-
-def trig_ortho_constant(family, k) -> float:
-    """Squared continuous triangle norm of one trig family member."""
-    return orbit_constant(k)
 
 
 def orthogonality_constant(p: WeightParams, k) -> float:
@@ -307,12 +197,10 @@ def orthogonality_constant(p: WeightParams, k) -> float:
     Equal to the orbit constant of the numerator index divided by the
     orbit constant of the denominator index of the quotient form.
     """
-    _require_half_integer(p)
-    k = MIndex(*k)
-    fam, num, den = _QUOTIENTS[(int(2 * Fraction(p.alpha)), int(2 * Fraction(p.beta)))]
-    value = trig_ortho_constant(fam, make_index(*num(k.k1, k.k2)))
+    _, num, den = _quotient(p, MIndex(*k))
+    value = orbit_constant(num)
     if den is not None:
-        value /= trig_ortho_constant(fam, make_index(*den))
+        value /= orbit_constant(den)
     return value
 
 

@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "n", None) is not None and args.n < 1 and args.command != "verify":
+    if getattr(args, "n", None) is not None and args.n < 1:
         print("error: --n must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     if getattr(args, "tol", None) is not None and args.tol <= 0:

@@ -92,17 +92,6 @@ def cs_of_t(t1, t2):
     ) / 3.0
 
 
-def ss_of_t(t1, t2):
-    # lowest sin*sin member, index (2,1,-3)
-    p = np.pi
-    d = 5.0 * p / 3.0
-    return (
-        np.sin(d * (2 * t1 + t2)) * np.sin(p * t2)
-        + np.sin(d * (t1 - t2)) * np.sin(p * (t1 + t2))
-        - np.sin(d * (t1 + 2 * t2)) * np.sin(p * t1)
-    ) / 3.0
-
-
 def _needs_smoothing(alpha, beta) -> bool:
     for expo in (2.0 * float(alpha) + 1.0, 2.0 * float(beta) + 1.0):
         if expo < 0 or expo != int(expo):
@@ -179,12 +168,13 @@ def moment_table(alpha, beta, max_mdeg, tol=DEFAULT_TOL, cap=None):
     max_mdeg, plus the raw mass of the pulled-back weight.
 
     Returns (moments_dict, raw_mass).  Results are cached per parameter
-    pair and grown on demand.
+    pair with the tolerance they met, and recomputed when a caller asks
+    for a higher degree or a tighter tolerance.
     """
     key = (float(alpha), float(beta))
     cached = _MDEG_CACHE.get(key)
-    if cached is not None and cached[0] >= max_mdeg:
-        return cached[1], cached[2]
+    if cached is not None and cached[0] >= max_mdeg and cached[1] <= tol:
+        return cached[2], cached[3]
 
     exponents = _exponent_list(max_mdeg)
     smooth = _needs_smoothing(alpha, beta)
@@ -210,7 +200,7 @@ def moment_table(alpha, beta, max_mdeg, tol=DEFAULT_TOL, cap=None):
     moments = {
         ij: float(est[r]) / raw_mass for r, ij in enumerate(exponents, start=1)
     }
-    _MDEG_CACHE[key] = (max_mdeg, moments, raw_mass)
+    _MDEG_CACHE[key] = (max_mdeg, tol, moments, raw_mass)
     return moments, raw_mass
 
 

@@ -1,27 +1,23 @@
 """The two-parameter second-order operator behind the polynomial families:
 exact coefficients, application to polynomials, monomial images,
-eigenvalues, and Gram-Schmidt construction of eigenpolynomials for
-general parameters.
+eigenvalues, and the eigenpolynomials themselves.
 
 The operator is triangular with respect to the weighted monomial order,
-so each index pair carries exactly one eigenpolynomial with unit leading
-coefficient, orthogonal to all earlier monomials under the weighted
-inner product.
+so each index pair carries exactly one eigenpolynomial with a given
+leading coefficient; it is orthogonal to all earlier monomials under the
+weighted inner product.  `eigen_poly` builds it by back-substitution down
+the order, exactly for rational parameters and in floating point
+otherwise; both the Chebyshev-type families and the general-parameter
+polynomials come from it.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import quad
 from .chebyshev import MIndex, WeightParams, star_indices_upto
 from .poly import BivarPoly, star_key
-
-COND_LIMIT = 1e12
 
 _A11 = BivarPoly({(2, 0): Fraction(-6), (0, 1): Fraction(1), (1, 0): Fraction(3), (0, 0): Fraction(2)})
 _A12 = BivarPoly({(1, 1): Fraction(-9), (2, 0): Fraction(18), (0, 1): Fraction(-6), (0, 0): Fraction(-3)})
@@ -120,80 +116,78 @@ def eigen_residual(p: WeightParams, k, polynomial: BivarPoly) -> float:
     return resid.max_abs_coeff() / scale
 
 
-class _JacobiChain:
-    """Orthogonal eigenpolynomials for one parameter pair, built by
-    Gram-Schmidt over monomials in the weighted order with one
-    re-orthogonalization pass."""
-
-    def __init__(self, p: WeightParams):
-        self.p = p
-        self.indices = []
-        self.vectors = []
-        self.gram = None
-        self._warned = False
-
-    def _extend(self, upto_key):
-        needed = [
-            idx
-            for idx in star_indices_upto(upto_key[0])
-            if star_key(idx) <= upto_key
-        ]
-        needed.sort(key=star_key)
-        if len(needed) <= len(self.vectors):
-            return
-        max_mdeg = 2 * needed[-1].mdegree
-        moments, _ = quad.moment_table(float(self.p.alpha), float(self.p.beta), max_mdeg)
-        n = len(needed)
-        G = np.empty((n, n))
-        for r, ki in enumerate(needed):
-            for s, kj in enumerate(needed):
-                G[r, s] = moments[(ki.k1 + kj.k1, ki.k2 + kj.k2)]
-        cond = np.linalg.cond(G)
-        if cond > COND_LIMIT and not self._warned:
-            self._warned = True
-            warnings.warn(
-                f"moment matrix condition estimate {cond:.2e} exceeds "
-                f"{COND_LIMIT:.0e} for parameters ({self.p.alpha}, {self.p.beta})",
-                RuntimeWarning,
-            )
-        self.gram = G
-        self.indices = needed
-
-        vectors = []
-        for m in range(n):
-            v = np.zeros(n)
-            v[m] = 1.0
-            for _ in range(2):  # classical pass plus one re-orthogonalization
-                for q in vectors:
-                    v -= (v @ G @ q) / (q @ G @ q) * q
-                v[m] = 1.0  # projections never touch the leading slot
-            vectors.append(v)
-        self.vectors = vectors
-
-    def poly(self, k: MIndex) -> BivarPoly:
-        self._extend(star_key(k))
-        pos = self.indices.index(k)
-        v = self.vectors[pos]
-        terms = {
-            (idx.k1, idx.k2): float(c)
-            for idx, c in zip(self.indices, v)
-            if abs(c) > 0.0
-        }
-        return BivarPoly(terms)
+def _int(v):
+    """A Fraction with denominator 1 as a plain int, whose arithmetic is
+    several times cheaper; anything else unchanged."""
+    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
 
 
-_CHAINS = {}
+# (alpha, beta, their types) -> (eigenvalue and lowered monomial image per
+# index, finished polynomials); the types keep exact and float results
+# apart, since Fraction(1, 2) == 0.5
+_EIGEN_CACHE = {}
+
+TIE_RTOL = 1e-12
+
+
+def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
+    """The eigenpolynomial of L with leading term lead * x^k1 y^k2.
+
+    L maps each monomial to lambda times itself plus terms strictly
+    earlier in the weighted order, so the coefficients follow by
+    back-substitution down that order: c_m = acc_m / (lambda_k - lambda_m),
+    where acc_m collects the images of the coefficients already fixed.
+    Exact for rational parameters, floating point otherwise.  Raises
+    ValueError when an eigenvalue tie leaves a coefficient undetermined.
+    """
+    k = MIndex(*k)
+    if k.k1 < 0 or k.k2 < 0:
+        raise ValueError("index components must be nonnegative")
+    a, b = p.alpha, p.beta
+    images, polys = _EIGEN_CACHE.setdefault((a, b, type(a), type(b)), ({}, {}))
+    done = polys.get((k, lead))
+    if done is not None:
+        return done
+
+    def image(m):
+        """Eigenvalue and lowered monomial image of one index."""
+        got = images.get(m)
+        if got is None:
+            lowered = [(e, _int(c)) for e, c in monomial_image(p, *m) if e != m]
+            got = images[m] = (eigenvalue(p, m), lowered)
+        return got
+
+    lam = image(k)[0]
+    tie = TIE_RTOL * max(1.0, abs(float(lam)))
+    coeffs = {k: _int(lead)}
+    acc = {}
+    key = star_key(k)
+    for m in reversed(star_indices_upto(k.mdegree)):
+        if star_key(m) > key:
+            continue
+        if m != k:
+            r = acc.pop(m, 0)
+            if not r:
+                continue
+            gap = lam - image(m)[0]
+            if abs(float(gap)) <= tie:
+                raise ValueError(
+                    f"eigenvalue tie between {tuple(k)} and {tuple(m)} at "
+                    f"parameters ({a}, {b}) leaves the polynomial undetermined"
+                )
+            coeffs[m] = _int(r / gap)
+        c = coeffs[m]
+        for e, v in image(m)[1]:
+            acc[e] = acc.get(e, 0) + c * v
+    one = a * 0 + 1
+    q = polys[(k, lead)] = BivarPoly({m: c * one for m, c in coeffs.items()})
+    return q
 
 
 def jacobi_poly(p: WeightParams, k) -> BivarPoly:
-    """Eigenpolynomial with unit leading coefficient in the weighted
-    monomial order, orthogonal to every earlier monomial."""
-    k = MIndex(*k)
-    key = (float(p.alpha), float(p.beta))
-    chain = _CHAINS.get(key)
-    if chain is None:
-        chain = _CHAINS[key] = _JacobiChain(WeightParams(float(p.alpha), float(p.beta)))
-    return chain.poly(k)
+    """Eigenpolynomial in floating point with unit leading coefficient in
+    the weighted monomial order; it is orthogonal to every earlier monomial."""
+    return eigen_poly(WeightParams(float(p.alpha), float(p.beta)), k)
 
 
 def selfadjointness_check(p: WeightParams, f: BivarPoly, g: BivarPoly):

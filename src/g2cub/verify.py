@@ -94,7 +94,10 @@ def suite_orthogonality(n: int = 12, tol: float = None):
 
 
 def suite_cubature(n: int = 8, tol: float = 1e-9):
-    """Exactness of the four rules against the adaptive oracle."""
+    """Exactness of the four rules against the adaptive oracle, for every
+    size from 2 to n."""
+    if n < 2:
+        raise ValueError("the cubature suite needs n >= 2")
     checks = []
     for kind in ("gauss", "lobatto", "radau1", "radau2"):
         worst = 0.0

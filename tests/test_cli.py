@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -103,6 +104,30 @@ def test_poly_json(capsys):
     doc = json.loads(out)
     terms = {(t["i"], t["j"]): t["num"] for t in doc["terms"]}
     assert terms[(0, 2)] == 6 and terms[(3, 0)] == -72
+
+
+def test_poly_general_parameters_high_degree(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "poly", "--alpha", "0.3", "--beta", "1.2",
+                             "--k1", "10", "--k2", "2")
+    assert code == 0 and err == ""
+    assert json.loads(out)["k"] == [10, 2]
+
+
+def test_poly_eigenvalue_tie_is_usage_error(capsys):
+    code, out, err = run(capsys, "poly", "--alpha", "-0.9", "--beta", "-0.8",
+                         "--k1", "0", "--k2", "1")
+    assert code == 2
+    assert out == "" and "tie" in err
+
+
+@pytest.mark.parametrize("suite,n", [("cubature", "0"), ("cubature", "1"),
+                                     ("cubature", "-1"), ("orthogonality", "0")])
+def test_verify_rejects_sizes_that_check_nothing(capsys, suite, n):
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--n", n)
+    assert code == 2
+    assert "PASS" not in out
 
 
 def test_verify_identities_passes(capsys):

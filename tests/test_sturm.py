@@ -2,6 +2,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2cub.chebyshev import (
     WeightParams,
@@ -12,6 +13,7 @@ from g2cub.chebyshev import (
 from g2cub.poly import BivarPoly, star_key
 from g2cub.sturm import (
     apply_L,
+    eigen_poly,
     eigen_residual,
     eigenvalue,
     jacobi_poly,
@@ -177,6 +179,46 @@ def test_jacobi_eigen_residuals():
         for k in star_indices_upto(8):
             resid = eigen_residual(p, k, jacobi_poly(p, k))
             assert resid <= 1e-8
+
+
+def test_jacobi_eigen_residuals_to_degree_24():
+    for a, b in ((0.3, 1.2), (-0.4, 0.7), (0.17, -0.23), (0.0, 0.0)):
+        p = WeightParams(a, b)
+        for k in star_indices_upto(24):
+            resid = eigen_residual(p, k, jacobi_poly(p, k))
+            assert resid <= 1e-12, (a, b, k, resid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.fractions(min_value=-HALF, max_value=3, max_denominator=30),
+    st.fractions(min_value=-HALF, max_value=3, max_denominator=30),
+    st.sampled_from(star_indices_upto(12)),
+)
+def test_eigen_poly_exact_identity(a, b, k):
+    p = frac_params(a, b)
+    q = eigen_poly(p, k)
+    assert q.leading_star_term() == (tuple(k), 1)
+    assert apply_L(p, q) == eigenvalue(p, k) * q
+
+
+def test_eigen_poly_exact_and_float_kept_apart():
+    exact = eigen_poly(MM, (2, 0))
+    numeric = eigen_poly(WeightParams(-0.5, -0.5), (2, 0))
+    assert all(isinstance(c, Fraction) for c in exact.coeffs.values())
+    assert all(isinstance(c, float) for c in numeric.coeffs.values())
+
+
+@pytest.mark.parametrize(
+    "p", [frac_params(Fraction(-9, 10), Fraction(-4, 5)), WeightParams(-0.9, -0.8)],
+    ids=["exact", "float"],
+)
+def test_eigen_poly_rejects_eigenvalue_tie(p):
+    # lambda(0, 1) == lambda(0, 0) here while the image of y reaches 1
+    with pytest.raises(ValueError, match="tie"):
+        eigen_poly(p, (0, 1))
+    with pytest.raises(ValueError, match="tie"):
+        jacobi_poly(p, (0, 1))
 
 
 def test_jacobi_matches_scaled_chebyshev():
