@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from . import quad
 from .coords import make_index, orbit
 from .gentrig import TrigFamily, eval as trig_eval
@@ -65,7 +67,8 @@ def _require_half_integer(p: WeightParams):
 
 
 def xy_map(t) -> tuple:
-    """Images of a point under the two lowest invariant trig functions."""
+    """Images of a point under the two lowest invariant trig functions;
+    point components may be arrays."""
     x = trig_eval(TrigFamily.CC, make_index(1, 0), t)
     y = trig_eval(TrigFamily.CC, make_index(1, 1), t)
     return x, y
@@ -226,11 +229,7 @@ def continuous_inner(p: WeightParams, f, g, tol=quad.DEFAULT_TOL, cap=None):
     smooth = quad._needs_smoothing(a, b)
 
     def batch(t1, t2):
-        import numpy as np
-
-        x = quad.x_of_t(t1, t2)
-        y = quad.y_of_t(t1, t2)
-        w = quad._weight_values(a, b, t1, t2)
+        x, y, w = quad.pullback(a, b, t1, t2)
         rows = np.empty((2, t1.size))
         rows[0] = w
         rows[1] = w * fv(x, y) * gv(x, y)

@@ -23,6 +23,8 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .chebyshev import (
     MIndex,
     WeightParams,
@@ -54,40 +56,31 @@ class CubatureRule:
 
 
 def _lattice_rule(kind, n, m, params, factor_family, factor_index, scale, keep):
-    nodes = []
-    weights = []
-    indices = []
-    for node in enum_upsilon(m):
-        if not keep(node.j, m):
-            continue
-        t = point_from_index(node.j, m)
-        if factor_family is None:
-            factor = 1.0
-        else:
-            value = trig_eval(factor_family, factor_index, t)
-            factor = value * value
-        nodes.append(xy_map(t))
-        weights.append(scale / m ** 2 * node.weight * factor)
-        indices.append(node.j)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    kept = [node for node in enum_upsilon(m) if keep(node.j, m)]
+    t = point_from_index(np.array([node.j for node in kept]).reshape(-1, 3).T, m)
+    x, y = xy_map(t)
+    weights = scale / m ** 2 * np.array([node.weight for node in kept])
+    if factor_family is not None:
+        value = trig_eval(factor_family, factor_index, t)
+        weights = weights * (value * value)
     return CubatureRule(
         kind=kind,
         n=n,
-        nodes=tuple(nodes),
-        weights=tuple(weights),
+        nodes=tuple(zip(x.tolist(), y.tolist())),
+        weights=tuple(weights.tolist()),
         exact_mdegree=2 * n - 1,
         weight_params=params,
-        indices=tuple(indices),
+        indices=tuple(node.j for node in kept),
     )
 
 
 def gauss_rule(n: int) -> CubatureRule:
     """Interior-node rule for the (1/2, 1/2) weight; the node count equals
     the dimension of the weighted-degree n-1 polynomial space."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    m = n + 5
     return _lattice_rule(
-        "gauss", n, m, WeightParams(HALF, HALF),
+        "gauss", n, n + 5, WeightParams(HALF, HALF),
         TrigFamily.SS, make_index(2, 1), 12.0,
         lambda j, mm: 0 < j[1] < j[0] < -j[2] < mm,
     )
@@ -95,12 +88,26 @@ def gauss_rule(n: int) -> CubatureRule:
 
 def lobatto_rule(n: int) -> CubatureRule:
     """Full-lattice rule for the (-1/2, -1/2) weight, boundary included."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return _lattice_rule(
         "lobatto", n, n, WeightParams(-HALF, -HALF),
         None, None, 1.0,
         lambda j, mm: True,
+    )
+
+
+def _radau1_rule(n: int) -> CubatureRule:
+    return _lattice_rule(
+        "radau1", n, n + 2, WeightParams(HALF, -HALF),
+        TrigFamily.SC, make_index(1, 0), 6.0,
+        lambda j, mm: j[0] != j[1],
+    )
+
+
+def _radau2_rule(n: int) -> CubatureRule:
+    return _lattice_rule(
+        "radau2", n, n + 3, WeightParams(-HALF, HALF),
+        TrigFamily.CS, make_index(1, 1), 6.0,
+        lambda j, mm: j[1] != 0 and j[2] != -mm,
     )
 
 
@@ -111,19 +118,7 @@ def radau_rules(n: int):
     (1/2, -1/2) weight; the second keeps nodes off t2 = 0 and t3 = -1 and
     integrates (-1/2, 1/2).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    r1 = _lattice_rule(
-        "radau1", n, n + 2, WeightParams(HALF, -HALF),
-        TrigFamily.SC, make_index(1, 0), 6.0,
-        lambda j, mm: j[0] != j[1],
-    )
-    r2 = _lattice_rule(
-        "radau2", n, n + 3, WeightParams(-HALF, HALF),
-        TrigFamily.CS, make_index(1, 1), 6.0,
-        lambda j, mm: j[1] != 0 and j[2] != -mm,
-    )
-    return r1, r2
+    return _radau1_rule(n), _radau2_rule(n)
 
 
 def make_rule(kind: str, n: int) -> CubatureRule:
@@ -132,9 +127,9 @@ def make_rule(kind: str, n: int) -> CubatureRule:
     if kind == "lobatto":
         return lobatto_rule(n)
     if kind == "radau1":
-        return radau_rules(n)[0]
+        return _radau1_rule(n)
     if kind == "radau2":
-        return radau_rules(n)[1]
+        return _radau2_rule(n)
     raise ValueError(f"unknown rule kind {kind!r}")
 
 

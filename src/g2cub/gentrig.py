@@ -7,10 +7,13 @@ sine chosen per family:
     cc: cos * cos     sc: sin * cos     cs: cos * sin     ss: sin * sin
 
 cc is invariant under the full 12-element group, ss is anti-invariant,
-sc and cs are the two mixed types.  Structural zeros are returned as
-exact 0.0: cs and ss vanish identically when the index (or the point)
-contains a zero component, sc and ss vanish when the index (or the
-point) contains two equal components.
+sc and cs are the two mixed types.  `eval` is the one evaluator of these
+closed forms: index and point components may be scalars or numpy arrays
+that broadcast against each other, and the same numpy expression serves
+both.  Structural zeros are returned as exact 0.0: cs and ss vanish
+identically when the index (or the point) contains a zero component, sc
+and ss vanish when the index (or the point) contains two equal
+components.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ import enum
 import math
 from fractions import Fraction
 
-from .coords import A2_STAR, G2, HexIndex, TriplePoint
+import numpy as np
+
+from .coords import A2_STAR, G2, HexIndex
 
 
 class TrigFamily(enum.Enum):
@@ -47,46 +52,42 @@ def phi(k, t) -> complex:
     return cmath.exp(2j * math.pi / 3.0 * dot)
 
 
-def _index_zero(family: TrigFamily, k) -> bool:
-    if family in (TrigFamily.CS, TrigFamily.SS) and 0 in (k[0], k[1], k[2]):
-        return True
-    if family in (TrigFamily.SC, TrigFamily.SS) and (
-        k[0] == k[1] or k[1] == k[2] or k[0] == k[2]
-    ):
-        return True
-    return False
+def _structural_zero(family: TrigFamily, v):
+    """Where the family vanishes identically at an integer index or a
+    lattice-exact point v: cs and ss at a zero component, sc and ss at two
+    equal components.  Components may be arrays; the result broadcasts."""
+    zero = False
+    if family in (TrigFamily.CS, TrigFamily.SS):
+        zero = (v[0] == 0) | (v[1] == 0) | (v[2] == 0)
+    if family in (TrigFamily.SC, TrigFamily.SS):
+        zero = zero | (v[0] == v[1]) | (v[1] == v[2]) | (v[0] == v[2])
+    return zero
 
 
-def _point_zero(family: TrigFamily, t) -> bool:
-    if family in (TrigFamily.CS, TrigFamily.SS) and 0.0 in (t[0], t[1], t[2]):
-        return True
-    if family in (TrigFamily.SC, TrigFamily.SS) and (
-        t[0] == t[1] or t[1] == t[2] or t[0] == t[2]
-    ):
-        return True
-    return False
+def eval(family, k, t):
+    """Evaluate one family member through its three-term closed form.
 
-
-def eval(family, k, t) -> float:
-    """Evaluate one family member at a point via its three-term closed form."""
+    The components of k and t may be scalars or numpy arrays and broadcast
+    against each other.  Scalar input gives a float, array input an array.
+    """
     family = TrigFamily.of(family)
-    if _index_zero(family, k) or _point_zero(family, t):
-        return 0.0
-    a = math.pi * (k[0] - k[2]) / 3.0
-    b = math.pi * k[1]
-    f1 = math.sin if family in (TrigFamily.SC, TrigFamily.SS) else math.cos
-    f2 = math.sin if family in (TrigFamily.CS, TrigFamily.SS) else math.cos
+    a = np.pi * (k[0] - k[2]) / 3.0
+    b = np.pi * k[1]
+    f1 = np.sin if family in (TrigFamily.SC, TrigFamily.SS) else np.cos
+    f2 = np.sin if family in (TrigFamily.CS, TrigFamily.SS) else np.cos
     total = 0.0
     for (u0, u1), v in _TERMS:
-        total += f1(a * (t[u0] - t[u1])) * f2(b * t[v])
-    return total / 3.0
+        total = total + f1(a * (t[u0] - t[u1])) * f2(b * t[v])
+    zero = _structural_zero(family, k) | _structural_zero(family, t)
+    value = np.where(zero, 0.0, total / 3.0)
+    return float(value) if value.ndim == 0 else value
 
 
 def partial_t(family, k, t, i: int) -> float:
     """Partial derivative of the closed form with respect to coordinate i,
     treating t1, t2, t3 as independent."""
     family = TrigFamily.of(family)
-    if _index_zero(family, k):
+    if _structural_zero(family, k):
         return 0.0
     a = math.pi * (k[0] - k[2]) / 3.0
     b = math.pi * k[1]

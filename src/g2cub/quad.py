@@ -2,33 +2,35 @@
 0 <= t2 <= t1 <= 1 - t2.
 
 All weighted integrals over the curved target domain are pulled back to
-this triangle, where the weight becomes |sc|^(2a+1) * |cs|^(2b+1) built
-from the two lowest odd trigonometric functions.  The order is doubled
-until two consecutive estimates agree to a relative tolerance.  When an
-exponent is not a nonnegative integer the integrand has algebraic edge
-singularities; a polynomial endpoint-flattening substitution is applied
-on both axes so plain Gauss-Legendre still converges fast.
+this triangle by `pullback`: the map (x, y) and the weight, which becomes
+|sc|^(2a+1) * |cs|^(2b+1) built from the two lowest odd trigonometric
+functions, all evaluated on arrays of nodes by `gentrig.eval`.  The
+order is doubled until two consecutive estimates agree to a relative
+tolerance.  When an exponent is not a nonnegative integer the integrand
+has algebraic edge singularities; a polynomial endpoint-flattening
+substitution is applied on both axes so plain Gauss-Legendre still
+converges fast.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
 
 import numpy as np
 
+from . import gentrig
+from .coords import make_index
+from .gentrig import TrigFamily
+
 DEFAULT_TOL = 1e-12
+ORDER_CAP = 512
 START_ORDER = 8
 _SMOOTH_P = 8
 
 
 class QuadratureError(RuntimeError):
     """Raised when order doubling hits the cap without converging."""
-
-
-def order_cap() -> int:
-    return int(os.environ.get("G2CUB_QUAD_CAP", "512"))
 
 
 @lru_cache(maxsize=None)
@@ -59,37 +61,20 @@ def _smooth(u, p=_SMOOTH_P):
     return s, ds
 
 
-# trigonometric building blocks, vectorized over (t1, t2) arrays ---------
-
-def x_of_t(t1, t2):
-    c = 2.0 * np.pi / 3.0
-    return (
-        np.cos(c * (t1 - t2)) + np.cos(c * (2 * t1 + t2)) + np.cos(c * (t1 + 2 * t2))
-    ) / 3.0
-
-
-def y_of_t(t1, t2):
-    return (
-        np.cos(2 * np.pi * t1) + np.cos(2 * np.pi * t2) + np.cos(2 * np.pi * (t1 + t2))
-    ) / 3.0
-
-
-def sc_of_t(t1, t2):
-    # lowest sin*cos member, index (1,0,-1); nonpositive on the triangle
-    c = 2.0 * np.pi / 3.0
-    return (
-        np.sin(c * (2 * t1 + t2)) - np.sin(c * (t1 - t2)) - np.sin(c * (t1 + 2 * t2))
-    ) / 3.0
-
-
-def cs_of_t(t1, t2):
-    # lowest cos*sin member, index (1,1,-2); nonpositive on the triangle
-    p = np.pi
-    return (
-        np.cos(p * (2 * t1 + t2)) * np.sin(p * t2)
-        - np.cos(p * (t1 - t2)) * np.sin(p * (t1 + t2))
-        + np.cos(p * (t1 + 2 * t2)) * np.sin(p * t1)
-    ) / 3.0
+def pullback(alpha, beta, t1, t2):
+    """The map (x, y) and the pulled-back weight at parameter points
+    (t1, t2), which may be arrays."""
+    t = (t1, t2, -t1 - t2)
+    x = gentrig.eval(TrigFamily.CC, make_index(1, 0), t)
+    y = gentrig.eval(TrigFamily.CC, make_index(1, 1), t)
+    ea = 2.0 * float(alpha) + 1.0
+    eb = 2.0 * float(beta) + 1.0
+    w = 1.0
+    if ea:
+        w = w * np.abs(gentrig.eval(TrigFamily.SC, make_index(1, 0), t)) ** ea
+    if eb:
+        w = w * np.abs(gentrig.eval(TrigFamily.CS, make_index(1, 1), t)) ** eb
+    return x, y, w
 
 
 def _needs_smoothing(alpha, beta) -> bool:
@@ -118,22 +103,11 @@ def _grid(order, smooth):
     return T1, T2, W
 
 
-def _weight_values(alpha, beta, t1, t2):
-    ea = 2.0 * float(alpha) + 1.0
-    eb = 2.0 * float(beta) + 1.0
-    out = 1.0
-    if ea:
-        out = out * np.abs(sc_of_t(t1, t2)) ** ea
-    if eb:
-        out = out * np.abs(cs_of_t(t1, t2)) ** eb
-    return out
-
-
 def triangle_quadrature(values_fn, tol=DEFAULT_TOL, cap=None, smooth=False):
     """Adaptive tensor integral of a vectorized integrand over the
     parameter triangle.  values_fn(t1, t2) must broadcast; it may return a
     stack of integrands with shape (m, npoints), integrated jointly."""
-    cap = order_cap() if cap is None else cap
+    cap = ORDER_CAP if cap is None else cap
     order = START_ORDER
     prev = None
     while order <= cap:
@@ -180,9 +154,7 @@ def moment_table(alpha, beta, max_mdeg, tol=DEFAULT_TOL, cap=None):
     smooth = _needs_smoothing(alpha, beta)
 
     def batch(t1, t2):
-        xv = x_of_t(t1, t2)
-        yv = y_of_t(t1, t2)
-        wv = _weight_values(alpha, beta, t1, t2)
+        xv, yv, wv = pullback(alpha, beta, t1, t2)
         xp = {}
         yp = {}
         rows = np.empty((len(exponents) + 1, t1.size))

@@ -12,6 +12,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import gentrig, lattice
 from .chebyshev import (
     WeightParams,
@@ -64,20 +66,15 @@ def suite_orthogonality(n: int = 12, tol: float = None):
         for m in range(1, n + 1):
             gamma = lattice.enum_gamma(family, m)
             nodes = lattice.enum_upsilon(m)
-            values = [
-                [gentrig.eval(family, k, lattice.point_from_index(nd.j, m)) for nd in nodes]
-                for k in gamma
-            ]
-            for a, ka in enumerate(gamma):
-                for b in range(a, len(gamma)):
-                    acc = 0.0
-                    for nd, va, vb in zip(nodes, values[a], values[b]):
-                        acc += nd.weight * va * vb
-                    acc /= m * m
-                    expect = (
-                        lattice.discrete_ortho_constant(family, ka, m) if a == b else 0.0
-                    )
-                    worst = max(worst, abs(acc - expect))
+            k = np.array(gamma.members, dtype=int).reshape(-1, 3).T[:, :, None]
+            t = lattice.point_from_index(np.array([nd.j for nd in nodes]).T, m)
+            values = gentrig.eval(family, k, t)
+            weights = np.array([nd.weight for nd in nodes])
+            gram = (values * weights) @ values.T / (m * m)
+            expect = np.diag(
+                [lattice.discrete_ortho_constant(family, ka, m) for ka in gamma]
+            )
+            worst = max(worst, float(np.max(np.abs(gram - expect), initial=0.0)))
         checks.append(Check(f"discrete-ortho-{family.value}", worst, tol))
     for p in HALF_PARAMS:
         worst = 0.0
@@ -114,7 +111,10 @@ def suite_cubature(n: int = 8, tol: float = 1e-9):
 
 def suite_eigen(n: int = 12, tol: float = 1e-8):
     """Exact eigen identities for half-integer parameters plus numeric
-    residuals for three general parameter pairs."""
+    residuals for three general parameter pairs, through weighted degree
+    n; n = 1 would check only the constant polynomial."""
+    if n < 2:
+        raise ValueError("the eigen suite needs n >= 2")
     checks = []
     worst = 0.0
     for p in HALF_PARAMS:
@@ -222,6 +222,10 @@ def suite_identities(n: int = 100, tol: float = None):
 
 
 def suite_variety(n: int = 6, tol: float = 1e-10):
+    """Common zeros of each rule's ideal generators, at rule size n; the
+    gauss and radau1 rules have no generators of weighted degree 1."""
+    if n < 2:
+        raise ValueError("the variety suite needs n >= 2")
     checks = []
     for kind in ("gauss", "lobatto", "radau1", "radau2"):
         rep = variety_check(kind, n, tol)

@@ -123,11 +123,14 @@ def test_poly_eigenvalue_tie_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("suite,n", [("cubature", "0"), ("cubature", "1"),
-                                     ("cubature", "-1"), ("orthogonality", "0")])
+                                     ("cubature", "-1"), ("orthogonality", "0"),
+                                     ("variety", "1"), ("eigen", "1")])
 def test_verify_rejects_sizes_that_check_nothing(capsys, suite, n):
-    code, out, _ = run(capsys, "verify", "--suite", suite, "--n", n)
+    code, out, err = run(capsys, "verify", "--suite", suite, "--n", n)
     assert code == 2
     assert "PASS" not in out
+    bound = "n >= 2" if n == "1" else "--n must be >= 1"
+    assert bound in err
 
 
 def test_verify_identities_passes(capsys):

@@ -3,10 +3,20 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from g2cub.chebyshev import WeightParams, cheb_poly, deltoid_F, star_class, star_indices_upto
+from g2cub import cubature
+from g2cub.chebyshev import (
+    WeightParams,
+    cheb_poly,
+    deltoid_F,
+    star_class,
+    star_indices_upto,
+    xy_map,
+)
 from g2cub.coords import point_from_index
 from g2cub.cubature import (
+    RULE_KINDS,
     gauss_rule,
     integrate,
     integrate_poly,
@@ -89,6 +99,57 @@ def test_radau_dropped_nodes():
     for node in enum_upsilon(n + 3):
         if node.j[1] == 0:
             assert trig("cs", make_index(1, 1), point_from_index(node.j, n + 3)) == 0.0
+
+
+@pytest.mark.parametrize("kind,family,k,scale,shift", [
+    ("gauss", "ss", (2, 1), 12.0, 5),
+    ("lobatto", None, None, 1.0, 0),
+    ("radau1", "sc", (1, 0), 6.0, 2),
+    ("radau2", "cs", (1, 1), 6.0, 3),
+])
+def test_rule_equals_the_per_node_scalar_loop(kind, family, k, scale, shift):
+    # the array build must reproduce, bit for bit, nodes and weights
+    # computed one lattice node at a time with scalar evaluations
+    n = 9
+    m = n + shift
+    rule = make_rule(kind, n)
+    lattice_weight = {node.j: node.weight for node in enum_upsilon(m)}
+    for (x, y), w, j in zip(rule.nodes, rule.weights, rule.indices):
+        t = point_from_index(j, m)
+        assert (x, y) == xy_map(t)
+        value = 1.0 if family is None else trig(family, make_index(*k), t)
+        assert w == scale / m ** 2 * lattice_weight[j] * (value * value)
+
+
+def test_make_rule_builds_only_the_requested_radau_rule(monkeypatch):
+    sizes = []
+    real = cubature.enum_upsilon
+    monkeypatch.setattr(cubature, "enum_upsilon", lambda m: sizes.append(m) or real(m))
+    for kind, m in (("radau1", 7), ("radau2", 8)):
+        sizes.clear()
+        make_rule(kind, 5)
+        assert sizes == [m]
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(RULE_KINDS), n=st.integers(1, 30))
+def test_rule_weights_positive_and_normalized(kind, n):
+    rule = make_rule(kind, n)
+    assert all(w > 0 for w in rule.weights)
+    assert abs(math.fsum(rule.weights) - 1.0) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(RULE_KINDS), n=st.integers(1, 8), data=st.data())
+def test_rule_exact_on_random_polynomials(kind, n, data):
+    rule = make_rule(kind, n)
+    indices = star_indices_upto(2 * n - 1)
+    coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=len(indices),
+                                max_size=len(indices)))
+    poly = BivarPoly({(k.k1, k.k2): Fraction(c) for k, c in zip(indices, coeffs) if c})
+    got = integrate_poly(rule, poly)
+    ref = reference_integral(rule.weight_params, poly)
+    assert abs(got - ref) <= 1e-9 * (1 + sum(abs(c) for c in coeffs))
 
 
 def test_integrate_is_weight_sum_for_one():

@@ -1,9 +1,20 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from g2cub.coords import A2, A2_STAR, G2, apply_group, cart_to_homog, make_index, make_point
+from g2cub.coords import (
+    A2,
+    A2_STAR,
+    G2,
+    apply_group,
+    cart_to_homog,
+    make_index,
+    make_point,
+    point_from_index,
+)
 from g2cub.gentrig import (
     TrigFamily,
     boundary_normal_derivative,
@@ -65,6 +76,40 @@ def test_eval_structural_zeros_in_point():
     assert trig("ss", k, on_b2) == 0.0
     assert trig("sc", k, on_b3) == 0.0
     assert trig("ss", k, on_b3) == 0.0
+
+
+def _vanishes_identically(family, v):
+    if family in (TrigFamily.CS, TrigFamily.SS) and 0 in v:
+        return True
+    return family in (TrigFamily.SC, TrigFamily.SS) and len(set(v)) < 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(list(TrigFamily)),
+    ks=st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=5),
+    m=st.integers(1, 20),
+    js=st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), min_size=1, max_size=8),
+)
+def test_array_eval_matches_scalar_bit_for_bit(family, ks, m, js):
+    # lattice points j/m, boundary and outside points included, against a
+    # stack of indices: the broadcast array result must equal the scalar
+    # result element by element, structural zeros exactly +0.0 on both
+    ks = [make_index(*k) for k in ks]
+    js = [make_index(*j) for j in js]
+    k_arr = np.array(ks).T[:, :, None]
+    t_arr = point_from_index(np.array(js).T, m)
+    values = trig(family, k_arr, t_arr)
+    assert values.shape == (len(ks), len(js))
+    for a, k in enumerate(ks):
+        by_point = trig(family, k, t_arr)
+        for b, j in enumerate(js):
+            scalar = trig(family, k, point_from_index(j, m))
+            assert type(scalar) is float
+            assert np.float64(scalar).tobytes() == values[a, b].tobytes()
+            assert np.float64(scalar).tobytes() == by_point[b].tobytes()
+            if _vanishes_identically(family, k) or _vanishes_identically(family, j):
+                assert scalar == 0.0 and math.copysign(1.0, scalar) == 1.0
 
 
 def test_cc_example_value():
