@@ -50,6 +50,7 @@ from .chebyshev import (
     orthogonality_constant,
     star_class,
     star_indices_upto,
+    weight_mass,
     weight_w,
     xy_map,
 )
@@ -60,6 +61,7 @@ from .sturm import (
     eigen_residual,
     eigenvalue,
     jacobi_poly,
+    moments,
     monomial_image,
     operator_coeffs,
     selfadjointness_check,

@@ -209,22 +209,35 @@ def orthogonality_constant(p: WeightParams, k) -> float:
 
 # weighted integrals ---------------------------------------------------------
 
+def _require_integrable(p: WeightParams):
+    """The weight is integrable only for beta > -5/6 and alpha + beta > -4/3
+    besides alpha, beta > -1: sc and cs both vanish to order 3 at the
+    vertex t = (0, 0), and cs alone at (1, 0)."""
+    a, b = float(p.alpha), float(p.beta)
+    if not (b > -5 / 6 and a + b > -4 / 3):
+        raise ValueError(
+            f"the weight at parameters ({p.alpha}, {p.beta}) is not integrable: "
+            "it needs beta > -5/6 and alpha + beta > -4/3"
+        )
+
+
 def continuous_inner(p: WeightParams, f, g, tol=quad.DEFAULT_TOL, cap=None):
     """Weighted inner product normalized so that <1, 1> = 1.
 
-    Polynomial arguments are integrated exactly through cached moment
-    tables; general callables (x, y) -> value are pulled back to the
-    parameter triangle and integrated adaptively.
+    Polynomial arguments are integrated exactly through the operator's
+    moments (`sturm.moments`); general callables (x, y) -> value are pulled
+    back to the parameter triangle and integrated by adaptive quadrature,
+    to which tol and cap apply.  Raises ValueError where the weight is not
+    integrable.
     """
     if isinstance(f, BivarPoly) and isinstance(g, BivarPoly):
-        prod = f * g
-        moments, _ = quad.moment_table(
-            float(p.alpha), float(p.beta), prod.mdegree(), tol=tol, cap=cap
-        )
-        return float(sum(float(c) * moments[ij] for ij, c in prod.coeffs.items()))
+        from .sturm import moments  # sturm imports this module
 
-    fv = f if callable(f) else (lambda x, y, _p=f: _p(x, y))
-    gv = g if callable(g) else (lambda x, y, _p=g: _p(x, y))
+        prod = f * g
+        mu = moments(p, prod.mdegree())
+        return float(sum(float(c) * float(mu[ij]) for ij, c in prod.coeffs.items()))
+
+    _require_integrable(p)
     a, b = float(p.alpha), float(p.beta)
     smooth = quad._needs_smoothing(a, b)
 
@@ -232,18 +245,34 @@ def continuous_inner(p: WeightParams, f, g, tol=quad.DEFAULT_TOL, cap=None):
         x, y, w = quad.pullback(a, b, t1, t2)
         rows = np.empty((2, t1.size))
         rows[0] = w
-        rows[1] = w * fv(x, y) * gv(x, y)
+        rows[1] = w * f(x, y) * g(x, y)
         return rows
 
     est = quad.triangle_quadrature(batch, tol=tol, cap=cap, smooth=smooth)
     return float(est[1] / est[0])
 
 
-def normalization_c(p: WeightParams, tol=quad.DEFAULT_TOL) -> float:
-    """Reciprocal of the weight's integral over its domain."""
+def weight_mass(p: WeightParams) -> float:
+    """Integral of the pulled-back weight over the parameter triangle:
+    Macdonald's constant-term product for G2 (Habsieger 1986, Zeilberger
+    1988), 36^-(a+b)/144 prod_r G(c_r+k_r+1) G(c_r-k_r+1) / G(c_r+1)^2 over
+    the positive roots r, with multiplicities k_s = a+1/2 and k_l = b+1/2."""
+    _require_integrable(p)  # which makes every Gamma argument positive
     a, b = float(p.alpha), float(p.beta)
-    mass = quad.weight_mass(a, b, tol=tol)
-    return (3.0 / (4.0 * math.pi ** 2)) ** (a + b + 1.0) / mass
+    ks, kl = a + 0.5, b + 0.5
+    roots = ((ks, ks), (ks + 3 * kl, ks), (2 * ks + 3 * kl, ks),
+             (kl, kl), (ks + kl, kl), (ks + 2 * kl, kl))
+    log_prod = sum(
+        math.lgamma(c + k + 1) + math.lgamma(c - k + 1) - 2 * math.lgamma(c + 1)
+        for c, k in roots
+    )
+    return 36.0 ** -(a + b) / 144.0 * math.exp(log_prod)
+
+
+def normalization_c(p: WeightParams) -> float:
+    """Reciprocal of the weight's integral over its domain, in closed form."""
+    a, b = float(p.alpha), float(p.beta)
+    return (3.0 / (4.0 * math.pi ** 2)) ** (a + b + 1.0) / weight_mass(p)
 
 
 # serialization ---------------------------------------------------------------

@@ -58,19 +58,6 @@ class BivarPoly:
     def y(cls):
         return cls({(0, 1): Fraction(1)})
 
-    @classmethod
-    def from_terms(cls, terms):
-        """terms: iterable of (i, j, coeff)."""
-        p = cls()
-        for i, j, c in terms:
-            p.coeffs[(i, j)] = p.coeffs.get((i, j), 0) + c
-        p._prune()
-        return p
-
-    def _prune(self):
-        for key in [k for k, c in self.coeffs.items() if not c]:
-            del self.coeffs[key]
-
     # arithmetic ---------------------------------------------------------
     def __add__(self, other):
         if not isinstance(other, BivarPoly):

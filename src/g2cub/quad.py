@@ -1,8 +1,9 @@
 """Adaptive tensor Gauss-Legendre quadrature over the parameter triangle
-0 <= t2 <= t1 <= 1 - t2.
+0 <= t2 <= t1 <= 1 - t2, for weighted integrals of general callables and
+as the test oracle; polynomial integrals are exact moments instead.
 
-All weighted integrals over the curved target domain are pulled back to
-this triangle by `pullback`: the map (x, y) and the weight, which becomes
+Integrals over the curved target domain are pulled back to this
+triangle by `pullback`: the map (x, y) and the weight, which becomes
 |sc|^(2a+1) * |cs|^(2b+1) built from the two lowest odd trigonometric
 functions, all evaluated on arrays of nodes by `gentrig.eval`.  The
 order is doubled until two consecutive estimates agree to a relative
@@ -124,58 +125,3 @@ def triangle_quadrature(values_fn, tol=DEFAULT_TOL, cap=None, smooth=False):
     raise QuadratureError(
         f"tensor quadrature did not converge below order {cap}"
     )
-
-
-_MDEG_CACHE = {}
-
-
-def _exponent_list(max_mdeg):
-    return [
-        (i, j)
-        for i in range(max_mdeg // 2 + 1)
-        for j in range((max_mdeg - 2 * i) // 3 + 1)
-    ]
-
-
-def moment_table(alpha, beta, max_mdeg, tol=DEFAULT_TOL, cap=None):
-    """Normalized moments <x^i y^j, 1> for all weighted degrees up to
-    max_mdeg, plus the raw mass of the pulled-back weight.
-
-    Returns (moments_dict, raw_mass).  Results are cached per parameter
-    pair with the tolerance they met, and recomputed when a caller asks
-    for a higher degree or a tighter tolerance.
-    """
-    key = (float(alpha), float(beta))
-    cached = _MDEG_CACHE.get(key)
-    if cached is not None and cached[0] >= max_mdeg and cached[1] <= tol:
-        return cached[2], cached[3]
-
-    exponents = _exponent_list(max_mdeg)
-    smooth = _needs_smoothing(alpha, beta)
-
-    def batch(t1, t2):
-        xv, yv, wv = pullback(alpha, beta, t1, t2)
-        xp = {}
-        yp = {}
-        rows = np.empty((len(exponents) + 1, t1.size))
-        rows[0] = wv
-        for r, (i, j) in enumerate(exponents, start=1):
-            if i not in xp:
-                xp[i] = xv ** i
-            if j not in yp:
-                yp[j] = yv ** j
-            rows[r] = wv * xp[i] * yp[j]
-        return rows
-
-    est = triangle_quadrature(batch, tol=tol, cap=cap, smooth=smooth)
-    raw_mass = float(est[0])
-    moments = {
-        ij: float(est[r]) / raw_mass for r, ij in enumerate(exponents, start=1)
-    }
-    _MDEG_CACHE[key] = (max_mdeg, tol, moments, raw_mass)
-    return moments, raw_mass
-
-
-def weight_mass(alpha, beta, tol=DEFAULT_TOL, cap=None) -> float:
-    """Integral of the pulled-back weight over the parameter triangle."""
-    return moment_table(alpha, beta, 0, tol=tol, cap=cap)[1]

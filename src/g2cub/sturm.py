@@ -1,6 +1,6 @@
 """The two-parameter second-order operator behind the polynomial families:
 exact coefficients, application to polynomials, monomial images,
-eigenvalues, and the eigenpolynomials themselves.
+eigenvalues, the eigenpolynomials themselves, and the weight's moments.
 
 The operator is triangular with respect to the weighted monomial order,
 so each index pair carries exactly one eigenpolynomial with a given
@@ -8,7 +8,8 @@ leading coefficient; it is orthogonal to all earlier monomials under the
 weighted inner product.  `eigen_poly` builds it by back-substitution down
 the order, exactly for rational parameters and in floating point
 otherwise; both the Chebyshev-type families and the general-parameter
-polynomials come from it.
+polynomials come from it.  `moments` runs the same triangular structure
+up the order to get every polynomial integral exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chebyshev import MIndex, WeightParams, star_indices_upto
+from .chebyshev import MIndex, WeightParams, _require_integrable, star_indices_upto
 from .poly import BivarPoly, star_key
 
 _A11 = BivarPoly({(2, 0): Fraction(-6), (0, 1): Fraction(1), (1, 0): Fraction(3), (0, 0): Fraction(2)})
@@ -123,11 +124,26 @@ def _int(v):
 
 
 # (alpha, beta, their types) -> (eigenvalue and lowered monomial image per
-# index, finished polynomials); the types keep exact and float results
-# apart, since Fraction(1, 2) == 0.5
+# index, finished polynomials, normalized moments); the types keep exact
+# and float results apart, since Fraction(1, 2) == 0.5
 _EIGEN_CACHE = {}
 
 TIE_RTOL = 1e-12
+
+
+def _entry(p: WeightParams):
+    return _EIGEN_CACHE.setdefault(
+        (p.alpha, p.beta, type(p.alpha), type(p.beta)), ({}, {}, {(0, 0): Fraction(1)})
+    )
+
+
+def _image(p: WeightParams, images, m):
+    """Eigenvalue and lowered monomial image of one index, cached in images."""
+    got = images.get(m)
+    if got is None:
+        lowered = [(e, _int(c)) for e, c in monomial_image(p, *m) if e != m]
+        got = images[m] = (eigenvalue(p, m), lowered)
+    return got
 
 
 def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
@@ -144,20 +160,12 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
     if k.k1 < 0 or k.k2 < 0:
         raise ValueError("index components must be nonnegative")
     a, b = p.alpha, p.beta
-    images, polys = _EIGEN_CACHE.setdefault((a, b, type(a), type(b)), ({}, {}))
+    images, polys, _ = _entry(p)
     done = polys.get((k, lead))
     if done is not None:
         return done
 
-    def image(m):
-        """Eigenvalue and lowered monomial image of one index."""
-        got = images.get(m)
-        if got is None:
-            lowered = [(e, _int(c)) for e, c in monomial_image(p, *m) if e != m]
-            got = images[m] = (eigenvalue(p, m), lowered)
-        return got
-
-    lam = image(k)[0]
+    lam = _image(p, images, k)[0]
     tie = TIE_RTOL * max(1.0, abs(float(lam)))
     coeffs = {k: _int(lead)}
     acc = {}
@@ -169,7 +177,7 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
             r = acc.pop(m, 0)
             if not r:
                 continue
-            gap = lam - image(m)[0]
+            gap = lam - _image(p, images, m)[0]
             if abs(float(gap)) <= tie:
                 raise ValueError(
                     f"eigenvalue tie between {tuple(k)} and {tuple(m)} at "
@@ -177,11 +185,33 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
                 )
             coeffs[m] = _int(r / gap)
         c = coeffs[m]
-        for e, v in image(m)[1]:
+        for e, v in _image(p, images, m)[1]:
             acc[e] = acc.get(e, 0) + c * v
     one = a * 0 + 1
     q = polys[(k, lead)] = BivarPoly({m: c * one for m, c in coeffs.items()})
     return q
+
+
+def moments(p: WeightParams, max_mdeg: int) -> dict:
+    """Exact normalized moments <x^i y^j, 1>, as Fractions, for every
+    monomial up to weighted degree max_mdeg.
+
+    L is symmetric under the weight and L 1 = 0, so <L x^m, 1> = 0; with
+    L x^m = lambda_m x^m + sum_e c_e x^e over earlier monomials, this gives
+    mu_m = -sum_e c_e mu_e / lambda_m from mu_(0,0) = 1, up the weighted
+    order.  Float parameters enter by their exact binary value.  Returns
+    the cached table itself, grown in place; do not modify it.  Raises
+    ValueError where the weight is not integrable; elsewhere every
+    lambda_m with m != 0 is positive.
+    """
+    _require_integrable(p)
+    q = WeightParams(*p.key())
+    images, _, mu = _entry(q)
+    for m in star_indices_upto(max_mdeg):
+        if m not in mu:
+            lam, lowered = _image(q, images, m)
+            mu[m] = -sum(c * mu[e] for e, c in lowered) / lam
+    return mu
 
 
 def jacobi_poly(p: WeightParams, k) -> BivarPoly:

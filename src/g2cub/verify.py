@@ -57,7 +57,7 @@ def _interior_points(count, seed=20120904, margin=0.02):
 
 def suite_orthogonality(n: int = 12, tol: float = None):
     """Within-family orthogonality: discrete on the triangle lattice for
-    every size up to n, continuous by quadrature at low degree."""
+    every size up to n, continuous through the exact moments at low degree."""
     cont_tol = 1e-9 if tol is None else tol
     tol = 1e-12 if tol is None else tol
     checks = []
@@ -91,8 +91,8 @@ def suite_orthogonality(n: int = 12, tol: float = None):
 
 
 def suite_cubature(n: int = 8, tol: float = 1e-9):
-    """Exactness of the four rules against the adaptive oracle, for every
-    size from 2 to n."""
+    """Exactness of the four rules against the exact moments of every
+    monomial through weighted degree 2m - 1, for every size m from 2 to n."""
     if n < 2:
         raise ValueError("the cubature suite needs n >= 2")
     checks = []

@@ -16,6 +16,7 @@ from g2cub.chebyshev import (
     poly_to_json_dict,
     resolve_index,
     star_indices_upto,
+    weight_mass,
     weight_w,
     xy_map,
 )
@@ -24,6 +25,7 @@ from g2cub.gentrig import eval as trig
 from g2cub.coords import make_index
 from g2cub.jsonio import dumps
 from g2cub.poly import BivarPoly
+from g2cub.sturm import moments
 
 HALF = Fraction(1, 2)
 MM = WeightParams(-HALF, -HALF)
@@ -223,6 +225,37 @@ def test_normalization_constants():
     assert normalization_c(PM) == pytest.approx(18 / math.pi ** 2, rel=1e-11)
     assert normalization_c(MP) == pytest.approx(18 / math.pi ** 2, rel=1e-11)
     assert normalization_c(PP) == pytest.approx(243 / math.pi ** 4, rel=1e-11)
+
+
+@pytest.mark.parametrize("a,b", [(-0.6, 0.3), (0.3, -0.7), (-0.7, -0.6), (-0.95, 0.4)])
+def test_weight_mass_steps_by_the_moments_of_the_factors(a, b):
+    # raising alpha or beta by one multiplies the weight by f1/3 or f2,
+    # the two factors of deltoid_F, so the mass steps by their moments
+    x, y = BivarPoly.x(), BivarPoly.y()
+    f1 = 1 + 2 * y - 3 * x * x
+    f2 = 24 * x * x * x - y * y - 12 * x * y - 6 * x - 4 * y - 1
+    one = BivarPoly.constant(Fraction(1))
+    p = WeightParams(a, b)
+    mass = weight_mass(p)
+    assert weight_mass(WeightParams(a + 1, b)) == pytest.approx(
+        mass * continuous_inner(p, f1, one) / 3, rel=1e-13)
+    assert weight_mass(WeightParams(a, b + 1)) == pytest.approx(
+        mass * continuous_inner(p, f2, one), rel=1e-13)
+
+
+@pytest.mark.parametrize("a,b", [(-0.9, -0.8), (0.0, -0.84), (-0.6, -0.75)])
+def test_unintegrable_weight_raises_value_error(a, b):
+    # beta <= -5/6 or alpha + beta <= -4/3: the weight's integral diverges
+    p = WeightParams(a, b)
+    one = BivarPoly.constant(Fraction(1))
+    with pytest.raises(ValueError, match="not integrable"):
+        normalization_c(p)
+    with pytest.raises(ValueError, match="not integrable"):
+        continuous_inner(p, one, one)
+    with pytest.raises(ValueError, match="not integrable"):
+        continuous_inner(p, lambda x, y: 1.0, lambda x, y: 1.0)
+    with pytest.raises(ValueError, match="not integrable"):
+        moments(p, 4)
 
 
 def test_continuous_inner_unit():
