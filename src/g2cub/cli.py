@@ -26,6 +26,8 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+EVAL_REL_BOUND = 1e-8
+
 
 def _half_integer(value) -> bool:
     return abs(Fraction(value)) == Fraction(1, 2)
@@ -64,8 +66,17 @@ def cmd_nodes(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    """Print the float monomial sum of one family polynomial at (x, y).  With
+    N terms of weighted degree d its error is at most about (N + d) 2^-53
+    sum |c| |x|^i |y|^j; above EVAL_REL_BOUND * max(1, |value|), print that
+    bound on stderr instead of the value and exit 1."""
     poly = _family_poly(args)
     value = float(poly(args.x, args.y))
+    scale = BivarPoly({e: abs(c) for e, c in poly.coeffs.items()})(abs(args.x), abs(args.y))
+    bound = (len(poly.coeffs) + poly.mdegree()) * 2.0 ** -53 * float(scale)
+    if bound > EVAL_REL_BOUND * max(1.0, abs(value)):
+        print(f"error: the float monomial sum may be off by {bound:.3e}; no value", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     print(format_float(value))
     if args.coeffs:
         for (i, j), c in poly.star_sorted_terms():

@@ -10,15 +10,14 @@ cc is invariant under the full 12-element group, ss is anti-invariant,
 sc and cs are the two mixed types.  `eval` is the one evaluator of these
 closed forms: index and point components may be scalars or numpy arrays
 that broadcast against each other, and the same numpy expression serves
-both.  Structural zeros are returned as exact 0.0: cs and ss vanish
-identically when the index (or the point) contains a zero component, sc
-and ss vanish when the index (or the point) contains two equal
-components.
+both; `phi` and `partial_t` work the same way.  Structural zeros are
+returned as exact 0.0: cs and ss vanish identically when the index (or
+the point) contains a zero component, sc and ss vanish when the index
+(or the point) contains two equal components.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from fractions import Fraction
@@ -45,11 +44,16 @@ class TrigFamily(enum.Enum):
 # t[u0]-t[u1], second factor uses t[v].
 _TERMS = (((0, 2), 1), ((1, 0), 2), ((2, 1), 0))
 
+# is the factor a sine -> (factor, its derivative)
+_FACTOR = {False: (np.cos, lambda x: -np.sin(x)), True: (np.sin, np.cos)}
 
-def phi(k, t) -> complex:
-    """Plane-wave exponential exp(2*pi*i/3 * k.t) on the sum-zero plane."""
+
+def phi(k, t):
+    """Plane-wave exponential exp(2*pi*i/3 * k.t) on the sum-zero plane;
+    k and t broadcast as in `eval`, and scalar input gives a complex."""
     dot = k[0] * t[0] + k[1] * t[1] + k[2] * t[2]
-    return cmath.exp(2j * math.pi / 3.0 * dot)
+    value = np.exp(2j * np.pi / 3.0 * dot)
+    return complex(value) if value.ndim == 0 else value
 
 
 def _structural_zero(family: TrigFamily, v):
@@ -73,8 +77,8 @@ def eval(family, k, t):
     family = TrigFamily.of(family)
     a = np.pi * (k[0] - k[2]) / 3.0
     b = np.pi * k[1]
-    f1 = np.sin if family in (TrigFamily.SC, TrigFamily.SS) else np.cos
-    f2 = np.sin if family in (TrigFamily.CS, TrigFamily.SS) else np.cos
+    f1 = _FACTOR[family in (TrigFamily.SC, TrigFamily.SS)][0]
+    f2 = _FACTOR[family in (TrigFamily.CS, TrigFamily.SS)][0]
     total = 0.0
     for (u0, u1), v in _TERMS:
         total = total + f1(a * (t[u0] - t[u1])) * f2(b * t[v])
@@ -83,31 +87,26 @@ def eval(family, k, t):
     return float(value) if value.ndim == 0 else value
 
 
-def partial_t(family, k, t, i: int) -> float:
+def partial_t(family, k, t, i: int):
     """Partial derivative of the closed form with respect to coordinate i,
-    treating t1, t2, t3 as independent."""
+    treating t1, t2, t3 as independent.  k and t broadcast as in `eval`;
+    an index where the family vanishes identically gives exact 0.0."""
     family = TrigFamily.of(family)
-    if _structural_zero(family, k):
-        return 0.0
-    a = math.pi * (k[0] - k[2]) / 3.0
-    b = math.pi * k[1]
-    first_is_sin = family in (TrigFamily.SC, TrigFamily.SS)
-    second_is_sin = family in (TrigFamily.CS, TrigFamily.SS)
-    f1 = math.sin if first_is_sin else math.cos
-    f2 = math.sin if second_is_sin else math.cos
-    d1 = math.cos if first_is_sin else (lambda x: -math.sin(x))
-    d2 = math.cos if second_is_sin else (lambda x: -math.sin(x))
+    a = np.pi * (k[0] - k[2]) / 3.0
+    b = np.pi * k[1]
+    f1, d1 = _FACTOR[family in (TrigFamily.SC, TrigFamily.SS)]
+    f2, d2 = _FACTOR[family in (TrigFamily.CS, TrigFamily.SS)]
     total = 0.0
     for (u0, u1), v in _TERMS:
         du = (1.0 if u0 == i else 0.0) - (1.0 if u1 == i else 0.0)
-        dv = 1.0 if v == i else 0.0
         arg1 = a * (t[u0] - t[u1])
         arg2 = b * t[v]
         if du:
-            total += a * du * d1(arg1) * f2(arg2)
-        if dv:
-            total += b * dv * f1(arg1) * d2(arg2)
-    return total / 3.0
+            total = total + a * du * d1(arg1) * f2(arg2)
+        if v == i:
+            total = total + b * f1(arg1) * d2(arg2)
+    value = np.where(_structural_zero(family, k), 0.0, total / 3.0)
+    return float(value) if value.ndim == 0 else value
 
 
 def laplace_eigenvalue(k) -> float:

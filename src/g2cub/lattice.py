@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .coords import HexIndex, hat, orbit, point_from_index
 from .gentrig import TrigFamily
 
@@ -77,12 +79,11 @@ def classify_hex_node(j, n: int) -> float:
 
 def hex_cubature(f, n: int):
     """Equal-spaced cubature over the hexagon, exact for plane waves of
-    index set size up to 2n-1."""
+    index set size up to 2n-1.  f is called once, on a point whose
+    components are the arrays of all nodes, and must broadcast."""
     h, _ = enum_H(n)
-    total = 0.0
-    for j in h:
-        total += classify_hex_node(j, n) * f(point_from_index(j, n))
-    return total / n ** 2
+    coef = np.array([classify_hex_node(j, n) for j in h])
+    return np.sum(coef * f(point_from_index(np.array(h).T, n))) / n ** 2
 
 
 def _classify_upsilon(j, n: int):
@@ -172,14 +173,13 @@ def dim_pi_star(n: int) -> int:
 
 def triangle_discrete_inner(f, g, n: int):
     """Weighted discrete inner product over the triangle lattice,
-    conjugate-linear in the second argument."""
-    total = 0.0
-    for node in enum_upsilon(n):
-        t = point_from_index(node.j, n)
-        gv = g(t)
-        gv = gv.conjugate() if isinstance(gv, complex) else gv
-        total += node.weight * f(t) * gv
-    return total / n ** 2
+    conjugate-linear in the second argument.  f and g are each called
+    once, on a point whose components are the arrays of all nodes, and
+    must broadcast."""
+    nodes = enum_upsilon(n)
+    t = point_from_index(np.array([node.j for node in nodes]).T, n)
+    weights = np.array([node.weight for node in nodes])
+    return np.sum(weights * f(t) * np.conj(g(t))) / n ** 2
 
 
 def discrete_ortho_constant(family, k, n: int):

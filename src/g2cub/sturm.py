@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chebyshev import MIndex, WeightParams, _require_integrable, star_indices_upto
+from .lattice import dim_pi_star
 from .poly import BivarPoly, star_key
 
 _A11 = BivarPoly({(2, 0): Fraction(-6), (0, 1): Fraction(1), (1, 0): Fraction(3), (0, 0): Fraction(2)})
@@ -200,13 +201,15 @@ def moments(p: WeightParams, max_mdeg: int) -> dict:
     L x^m = lambda_m x^m + sum_e c_e x^e over earlier monomials, this gives
     mu_m = -sum_e c_e mu_e / lambda_m from mu_(0,0) = 1, up the weighted
     order.  Float parameters enter by their exact binary value.  Returns
-    the cached table itself, grown in place; do not modify it.  Raises
-    ValueError where the weight is not integrable; elsewhere every
-    lambda_m with m != 0 is positive.
+    the cached table itself, a prefix of that order grown in place; do
+    not modify it.  Raises ValueError where the weight is not integrable;
+    elsewhere every lambda_m with m != 0 is positive.
     """
     _require_integrable(p)
     q = WeightParams(*p.key())
     images, _, mu = _entry(q)
+    if len(mu) >= dim_pi_star(max(max_mdeg, 0)):  # the prefix already reaches max_mdeg
+        return mu
     for m in star_indices_upto(max_mdeg):
         if m not in mu:
             lam, lowered = _image(q, images, m)

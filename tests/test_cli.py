@@ -88,6 +88,17 @@ def test_eval_coeff_listing(capsys):
     assert "x^2 y^0 6" in lines
 
 
+def test_eval_withholds_a_value_its_error_bound_does_not_cover(capsys):
+    # the image of t = (0.41, 0.13); the exact value there is -0.0176103,
+    # the float monomial sum gives 82.17
+    code, out, err = run(capsys, "eval", "--alpha", "0.5", "--beta", "0.5",
+                         "--k1", "20", "--k2", "10",
+                         "--x", "0.19765111478346734", "--y", "-0.37612132690065253")
+    assert code == 1
+    assert out == ""
+    assert "may be off by" in err
+
+
 def test_eval_rejects_bad_parameters(capsys):
     code, _, err = run(capsys, "eval", "--alpha", "-1.5", "--beta", "0.0",
                        "--k1", "1", "--k2", "0", "--x", "0", "--y", "0")

@@ -21,6 +21,7 @@ from g2cub.gentrig import (
     eval as trig,
     eval_expansion,
     laplace_eigenvalue,
+    partial_t,
     phi,
     product_expand,
 )
@@ -84,6 +85,20 @@ def _vanishes_identically(family, v):
     return family in (TrigFamily.SC, TrigFamily.SS) and len(set(v)) < 3
 
 
+def _broadcasting_evaluators(family):
+    """(name, f(k, t), zero(k, j)) for every gentrig function that
+    broadcasts like eval; zero says where f is exactly +0.0 at node j/m."""
+    index_zero = lambda k, j: _vanishes_identically(family, k)
+    out = [
+        ("eval", lambda k, t: trig(family, k, t),
+         lambda k, j: index_zero(k, j) or _vanishes_identically(family, j)),
+        ("phi", phi, lambda k, j: False),
+    ]
+    for i in range(3):
+        out.append((f"partial_t{i}", lambda k, t, i=i: partial_t(family, k, t, i), index_zero))
+    return out
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     family=st.sampled_from(list(TrigFamily)),
@@ -93,23 +108,27 @@ def _vanishes_identically(family, v):
 )
 def test_array_eval_matches_scalar_bit_for_bit(family, ks, m, js):
     # lattice points j/m, boundary and outside points included, against a
-    # stack of indices: the broadcast array result must equal the scalar
-    # result element by element, structural zeros exactly +0.0 on both
+    # stack of indices: the broadcast array result of eval, phi and each
+    # partial_t must equal the scalar result element by element, with
+    # structural zeros exactly +0.0 on both paths
     ks = [make_index(*k) for k in ks]
     js = [make_index(*j) for j in js]
     k_arr = np.array(ks).T[:, :, None]
     t_arr = point_from_index(np.array(js).T, m)
-    values = trig(family, k_arr, t_arr)
-    assert values.shape == (len(ks), len(js))
-    for a, k in enumerate(ks):
-        by_point = trig(family, k, t_arr)
-        for b, j in enumerate(js):
-            scalar = trig(family, k, point_from_index(j, m))
-            assert type(scalar) is float
-            assert np.float64(scalar).tobytes() == values[a, b].tobytes()
-            assert np.float64(scalar).tobytes() == by_point[b].tobytes()
-            if _vanishes_identically(family, k) or _vanishes_identically(family, j):
-                assert scalar == 0.0 and math.copysign(1.0, scalar) == 1.0
+    for name, f, zero in _broadcasting_evaluators(family):
+        values = f(k_arr, t_arr)
+        assert values.shape == (len(ks), len(js)), name
+        scalar_type = complex if name == "phi" else float
+        for a, k in enumerate(ks):
+            by_point = f(k, t_arr)
+            for b, j in enumerate(js):
+                scalar = f(k, point_from_index(j, m))
+                assert type(scalar) is scalar_type, name
+                bits = np.asarray(scalar, dtype=values.dtype).tobytes()
+                assert bits == values[a, b].tobytes(), name
+                assert bits == by_point[b].tobytes(), name
+                if zero(k, j):
+                    assert scalar == 0.0 and math.copysign(1.0, scalar) == 1.0, name
 
 
 def test_cc_example_value():

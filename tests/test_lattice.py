@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from g2cub.coords import HexIndex, hat, make_index, make_point, point_from_index
@@ -138,6 +139,32 @@ def test_hex_cubature_exact_on_band():
             expect = 1.0 if all(c % (3 * n) == 0 for c in hat(k)) else 0.0
             value = hex_cubature(lambda t: phi(k, t), n)
             assert abs(value - expect) <= 1e-12
+
+
+def _counted(f, calls):
+    def wrapped(t):
+        calls.append(t)
+        return f(t)
+
+    return wrapped
+
+
+def test_lattice_sums_call_each_function_once_on_node_arrays():
+    n = 6
+    calls = []
+    k = make_index(2, 1)
+    value = hex_cubature(_counted(lambda t: phi(k, t), calls), n)
+    assert abs(value) <= 1e-12
+    value = triangle_discrete_inner(
+        _counted(lambda t: trig("ss", k, t), calls),
+        _counted(lambda t: trig("ss", k, t), calls),
+        n,
+    )
+    assert value == pytest.approx(1.0 / 12.0, abs=1e-12)
+    sizes = (len(enum_H(n)[0]), len(enum_upsilon(n)), len(enum_upsilon(n)))
+    assert len(calls) == 3
+    for t, size in zip(calls, sizes):
+        assert all(isinstance(c, np.ndarray) and c.shape == (size,) for c in t)
 
 
 def test_discrete_inner_constant():
