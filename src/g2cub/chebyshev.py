@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import quad
-from .coords import make_index, orbit
+from .coords import make_index
 from .gentrig import TrigFamily, eval as trig_eval
 from .lattice import orbit_constant
 from .poly import BivarPoly, star_cmp, star_key  # star_cmp re-exported
@@ -130,6 +130,17 @@ def _quotient(p: WeightParams, k: MIndex):
     return fam, make_index(*num(k.k1, k.k2)), make_index(*den) if den else None
 
 
+def _orbit_size(k) -> int:
+    """|orbit(k)| in closed form: 1 for the zero index, 6 when a component
+    is 0 or two components are equal, 12 otherwise."""
+    k1, k2, k3 = k
+    if not (k1 or k2):
+        return 1
+    if not (k1 and k2 and k3) or k1 == k2 or k2 == k3 or k1 == k3:
+        return 6
+    return 12
+
+
 def cheb_poly(p: WeightParams, k) -> BivarPoly:
     """Exact rational polynomial of one family member.
 
@@ -143,10 +154,8 @@ def cheb_poly(p: WeightParams, k) -> BivarPoly:
     if k.k1 < 0 or k.k2 < 0:
         raise ValueError("index components must be nonnegative")
     _, num, den = _quotient(p, k)
-    lead = Fraction(6 ** (k.k1 + k.k2), len(orbit(num)))
-    if den is not None:
-        lead *= len(orbit(den))
-    return eigen_poly(WeightParams(*p.key()), k, lead)
+    lead = 6 ** (k.k1 + k.k2) * (_orbit_size(den) if den is not None else 1)
+    return eigen_poly(WeightParams(*p.key()), k, Fraction(lead, _orbit_size(num)))
 
 
 def resolve_index(alpha: Fraction, beta: Fraction, k1: int, k2: int):

@@ -7,6 +7,7 @@ import pytest
 
 from g2cub.chebyshev import (
     WeightParams,
+    _orbit_size,
     cheb_eval_trig,
     cheb_poly,
     continuous_inner,
@@ -22,7 +23,7 @@ from g2cub.chebyshev import (
 )
 from g2cub.coords import make_point
 from g2cub.gentrig import eval as trig
-from g2cub.coords import make_index
+from g2cub.coords import make_index, orbit
 from g2cub.jsonio import dumps
 from g2cub.poly import BivarPoly
 from g2cub.sturm import moments
@@ -210,6 +211,13 @@ def test_generic_recurrences_exact():
                     - member(k1, k2 - 1)
                 )
                 assert lhs == rhs, (p, k1, k2, "y-recurrence")
+
+
+def test_orbit_size_closed_form_matches_the_orbit():
+    for k1 in range(-12, 13):
+        for k2 in range(-12, 13):
+            k = make_index(k1, k2)
+            assert _orbit_size(k) == len(orbit(k)), k
 
 
 def test_leading_coefficient_positive():

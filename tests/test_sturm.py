@@ -87,6 +87,51 @@ def test_apply_L_on_x():
     assert out == BivarPoly({(1, 0): 21 + 12 * a + 18 * b, (0, 0): 3 + 6 * a})
 
 
+def plain_apply_L(p, q):
+    """The operator by plain BivarPoly arithmetic on the unscaled operator
+    coefficients, an independent reference for apply_L."""
+    c = operator_coeffs(p)
+    qx, qy = q.diff_x(), q.diff_y()
+    return (
+        -(c.A11 * qx.diff_x())
+        - 2 * (c.A12 * qx.diff_y())
+        - (c.A22 * qy.diff_y())
+        + c.B1 * qx
+        + c.B2 * qy
+    )
+
+
+def typed(poly):
+    return sorted((e, type(c), repr(c)) for e, c in poly.coeffs.items())
+
+
+RATIONAL = st.fractions(min_value=-HALF, max_value=3, max_denominator=30)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    RATIONAL,
+    RATIONAL,
+    st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, 4)),
+        st.fractions(min_value=-20, max_value=20, max_denominator=30).filter(
+            lambda v: v.denominator > 1
+        ),
+        max_size=10,
+    ),
+)
+def test_apply_L_matches_plain_fraction_arithmetic(a, b, coeffs):
+    p = frac_params(a, b)
+    q = BivarPoly(coeffs)
+    got = apply_L(p, q)
+    assert typed(got) == typed(plain_apply_L(p, q))
+    assert all(type(c) is Fraction for c in got.coeffs.values())
+    qf = q.to_float()
+    got = apply_L(p, qf)
+    assert typed(got) == typed(plain_apply_L(p, qf))
+    assert all(type(c) is float for c in got.coeffs.values())
+
+
 def test_monomial_image_examples():
     a, b = Fraction(1, 4), Fraction(2, 3)
     p = WeightParams(a, b)
@@ -200,6 +245,18 @@ def test_eigen_poly_exact_identity(a, b, k):
     q = eigen_poly(p, k)
     assert q.leading_star_term() == (tuple(k), 1)
     assert apply_L(p, q) == eigenvalue(p, k) * q
+
+
+def test_eigen_poly_nonintegral_coefficients_at_rational_parameters():
+    # the back-substitution's integer division leaves a remainder here
+    p = frac_params(Fraction(3, 10), Fraction(6, 5))
+    for k in star_indices_upto(12):
+        q = eigen_poly(p, k)
+        assert all(type(c) is Fraction for c in q.coeffs.values())
+        if k != (0, 0):
+            assert any(c.denominator > 1 for c in q.coeffs.values()), k
+        assert plain_apply_L(p, q) == eigenvalue(p, k) * q
+        assert apply_L(p, q) == eigenvalue(p, k) * q
 
 
 def test_eigen_poly_exact_and_float_kept_apart():
