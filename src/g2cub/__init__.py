@@ -17,6 +17,7 @@ from .coords import (
     make_index,
     make_point,
     orbit,
+    orbit_size,
     point_from_index,
 )
 from .gentrig import (
@@ -46,6 +47,7 @@ from .chebyshev import (
     cheb_poly,
     continuous_inner,
     deltoid_F,
+    deltoid_factors,
     normalization_c,
     orthogonality_constant,
     star_class,

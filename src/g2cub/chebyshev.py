@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import quad
-from .coords import make_index
+from .coords import make_index, orbit_size
 from .gentrig import TrigFamily, eval as trig_eval
 from .lattice import orbit_constant
 from .poly import BivarPoly, star_cmp, star_key  # star_cmp re-exported
@@ -47,7 +47,10 @@ class WeightParams:
     beta: object
 
     def __post_init__(self):
-        if not (float(self.alpha) > -1 and float(self.beta) > -1):
+        a, b = float(self.alpha), float(self.beta)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError("weight parameters must be finite")
+        if not (a > -1 and b > -1):
             raise ValueError("weight parameters must both exceed -1")
 
     @property
@@ -74,17 +77,25 @@ def xy_map(t) -> tuple:
     return x, y
 
 
+def deltoid_factors(x, y):
+    """The two factors (f1, f2) of the defining polynomial, each
+    nonnegative on the domain; x and y may be floats, arrays or
+    polynomials."""
+    return (
+        1 + 2 * y - 3 * x * x,
+        24 * x ** 3 - y * y - 12 * x * y - 6 * x - 4 * y - 1,
+    )
+
+
 def deltoid_F(x, y):
     """Defining polynomial of the domain; nonnegative exactly on it."""
-    return (1 + 2 * y - 3 * x * x) * (
-        24 * x ** 3 - y * y - 12 * x * y - 6 * x - 4 * y - 1
-    )
+    f1, f2 = deltoid_factors(x, y)
+    return f1 * f2
 
 
 def weight_w(p: WeightParams, x: float, y: float) -> float:
     """The two-parameter weight, including its constant prefactor."""
-    f1 = 1.0 + 2.0 * y - 3.0 * x * x
-    f2 = 24.0 * x ** 3 - y * y - 12.0 * x * y - 6.0 * x - 4.0 * y - 1.0
+    f1, f2 = deltoid_factors(float(x), float(y))
     if f1 < 0 or f2 < 0:
         raise ValueError(f"point ({x}, {y}) lies outside the weight domain")
     a, b = float(p.alpha), float(p.beta)
@@ -113,32 +124,21 @@ def star_class(n: int):
 
 # exact polynomials ----------------------------------------------------------
 
-_QUOTIENTS = {
-    # (2a, 2b) -> (family, numerator index builder, denominator index)
-    (-1, -1): (TrigFamily.CC, lambda k1, k2: (k1 + k2, k2), None),
-    (1, -1): (TrigFamily.SC, lambda k1, k2: (k1 + k2 + 1, k2), (1, 0)),
-    (-1, 1): (TrigFamily.CS, lambda k1, k2: (k1 + k2 + 1, k2 + 1), (1, 1)),
-    (1, 1): (TrigFamily.SS, lambda k1, k2: (k1 + k2 + 2, k2 + 1), (2, 1)),
-}
+def _sines(alpha, beta) -> tuple:
+    """Sine bits (d, p) of the family at half-integer parameters: 1 where
+    the parameter is 1/2, 0 where it is -1/2."""
+    return int(alpha != -HALF), int(beta != -HALF)
 
 
 def _quotient(p: WeightParams, k: MIndex):
     """Trig family, numerator index and denominator index (None for the
-    first kind) of the quotient form of one family member."""
+    first kind) of the quotient form of one family member: the family's
+    sine bits are the signs of alpha and beta, its denominator is the
+    family's shift and the numerator (k1+k2, k2) plus that shift."""
     _require_half_integer(p)
-    fam, num, den = _QUOTIENTS[(int(2 * Fraction(p.alpha)), int(2 * Fraction(p.beta)))]
-    return fam, make_index(*num(k.k1, k.k2)), make_index(*den) if den else None
-
-
-def _orbit_size(k) -> int:
-    """|orbit(k)| in closed form: 1 for the zero index, 6 when a component
-    is 0 or two components are equal, 12 otherwise."""
-    k1, k2, k3 = k
-    if not (k1 or k2):
-        return 1
-    if not (k1 and k2 and k3) or k1 == k2 or k2 == k3 or k1 == k3:
-        return 6
-    return 12
+    fam = TrigFamily.from_sines(*_sines(p.alpha, p.beta))
+    num = make_index(k.k1 + k.k2 + fam.shift[0], k.k2 + fam.shift[1])
+    return fam, num, fam.shift if any(fam.sines) else None
 
 
 def cheb_poly(p: WeightParams, k) -> BivarPoly:
@@ -153,35 +153,31 @@ def cheb_poly(p: WeightParams, k) -> BivarPoly:
     k = MIndex(*k)
     if k.k1 < 0 or k.k2 < 0:
         raise ValueError("index components must be nonnegative")
-    _, num, den = _quotient(p, k)
-    lead = 6 ** (k.k1 + k.k2) * (_orbit_size(den) if den is not None else 1)
-    return eigen_poly(WeightParams(*p.key()), k, Fraction(lead, _orbit_size(num)))
+    fam, num, _ = _quotient(p, k)
+    lead = 6 ** (k.k1 + k.k2) * orbit_size(fam.shift)
+    return eigen_poly(WeightParams(*p.key()), k, Fraction(lead, orbit_size(num)))
 
 
 def resolve_index(alpha: Fraction, beta: Fraction, k1: int, k2: int):
     """Fold an arbitrary integer index pair back into the quadrant using
-    the reflection identities.  Returns (sign, MIndex) or (0, None) when
+    the reflection identities: with the family's sine bits (d, p), a
+    negative k2 reflects about -p and a negative k1 about -d, each
+    reflection with the sign (-1)^bit, and a component equal to -bit
+    makes the member vanish.  Returns (sign, MIndex) or (0, None) when
     the member is identically zero."""
+    d, p = _sines(alpha, beta)
     sign = 1
     for _ in range(64):
         if k1 >= 0 and k2 >= 0:
             return sign, MIndex(k1, k2)
         if k2 < 0:
-            if beta == -HALF:
-                k1, k2 = k1 + 3 * k2, -k2
-            else:
-                if k2 == -1:
-                    return 0, None
-                k1, k2 = k1 + 3 * k2 + 3, -k2 - 2
-                sign = -sign
-        elif k1 < 0:
-            if alpha == -HALF:
-                k1, k2 = -k1, k2 + k1
-            else:
-                if k1 == -1:
-                    return 0, None
-                k1, k2 = -k1 - 2, k2 + k1 + 1
-                sign = -sign
+            if k2 == -p:
+                return 0, None
+            k1, k2, sign = k1 + 3 * (k2 + p), -k2 - 2 * p, sign * (-1) ** p
+        else:
+            if k1 == -d:
+                return 0, None
+            k1, k2, sign = -k1 - 2 * d, k2 + k1 + d, sign * (-1) ** d
     raise RuntimeError("index reflection did not terminate")
 
 

@@ -9,8 +9,8 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from fractions import Fraction
 
 from . import lattice
 from .chebyshev import WeightParams, cheb_poly, poly_to_json_dict
@@ -29,17 +29,36 @@ EXIT_IO = 3
 EVAL_REL_BOUND = 1e-8
 
 
-def _half_integer(value) -> bool:
-    return abs(Fraction(value)) == Fraction(1, 2)
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor nan."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _family_poly(args) -> BivarPoly:
     if args.k1 < 0 or args.k2 < 0:
         raise ValueError("k1 and k2 must be nonnegative")
-    if _half_integer(args.alpha) and _half_integer(args.beta):
-        p = WeightParams(Fraction(args.alpha), Fraction(args.beta))
-        return cheb_poly(p, (args.k1, args.k2))
-    return jacobi_poly(WeightParams(args.alpha, args.beta), (args.k1, args.k2))
+    p = WeightParams(args.alpha, args.beta)
+    return (cheb_poly if p.is_half_integer else jacobi_poly)(p, (args.k1, args.k2))
+
+
+def _write(text: str, out) -> int:
+    """Write text to the file out, or to stdout when out is None."""
+    if out is None:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        with open(out, "w", encoding="ascii") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return EXIT_OK
 
 
 def cmd_dims(args) -> int:
@@ -53,16 +72,7 @@ def cmd_dims(args) -> int:
 def cmd_nodes(args) -> int:
     rule = make_rule(args.rule, args.n)
     text = rule_to_json(rule) + "\n" if args.format == "json" else rule_to_csv(rule)
-    if args.out is None:
-        sys.stdout.write(text)
-        return EXIT_OK
-    try:
-        with open(args.out, "w", encoding="ascii") as handle:
-            handle.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+    return _write(text, args.out)
 
 
 def cmd_eval(args) -> int:
@@ -88,16 +98,7 @@ def cmd_poly(args) -> int:
     poly = _family_poly(args)
     p = WeightParams(args.alpha, args.beta)
     text = json_dumps(poly_to_json_dict(p, (args.k1, args.k2), poly)) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-        return EXIT_OK
-    try:
-        with open(args.out, "w", encoding="ascii") as handle:
-            handle.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+    return _write(text, args.out)
 
 
 def cmd_verify(args) -> int:
@@ -130,18 +131,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_nodes.set_defaults(fn=cmd_nodes)
 
     p_eval = sub.add_parser("eval", help="evaluate one family polynomial")
-    for flag, typ in (("--alpha", float), ("--beta", float)):
-        p_eval.add_argument(flag, type=typ, required=True)
+    p_eval.add_argument("--alpha", type=_finite_float, required=True)
+    p_eval.add_argument("--beta", type=_finite_float, required=True)
     p_eval.add_argument("--k1", type=int, required=True)
     p_eval.add_argument("--k2", type=int, required=True)
-    p_eval.add_argument("--x", type=float, required=True)
-    p_eval.add_argument("--y", type=float, required=True)
+    p_eval.add_argument("--x", type=_finite_float, required=True)
+    p_eval.add_argument("--y", type=_finite_float, required=True)
     p_eval.add_argument("--coeffs", action="store_true", help="also print terms")
     p_eval.set_defaults(fn=cmd_eval)
 
     p_poly = sub.add_parser("poly", help="emit one polynomial as JSON")
-    p_poly.add_argument("--alpha", type=float, required=True)
-    p_poly.add_argument("--beta", type=float, required=True)
+    p_poly.add_argument("--alpha", type=_finite_float, required=True)
+    p_poly.add_argument("--beta", type=_finite_float, required=True)
     p_poly.add_argument("--k1", type=int, required=True)
     p_poly.add_argument("--k2", type=int, required=True)
     p_poly.add_argument("--out", default=None)
@@ -150,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=sorted(SUITES), required=True)
     p_verify.add_argument("--n", type=int, default=None)
-    p_verify.add_argument("--tol", type=float, default=None)
+    p_verify.add_argument("--tol", type=_finite_float, default=None)
     p_verify.set_defaults(fn=cmd_verify)
 
     return parser

@@ -131,6 +131,17 @@ def orbit(k: HexIndex) -> frozenset:
     return frozenset(g.apply(HexIndex(*k)) for g in G2)
 
 
+def orbit_size(k) -> int:
+    """|orbit(k)| in closed form: 1 for the zero index, 6 when a component
+    is 0 or two components are equal, 12 otherwise."""
+    k1, k2, k3 = k
+    if not (k1 or k2):
+        return 1
+    if not (k1 and k2 and k3) or k1 == k2 or k2 == k3 or k1 == k3:
+        return 6
+    return 12
+
+
 def in_fundamental_triangle(t, tol: float = TRIANGLE_TOL) -> bool:
     """Membership test for 0 <= t2 <= t1 <= -t3 <= 1, boundaries included."""
     t1, t2, t3 = t

@@ -10,10 +10,14 @@ denominator of the corresponding weight function:
     radau1   factor sc(1/m j)^2   lattice m = n+2, nodes off the t1=t2 edge
     radau2   factor cs(1/m j)^2   lattice m = n+3, nodes off t2=0 and t3=-1
 
-Each rule integrates its weight exactly on polynomials of weighted
-degree up to 2n-1 and is normalized so the weights sum to one.  Nodes
-whose factor vanishes identically are dropped by integer predicates on
-the generating lattice triple, so node counts are deterministic.
+Each kind names one trig family, and its factor is that family's member
+at the family's shift index; the lattice size, the weight parameters,
+the scale and the dropped nodes all follow from the family's sine bits
+(`make_rule`).  Each rule integrates its weight exactly on polynomials
+of weighted degree up to 2n-1 and is normalized so the weights sum to
+one.  Nodes whose factor vanishes identically are dropped by integer
+predicates on the generating lattice triple, so node counts are
+deterministic.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .chebyshev import (
     star_class,
     xy_map,
 )
-from .coords import make_index, point_from_index
+from .coords import orbit_size, point_from_index
 from .gentrig import TrigFamily, eval as trig_eval
 from .jsonio import dumps as json_dumps
 from .lattice import enum_upsilon
@@ -41,7 +45,14 @@ from .poly import BivarPoly
 
 HALF = Fraction(1, 2)
 
-RULE_KINDS = ("gauss", "lobatto", "radau1", "radau2")
+# rule kind -> the trig family whose squared shift member is its factor
+_RULE_FAMILY = {
+    "gauss": TrigFamily.SS,
+    "lobatto": TrigFamily.CC,
+    "radau1": TrigFamily.SC,
+    "radau2": TrigFamily.CS,
+}
+RULE_KINDS = tuple(_RULE_FAMILY)
 
 
 @dataclass(frozen=True)
@@ -55,23 +66,37 @@ class CubatureRule:
     indices: tuple          # generating lattice triples, same order
 
 
-def _lattice_rule(kind, n, m, params, factor_family, factor_index, scale, keep):
+def make_rule(kind: str, n: int) -> CubatureRule:
+    """One of the four rules, read off the sine bits (d, p) and the shift
+    of its factor family: lattice size m = n + shift1 - shift3, weight
+    parameters (d - 1/2, p - 1/2), scale |orbit(shift)|, and the nodes
+    where the factor vanishes dropped, j1 = j2 when d = 1 and j2 = 0 or
+    j3 = -m when p = 1."""
+    family = _RULE_FAMILY.get(kind)
+    if family is None:
+        raise ValueError(f"unknown rule kind {kind!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    kept = [node for node in enum_upsilon(m) if keep(node.j, m)]
+    d, p = family.sines
+    shift = family.shift
+    m = n + shift[0] - shift[2]
+    kept = [
+        node for node in enum_upsilon(m)
+        if not (d and node.j[0] == node.j[1])
+        and not (p and (node.j[1] == 0 or node.j[2] == -m))
+    ]
     t = point_from_index(np.array([node.j for node in kept]).reshape(-1, 3).T, m)
     x, y = xy_map(t)
-    weights = scale / m ** 2 * np.array([node.weight for node in kept])
-    if factor_family is not None:
-        value = trig_eval(factor_family, factor_index, t)
-        weights = weights * (value * value)
+    value = trig_eval(family, shift, t)
+    weights = orbit_size(shift) / m ** 2 * np.array([node.weight for node in kept])
+    weights = weights * (value * value)
     return CubatureRule(
         kind=kind,
         n=n,
         nodes=tuple(zip(x.tolist(), y.tolist())),
         weights=tuple(weights.tolist()),
         exact_mdegree=2 * n - 1,
-        weight_params=params,
+        weight_params=WeightParams(d - HALF, p - HALF),
         indices=tuple(node.j for node in kept),
     )
 
@@ -79,36 +104,12 @@ def _lattice_rule(kind, n, m, params, factor_family, factor_index, scale, keep):
 def gauss_rule(n: int) -> CubatureRule:
     """Interior-node rule for the (1/2, 1/2) weight; the node count equals
     the dimension of the weighted-degree n-1 polynomial space."""
-    return _lattice_rule(
-        "gauss", n, n + 5, WeightParams(HALF, HALF),
-        TrigFamily.SS, make_index(2, 1), 12.0,
-        lambda j, mm: 0 < j[1] < j[0] < -j[2] < mm,
-    )
+    return make_rule("gauss", n)
 
 
 def lobatto_rule(n: int) -> CubatureRule:
     """Full-lattice rule for the (-1/2, -1/2) weight, boundary included."""
-    return _lattice_rule(
-        "lobatto", n, n, WeightParams(-HALF, -HALF),
-        None, None, 1.0,
-        lambda j, mm: True,
-    )
-
-
-def _radau1_rule(n: int) -> CubatureRule:
-    return _lattice_rule(
-        "radau1", n, n + 2, WeightParams(HALF, -HALF),
-        TrigFamily.SC, make_index(1, 0), 6.0,
-        lambda j, mm: j[0] != j[1],
-    )
-
-
-def _radau2_rule(n: int) -> CubatureRule:
-    return _lattice_rule(
-        "radau2", n, n + 3, WeightParams(-HALF, HALF),
-        TrigFamily.CS, make_index(1, 1), 6.0,
-        lambda j, mm: j[1] != 0 and j[2] != -mm,
-    )
+    return make_rule("lobatto", n)
 
 
 def radau_rules(n: int):
@@ -118,19 +119,7 @@ def radau_rules(n: int):
     (1/2, -1/2) weight; the second keeps nodes off t2 = 0 and t3 = -1 and
     integrates (-1/2, 1/2).
     """
-    return _radau1_rule(n), _radau2_rule(n)
-
-
-def make_rule(kind: str, n: int) -> CubatureRule:
-    if kind == "gauss":
-        return gauss_rule(n)
-    if kind == "lobatto":
-        return lobatto_rule(n)
-    if kind == "radau1":
-        return _radau1_rule(n)
-    if kind == "radau2":
-        return _radau2_rule(n)
-    raise ValueError(f"unknown rule kind {kind!r}")
+    return make_rule("radau1", n), make_rule("radau2", n)
 
 
 def integrate(rule: CubatureRule, f) -> float:
@@ -186,21 +175,15 @@ def variety_check(kind: str, n: int, tol: float = 1e-10):
     rule = make_rule(kind, n)
     sample = lobatto_rule(max(24, 2 * n))
     checks = []
-    if kind == "gauss":
-        p = WeightParams(HALF, HALF)
+    p = rule.weight_params
+    if _RULE_FAMILY[kind].sines[0]:
         gens = [(str(tuple(k)), cheb_poly(p, k)) for k in star_class(n)]
-    elif kind == "radau1":
-        p = WeightParams(HALF, -HALF)
-        gens = [(str(tuple(k)), cheb_poly(p, k)) for k in star_class(n)]
-    elif kind in ("lobatto", "radau2"):
-        p = rule.weight_params
+    else:
         gens = []
         for k in star_class(n + 1):
             sign, partner = _first_kind_partner(k)
             diff = cheb_poly(p, k) - sign * cheb_poly(p, partner)
             gens.append((f"{tuple(k)}-{tuple(partner)}", diff))
-    else:
-        raise ValueError(f"unknown rule kind {kind!r}")
 
     passed = True
     sx, sy = np.array(sample.nodes).T

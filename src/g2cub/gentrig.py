@@ -6,14 +6,24 @@ sine chosen per family:
 
     cc: cos * cos     sc: sin * cos     cs: cos * sin     ss: sin * sin
 
-cc is invariant under the full 12-element group, ss is anti-invariant,
-sc and cs are the two mixed types.  `eval` is the one evaluator of these
-closed forms: index and point components may be scalars or numpy arrays
-that broadcast against each other, and the same numpy expression serves
-both; `phi` and `partial_t` work the same way.  Structural zeros are
-returned as exact 0.0: cs and ss vanish identically when the index (or
-the point) contains a zero component, sc and ss vanish when the index
-(or the point) contains two equal components.
+The two choices are the family's sine bits (d, p), `TrigFamily.sines`:
+d = 1 when the difference factor is a sine, p = 1 when the plain factor
+is; every per-family rule in the package is read off these bits.  Under
+a group element g a member changes by the character
+chi(g) = sign(g)^(d+p) parity(g)^d, so cc is invariant under the full
+12-element group, ss is anti-invariant under reflections, and sc and cs
+are the two mixed types.  Hence every product of two members, all 16
+ordered family pairs, linearizes into one signed 1/12 sum over the group
+(`product_expand`).  The lowest member that is not identically zero sits
+at the index `TrigFamily.shift` = (d+p, p, -d-2p).
+
+`eval` is the one evaluator of these closed forms: index and point
+components may be scalars or numpy arrays that broadcast against each
+other, and the same numpy expression serves both; `phi` and `partial_t`
+work the same way.  Structural zeros are returned as exact 0.0: the
+families with p = 1 vanish identically when the index (or the point)
+contains a zero component, those with d = 1 when it contains two equal
+components.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coords import A2_STAR, G2, HexIndex
+from .coords import G2, HexIndex
 
 
 class TrigFamily(enum.Enum):
@@ -33,19 +43,29 @@ class TrigFamily(enum.Enum):
     CS = "cs"
     SS = "ss"
 
+    def __init__(self, value):
+        # the sine bits (d, p) of the difference and the plain factor
+        self.sines = (int(value[0] == "s"), int(value[1] == "s"))
+        d, p = self.sines
+        self.shift = HexIndex(d + p, p, -d - 2 * p)
+
     @classmethod
     def of(cls, value) -> "TrigFamily":
         if isinstance(value, cls):
             return value
         return cls(str(value).lower())
 
+    @classmethod
+    def from_sines(cls, d: int, p: int) -> "TrigFamily":
+        return cls("cs"[d] + "cs"[p])
+
 
 # (u, v) index pairs for the three terms: first factor argument uses
 # t[u0]-t[u1], second factor uses t[v].
 _TERMS = (((0, 2), 1), ((1, 0), 2), ((2, 1), 0))
 
-# is the factor a sine -> (factor, its derivative)
-_FACTOR = {False: (np.cos, lambda x: -np.sin(x)), True: (np.sin, np.cos)}
+# sine bit of the factor -> (factor, its derivative)
+_FACTOR = ((np.cos, lambda x: -np.sin(x)), (np.sin, np.cos))
 
 
 def phi(k, t):
@@ -58,12 +78,13 @@ def phi(k, t):
 
 def _structural_zero(family: TrigFamily, v):
     """Where the family vanishes identically at an integer index or a
-    lattice-exact point v: cs and ss at a zero component, sc and ss at two
+    lattice-exact point v: with p = 1 at a zero component, with d = 1 at two
     equal components.  Components may be arrays; the result broadcasts."""
+    d, p = family.sines
     zero = False
-    if family in (TrigFamily.CS, TrigFamily.SS):
+    if p:
         zero = (v[0] == 0) | (v[1] == 0) | (v[2] == 0)
-    if family in (TrigFamily.SC, TrigFamily.SS):
+    if d:
         zero = zero | (v[0] == v[1]) | (v[1] == v[2]) | (v[0] == v[2])
     return zero
 
@@ -77,8 +98,9 @@ def eval(family, k, t):
     family = TrigFamily.of(family)
     a = np.pi * (k[0] - k[2]) / 3.0
     b = np.pi * k[1]
-    f1 = _FACTOR[family in (TrigFamily.SC, TrigFamily.SS)][0]
-    f2 = _FACTOR[family in (TrigFamily.CS, TrigFamily.SS)][0]
+    d, p = family.sines
+    f1 = _FACTOR[d][0]
+    f2 = _FACTOR[p][0]
     total = 0.0
     for (u0, u1), v in _TERMS:
         total = total + f1(a * (t[u0] - t[u1])) * f2(b * t[v])
@@ -94,8 +116,9 @@ def partial_t(family, k, t, i: int):
     family = TrigFamily.of(family)
     a = np.pi * (k[0] - k[2]) / 3.0
     b = np.pi * k[1]
-    f1, d1 = _FACTOR[family in (TrigFamily.SC, TrigFamily.SS)]
-    f2, d2 = _FACTOR[family in (TrigFamily.CS, TrigFamily.SS)]
+    d, p = family.sines
+    f1, d1 = _FACTOR[d]
+    f2, d2 = _FACTOR[p]
     total = 0.0
     for (u0, u1), v in _TERMS:
         du = (1.0 if u0 == i else 0.0) - (1.0 if u1 == i else 0.0)
@@ -147,89 +170,28 @@ def boundary_normal_derivative(family, k, t, edge: str) -> float:
     return partial_t(family, k, t, 1) - partial_t(family, k, t, 0)
 
 
-def _add(j, k):
-    return HexIndex(j[0] + k[0], j[1] + k[1], j[2] + k[2])
-
-
-def _sub(j, k):
-    return HexIndex(j[0] - k[0], j[1] - k[1], j[2] - k[2])
-
-
 def product_expand(family_a, j, family_b, k):
     """Expand a product of two family members into a signed sum of single
-    family members with coefficients +-1/12.
+    family members with coefficients +-1/12, for all 16 family pairs.
 
-    Returns a list of (family, index, Fraction) terms whose pointwise sum
-    equals the product everywhere.  The two products sc*ss and cs*ss have
-    no such single-family expansion here and raise ValueError.
+    With sine bits (da, pa) and (db, pb), the product is the member of
+    family (da ^ db, pa ^ pb) summed over the group as
+    (-1)^(da db + pa pb) / 12 * sum_g chi_a(g) f_(k + j*g), where the sign
+    counts the sines the two factors share and chi_a is the character of
+    the first family (see the module docstring).  Returns a list of
+    (family, index, Fraction) terms whose pointwise sum equals the product
+    everywhere.
     """
-    fa = TrigFamily.of(family_a)
-    fb = TrigFamily.of(family_b)
+    da, pa = TrigFamily.of(family_a).sines
+    db, pb = TrigFamily.of(family_b).sines
+    family = TrigFamily.from_sines(da ^ db, pa ^ pb)
+    c = Fraction((-1) ** (da * db + pa * pb), 12)
     j = HexIndex(*j)
-    k = HexIndex(*k)
-    if (fa, fb) not in _PRODUCT_RULES:
-        fa, fb, j, k = fb, fa, k, j
-    rule = _PRODUCT_RULES.get((fa, fb))
-    if rule is None:
-        raise ValueError(f"no product expansion for {fa.value}*{fb.value}")
-    return rule(j, k)
-
-
-def _cc_times(other: TrigFamily):
-    # cc_j * f_k = (1/12) sum over the whole group of f_{k + j*sigma}
-    def rule(j, k):
-        c = Fraction(1, 12)
-        return [(other, _add(k, g.apply(j)), c) for g in G2]
-
-    return rule
-
-
-def _ss_ss(j, k):
-    c = Fraction(1, 12)
-    return [(TrigFamily.CC, _add(k, g.apply(j)), g.parity * c) for g in G2]
-
-
-def _sc_sc(j, k):
-    out = []
-    c = Fraction(1, 12)
-    for g in A2_STAR:
-        jg = g.apply(j)
-        out.append((TrigFamily.CC, _add(k, jg), -g.parity * c))
-        out.append((TrigFamily.CC, _sub(k, jg), g.parity * c))
-    return out
-
-
-def _cs_cs(j, k):
-    out = []
-    c = Fraction(1, 12)
-    for g in A2_STAR:
-        jg = g.apply(j)
-        out.append((TrigFamily.CC, _add(k, jg), -c))
-        out.append((TrigFamily.CC, _sub(k, jg), c))
-    return out
-
-
-def _sc_cs(j, k):
-    # j indexes the sc factor, k the cs factor
-    out = []
-    c = Fraction(1, 12)
-    for g in A2_STAR:
-        jg = g.apply(j)
-        out.append((TrigFamily.SS, _add(k, jg), g.parity * c))
-        out.append((TrigFamily.SS, _sub(k, jg), -g.parity * c))
-    return out
-
-
-_PRODUCT_RULES = {
-    (TrigFamily.CC, TrigFamily.CC): _cc_times(TrigFamily.CC),
-    (TrigFamily.CC, TrigFamily.SC): _cc_times(TrigFamily.SC),
-    (TrigFamily.CC, TrigFamily.CS): _cc_times(TrigFamily.CS),
-    (TrigFamily.CC, TrigFamily.SS): _cc_times(TrigFamily.SS),
-    (TrigFamily.SC, TrigFamily.SC): _sc_sc,
-    (TrigFamily.SC, TrigFamily.CS): _sc_cs,
-    (TrigFamily.CS, TrigFamily.CS): _cs_cs,
-    (TrigFamily.SS, TrigFamily.SS): _ss_ss,
-}
+    return [
+        (family, HexIndex(*(a + b for a, b in zip(k, g.apply(j)))),
+         g.sign ** (da + pa) * g.parity ** da * c)
+        for g in G2
+    ]
 
 
 def eval_expansion(terms, t) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import HexIndex, hat, orbit, point_from_index
+from .coords import HexIndex, hat, orbit_size, point_from_index
 from .gentrig import TrigFamily
 
 # node classes on the triangle and their cubature weights
@@ -127,39 +127,21 @@ def upsilon_weight(j, n: int) -> int:
     return _classify_upsilon(rep, n)[1]
 
 
-_GAMMA_CHAINS = {
-    # (k2 lower strict, k1 vs k2 strict, k1 vs k3+n strict)
-    TrigFamily.CC: (False, False, False),
-    TrigFamily.SC: (False, True, True),
-    TrigFamily.CS: (True, False, False),
-    TrigFamily.SS: (True, True, True),
-}
-
-
 def enum_gamma(family, n: int) -> GammaSet:
     """Frequency index set of one family at transform size n, from the
-    explicit inequality chain 0 (<|<=) k2 (<|<=) k1 (<|<=) k3+n."""
+    inequality chain 0 (<|<=) k2 (<|<=) k1 (<|<=) k3+n, whose three
+    inequalities are strict by the family's sine bits (p, d, d)."""
     family = TrigFamily.of(family)
     if n < 1:
         raise ValueError("n must be >= 1")
-    s2, s12, s13 = _GAMMA_CHAINS[family]
+    d, p = family.sines
     members = []
     for k1 in range(0, n + 1):
-        for k2 in range(0, k1 + 1):
+        for k2 in range(p, k1 - d + 1):
             k3 = -k1 - k2
-            if s2 and not 0 < k2:
-                continue
-            if not s2 and not 0 <= k2:
-                continue
-            if s12 and not k2 < k1:
-                continue
-            if s13:
-                if not k1 < k3 + n:
-                    continue
-            elif not k1 <= k3 + n:
-                continue
-            members.append(HexIndex(k1, k2, k3))
-    return GammaSet(family, n, tuple(sorted(members)))
+            if k1 + d <= k3 + n:
+                members.append(HexIndex(k1, k2, k3))
+    return GammaSet(family, n, tuple(members))  # lexicographic by construction
 
 
 def dim_pi_star(n: int) -> int:
@@ -190,4 +172,4 @@ def discrete_ortho_constant(family, k, n: int):
 
 def orbit_constant(k) -> float:
     """Expected squared continuous norm over the triangle: 1/|orbit|."""
-    return 1.0 / len(orbit(HexIndex(*k)))
+    return 1.0 / orbit_size(k)

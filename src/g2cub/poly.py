@@ -110,6 +110,14 @@ class BivarPoly:
 
     __rmul__ = __mul__
 
+    def __pow__(self, e):
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("polynomial powers take nonnegative int exponents")
+        result = BivarPoly.constant(1)
+        for _ in range(e):
+            result = result * self
+        return result
+
     def __truediv__(self, scalar):
         if isinstance(scalar, BivarPoly):
             raise TypeError("polynomial division is not supported")

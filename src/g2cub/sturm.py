@@ -29,6 +29,8 @@ from .chebyshev import MIndex, WeightParams, _require_integrable, star_class, st
 from .lattice import dim_pi_star
 from .poly import BivarPoly
 
+HALF = Fraction(1, 2)
+
 _A11 = BivarPoly({(2, 0): Fraction(-6), (0, 1): Fraction(1), (1, 0): Fraction(3), (0, 0): Fraction(2)})
 _A12 = BivarPoly({(1, 1): Fraction(-9), (2, 0): Fraction(18), (0, 1): Fraction(-6), (0, 0): Fraction(-3)})
 _A22 = BivarPoly({(0, 2): Fraction(-18), (3, 0): Fraction(108), (1, 1): Fraction(-54), (1, 0): Fraction(-27), (0, 1): Fraction(-9)})
@@ -134,14 +136,15 @@ def _image_terms(j, k, one, a, b):
 
 def eigenvalue(p: WeightParams, k):
     """Closed-form eigenvalue attached to one index pair."""
-    k = MIndex(*k)
-    a, b = p.alpha, p.beta
-    one = a * 0 + 1
+    a = p.alpha
+    return HALF * _twice_eigenvalue(MIndex(*k), a * 0 + 1, a, p.beta)
+
+
+def _twice_eigenvalue(k: MIndex, one, a, b):
+    """Twice the eigenvalue in the unit `one`; linear in (one, alpha, beta)
+    as `_image_terms` is, with integer factors."""
     m = k.mdegree
-    return (
-        Fraction(3, 2) * m * (m * one + 5 + 4 * a + 6 * b)
-        + Fraction(9, 2) * k.k2 * ((k.k2 + 1) * one + 2 * b)
-    )
+    return 3 * m * ((m + 5) * one + 4 * a + 6 * b) + 9 * k.k2 * ((k.k2 + 1) * one + 2 * b)
 
 
 def eigen_residual(p: WeightParams, k, polynomial: BivarPoly) -> float:
@@ -200,7 +203,8 @@ def _image(p: WeightParams, entry, m):
         if D > 1:
             one, a, b = D, _int(D * a), _int(D * b)
         lowered = [(e, _int(c)) for e, c in _image_terms(*m, one, a, b) if e != m]
-        got = images[m] = (_int(D * eigenvalue(p, m)), lowered)
+        lam2 = _twice_eigenvalue(m, one, a, b)
+        got = images[m] = (lam2 // 2 if D > 1 else lam2 / 2, lowered)
     return got
 
 

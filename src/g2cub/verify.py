@@ -19,12 +19,14 @@ from .chebyshev import (
     WeightParams,
     cheb_poly,
     continuous_inner,
+    deltoid_F,
+    deltoid_factors,
     orthogonality_constant,
     star_indices_upto,
     xy_map,
 )
 from .coords import make_index, make_point
-from .cubature import integrate_poly, make_rule, variety_check
+from .cubature import RULE_KINDS, integrate_poly, make_rule, variety_check
 from .poly import BivarPoly
 from .sturm import apply_L, eigen_residual, eigenvalue, jacobi_poly, moments, operator_coeffs
 
@@ -96,7 +98,7 @@ def suite_cubature(n: int = 8, tol: float = 1e-9):
     if n < 2:
         raise ValueError("the cubature suite needs n >= 2")
     checks = []
-    for kind in ("gauss", "lobatto", "radau1", "radau2"):
+    for kind in RULE_KINDS:
         worst = 0.0
         for m in range(2, n + 1):
             rule = make_rule(kind, m)
@@ -150,6 +152,7 @@ def suite_identities(n: int = 100, tol: float = None):
     cc11 = gentrig.eval("cc", make_index(1, 1), t)
     cc30 = gentrig.eval("cc", make_index(3, 0), t)
     x, y = xy_map(t)
+    f1, f2 = deltoid_factors(x, y)
     h10 = [gentrig.partial_t("cc", make_index(1, 0), t, i) for i in range(3)]
     h11 = [gentrig.partial_t("cc", make_index(1, 1), t, i) for i in range(3)]
     jac = (h10[0] - h10[2]) * (h11[1] - h11[2]) - (h10[1] - h10[2]) * (h11[0] - h11[2])
@@ -161,8 +164,7 @@ def suite_identities(n: int = 100, tol: float = None):
         "cube-cc": cc10 ** 3
         - (cc30 / 36 + cc10 / 4 + cc11 / 6 + 1 / 18 + cc11 * cc10 / 2),
         "change-of-variables-squares": np.maximum(
-            np.abs(sc ** 2 - (1 + 2 * y - 3 * x * x) / 3),
-            np.abs(cs ** 2 - (24 * x ** 3 - y * y - 12 * x * y - 6 * x - 4 * y - 1)),
+            np.abs(sc ** 2 - f1 / 3), np.abs(cs ** 2 - f2)
         ),
     }
     checks = [Check(name, float(np.max(np.abs(e))), tol) for name, e in errors.items()]
@@ -171,23 +173,12 @@ def suite_identities(n: int = 100, tol: float = None):
 
     # exact polynomial identities
     coeffs = operator_coeffs(WeightParams(HALF, HALF))
-    F = BivarPoly(
-        {(0, 0): Fraction(1), (0, 1): Fraction(2), (2, 0): Fraction(-3)}
-    ) * BivarPoly(
-        {
-            (3, 0): Fraction(24),
-            (0, 2): Fraction(-1),
-            (1, 1): Fraction(-12),
-            (1, 0): Fraction(-6),
-            (0, 1): Fraction(-4),
-            (0, 0): Fraction(-1),
-        }
-    )
+    F = deltoid_F(BivarPoly.x(), BivarPoly.y())
     det = coeffs.A11 * coeffs.A22 - coeffs.A12 * coeffs.A12
     checks.append(Check("det-matches-9F", 0.0 if det == 9 * F else 1.0, 0.0))
-    f1, f2 = F.diff_x(), F.diff_y()
-    lhs1 = f1 * coeffs.A11 + f2 * coeffs.A12 + 6 * BivarPoly({(1, 0): Fraction(5), (0, 0): Fraction(1)}) * F
-    lhs2 = f1 * coeffs.A12 + f2 * coeffs.A22 + 18 * BivarPoly({(1, 0): Fraction(2), (0, 1): Fraction(3), (0, 0): Fraction(1)}) * F
+    Fx, Fy = F.diff_x(), F.diff_y()
+    lhs1 = Fx * coeffs.A11 + Fy * coeffs.A12 + 6 * BivarPoly({(1, 0): Fraction(5), (0, 0): Fraction(1)}) * F
+    lhs2 = Fx * coeffs.A12 + Fy * coeffs.A22 + 18 * BivarPoly({(1, 0): Fraction(2), (0, 1): Fraction(3), (0, 0): Fraction(1)}) * F
     checks.append(Check("boundary-flux-x", 0.0 if not lhs1 else 1.0, 0.0))
     checks.append(Check("boundary-flux-y", 0.0 if not lhs2 else 1.0, 0.0))
     return checks
@@ -199,7 +190,7 @@ def suite_variety(n: int = 6, tol: float = 1e-10):
     if n < 2:
         raise ValueError("the variety suite needs n >= 2")
     checks = []
-    for kind in ("gauss", "lobatto", "radau1", "radau2"):
+    for kind in RULE_KINDS:
         rep = variety_check(kind, n, tol)
         worst = max(c["max_residual"] for c in rep["checks"])
         checks.append(Check(f"variety-{kind}", worst, tol))

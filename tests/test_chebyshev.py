@@ -7,11 +7,11 @@ import pytest
 
 from g2cub.chebyshev import (
     WeightParams,
-    _orbit_size,
     cheb_eval_trig,
     cheb_poly,
     continuous_inner,
     deltoid_F,
+    deltoid_factors,
     normalization_c,
     orthogonality_constant,
     poly_to_json_dict,
@@ -23,7 +23,7 @@ from g2cub.chebyshev import (
 )
 from g2cub.coords import make_point
 from g2cub.gentrig import eval as trig
-from g2cub.coords import make_index, orbit
+from g2cub.coords import make_index, orbit, orbit_size
 from g2cub.jsonio import dumps
 from g2cub.poly import BivarPoly
 from g2cub.sturm import moments
@@ -63,6 +63,20 @@ def test_deltoid_F_values():
         assert deltoid_F(x, y) > 0.0
 
 
+def test_deltoid_factors_exact_and_float():
+    x, y = BivarPoly.x(), BivarPoly.y()
+    f1, f2 = deltoid_factors(x, y)
+    assert f1 == BivarPoly({(0, 0): 1, (0, 1): 2, (2, 0): -3})
+    assert f2 == BivarPoly(
+        {(3, 0): 24, (0, 2): -1, (1, 1): -12, (1, 0): -6, (0, 1): -4, (0, 0): -1}
+    )
+    exact = deltoid_F(x, y)
+    assert exact == f1 * f2
+    for t in interior_points(6, seed=4):
+        u, v = xy_map(t)
+        assert deltoid_F(u, v) == pytest.approx(float(exact(u, v)), abs=1e-14)
+
+
 def test_weight_w_unit_for_zero_parameters():
     p = WeightParams(0.0, 0.0)
     for t in interior_points(5):
@@ -90,6 +104,11 @@ def test_weight_w_domain_errors():
 def test_weight_params_validation():
     with pytest.raises(ValueError):
         WeightParams(-1.0, 0.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            WeightParams(0.3, bad)
+        with pytest.raises(ValueError, match="finite"):
+            WeightParams(bad, 0.3)
     with pytest.raises(ValueError):
         cheb_poly(WeightParams(0.25, 0.25), (1, 0))
 
@@ -217,7 +236,7 @@ def test_orbit_size_closed_form_matches_the_orbit():
     for k1 in range(-12, 13):
         for k2 in range(-12, 13):
             k = make_index(k1, k2)
-            assert _orbit_size(k) == len(orbit(k)), k
+            assert orbit_size(k) == len(orbit(k)), k
 
 
 def test_leading_coefficient_positive():

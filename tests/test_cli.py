@@ -168,3 +168,20 @@ def test_verify_rejects_negative_tolerance(capsys):
     code, _, _ = run(capsys, "verify", "--suite", "orthogonality",
                      "--n", "4", "--tol", "-1")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("eval", "--alpha", "inf", "--beta", "0.5", "--k1", "1", "--k2", "0",
+      "--x", "0.1", "--y", "0.1"), "--alpha"),
+    (("poly", "--alpha", "0.3", "--beta", "inf", "--k1", "1", "--k2", "0"), "--beta"),
+    (("eval", "--alpha", "0.5", "--beta", "0.5", "--k1", "1", "--k2", "0",
+      "--x", "nan", "--y", "0.1"), "--x"),
+    (("verify", "--suite", "orthogonality", "--n", "3", "--tol", "nan"), "--tol"),
+], ids=["eval-alpha-inf", "poly-beta-inf", "eval-x-nan", "verify-tol-nan"])
+def test_non_finite_numbers_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == ""
+    assert f"argument {flag}: expected a finite number" in captured.err

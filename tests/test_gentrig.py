@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -262,13 +263,11 @@ def test_product_expansion_constant():
     assert all(fam is TrigFamily.CC and idx == (0, 0, 0) for fam, idx, _ in terms)
 
 
+FAMILIES = [f.value for f in TrigFamily]
+
+
 @pytest.mark.parametrize(
-    "fam_a,fam_b",
-    [
-        ("cc", "cc"), ("cc", "sc"), ("cc", "cs"), ("cc", "ss"),
-        ("sc", "sc"), ("sc", "cs"), ("cs", "cs"), ("ss", "ss"),
-        ("cs", "cc"), ("ss", "cc"),  # swapped orderings
-    ],
+    "fam_a,fam_b", [(a, b) for a in FAMILIES for b in FAMILIES]
 )
 def test_product_expansion_pointwise(fam_a, fam_b):
     rng = random.Random(17)
@@ -281,6 +280,34 @@ def test_product_expansion_pointwise(fam_a, fam_b):
             assert eval_expansion(terms, t) == pytest.approx(lhs, abs=1e-12)
 
 
-def test_product_expansion_unsupported():
-    with pytest.raises(ValueError):
-        product_expand("sc", make_index(1, 0), "ss", make_index(2, 1))
+@settings(max_examples=60, deadline=None)
+@given(
+    fam_a=st.sampled_from(FAMILIES),
+    fam_b=st.sampled_from(FAMILIES),
+    j=st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+    k=st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+    t2=st.floats(0.01, 0.49),
+    frac=st.floats(0.01, 0.99),
+)
+def test_product_expansion_matches_the_product(fam_a, fam_b, j, k, t2, frac):
+    t = make_point(t2 + frac * (1.0 - 2.0 * t2), t2)
+    j, k = make_index(*j), make_index(*k)
+    terms = product_expand(fam_a, j, fam_b, k)
+    assert len(terms) == 12
+    assert all(abs(c) == Fraction(1, 12) for _, _, c in terms)
+    lhs = trig(fam_a, j, t) * trig(fam_b, k, t)
+    assert abs(eval_expansion(terms, t) - lhs) <= 1e-12
+
+
+@pytest.mark.parametrize("family", list(TrigFamily))
+def test_sine_bits_name_the_family(family):
+    d, p = family.sines
+    assert TrigFamily.from_sines(d, p) is family
+    assert family.value == "cs"[d] + "cs"[p]
+    assert family.shift == (d + p, p, -d - 2 * p)
+    # the sign under each group element is the character of the bits
+    k = make_index(3, 1)
+    for t in interior_points(3, seed=23):
+        for g in G2:
+            chi = g.sign ** (d + p) * g.parity ** d
+            assert trig(family, g.apply(k), t) == pytest.approx(chi * trig(family, k, t), abs=1e-13)

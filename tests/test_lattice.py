@@ -95,6 +95,11 @@ def test_gamma_members():
     assert list(enum_gamma("sc", 3)) == [HexIndex(1, 0, -1)]
 
 
+@pytest.mark.parametrize("family", list(TrigFamily))
+def test_first_gamma_member_is_the_family_shift(family):
+    assert enum_gamma(family, 6).members[0] == family.shift
+
+
 def test_gamma_shift_identities():
     for n in range(1, 16):
         cc = len(enum_gamma("cc", n))

@@ -70,6 +70,16 @@ def test_star_grading_refines_mdegree():
     assert star_key((1, 2)) < star_key((4, 1))  # degree 8 before 11
 
 
+def test_power():
+    p = BivarPoly({(1, 0): Fraction(2), (0, 1): Fraction(-1), (0, 0): Fraction(3)})
+    assert p ** 0 == BivarPoly.constant(1)
+    assert p ** 1 == p
+    assert p ** 3 == p * p * p
+    for bad in (-1, 0.5):
+        with pytest.raises(ValueError):
+            p ** bad
+
+
 def test_evaluation():
     p = BivarPoly({(2, 0): Fraction(6), (1, 0): Fraction(-2), (0, 1): Fraction(-2), (0, 0): Fraction(-1)})
     assert p(0.0, 0.0) == pytest.approx(-1.0)
