@@ -164,7 +164,9 @@ def resolve_index(alpha: Fraction, beta: Fraction, k1: int, k2: int):
     negative k2 reflects about -p and a negative k1 about -d, each
     reflection with the sign (-1)^bit, and a component equal to -bit
     makes the member vanish.  Returns (sign, MIndex) or (0, None) when
-    the member is identically zero."""
+    the member is identically zero.  Raises ValueError off the four
+    half-integer cases, where these identities do not hold."""
+    _require_half_integer(WeightParams(alpha, beta))
     d, p = _sines(alpha, beta)
     sign = 1
     for _ in range(64):
@@ -230,10 +232,13 @@ def continuous_inner(p: WeightParams, f, g, tol=quad.DEFAULT_TOL, cap=None):
     """Weighted inner product normalized so that <1, 1> = 1.
 
     Polynomial arguments are integrated exactly through the operator's
-    moments (`sturm.moments`); general callables (x, y) -> value are pulled
-    back to the parameter triangle and integrated by adaptive quadrature,
-    to which tol and cap apply.  Raises ValueError where the weight is not
-    integrable.
+    moments (`sturm.moments`).  General callables (x, y) -> value are
+    pulled back to the parameter triangle and integrated by product
+    Gauss-Jacobi quadrature (`quad.triangle_quadrature`): tol bounds its
+    error estimate relative to the normalized result, as
+    tol * max(1, |result|), cap bounds the order per axis, and
+    QuadratureError is raised when the estimate stays above tol.  Raises
+    ValueError where the weight is not integrable.
     """
     if isinstance(f, BivarPoly) and isinstance(g, BivarPoly):
         from .sturm import moments  # sturm imports this module
@@ -243,18 +248,12 @@ def continuous_inner(p: WeightParams, f, g, tol=quad.DEFAULT_TOL, cap=None):
         return float(sum(float(c) * float(mu[ij]) for ij, c in prod.coeffs.items()))
 
     _require_integrable(p)
-    a, b = float(p.alpha), float(p.beta)
-    smooth = quad._needs_smoothing(a, b)
 
-    def batch(t1, t2):
-        x, y, w = quad.pullback(a, b, t1, t2)
-        rows = np.empty((2, t1.size))
-        rows[0] = w
-        rows[1] = w * f(x, y) * g(x, y)
-        return rows
+    def values(x, y):
+        return np.broadcast_to(f(x, y) * g(x, y), x.shape)
 
-    est = quad.triangle_quadrature(batch, tol=tol, cap=cap, smooth=smooth)
-    return float(est[1] / est[0])
+    return quad.triangle_quadrature(
+        values, tol=tol, cap=cap, alpha=float(p.alpha), beta=float(p.beta))
 
 
 def weight_mass(p: WeightParams) -> float:

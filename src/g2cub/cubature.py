@@ -140,8 +140,9 @@ def integrate_poly(rule: CubatureRule, p: BivarPoly) -> float:
 def reference_integral(p: WeightParams, f, tol=None) -> float:
     """Independent oracle: the normalized weighted integral of f.  A
     polynomial is integrated exactly through the operator's moment
-    recurrence, any other callable by adaptive quadrature on the
-    pulled-back parameter triangle (tol applies only there)."""
+    recurrence, any other callable by product Gauss-Jacobi quadrature on
+    the pulled-back parameter triangle; tol applies only there, relative
+    to the normalized result, as in `continuous_inner`."""
     kwargs = {} if tol is None else {"tol": tol}
     if isinstance(f, BivarPoly):
         return continuous_inner(p, f, BivarPoly.constant(Fraction(1)), **kwargs)

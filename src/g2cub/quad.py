@@ -1,127 +1,127 @@
-"""Adaptive tensor Gauss-Legendre quadrature over the parameter triangle
-0 <= t2 <= t1 <= 1 - t2, for weighted integrals of general callables and
-as the test oracle; polynomial integrals are exact moments instead.
+"""Product Gauss-Jacobi quadrature against the pulled-back weight over
+the parameter triangle 0 <= t2 <= t1 <= 1 - t2, for weighted integrals
+of general callables (polynomials use exact moments instead).
 
-Integrals over the curved target domain are pulled back to this
-triangle by `pullback`: the map (x, y) and the weight, which becomes
-|sc|^(2a+1) * |cs|^(2b+1) built from the two lowest odd trigonometric
-functions, all evaluated on arrays of nodes by `gentrig.eval`.  The
-order is doubled until two consecutive estimates agree to a relative
-tolerance.  When an exponent is not a nonnegative integer the integrand
-has algebraic edge singularities; a polynomial endpoint-flattening
-substitution is applied on both axes so plain Gauss-Legendre still
-converges fast.
+The weight (`pullback`) is |sc_(1,0)|^(2a+1) |cs_(1,1)|^(2b+1), and each
+of its six sine factors vanishes only on an edge or at a vertex.  Cut at
+the centroid P into six Duffy triangles (V, M, P), V a vertex and M the
+midpoint of an edge at V, with t = V + r((1-s)(M-V) + s(P-V)), the weight
+is r^c s^e times a smooth factor: c sums the exponents of the factors
+vanishing at V, e those vanishing on the edge V-M.  Gauss-Jacobi nodes
+for r^(c+1) (one r is the Jacobian's) and s^e integrate both powers at
+interior nodes.  The smooth factor divides each vanishing sine, as a
+function of (r, s), by r or r s, so it stays accurate at the vertices.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from . import gentrig
-from .coords import make_index
-from .gentrig import TrigFamily
-
 DEFAULT_TOL = 1e-12
-ORDER_CAP = 512
+ORDER_CAP = 128
 START_ORDER = 8
-_SMOOTH_P = 8
+
+# the factors sin(pi l.t), t3 = -t1 - t2: three of sc_(1,0), three of cs_(1,1)
+_L = ((1 / 3, -1 / 3), (1 / 3, 2 / 3), (-2 / 3, -1 / 3), (1.0, 0.0), (0.0, 1.0), (-1.0, -1.0))
 
 
 class QuadratureError(RuntimeError):
-    """Raised when order doubling hits the cap without converging."""
+    """Raised when the error estimate is still above tol at the order cap."""
 
 
-@lru_cache(maxsize=None)
-def _gauss_nodes(order):
-    x, w = np.polynomial.legendre.leggauss(order)
-    # map to (0, 1)
-    return 0.5 * (x + 1.0), 0.5 * w
+class Rule(NamedTuple):  # images of the nodes, weights summing to one, weight's integral
+    x: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+    mass: float
 
 
-@lru_cache(maxsize=None)
-def _smooth_coeffs(p):
-    # S(u) = int_0^u s^(p-1)(1-s)^(p-1) ds / B(p, p), a degree 2p-1
-    # polynomial with p-fold flat endpoints; S(1) = 1 exactly.
-    inv_b = math.comb(2 * p - 1, p) * p  # 1 / B(p, p)
-    coeffs = [
-        inv_b * (-1) ** k * math.comb(p - 1, k) / (p + k) for k in range(p)
-    ]
-    return np.array(coeffs), inv_b
-
-
-def _smooth(u, p=_SMOOTH_P):
-    coeffs, inv_b = _smooth_coeffs(p)
-    s = np.zeros_like(u)
-    for k in reversed(range(p)):
-        s = s * u + coeffs[k]
-    s *= u ** p
-    ds = inv_b * (u * (1.0 - u)) ** (p - 1)
-    return s, ds
+def _exponents(alpha, beta):
+    """Each sine factor's exponent, and the (4/3)^(ea+eb) of sc_(1,0), cs_(1,1)."""
+    expo = np.repeat([2.0 * float(alpha) + 1.0, 2.0 * float(beta) + 1.0], 3)
+    return expo, (4.0 / 3.0) ** (expo[0] + expo[3])
 
 
 def pullback(alpha, beta, t1, t2):
-    """The map (x, y) and the pulled-back weight at parameter points
-    (t1, t2), which may be arrays."""
-    t = (t1, t2, -t1 - t2)
-    x = gentrig.eval(TrigFamily.CC, make_index(1, 0), t)
-    y = gentrig.eval(TrigFamily.CC, make_index(1, 1), t)
-    ea = 2.0 * float(alpha) + 1.0
-    eb = 2.0 * float(beta) + 1.0
-    w = 1.0
-    if ea:
-        w = w * np.abs(gentrig.eval(TrigFamily.SC, make_index(1, 0), t)) ** ea
-    if eb:
-        w = w * np.abs(gentrig.eval(TrigFamily.CS, make_index(1, 1), t)) ** eb
-    return x, y, w
+    """The map (x, y) and the pulled-back weight at points (t1, t2)."""
+    from .chebyshev import xy_map  # chebyshev imports this module
+
+    expo, scale = _exponents(alpha, beta)
+    w = scale
+    for (l1, l2), e in zip(_L, expo):
+        w = w * np.abs(np.sin(np.pi * (l1 * t1 + l2 * t2))) ** e
+    return (*xy_map((t1, t2, -t1 - t2)), w)
 
 
-def _needs_smoothing(alpha, beta) -> bool:
-    for expo in (2.0 * float(alpha) + 1.0, 2.0 * float(beta) + 1.0):
-        if expo < 0 or expo != int(expo):
-            return True
-    return False
+def _gauss_jacobi(order, b):
+    """Nodes and weights on (0, 1) for the weight u^b, b > -1, from the
+    Jacobi matrix's eigenvectors (Golub and Welsch 1969)."""
+    n = np.arange(1.0, order)
+    s = 2.0 * n + b
+    diag = np.concatenate(([b / (b + 2.0)], b * b / (s * (s + 2.0))))
+    off = np.sqrt(n * n * (n + b) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
+    nodes, vecs = np.linalg.eigh(np.diag(0.5 + 0.5 * diag) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, vecs[0] ** 2 / (b + 1.0)
 
 
-def _grid(order, smooth):
-    """Tensor nodes (t1, t2) and combined quadrature weights (flattened)."""
-    u, wu = _gauss_nodes(order)
-    if smooth:
-        su, dsu = _smooth(u)
-    else:
-        su, dsu = u, np.ones_like(u)
-    # outer axis: t2 = su/2 on (0, 1/2); inner axis: t1 = t2 + (1-2*t2)*sv
-    t2 = 0.5 * su
-    span = 1.0 - 2.0 * t2
-    T2 = np.repeat(t2, order)
-    T1 = T2 + np.repeat(span, order) * np.tile(su, order)
-    W = (
-        np.repeat(wu * 0.5 * dsu * span, order)
-        * np.tile(wu * dsu, order)
-    )
-    return T1, T2, W
+def _nodes(order, alpha, beta):
+    """Nodes (t1, t2) and weights with order nodes per axis on each Duffy
+    triangle, for the weight at parameters (alpha, beta)."""
+    # per triangle, two at each vertex: V, M - V, P - V; per triangle and factor:
+    # l.V, l.(M - V), l.(P - V), and whether it vanishes at V and along V-M
+    V = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5]], 2, axis=0)
+    A, B = (V[[2, 4, 0, 4, 0, 2]] - V) / 2.0, np.array([0.5, 1.0 / 6.0]) - V
+    area2 = np.abs(A[:, :1] * B[:, 1:] - A[:, 1:] * B[:, :1])
+    lv, la, lb = ((u[:, None] * np.array(_L)).sum(-1) for u in (V, A, B))
+    at_v = lv == np.round(lv)
+    on_e = at_v & (la == 0.0)
+    lv[at_v] = 0.0  # an integer l.V only flips the sign of sin(pi l.t)
+    expo, scale = _exponents(alpha, beta)
+    jacobi = lru_cache(maxsize=None)(lambda b: _gauss_jacobi(order, b))  # 5 exponents, 12 uses
+    r, wr = map(np.array, zip(*map(jacobi, (at_v * expo).sum(1) + 1.0)))  # (triangle, node)
+    s, ws = map(np.array, zip(*map(jacobi, (on_e * expo).sum(1))))
+    w = (wr[:, :, None] * ws[:, None, :]).reshape(6, -1) * area2
+    r, s = np.repeat(r, order, axis=1), np.tile(s, order)
+    sines = [1.0, 1.0]  # the products over the factors of sc_(1,0) and of cs_(1,1)
+    for f in range(6):  # l.t = l.V + r l.((1-s)(M-V) + s(P-V))
+        lt = lv[:, f, None] + r * ((1 - s) * la[:, f, None] + s * lb[:, f, None])
+        den = np.where(on_e[:, f, None], r * s, np.where(at_v[:, f, None], r, 1.0))
+        sines[f // 3] = sines[f // 3] * np.sin(np.pi * lt) / den
+    w = w * scale * np.abs(sines[0]) ** expo[0] * np.abs(sines[1]) ** expo[3]
+    t1, t2 = (V[:, i, None] + r * ((1 - s) * A[:, i, None] + s * B[:, i, None]) for i in (0, 1))
+    return t1.ravel(), t2.ravel(), w.ravel()
 
 
-def triangle_quadrature(values_fn, tol=DEFAULT_TOL, cap=None, smooth=False):
-    """Adaptive tensor integral of a vectorized integrand over the
-    parameter triangle.  values_fn(t1, t2) must broadcast; it may return a
-    stack of integrands with shape (m, npoints), integrated jointly."""
+@lru_cache(maxsize=32)
+def rule(order, alpha, beta) -> Rule:
+    """Images (x, y) of `_nodes`, weights scaled to sum to one (read-only), and their sum."""
+    from .chebyshev import xy_map  # chebyshev imports this module
+
+    t1, t2, w = _nodes(order, alpha, beta)
+    out = Rule(*xy_map((t1, t2, -t1 - t2)), w / w.sum(), float(w.sum()))
+    for arr in out[:3]:
+        arr.flags.writeable = False
+    return out
+
+
+def triangle_quadrature(values_fn, tol=DEFAULT_TOL, cap=None, alpha=0.0, beta=0.0):
+    """Weighted mean at parameters (alpha, beta) of a function on the
+    domain: values_fn(x, y) gets the images of the nodes as arrays and may
+    return a stack of integrands, shape (m, npoints).  The order doubles
+    from START_ORDER until the mean moves by at most tol * max(1, |mean|):
+    the error estimate is relative to the normalized result."""
     cap = ORDER_CAP if cap is None else cap
-    order = START_ORDER
-    prev = None
+    order, prev, delta = START_ORDER, None, np.inf
     while order <= cap:
-        t1, t2, w = _grid(order, smooth)
-        vals = np.asarray(values_fn(t1, t2))
-        est = vals @ w if vals.ndim > 1 else float(np.dot(vals, w))
+        nodes = rule(order, alpha, beta)
+        est = np.asarray(values_fn(nodes.x, nodes.y)) @ nodes.w
         if prev is not None:
-            delta = np.max(np.abs(np.atleast_1d(est - prev)))
-            scale = max(1.0, float(np.max(np.abs(np.atleast_1d(est)))))
-            if delta <= tol * scale:
-                return est
-        prev = est
-        order *= 2
-    raise QuadratureError(
-        f"tensor quadrature did not converge below order {cap}"
-    )
+            delta = float(np.max(np.abs(est - prev))) / max(1.0, float(np.max(np.abs(est))))
+            if delta <= tol:
+                return est if est.ndim else float(est)
+        prev, order = est, 2 * order
+    raise QuadratureError(f"quadrature did not converge: at order {order // 2} (cap {cap}) "
+                          f"the relative change was {delta:.3e}, above tol {tol:.3e}")

@@ -218,7 +218,9 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
     Both acc_m and the gap carry the factor D of `_image`, so for rational
     parameters the quotient is one integer division, and a Fraction only
     where it leaves a remainder; floating point otherwise.  Raises
-    ValueError when an eigenvalue tie leaves a coefficient undetermined.
+    ValueError when an eigenvalue tie leaves a coefficient undetermined,
+    and TypeError for a lead other than an int or Fraction at rational
+    parameters, where it would spoil the exact result.
     """
     k = MIndex(*k)
     if k.k1 < 0 or k.k2 < 0:
@@ -226,6 +228,8 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
     a, b = p.alpha, p.beta
     entry = _entry(p)
     polys, D = entry[1], entry[3]
+    if D > 1 and not isinstance(lead, (int, Fraction)):
+        raise TypeError(f"lead {lead!r} at rational parameters must be an int or Fraction")
     done = polys.get((k, lead))
     if done is not None:
         return done

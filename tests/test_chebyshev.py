@@ -192,6 +192,12 @@ def test_first_kind_is_plain_cc():
             assert cheb_eval_trig(MM, k, t) == pytest.approx(expect, abs=1e-13)
 
 
+@pytest.mark.parametrize("alpha,beta,k1,k2", [(0.3, 0.7, -1, 2), (-0.3, 0.7, 3, -1), (0.3, 0.7, -3, 1)])
+def test_resolve_index_rejects_parameters_off_the_half_integer_cases(alpha, beta, k1, k2):
+    with pytest.raises(ValueError, match="half-integer"):
+        resolve_index(alpha, beta, k1, k2)
+
+
 def test_generic_recurrences_exact():
     # both generating recurrences, with reflected out-of-range members,
     # hold as exact rational identities

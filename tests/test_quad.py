@@ -11,6 +11,7 @@ from g2cub.chebyshev import (
     continuous_inner,
     normalization_c,
     star_indices_upto,
+    weight_mass,
     weight_w,
     xy_map,
 )
@@ -22,15 +23,12 @@ from g2cub.sturm import eigenvalue, moments, monomial_image
 
 
 def _oracle(a, b, exponents, tol=1e-13):
-    """Raw mass and normalized moments by tensor quadrature of the
+    """Normalized moments by product Gauss-Jacobi quadrature of the
     pulled-back weight, independent of the operator."""
-    def rows(t1, t2):
-        x, y, w = quad.pullback(a, b, t1, t2)
-        w = np.broadcast_to(w, t1.shape)  # a scalar 1.0 when both exponents vanish
-        return np.array([w] + [w * x ** i * y ** j for i, j in exponents])
+    def rows(x, y):
+        return np.array([x ** i * y ** j for i, j in exponents])
 
-    est = quad.triangle_quadrature(rows, tol=tol, smooth=quad._needs_smoothing(a, b))
-    return est[0], est[1:] / est[0]
+    return quad.triangle_quadrature(rows, tol=tol, alpha=a, beta=b)
 
 
 def test_moments_satisfy_the_operator_recurrence_exactly():
@@ -52,7 +50,7 @@ RATIONAL = st.fractions(min_value=Fraction(-1, 2), max_value=2, max_denominator=
 def test_moments_match_the_quadrature_oracle(a, b):
     indices = star_indices_upto(12)
     mu = moments(WeightParams(a, b), 12)
-    _, oracle = _oracle(float(a), float(b), indices)
+    oracle = _oracle(float(a), float(b), indices)
     for m, value in zip(indices, oracle):
         assert abs(float(mu[m]) - value) <= 1e-12, (a, b, m)
 
@@ -61,7 +59,7 @@ def test_moments_match_the_quadrature_oracle(a, b):
 @given(RATIONAL, RATIONAL)
 def test_normalization_c_matches_the_quadrature_of_the_weight(a, b):
     a, b = float(a), float(b)
-    mass, _ = _oracle(a, b, [])
+    mass = quad.rule(32, a, b).mass
     expect = (3 / (4 * math.pi ** 2)) ** (a + b + 1) / mass
     assert normalization_c(WeightParams(a, b)) == pytest.approx(expect, rel=1e-11)
 
@@ -91,3 +89,79 @@ def test_pullback_is_the_weight_times_the_jacobian(a, b):
     for i in range(t1.size):
         expect = weight_w(p, x[i], y[i]) * jac[i] / (4 * math.pi ** 2 / 3) ** (a + b + 1)
         assert w[i] == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("a,b", [(-0.6, 0.3), (0.3, -0.7), (-0.9, 0.2)])
+def test_mass_near_the_vertex_limits_matches_the_closed_form(a, b):
+    # these pairs raised QuadratureError under the old endpoint smoothing
+    expect = weight_mass(WeightParams(a, b))
+    for order in (16, 32):
+        assert abs(quad.rule(order, a, b).mass / expect - 1) <= 1e-12, order
+
+
+@pytest.mark.parametrize("a,b", [(-0.6, 0.3), (0.3, -0.7), (-0.9, 0.2)])
+def test_callable_integrals_near_the_vertex_limits_meet_tol(a, b):
+    p = WeightParams(a, b)
+    x, y = BivarPoly.x(), BivarPoly.y()
+    for f in (x * y, y * y, x * x * x):
+        got = continuous_inner(p, lambda u, v: f(u, v), lambda u, v: 1.0, tol=1e-12)
+        assert abs(got - reference_integral(p, f)) <= 1e-12
+
+
+# (alpha, beta) at least 1e-6 inside the integrable region; nearer its
+# edge the nodes close to a vertex are within rounding of it
+INTEGRABLE = st.tuples(
+    st.floats(-1 + 1e-6, 3), st.floats(-5 / 6 + 1e-6, 3)
+).filter(lambda ab: ab[0] + ab[1] >= -4 / 3 + 1e-6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(INTEGRABLE, st.sampled_from([8, 16, 32, 128]))
+def test_rule_nodes_are_interior_and_weights_positive(ab, order):
+    t1, t2, w = quad._nodes(order, *ab)
+    assert np.all(t2 > 0)
+    assert np.all(t1 > t2)
+    assert np.all(t1 + t2 < 1)
+    assert np.all(np.isfinite(w)) and np.all(w > 0)
+
+
+@pytest.mark.parametrize("a,b", [(Fraction(23, 20), Fraction(-9, 20)), (1.15, -0.45)])
+def test_callable_moments_meet_tol_against_the_exact_moments(a, b):
+    # tol bounds the normalized result, not the raw weighted integral,
+    # whose mass here is 0.017
+    tol = 1e-12
+    indices = star_indices_upto(12)
+    mu = moments(WeightParams(a, b), 12)
+    got = _oracle(float(a), float(b), indices, tol=tol)
+    for m, value in zip(indices, got):
+        assert abs(float(mu[m]) - value) <= tol, m
+
+
+def test_quadrature_error_states_the_order_and_the_last_change():
+    rough = lambda x, y: np.sign(x - 0.1)  # a jump: slow convergence
+    with pytest.raises(quad.QuadratureError, match=r"at order 32 .*change was \d\.\d+e-\d+"):
+        quad.triangle_quadrature(rough, tol=1e-14, cap=32)
+
+
+def test_pullback_weight_is_finite_at_the_rule_nodes():
+    # no divide-by-zero: the nodes avoid the edges where a negative power diverges
+    for a, b in [(-0.6, 0.3), (0.3, -0.7), (-0.9, 0.2)]:
+        t1, t2, _ = quad._nodes(32, a, b)
+        assert np.all(np.isfinite(quad.pullback(a, b, t1, t2)[2]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(1e-6, 1 - 1e-6), st.floats(1e-6, 1 - 1e-6))
+def test_sine_product_forms_of_sc_and_cs(u, v):
+    # a point of the parameter triangle: t2 = v/2, t1 between t2 and 1 - t2
+    t2 = v / 2
+    t1 = t2 + (1 - 2 * t2) * u
+    t = (t1, t2, -t1 - t2)
+    sc = 4 / 3 * math.sin(math.pi * (t1 - t2) / 3) * math.sin(math.pi * (t2 - t[2]) / 3) \
+        * math.sin(math.pi * (t[2] - t1) / 3)
+    cs = 4 / 3 * math.sin(math.pi * t1) * math.sin(math.pi * t2) * math.sin(math.pi * t[2])
+    assert sc == pytest.approx(trig("sc", make_index(1, 0), t), rel=1e-12)
+    assert cs == pytest.approx(trig("cs", make_index(1, 1), t), rel=1e-12)
+    # the pulled-back weight with one exponent 1 and the other 0
+    assert quad.pullback(0.0, -0.5, t1, t2)[2] == pytest.approx(abs(sc), rel=1e-12)
+    assert quad.pullback(-0.5, 0.0, t1, t2)[2] == pytest.approx(abs(cs), rel=1e-12)

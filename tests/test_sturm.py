@@ -266,6 +266,15 @@ def test_eigen_poly_exact_and_float_kept_apart():
     assert all(isinstance(c, float) for c in numeric.coeffs.values())
 
 
+def test_eigen_poly_rejects_a_float_lead_at_rational_parameters():
+    with pytest.raises(TypeError, match="int or Fraction"):
+        eigen_poly(MM, (2, 0), lead=2.5)
+    with pytest.raises(TypeError, match="int or Fraction"):
+        eigen_poly(WeightParams(0, 0), (1, 1), lead=1.0)
+    assert eigen_poly(MM, (2, 0), lead=Fraction(5, 2)) == Fraction(5, 2) * eigen_poly(MM, (2, 0))
+    assert eigen_poly(WeightParams(-0.5, -0.5), (2, 0), lead=2.5).leading_star_term() == ((2, 0), 2.5)
+
+
 @pytest.mark.parametrize(
     "p", [frac_params(Fraction(-9, 10), Fraction(-4, 5)), WeightParams(-0.9, -0.8)],
     ids=["exact", "float"],
