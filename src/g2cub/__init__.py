@@ -29,8 +29,6 @@ from .gentrig import (
     product_expand,
 )
 from .lattice import (
-    ClassifiedNode,
-    GammaSet,
     dim_pi_star,
     enum_H,
     enum_gamma,

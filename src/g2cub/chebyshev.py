@@ -24,7 +24,6 @@ import numpy as np
 from . import quad
 from .coords import make_index, orbit_size
 from .gentrig import TrigFamily, eval as trig_eval
-from .lattice import orbit_constant
 from .poly import BivarPoly, star_cmp, star_key  # star_cmp re-exported
 
 HALF = Fraction(1, 2)
@@ -208,9 +207,9 @@ def orthogonality_constant(p: WeightParams, k) -> float:
     orbit constant of the denominator index of the quotient form.
     """
     _, num, den = _quotient(p, MIndex(*k))
-    value = orbit_constant(num)
+    value = 1.0 / orbit_size(num)
     if den is not None:
-        value /= orbit_constant(den)
+        value /= 1.0 / orbit_size(den)
     return value
 
 

@@ -103,7 +103,6 @@ def cmd_poly(args) -> int:
 
 def cmd_verify(args) -> int:
     checks = run_suite(args.suite, n=args.n, tol=args.tol)
-    failed = False
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"{check.name} max_error={check.max_error:.3e} tol={check.tol:.3e} {status}")

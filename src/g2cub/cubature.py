@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +40,7 @@ from .chebyshev import (
 from .coords import orbit_size, point_from_index
 from .gentrig import TrigFamily, eval as trig_eval
 from .jsonio import dumps as json_dumps
-from .lattice import enum_upsilon
+from .lattice import enum_upsilon, upsilon_weight
 from .poly import BivarPoly
 
 HALF = Fraction(1, 2)
@@ -63,7 +63,9 @@ class CubatureRule:
     weights: tuple
     exact_mdegree: int
     weight_params: WeightParams
-    indices: tuple          # generating lattice triples, same order
+    # (N, 3) generating lattice triples, same order; left out of == and
+    # hash, which an array cannot take part in and nodes already decide
+    indices: np.ndarray = field(compare=False)
 
 
 def make_rule(kind: str, n: int) -> CubatureRule:
@@ -80,16 +82,14 @@ def make_rule(kind: str, n: int) -> CubatureRule:
     d, p = family.sines
     shift = family.shift
     m = n + shift[0] - shift[2]
-    kept = [
-        node for node in enum_upsilon(m)
-        if not (d and node.j[0] == node.j[1])
-        and not (p and (node.j[1] == 0 or node.j[2] == -m))
-    ]
-    t = point_from_index(np.array([node.j for node in kept]).reshape(-1, 3).T, m)
+    j = enum_upsilon(m)
+    j1, j2, j3 = j.T
+    vanishes = ((d == 1) & (j1 == j2)) | ((p == 1) & ((j2 == 0) | (j3 == -m)))
+    j = j[~vanishes]
+    t = point_from_index(j.T, m)
     x, y = xy_map(t)
     value = trig_eval(family, shift, t)
-    weights = orbit_size(shift) / m ** 2 * np.array([node.weight for node in kept])
-    weights = weights * (value * value)
+    weights = orbit_size(shift) / m ** 2 * upsilon_weight(j.T, m) * (value * value)
     return CubatureRule(
         kind=kind,
         n=n,
@@ -97,7 +97,7 @@ def make_rule(kind: str, n: int) -> CubatureRule:
         weights=tuple(weights.tolist()),
         exact_mdegree=2 * n - 1,
         weight_params=WeightParams(d - HALF, p - HALF),
-        indices=tuple(node.j for node in kept),
+        indices=j,
     )
 
 

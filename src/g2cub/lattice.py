@@ -1,47 +1,28 @@
-"""Index-set enumeration and the discrete cubature / inner products on the
-hexagon and on the fundamental triangle.
+"""Index sets as integer arrays, the lattice weight, and the discrete
+cubature / inner products on the hexagon and on the fundamental triangle.
 
 Two integer lattices appear: the full sum-zero integer triples (dagger
 lattice) and its sublattice of triples whose components are congruent
-mod 3.  All enumerations are exhaustive scans over bounded boxes with
-exact integer predicates, sorted lexicographically.
+mod 3.  Every enumeration is one exact integer mask over the sum-zero
+triples of a bounded box and returns an (N, 3) int array whose rows are
+in lexicographic order.  The weight of a triangle lattice node, and of
+any congruent triple through its orbit representative, is
+`upsilon_weight`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .coords import HexIndex, hat, orbit_size, point_from_index
+from .coords import hat, point_from_index
 from .gentrig import TrigFamily
 
-# node classes on the triangle and their cubature weights
-WEIGHT_INTERIOR = 12
-WEIGHT_V30 = 1
-WEIGHT_V60 = 2
-WEIGHT_V90 = 3
-WEIGHT_EDGE = 6
 
-
-@dataclass(frozen=True)
-class ClassifiedNode:
-    j: HexIndex
-    cls: str          # interior | vertex30 | vertex60 | vertex90 | edge
-    weight: int
-
-
-@dataclass(frozen=True)
-class GammaSet:
-    family: TrigFamily
-    n: int
-    members: tuple
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
+def _triples(lo: int, hi: int):
+    """The (N, 3) array of sum-zero triples (k1, k2, -k1-k2) with
+    lo <= k1, k2 <= hi, in lexicographic order."""
+    k1, k2 = np.divmod(np.arange((hi - lo + 1) ** 2), hi - lo + 1)
+    return np.stack((k1 + lo, k2 + lo, -k1 - k2 - 2 * lo), axis=1)
 
 
 def enum_H(n: int):
@@ -49,85 +30,52 @@ def enum_H(n: int):
     the dagger lattice with all pairwise differences bounded by n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    h = []
-    hdag = []
-    for k1 in range(-n, n + 1):
-        for k2 in range(-n, n + 1):
-            k3 = -k1 - k2
-            k = HexIndex(k1, k2, k3)
-            if -n <= k3 <= n and k.is_congruent_mod3():
-                h.append(k)
-            if (
-                -n <= k3 - k2 <= n
-                and -n <= k1 - k3 <= n
-                and -n <= k2 - k1 <= n
-            ):
-                hdag.append(k)
-    return sorted(h), sorted(hdag)
-
-
-def classify_hex_node(j, n: int) -> float:
-    """Cubature coefficient on the closed hexagon: 1 inside, 1/2 on an
-    edge, 1/3 at the six corners (each corner has three periodic copies)."""
-    m = max(abs(j[0]), abs(j[1]), abs(j[2]))
-    if m < n:
-        return 1.0
-    if sorted((j[0], j[1], j[2])) == [-n, 0, n]:
-        return 1.0 / 3.0
-    return 0.5
+    k = _triples(-n, n)
+    k1, k2, k3 = k.T
+    h = (np.abs(k3) <= n) & ((k1 - k2) % 3 == 0)
+    hdag = (np.abs(k3 - k2) <= n) & (np.abs(k1 - k3) <= n) & (np.abs(k2 - k1) <= n)
+    return k[h], k[hdag]
 
 
 def hex_cubature(f, n: int):
     """Equal-spaced cubature over the hexagon, exact for plane waves of
-    index set size up to 2n-1.  f is called once, on a point whose
-    components are the arrays of all nodes, and must broadcast."""
+    index set size up to 2n-1: coefficient 1 inside, 1/2 on an edge, 1/3
+    at the six corners (each corner has three periodic copies).  f is
+    called once, on a point whose components are the arrays of all nodes,
+    and must broadcast."""
     h, _ = enum_H(n)
-    coef = np.array([classify_hex_node(j, n) for j in h])
-    return np.sum(coef * f(point_from_index(np.array(h).T, n))) / n ** 2
-
-
-def _classify_upsilon(j, n: int):
-    j1, j2, j3 = j
-    if j1 == 0 and j2 == 0:
-        return "vertex30", WEIGHT_V30
-    if j1 == n and j2 == 0:
-        return "vertex60", WEIGHT_V60
-    if 2 * j1 == n and 2 * j2 == n:
-        return "vertex90", WEIGHT_V90
-    if 0 < j2 < j1 < -j3 < n:
-        return "interior", WEIGHT_INTERIOR
-    return "edge", WEIGHT_EDGE
+    inside = np.max(np.abs(h), axis=1) < n
+    coef = np.where(inside, 1.0, np.where(np.any(h == 0, axis=1), 1.0 / 3.0, 0.5))
+    return np.sum(coef * f(point_from_index(h.T, n))) / n ** 2
 
 
 def enum_upsilon(n: int):
-    """Classified nodes of the triangle lattice 0 <= j2 <= j1 <= -j3 <= n
-    (components congruent mod 3), sorted lexicographically."""
+    """Nodes of the triangle lattice 0 <= j2 <= j1 <= -j3 <= n (components
+    congruent mod 3), sorted lexicographically."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    nodes = []
-    for j1 in range(0, n + 1):
-        for j2 in range(0, j1 + 1):
-            j3 = -j1 - j2
-            if -j3 > n:
-                continue
-            j = HexIndex(j1, j2, j3)
-            if not j.is_congruent_mod3():
-                continue
-            cls, w = _classify_upsilon(j, n)
-            nodes.append(ClassifiedNode(j, cls, w))
-    nodes.sort(key=lambda node: node.j)
-    return nodes
+    j = _triples(0, n)
+    j1, j2, j3 = j.T
+    return j[(j2 <= j1) & (-j3 <= n) & ((j1 - j2) % 3 == 0)]
 
 
-def upsilon_weight(j, n: int) -> int:
-    """Weight of an arbitrary congruent triple with max|ji| <= n, looked up
-    through its orbit representative on the fundamental triangle."""
-    a, b, c = sorted((j[0], j[1], j[2]), reverse=True)
-    rep = (a, b, c) if b >= 0 else (-c, -b, -a)
-    return _classify_upsilon(rep, n)[1]
+def upsilon_weight(j, n: int):
+    """Cubature weight of a congruent triple with max|ji| <= n, read at its
+    orbit representative on the fundamental triangle: 1, 2 and 3 at the
+    30, 60 and 90 degree vertices, 12 inside and 6 on an edge.  The
+    components j[0], j[1], j[2] may be arrays of one shape; scalar input
+    gives an int."""
+    low, mid, top = np.sort(np.array([j[0], j[1], j[2]]), axis=0)
+    j1 = np.where(mid >= 0, top, -low)
+    j2 = np.abs(mid)
+    weight = np.where((0 < j2) & (j2 < j1) & (j1 + j2 < n), 12, 6)
+    weight = np.where((j1 == 0) & (j2 == 0), 1, weight)
+    weight = np.where((j1 == n) & (j2 == 0), 2, weight)
+    weight = np.where((2 * j1 == n) & (2 * j2 == n), 3, weight)
+    return int(weight) if weight.ndim == 0 else weight
 
 
-def enum_gamma(family, n: int) -> GammaSet:
+def enum_gamma(family, n: int):
     """Frequency index set of one family at transform size n, from the
     inequality chain 0 (<|<=) k2 (<|<=) k1 (<|<=) k3+n, whose three
     inequalities are strict by the family's sine bits (p, d, d)."""
@@ -135,13 +83,9 @@ def enum_gamma(family, n: int) -> GammaSet:
     if n < 1:
         raise ValueError("n must be >= 1")
     d, p = family.sines
-    members = []
-    for k1 in range(0, n + 1):
-        for k2 in range(p, k1 - d + 1):
-            k3 = -k1 - k2
-            if k1 + d <= k3 + n:
-                members.append(HexIndex(k1, k2, k3))
-    return GammaSet(family, n, tuple(members))  # lexicographic by construction
+    k = _triples(0, n)
+    k1, k2, k3 = k.T
+    return k[(p <= k2) & (k2 + d <= k1) & (k1 + d <= k3 + n)]
 
 
 def dim_pi_star(n: int) -> int:
@@ -158,18 +102,13 @@ def triangle_discrete_inner(f, g, n: int):
     conjugate-linear in the second argument.  f and g are each called
     once, on a point whose components are the arrays of all nodes, and
     must broadcast."""
-    nodes = enum_upsilon(n)
-    t = point_from_index(np.array([node.j for node in nodes]).T, n)
-    weights = np.array([node.weight for node in nodes])
-    return np.sum(weights * f(t) * np.conj(g(t))) / n ** 2
+    j = enum_upsilon(n).T
+    t = point_from_index(j, n)
+    return np.sum(upsilon_weight(j, n) * f(t) * np.conj(g(t))) / n ** 2
 
 
-def discrete_ortho_constant(family, k, n: int):
-    """Expected squared discrete norm of one family member: the reciprocal
-    of the lattice weight at the hatted index."""
-    return 1.0 / upsilon_weight(hat(HexIndex(*k)), n)
-
-
-def orbit_constant(k) -> float:
-    """Expected squared continuous norm over the triangle: 1/|orbit|."""
-    return 1.0 / orbit_size(k)
+def discrete_ortho_constant(k, n: int):
+    """Expected squared discrete norm of a family member: the reciprocal
+    of the lattice weight at the hatted index.  The components of k may
+    be arrays, as in `upsilon_weight`."""
+    return 1.0 / upsilon_weight(hat(k), n)

@@ -62,22 +62,23 @@ def suite_orthogonality(n: int = 12, tol: float = None):
     every size up to n, continuous through the exact moments at low degree."""
     cont_tol = 1e-9 if tol is None else tol
     tol = 1e-12 if tol is None else tol
-    checks = []
-    for family in gentrig.TrigFamily:
-        worst = 0.0
-        for m in range(1, n + 1):
-            gamma = lattice.enum_gamma(family, m)
-            nodes = lattice.enum_upsilon(m)
-            k = np.array(gamma.members, dtype=int).reshape(-1, 3).T[:, :, None]
-            t = lattice.point_from_index(np.array([nd.j for nd in nodes]).T, m)
-            values = gentrig.eval(family, k, t)
-            weights = np.array([nd.weight for nd in nodes])
-            gram = (values * weights) @ values.T / (m * m)
-            expect = np.diag(
-                [lattice.discrete_ortho_constant(family, ka, m) for ka in gamma]
-            )
-            worst = max(worst, float(np.max(np.abs(gram - expect), initial=0.0)))
-        checks.append(Check(f"discrete-ortho-{family.value}", worst, tol))
+    errors = {family: [] for family in gentrig.TrigFamily}
+    for m in range(1, n + 1):
+        j = lattice.enum_upsilon(m).T
+        t = lattice.point_from_index(j, m)
+        weights = lattice.upsilon_weight(j, m)
+        for family, family_errors in errors.items():
+            k = lattice.enum_gamma(family, m).T
+            if k.size:
+                values = gentrig.eval(family, k[:, :, None], t)
+                gram = (values * weights) @ values.T / (m * m)
+                expect = np.diag(lattice.discrete_ortho_constant(k, m))
+                family_errors.append(float(np.max(np.abs(gram - expect))))
+    # no line for a family with no member at any size up to n
+    checks = [
+        Check(f"discrete-ortho-{family.value}", max(family_errors), tol)
+        for family, family_errors in errors.items() if family_errors
+    ]
     for p in HALF_PARAMS:
         worst = 0.0
         indices = star_indices_upto(min(n, 6))

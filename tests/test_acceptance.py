@@ -37,6 +37,7 @@ from g2cub.lattice import (
     discrete_ortho_constant,
     enum_gamma,
     enum_upsilon,
+    upsilon_weight,
 )
 from g2cub.poly import BivarPoly
 from g2cub.sturm import apply_L, eigen_residual, eigenvalue, jacobi_poly, operator_coeffs
@@ -153,19 +154,20 @@ def test_ac05_discrete_orthogonality():
     worst = 0.0
     for family in TrigFamily:
         for n in range(1, 13):
-            gamma = list(enum_gamma(family, n))
-            nodes = enum_upsilon(n)
+            gamma = enum_gamma(family, n).tolist()
+            nodes = enum_upsilon(n).tolist()
+            weights = [upsilon_weight(j, n) for j in nodes]
             values = [
-                [trig(family, k, point_from_index(nd.j, n)) for nd in nodes]
+                [trig(family, k, point_from_index(j, n)) for j in nodes]
                 for k in gamma
             ]
             for a, ka in enumerate(gamma):
                 for b in range(a, len(gamma)):
                     acc = sum(
-                        nd.weight * va * vb
-                        for nd, va, vb in zip(nodes, values[a], values[b])
+                        w * va * vb
+                        for w, va, vb in zip(weights, values[a], values[b])
                     ) / n ** 2
-                    expect = discrete_ortho_constant(family, ka, n) if a == b else 0.0
+                    expect = discrete_ortho_constant(ka, n) if a == b else 0.0
                     err = abs(acc - expect)
                     worst = max(worst, err)
                     assert err <= 1e-12, (family, n, ka, gamma[b])

@@ -164,6 +164,23 @@ def test_verify_unreachable_tolerance_fails(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("n,families", [
+    (1, ["cc"]),
+    (3, ["cc", "sc", "cs"]),
+    (5, ["cc", "sc", "cs"]),
+    (6, ["cc", "sc", "cs", "ss"]),
+])
+def test_verify_orthogonality_reports_only_families_it_compared(capsys, n, families):
+    # sc and cs have no member for n <= 2, ss none for n <= 5: no PASS line
+    # may stand for a check that compared nothing
+    code, out, _ = run(capsys, "verify", "--suite", "orthogonality", "--n", str(n))
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert all(line.endswith("PASS") for line in lines)
+    discrete = [line.split()[0] for line in lines if line.startswith("discrete-ortho-")]
+    assert discrete == [f"discrete-ortho-{f}" for f in families]
+
+
 def test_verify_rejects_negative_tolerance(capsys):
     code, _, _ = run(capsys, "verify", "--suite", "orthogonality",
                      "--n", "4", "--tol", "-1")

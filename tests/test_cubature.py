@@ -30,7 +30,7 @@ from g2cub.cubature import (
 )
 from g2cub.gentrig import eval as trig
 from g2cub.coords import make_index
-from g2cub.lattice import dim_pi_star, enum_upsilon
+from g2cub.lattice import dim_pi_star, enum_upsilon, upsilon_weight
 from g2cub.poly import BivarPoly
 
 HALF = Fraction(1, 2)
@@ -93,12 +93,12 @@ def test_radau_dropped_nodes():
     # the second avoids the other two edges
     assert all(j[1] != 0 and -j[2] != n + 3 for j in r2.indices)
     # dropped nodes carry an exactly zero factor
-    for node in enum_upsilon(n + 2):
-        if node.j[0] == node.j[1]:
-            assert trig("sc", make_index(1, 0), point_from_index(node.j, n + 2)) == 0.0
-    for node in enum_upsilon(n + 3):
-        if node.j[1] == 0:
-            assert trig("cs", make_index(1, 1), point_from_index(node.j, n + 3)) == 0.0
+    for j in enum_upsilon(n + 2).tolist():
+        if j[0] == j[1]:
+            assert trig("sc", make_index(1, 0), point_from_index(j, n + 2)) == 0.0
+    for j in enum_upsilon(n + 3).tolist():
+        if j[1] == 0:
+            assert trig("cs", make_index(1, 1), point_from_index(j, n + 3)) == 0.0
 
 
 @pytest.mark.parametrize("kind,family,k,scale,shift", [
@@ -113,12 +113,12 @@ def test_rule_equals_the_per_node_scalar_loop(kind, family, k, scale, shift):
     n = 9
     m = n + shift
     rule = make_rule(kind, n)
-    lattice_weight = {node.j: node.weight for node in enum_upsilon(m)}
-    for (x, y), w, j in zip(rule.nodes, rule.weights, rule.indices):
+    assert rule.indices.shape == (len(rule.nodes), 3)
+    for (x, y), w, j in zip(rule.nodes, rule.weights, rule.indices.tolist()):
         t = point_from_index(j, m)
         assert (x, y) == xy_map(t)
         value = 1.0 if family is None else trig(family, make_index(*k), t)
-        assert w == scale / m ** 2 * lattice_weight[j] * (value * value)
+        assert w == scale / m ** 2 * upsilon_weight(j, m) * (value * value)
 
 
 def test_make_rule_builds_only_the_requested_radau_rule(monkeypatch):
@@ -254,3 +254,6 @@ def test_serialization_deterministic():
     b = rule_to_json(make_rule("radau2", 5))
     assert a == b
     assert rule_to_csv(make_rule("radau1", 5)) == rule_to_csv(make_rule("radau1", 5))
+    # the rule record still compares and hashes with its index array inside
+    assert make_rule("gauss", 4) == make_rule("gauss", 4) != make_rule("gauss", 5)
+    assert hash(make_rule("gauss", 4)) == hash(make_rule("gauss", 4))

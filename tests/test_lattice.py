@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from g2cub.coords import HexIndex, hat, make_index, make_point, point_from_index
 from g2cub.gentrig import TrigFamily, eval as trig, phi
@@ -17,6 +18,68 @@ from g2cub.lattice import (
 )
 
 
+# reference implementation: nested loops over scalar integer predicates
+
+
+def oracle_H(n):
+    h, hdag = [], []
+    for k1 in range(-n, n + 1):
+        for k2 in range(-n, n + 1):
+            k3 = -k1 - k2
+            if -n <= k3 <= n and k1 % 3 == k2 % 3 == k3 % 3:
+                h.append([k1, k2, k3])
+            if -n <= k3 - k2 <= n and -n <= k1 - k3 <= n and -n <= k2 - k1 <= n:
+                hdag.append([k1, k2, k3])
+    return sorted(h), sorted(hdag)
+
+
+def oracle_class_weight(j, n):
+    # weight of a node of the fundamental triangle, by its class
+    j1, j2, j3 = j
+    if j1 == 0 and j2 == 0:
+        return 1  # 30 degree vertex
+    if j1 == n and j2 == 0:
+        return 2  # 60 degree vertex
+    if 2 * j1 == n and 2 * j2 == n:
+        return 3  # 90 degree vertex
+    if 0 < j2 < j1 < -j3 < n:
+        return 12  # interior
+    return 6  # edge
+
+
+def oracle_weight(j, n):
+    # through the orbit representative on the fundamental triangle
+    a, b, c = sorted(j, reverse=True)
+    rep = (a, b, c) if b >= 0 else (-c, -b, -a)
+    return oracle_class_weight(rep, n)
+
+
+def oracle_upsilon(n):
+    nodes = []
+    for j1 in range(0, n + 1):
+        for j2 in range(0, j1 + 1):
+            j3 = -j1 - j2
+            if -j3 <= n and j1 % 3 == j2 % 3 == j3 % 3:
+                nodes.append([j1, j2, j3])
+    return sorted(nodes)
+
+
+def oracle_gamma(family, n):
+    d, p = TrigFamily.of(family).sines
+    members = []
+    for k1 in range(0, n + 1):
+        for k2 in range(p, k1 - d + 1):
+            k3 = -k1 - k2
+            if k1 + d <= k3 + n:
+                members.append([k1, k2, k3])
+    return members
+
+
+def weights_by_node(n):
+    j = enum_upsilon(n)
+    return dict(zip(map(tuple, j.tolist()), upsilon_weight(j.T, n).tolist()))
+
+
 def brute_force_dim(n):
     return sum(1 for i in range(n + 1) for j in range(n + 1) if 2 * i + 3 * j <= n)
 
@@ -30,18 +93,19 @@ def test_enum_H_cardinality(n, count):
 
 def test_enum_H_membership():
     h, hdag = enum_H(6)
-    assert all(sum(j) == 0 and j.is_congruent_mod3() for j in h)
-    assert all(sum(k) == 0 for k in hdag)
+    assert h.shape[1] == 3 and hdag.shape[1] == 3
+    assert all(sum(j) == 0 and HexIndex(*j).is_congruent_mod3() for j in h.tolist())
+    assert all(sum(k) == 0 for k in hdag.tolist())
 
 
 def test_hat_maps_between_lattices():
     for n in range(1, 13):
         h, hdag = enum_H(n)
-        hset = set(h)
-        dagset = set(hdag)
-        for k in hdag:
+        hset = set(map(tuple, h.tolist()))
+        dagset = set(map(tuple, hdag.tolist()))
+        for k in hdag.tolist():
             assert hat(k) in hset
-        for j in h:
+        for j in h.tolist():
             kj = hat(j)
             third = HexIndex(kj[0] // 3, kj[1] // 3, kj[2] // 3)
             assert all(c % 3 == 0 for c in kj)
@@ -49,22 +113,21 @@ def test_hat_maps_between_lattices():
 
 
 def test_upsilon_classification():
-    nodes3 = {node.j: node for node in enum_upsilon(3)}
-    assert nodes3[HexIndex(0, 0, 0)].weight == 1
-    assert nodes3[HexIndex(3, 0, -3)].weight == 2
-    nodes4 = {node.j: node for node in enum_upsilon(4)}
-    assert nodes4[HexIndex(2, 2, -4)].weight == 3
-    assert nodes4[HexIndex(2, 2, -4)].cls == "vertex90"
+    # the weight names the node class: 1, 2, 3 at the 30, 60, 90 degree
+    # vertices, 6 on an edge, 12 inside
+    weights3 = weights_by_node(3)
+    assert weights3[(0, 0, 0)] == 1
+    assert weights3[(3, 0, -3)] == 2
+    weights4 = weights_by_node(4)
+    assert weights4[(2, 2, -4)] == 3
     # (1,1,-2)/4 sits on the t1 = t2 edge
-    assert nodes4[HexIndex(1, 1, -2)].cls == "edge"
-    nodes6 = {node.j: node for node in enum_upsilon(6)}
-    assert nodes6[HexIndex(4, 1, -5)].cls == "interior"
-    assert nodes6[HexIndex(4, 1, -5)].weight == 12
+    assert weights4[(1, 1, -2)] == 6
+    assert weights_by_node(6)[(4, 1, -5)] == 12
 
 
 def test_upsilon_vertex90_only_even():
-    assert not any(node.cls == "vertex90" for node in enum_upsilon(5))
-    assert any(node.cls == "vertex90" for node in enum_upsilon(6))
+    assert 3 not in weights_by_node(5).values()
+    assert 3 in weights_by_node(6).values()
 
 
 def test_upsilon_weight_via_orbit():
@@ -74,11 +137,12 @@ def test_upsilon_weight_via_orbit():
     assert upsilon_weight(HexIndex(0, 0, 0), 4) == 1
     assert upsilon_weight(HexIndex(-1, -1, 2), 4) == 6
     assert upsilon_weight(HexIndex(-4, -1, 5), 6) == 12
+    assert type(upsilon_weight(HexIndex(-4, -1, 5), 6)) is int
 
 
 def test_weight_sum_is_one():
     for n in range(1, 13):
-        total = sum(node.weight for node in enum_upsilon(n)) / n ** 2
+        total = sum(weights_by_node(n).values()) / n ** 2
         assert total == pytest.approx(1.0, abs=1e-13)
 
 
@@ -91,13 +155,13 @@ def test_gamma_cardinalities(family, n, count):
 
 
 def test_gamma_members():
-    assert list(enum_gamma("ss", 6)) == [HexIndex(2, 1, -3)]
-    assert list(enum_gamma("sc", 3)) == [HexIndex(1, 0, -1)]
+    assert enum_gamma("ss", 6).tolist() == [[2, 1, -3]]
+    assert enum_gamma("sc", 3).tolist() == [[1, 0, -1]]
 
 
 @pytest.mark.parametrize("family", list(TrigFamily))
 def test_first_gamma_member_is_the_family_shift(family):
-    assert enum_gamma(family, 6).members[0] == family.shift
+    assert tuple(enum_gamma(family, 6)[0].tolist()) == family.shift
 
 
 def test_gamma_shift_identities():
@@ -180,7 +244,7 @@ def test_discrete_inner_constant():
 def test_discrete_orthogonality_small():
     n = 6
     fam = TrigFamily.CC
-    gamma = list(enum_gamma(fam, n))
+    gamma = enum_gamma(fam, n).tolist()
     for a, ka in enumerate(gamma):
         for kb in gamma[a:]:
             value = triangle_discrete_inner(
@@ -189,7 +253,7 @@ def test_discrete_orthogonality_small():
                 n,
             )
             if ka == kb:
-                assert value == pytest.approx(discrete_ortho_constant(fam, ka, n), abs=1e-12)
+                assert value == pytest.approx(discrete_ortho_constant(ka, n), abs=1e-12)
             else:
                 assert value == pytest.approx(0.0, abs=1e-12)
 
@@ -201,3 +265,59 @@ def test_discrete_ss_norm_is_twelfth():
             lambda t: trig("ss", k, t), lambda t: trig("ss", k, t), n
         )
         assert value == pytest.approx(1.0 / 12.0, abs=1e-12)
+
+
+# the array enumerators and the weight against the reference implementation
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 200))
+def test_enumerators_match_the_oracle_row_for_row(n):
+    upsilon = enum_upsilon(n)
+    assert upsilon.tolist() == oracle_upsilon(n)
+    assert upsilon_weight(upsilon.T, n).tolist() == [
+        oracle_class_weight(j, n) for j in oracle_upsilon(n)
+    ]
+    for family in TrigFamily:
+        assert enum_gamma(family, n).tolist() == oracle_gamma(family, n)
+    h, hdag = enum_H(n)
+    assert (h.tolist(), hdag.tolist()) == oracle_H(n)
+
+
+@st.composite
+def congruent_triples(draw):
+    # a size n and congruent triples with max|ji| <= n
+    n = draw(st.integers(1, 200))
+    pairs = draw(st.lists(st.tuples(st.integers(-n, n), st.integers(-n, n)),
+                          min_size=1, max_size=40))
+    triples = []
+    for a, b in pairs:
+        b -= (b - a) % 3
+        if -n <= b and abs(a + b) <= n:
+            triples.append((a, b, -a - b))
+    assume(triples)
+    return n, triples
+
+
+@settings(max_examples=150, deadline=None)
+@given(congruent_triples())
+def test_upsilon_weight_on_arrays_matches_the_scalar_orbit_rule(case):
+    n, triples = case
+    got = upsilon_weight(np.array(triples).T, n)
+    assert got.tolist() == [oracle_weight(j, n) for j in triples]
+    assert [upsilon_weight(j, n) for j in triples] == got.tolist()
+
+
+def test_upsilon_weight_on_the_whole_hexagon():
+    # every node of the closed hexagon, the hatted vertices included
+    for n in range(1, 19):
+        h, _ = enum_H(n)
+        assert upsilon_weight(h.T, n).tolist() == [oracle_weight(j, n) for j in h.tolist()]
+
+
+@pytest.mark.parametrize("family", list(TrigFamily))
+def test_discrete_ortho_constant_broadcasts(family):
+    for n in (6, 11, 12):
+        k = enum_gamma(family, n)
+        expect = [1.0 / oracle_weight(hat(ka), n) for ka in k.tolist()]
+        assert discrete_ortho_constant(k.T, n).tolist() == expect
