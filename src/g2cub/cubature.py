@@ -22,8 +22,6 @@ deterministic.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -221,10 +219,9 @@ def rule_to_json(rule: CubatureRule) -> str:
     return json_dumps(doc)
 
 
+_CSV_ROW = "%.17g,%.17g,%.17g\n"
+
+
 def rule_to_csv(rule: CubatureRule) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x", "y", "weight"])
-    for (x, y), w in zip(rule.nodes, rule.weights):
-        writer.writerow([f"{x:.17g}", f"{y:.17g}", f"{w:.17g}"])
-    return buf.getvalue()
+    rows = [_CSV_ROW % (x, y, w) for (x, y), w in zip(rule.nodes, rule.weights)]
+    return "x,y,weight\n" + "".join(rows)

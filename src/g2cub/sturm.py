@@ -11,12 +11,14 @@ otherwise; both the Chebyshev-type families and the general-parameter
 polynomials come from it.  `moments` runs the same triangular structure
 up the order to get every polynomial integral exactly.
 
-The exact paths run on Python ints: for rational parameters every
-eigenvalue and monomial-image coefficient is scaled by the one common
-denominator D = 2 lcm(den alpha, den beta), and `apply_L` scales q by the
-common denominator of its coefficients as well; a Fraction appears only
-where a value really is non-integral.  Float parameters take the same
-code with D = 1.
+All three exact sweeps, down the order (`eigen_poly`), up it (`moments`)
+and the eigen-check (`apply_L`), read one table per parameter pair: the
+weighted order as a list of positions grown one degree class at a time,
+each eigenvalue and lowered monomial image at its position, and the
+operator's coefficient polynomials, all scaled by the one common
+denominator D = 2 lcm(den alpha, den beta) so that for rational
+parameters they are Python ints; a Fraction appears only where a value
+really is non-integral.  Float parameters take the same code with D = 1.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chebyshev import MIndex, WeightParams, _require_integrable, star_class, star_indices_upto
+from .chebyshev import MIndex, WeightParams, _require_integrable, star_class
 from .lattice import dim_pi_star
 from .poly import BivarPoly
 
@@ -63,22 +65,23 @@ def apply_L(p: WeightParams, q: BivarPoly) -> BivarPoly:
 
     With Fraction alpha, rational beta and rational coefficients, q is
     scaled by the common denominator s of its coefficients and the
-    operator coefficients by D (see `_scale`), so the products run on ints;
-    the result is divided by D * s at the end, which gives the same
-    Fractions as the unscaled arithmetic.
+    products run against the parameters' cached operator coefficients,
+    scaled by D (see `_scale`), so they run on ints; the result is divided
+    by D * s at the end, which gives the same Fractions as the unscaled
+    arithmetic.
     """
-    c = operator_coeffs(p)
-    ops = (c.A11, c.A12, c.A22, c.B1, c.B2)
-    n = 1
-    D = _scale(p)
     rational = all(type(v) in (int, Fraction) for v in q.coeffs.values())
     # a Fraction alpha makes every unscaled result a Fraction, the type returned here
-    if D > 1 and type(p.alpha) is Fraction and rational:
+    if type(p.alpha) is Fraction and rational and _scale(p) > 1:
+        table = _entry(p)
         s = math.lcm(*(v.denominator for v in q.coeffs.values()))
         q = BivarPoly({e: v.numerator * (s // v.denominator) for e, v in q.coeffs.items()})
-        ops = tuple(BivarPoly({e: _int(D * v) for e, v in op.coeffs.items()}) for op in ops)
-        n = D * s
-    A11, A12, A22, B1, B2 = ops
+        A11, A12, A22, B1, B2 = table.ops
+        n = table.D * s
+    else:
+        c = operator_coeffs(p)
+        A11, A12, A22, B1, B2 = c.A11, c.A12, c.A22, c.B1, c.B2
+        n = 1
     qx = q.diff_x()
     qy = q.diff_y()
     out = (
@@ -137,14 +140,14 @@ def _image_terms(j, k, one, a, b):
 def eigenvalue(p: WeightParams, k):
     """Closed-form eigenvalue attached to one index pair."""
     a = p.alpha
-    return HALF * _twice_eigenvalue(MIndex(*k), a * 0 + 1, a, p.beta)
+    return HALF * _twice_eigenvalue(*MIndex(*k), a * 0 + 1, a, p.beta)
 
 
-def _twice_eigenvalue(k: MIndex, one, a, b):
-    """Twice the eigenvalue in the unit `one`; linear in (one, alpha, beta)
-    as `_image_terms` is, with integer factors."""
-    m = k.mdegree
-    return 3 * m * ((m + 5) * one + 4 * a + 6 * b) + 9 * k.k2 * ((k.k2 + 1) * one + 2 * b)
+def _twice_eigenvalue(k1, k2, one, a, b):
+    """Twice the eigenvalue of index (k1, k2) in the unit `one`; linear in
+    (one, alpha, beta) as `_image_terms` is, with integer factors."""
+    m = 2 * k1 + 3 * k2
+    return 3 * m * ((m + 5) * one + 4 * a + 6 * b) + 9 * k2 * ((k2 + 1) * one + 2 * b)
 
 
 def eigen_residual(p: WeightParams, k, polynomial: BivarPoly) -> float:
@@ -160,11 +163,6 @@ def _int(v):
     several times cheaper; anything else unchanged."""
     return v.numerator if type(v) is Fraction and v.denominator == 1 else v
 
-
-# (alpha, beta, their types) -> (eigenvalue and lowered monomial image per
-# index, both scaled by D; finished polynomials; normalized moments; D); the
-# types keep exact and float results apart, since Fraction(1, 2) == 0.5
-_EIGEN_CACHE = {}
 
 TIE_RTOL = 1e-12
 
@@ -182,30 +180,70 @@ def _scale(p: WeightParams) -> int:
     return 1
 
 
-def _entry(p: WeightParams):
+class _Table:
+    """The operator at one parameter pair, laid out for the exact sweeps.
+
+    `order` is the weighted monomial order through weighted degree `degree`,
+    grown in place one class at a time, so a position, once given, never
+    changes; `pos` inverts it.  At each position, `lam` holds D lambda and
+    `lowered` the image of that monomial without its diagonal term, as
+    (position, D coefficient) pairs, all at earlier positions.  `ops` holds
+    A11, A12, A22, B1 and B2 scaled by D, for rational parameters only.  `polys` keeps the finished eigenpolynomials by
+    (index, lead) and `mu` the normalized moments by index, a prefix of
+    the order.
+    """
+
+    __slots__ = ("D", "ops", "degree", "order", "pos", "lam", "lowered", "polys", "mu")
+
+    def __init__(self, D: int, ops: tuple = None):
+        self.D, self.ops, self.degree = D, ops, -1
+        self.order, self.pos, self.lam, self.lowered = [], {}, [], []
+        self.polys, self.mu = {}, {(0, 0): Fraction(1)}
+
+
+# (alpha, beta, their types) -> _Table; the types keep exact and float
+# results apart, since Fraction(1, 2) == 0.5
+_EIGEN_CACHE = {}
+
+
+def _entry(p: WeightParams) -> _Table:
     key = (p.alpha, p.beta, type(p.alpha), type(p.beta))
-    got = _EIGEN_CACHE.get(key)
-    if got is None:
-        got = _EIGEN_CACHE[key] = ({}, {}, {(0, 0): Fraction(1)}, _scale(p))
-    return got
-
-
-def _image(p: WeightParams, entry, m):
-    """D lambda_m and D times the lowered monomial image of index m, cached
-    in the parameters' entry.  With D = 2 lcm(den alpha, den beta) for
-    rational parameters all of these are ints; float parameters have D = 1
-    and keep their float values."""
-    images, D = entry[0], entry[3]
-    got = images.get(m)
-    if got is None:
-        a, b = p.alpha, p.beta
-        one = a * 0 + 1
+    table = _EIGEN_CACHE.get(key)
+    if table is None:
+        D = _scale(p)
+        ops = None
         if D > 1:
-            one, a, b = D, _int(D * a), _int(D * b)
-        lowered = [(e, _int(c)) for e, c in _image_terms(*m, one, a, b) if e != m]
-        lam2 = _twice_eigenvalue(m, one, a, b)
-        got = images[m] = (lam2 // 2 if D > 1 else lam2 / 2, lowered)
-    return got
+            c = operator_coeffs(p)
+            ops = tuple(
+                BivarPoly({e: _int(D * v) for e, v in op.coeffs.items()})
+                for op in (c.A11, c.A12, c.A22, c.B1, c.B2)
+            )
+        table = _EIGEN_CACHE[key] = _Table(D, ops)
+    return table
+
+
+def _grow(p: WeightParams, table: _Table, max_mdeg: int) -> None:
+    """Extend the table's order, eigenvalues and lowered images through
+    weighted degree max_mdeg.  With D = 2 lcm(den alpha, den beta) for
+    rational parameters all of these are ints; float parameters have
+    D = 1 and keep their float values."""
+    if max_mdeg <= table.degree:
+        return
+    D, order, pos = table.D, table.order, table.pos
+    a, b = p.alpha, p.beta
+    one = a * 0 + 1
+    if D > 1:
+        one, a, b = D, _int(D * a), _int(D * b)
+    for d in range(table.degree + 1, max_mdeg + 1):
+        for k1, k2 in star_class(d):
+            m = (k1, k2)
+            pos[m] = len(order)
+            order.append(m)
+            lam2 = _twice_eigenvalue(*m, one, a, b)
+            table.lam.append(lam2 // 2 if D > 1 else lam2 / 2)
+            image = _image_terms(*m, one, a, b)
+            table.lowered.append([(pos[e], _int(c)) for e, c in image if e != m])
+    table.degree = max_mdeg
 
 
 def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
@@ -215,7 +253,7 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
     earlier in the weighted order, so the coefficients follow by
     back-substitution down that order: c_m = acc_m / (lambda_k - lambda_m),
     where acc_m collects the images of the coefficients already fixed.
-    Both acc_m and the gap carry the factor D of `_image`, so for rational
+    Both acc_m and the gap carry the table's factor D, so for rational
     parameters the quotient is one integer division, and a Fraction only
     where it leaves a remainder; floating point otherwise.  Raises
     ValueError when an eigenvalue tie leaves a coefficient undetermined,
@@ -226,45 +264,51 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
     if k.k1 < 0 or k.k2 < 0:
         raise ValueError("index components must be nonnegative")
     a, b = p.alpha, p.beta
-    entry = _entry(p)
-    polys, D = entry[1], entry[3]
+    table = _entry(p)
+    D = table.D
     if D > 1 and not isinstance(lead, (int, Fraction)):
         raise TypeError(f"lead {lead!r} at rational parameters must be an int or Fraction")
-    done = polys.get((k, lead))
+    done = table.polys.get((k, lead))
     if done is not None:
         return done
+    if not lead:
+        return BivarPoly()
 
-    lam = _image(p, entry, k)[0]
+    _grow(p, table, k.mdegree)
+    order, lams, lowered = table.order, table.lam, table.lowered
+    top = table.pos[k]
+    lam = lams[top]
     tie = TIE_RTOL * max(D, abs(float(lam)))
-    coeffs = {k: _int(lead)}
-    acc = {}
-    # indices after k in its own class are visited too, but nothing reaches them
-    for d in range(k.mdegree, -1, -1):
-        for m in reversed(star_class(d)):
-            if m != k:
-                r = acc.pop(m, 0)
-                if not r:
-                    continue
-                gap = lam - _image(p, entry, m)[0]
-                if abs(float(gap)) <= tie:
-                    raise ValueError(
-                        f"eigenvalue tie between {tuple(k)} and {tuple(m)} at "
-                        f"parameters ({a}, {b}) leaves the polynomial undetermined"
-                    )
-                if type(r) is int and type(gap) is int:
-                    quo, rem = divmod(r, gap)
-                    coeffs[m] = Fraction(r, gap) if rem else quo
-                else:
-                    coeffs[m] = _int(r / gap)
-            c = coeffs[m]
-            for e, v in _image(p, entry, m)[1]:
-                acc[e] = acc.get(e, 0) + c * v
+    c = _int(lead)
+    coeffs = {order[top]: c}
+    acc = [0] * top
+    for e, v in lowered[top]:
+        acc[e] += c * v
+    for i in range(top - 1, -1, -1):
+        r = acc[i]
+        if not r:
+            continue
+        gap = lam - lams[i]
+        if abs(float(gap)) <= tie:
+            raise ValueError(
+                f"eigenvalue tie between {tuple(k)} and {order[i]} at "
+                f"parameters ({a}, {b}) leaves the polynomial undetermined"
+            )
+        if type(r) is int and type(gap) is int:
+            quo, rem = divmod(r, gap)
+            c = Fraction(r, gap) if rem else quo
+        else:
+            c = _int(r / gap)
+        coeffs[order[i]] = c
+        for e, v in lowered[i]:
+            acc[e] += c * v
     one = a * 0 + 1  # each coefficient takes the type of c * one
     if type(one) is Fraction:
         coeffs = {m: Fraction(c) if type(c) is int else c for m, c in coeffs.items()}
     else:
         coeffs = {m: c * one for m, c in coeffs.items()}
-    q = polys[(k, lead)] = BivarPoly(coeffs)
+    q = table.polys[(k, lead)] = BivarPoly()
+    q.coeffs = coeffs  # every coefficient is nonzero: the lead, or r / gap with r != 0
     return q
 
 
@@ -275,7 +319,7 @@ def moments(p: WeightParams, max_mdeg: int) -> dict:
     L is symmetric under the weight and L 1 = 0, so <L x^m, 1> = 0; with
     L x^m = lambda_m x^m + sum_e c_e x^e over earlier monomials, this gives
     mu_m = -sum_e c_e mu_e / lambda_m from mu_(0,0) = 1, up the weighted
-    order, with c_e and lambda_m both scaled by the D of `_image`.  Float
+    order, with c_e and lambda_m both scaled by the table's D.  Float
     parameters enter by their exact binary value.  Returns the cached
     table itself, a prefix of that order grown in place; do not modify it.
     Raises ValueError where the weight is not integrable; elsewhere every
@@ -283,14 +327,15 @@ def moments(p: WeightParams, max_mdeg: int) -> dict:
     """
     _require_integrable(p)
     q = WeightParams(*p.key())
-    entry = _entry(q)
-    mu = entry[2]
-    if len(mu) >= dim_pi_star(max(max_mdeg, 0)):  # the prefix already reaches max_mdeg
+    table = _entry(q)
+    mu = table.mu
+    size = dim_pi_star(max(max_mdeg, 0))
+    if len(mu) >= size:  # the prefix already reaches max_mdeg
         return mu
-    for m in star_indices_upto(max_mdeg):
-        if m not in mu:
-            lam, lowered = _image(q, entry, m)
-            mu[m] = Fraction(-sum(c * mu[e] for e, c in lowered), lam)
+    _grow(q, table, max_mdeg)
+    order, lams, lowered = table.order, table.lam, table.lowered
+    for i in range(len(mu), size):
+        mu[order[i]] = Fraction(-sum(c * mu[order[e]] for e, c in lowered[i]), lams[i])
     return mu
 
 

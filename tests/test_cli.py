@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -202,3 +203,60 @@ def test_non_finite_numbers_are_usage_errors(capsys, argv, flag):
     assert exit_info.value.code == 2
     assert captured.out == ""
     assert f"argument {flag}: expected a finite number" in captured.err
+
+
+# SHA-256 of `g2cub poly` stdout, recorded before the per-parameter operator
+# table replaced the dict-based back-substitution; the bytes must not move
+POLY_SHA256 = {
+    (0.5, 0.5): {
+        (0, 0): "befd6c86296c8eaeac29f872afb14152ed0164b14abe4b1136fc023b197ad6e9",
+        (3, 2): "54c5f42d1e1ab90ca0c199571df9d76b9f2aac0486615a77646b0d844c21763d",
+        (7, 5): "faad3680679f439167f327fbaee166cc94c3703744078ea92d5f37f9db754db0",
+        (12, 0): "158dd273df2d56f8f9f8da9d87cc217c4e3289ab07dc355ccba2ae9554ff1e04",
+    },
+    (-0.5, -0.5): {
+        (0, 0): "20cf8f9242ac27f45db26553811157b0fd43e6b8637c1ffe3016ed3416ce3937",
+        (3, 2): "4e7154e28f0ad5a71f0c10fb9157a819b038302ed292f8f504ca3a7ee7dae2d0",
+        (7, 5): "578a535ca508f38ebd28085de467bb801bea441b4026d283ba6f04bee004eeca",
+        (12, 0): "bc5d1568eb1d2d92b45b3c952824e0f9fcca134b075505448b9e7e23ffbab414",
+    },
+    (0.5, -0.5): {
+        (0, 0): "2232d3c439ea925fd84a010ac9c96f6f3cae15c389576b9b6dbe50b932f944e2",
+        (3, 2): "31530d50723bae4bab732c12dc3b86411ad23106e464d1e99965e02758aee82b",
+        (7, 5): "a2bf6d93ce0763677c7c278241e03692c25a190f194a8a1394cede7f5cf1b3bc",
+        (12, 0): "0e30f23b7a5908c827aaf4de1b01257bb1f4fcba7fcaf2b74a6271a4b5b33090",
+    },
+    (-0.5, 0.5): {
+        (0, 0): "8494b1db5013b76ff7bddfad9d747324d60373366ace3db90566e17135111941",
+        (3, 2): "a6eef18ee68a1088ee1e8a182b260c5c1a2c294f1e067cbe41f9f6657a3d64e9",
+        (7, 5): "189d115c9d4d05fd9a3c51dd655028df61d4c6ed22384c7a49ae23ab8e7fc3f6",
+        (12, 0): "a459306d0b3adcb0d3c1800c31102288a3d39114792d2658c3f4816b844335ce",
+    },
+    (0.3, 1.2): {
+        (0, 0): "c32e89ef8e294206c6e982590cc8bce57af555126fdbc4a35d7ffc4220d272d1",
+        (3, 2): "c76f9174dcd3ed5d4640d58e9510da1963acfd631ffad1fbab191d22685f6c56",
+        (7, 5): "b9901bdc46074ca076fdbc9af5ecd525a016bace089a66b7a94953bb21023b88",
+        (12, 0): "ecc05c6e3420837032f06cb67e8d57f71c769d1fe1229b8016ed5ba9b22f9881",
+    },
+    (-0.4, 0.7): {
+        (0, 0): "6bc7dac516f622973c4ec8a3ca230bd58826bd0fcb20ecd4929ab073997e1e7e",
+        (3, 2): "acbd591b4c1400b4ff8c16d65fae3ffcfded9d86be9b10a001f32b48f4b0c1ab",
+        (7, 5): "6e0d605f1b8d258142a1ca64770116ac797bf3388466ae026dff386515c0822a",
+        (12, 0): "bcd797a2e00456e7847898326c9691742d36224baae2514aabf49d9c00162046",
+    },
+    (0.17, -0.23): {
+        (0, 0): "f3eeb5a42f38e00b9846baadf43c155ccb0d35a2e2edd8c0469e7028e0169427",
+        (3, 2): "51a535d1d0425b86df80e2338e8320197a5ff04e8cb70050305dada987020db0",
+        (7, 5): "43c651c6e98d3e2b60538aa43228d0201133e14ea1d70b8bd205f868358131e3",
+        (12, 0): "a73e528d57578c6ae63f6c07aa18510b2da7e74784e5c0913259dab708044e85",
+    },
+}
+
+
+@pytest.mark.parametrize("alpha, beta", list(POLY_SHA256))
+def test_poly_output_bytes_are_pinned(capsys, alpha, beta):
+    for (k1, k2), digest in POLY_SHA256[(alpha, beta)].items():
+        code, out, _ = run(capsys, "poly", "--alpha", str(alpha), "--beta", str(beta),
+                           "--k1", str(k1), "--k2", str(k2))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (alpha, beta, k1, k2)

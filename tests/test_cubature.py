@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from fractions import Fraction
@@ -257,3 +259,22 @@ def test_serialization_deterministic():
     # the rule record still compares and hashes with its index array inside
     assert make_rule("gauss", 4) == make_rule("gauss", 4) != make_rule("gauss", 5)
     assert hash(make_rule("gauss", 4)) == hash(make_rule("gauss", 4))
+
+
+# the CSV row template against csv.writer -----------------------------------
+
+
+def csv_writer_rows(rule):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["x", "y", "weight"])
+    for (x, y), w in zip(rule.nodes, rule.weights):
+        writer.writerow([f"{x:.17g}", f"{y:.17g}", f"{w:.17g}"])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("kind", RULE_KINDS)
+def test_rule_csv_matches_csv_writer(kind):
+    for n in (1, 2, 8, 40):
+        rule = make_rule(kind, n)
+        assert rule_to_csv(rule) == csv_writer_rows(rule)

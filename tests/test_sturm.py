@@ -1,22 +1,28 @@
+import math
 import warnings
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from g2cub import sturm
 from g2cub.chebyshev import (
+    MIndex,
     WeightParams,
     cheb_poly,
     continuous_inner,
+    star_class,
     star_indices_upto,
 )
 from g2cub.poly import BivarPoly, star_key
 from g2cub.sturm import (
+    TIE_RTOL,
     apply_L,
     eigen_poly,
     eigen_residual,
     eigenvalue,
     jacobi_poly,
+    moments,
     monomial_image,
     operator_coeffs,
     selfadjointness_check,
@@ -325,3 +331,223 @@ def test_selfadjointness():
         assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs))
         lhs, rhs = selfadjointness_check(p, BivarPoly.constant(1.0), x * y)
         assert abs(lhs) <= 1e-10 and abs(rhs) <= 1e-8
+
+
+# the table path against the dict-based back-substitution ---------------------
+
+
+def _int(v):
+    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
+
+
+def oracle_eigen_poly(p, k, lead=1, images=None):
+    """The back-substitution without the per-parameter table, as a reference
+    for it: it walks the star_class list of every weighted degree from k's
+    down, with a dict accumulator, and takes eigenvalues and lowered images
+    from the public `eigenvalue` and `monomial_image`, scaled by
+    D = 2 lcm(den alpha, den beta) to ints for rational parameters (D = 1
+    otherwise).  Calls at the same parameters may share one `images` dict."""
+    k = MIndex(*k)
+    a, b = p.alpha, p.beta
+    rational = isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction))
+    D = 2 * math.lcm(Fraction(a).denominator, Fraction(b).denominator) if rational else 1
+    images = {} if images is None else images
+
+    def image(m):
+        if m not in images:
+            lowered = [(e, _int(D * c)) for e, c in monomial_image(p, *m) if e != m]
+            images[m] = (_int(D * eigenvalue(p, m)), lowered)
+        return images[m]
+
+    lam = image(k)[0]
+    tie = TIE_RTOL * max(D, abs(float(lam)))
+    coeffs = {k: _int(lead)}
+    acc = {}
+    for d in range(k.mdegree, -1, -1):
+        for m in reversed(star_class(d)):
+            if m != k:
+                r = acc.pop(m, 0)
+                if not r:
+                    continue
+                gap = lam - image(m)[0]
+                if abs(float(gap)) <= tie:
+                    raise ValueError(f"eigenvalue tie between {tuple(k)} and {tuple(m)}")
+                if type(r) is int and type(gap) is int:
+                    quo, rem = divmod(r, gap)
+                    coeffs[m] = Fraction(r, gap) if rem else quo
+                else:
+                    coeffs[m] = _int(r / gap)
+            c = coeffs[m]
+            for e, v in image(m)[1]:
+                acc[e] = acc.get(e, 0) + c * v
+    one = a * 0 + 1
+    if type(one) is Fraction:
+        coeffs = {m: Fraction(c) if type(c) is int else c for m, c in coeffs.items()}
+    else:
+        coeffs = {m: c * one for m, c in coeffs.items()}
+    return BivarPoly(coeffs)
+
+
+def cold(p):
+    """Drop the parameters' table so that the next call starts from nothing."""
+    sturm._EIGEN_CACHE.pop((p.alpha, p.beta, type(p.alpha), type(p.beta)), None)
+    return p
+
+
+def in_order(poly):
+    """Terms in storage order with their types and reprs: equal only when
+    bit for bit equal and summed in the same order by `BivarPoly.__call__`."""
+    return [(e, type(c), repr(c)) for e, c in poly.coeffs.items()]
+
+
+def outcome(fn, *args):
+    try:
+        return in_order(fn(*args))
+    except ValueError as exc:
+        assert "tie" in str(exc)
+        return "tie"
+
+
+def check_against_oracle(p, k):
+    want = outcome(oracle_eigen_poly, p, k)
+    got = outcome(eigen_poly, p, k)
+    assert got == want, (p, k)
+    if want != "tie":
+        assert all(c for c in eigen_poly(p, k).coeffs.values())
+
+
+TO_24 = star_indices_upto(24)
+
+
+def interleaved(draw):
+    """Three indices through weighted degree 24, asked for as middle, lowest,
+    highest in the order, so the table grows, is read below its top, then
+    grows again."""
+    lo, mid, hi = sorted(draw(st.lists(st.sampled_from(TO_24), min_size=3, max_size=3)), key=star_key)
+    return mid, lo, hi
+
+
+OPEN_RATIONAL = st.fractions(min_value=-1, max_value=2, max_denominator=12).filter(lambda v: -1 < v < 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(OPEN_RATIONAL, OPEN_RATIONAL, st.data())
+def test_table_matches_the_oracle_at_rational_parameters(a, b, data):
+    p = cold(frac_params(a, b))
+    reached = -1
+    for k in interleaved(data.draw):
+        check_against_oracle(p, k)
+        # the order grows in place only as far as asked, and is never rebuilt
+        reached = max(reached, k.mdegree)
+        assert sturm._entry(p).order == [tuple(m) for m in star_indices_upto(reached)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(min_value=-0.99, max_value=1.99),
+    st.floats(min_value=-0.99, max_value=1.99),
+    st.data(),
+)
+def test_table_matches_the_oracle_bit_for_bit_at_float_parameters(a, b, data):
+    p = cold(WeightParams(a, b))
+    for k in interleaved(data.draw):
+        check_against_oracle(p, k)
+
+
+def test_table_matches_the_oracle_for_the_four_families_through_degree_36():
+    count = 0
+    for p in ALL_HALF:
+        images = {}
+        for k in reversed(star_indices_upto(36)):
+            got = cheb_poly(p, k)
+            _, lead = got.leading_star_term()
+            assert in_order(got) == in_order(oracle_eigen_poly(p, k, lead, images)), (p, k)
+            count += len(got.coeffs)
+    assert count == 30180
+
+
+# every (alpha, beta, index) with alpha, beta in (-1, 2), denominators up to
+# 12 and the index through weighted degree 24 whose back-substitution ties
+TIES = (
+    ("-11/12", "-8/9", (2, 0)), ("-11/12", "-5/9", (1, 0)), ("-9/10", "-9/10", (2, 0)),
+    ("-9/10", "-4/5", (0, 1)), ("-7/8", "-11/12", (2, 0)), ("-7/8", "-7/12", (1, 0)),
+    ("-3/4", "-7/8", (0, 1)), ("-3/4", "-2/3", (1, 0)), ("-7/10", "-9/10", (0, 1)),
+    ("-7/10", "-7/10", (1, 0)), ("-2/3", "-11/12", (0, 1)), ("-5/8", "-3/4", (1, 0)),
+    ("-7/12", "-7/9", (1, 0)), ("-5/12", "-8/9", (1, 0)), ("-2/5", "-9/10", (1, 0)),
+    ("-3/8", "-11/12", (1, 0)),
+)
+
+
+@pytest.mark.parametrize("a, b, k", TIES)
+def test_ties_raise_on_a_table_grown_past_them(a, b, k):
+    for p in (frac_params(Fraction(a), Fraction(b)), WeightParams(float(Fraction(a)), float(Fraction(b)))):
+        cold(p)
+        for high in ((12, 0), (0, 8)):
+            check_against_oracle(p, high)
+        check_against_oracle(p, k)
+        if isinstance(p.alpha, Fraction):
+            assert outcome(eigen_poly, p, k) == "tie"
+
+
+INTEGRABLE = st.fractions(min_value=Fraction(-1, 2), max_value=2, max_denominator=12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(INTEGRABLE, INTEGRABLE, st.data())
+def test_moments_from_a_cold_table_equal_moments_after_eigen_poly(a, b, data):
+    p = cold(frac_params(a, b))
+    want = list(moments(p, 24).items())
+    cold(p)
+    mid, lo, hi = interleaved(data.draw)
+    moments(p, lo.mdegree)
+    for k in (hi, mid):
+        eigen_poly(p, k)
+    assert list(moments(p, 24).items()) == want
+    for k in (lo, mid, hi):
+        check_against_oracle(p, k)
+
+
+@pytest.mark.parametrize("p", [frac_params(Fraction(3, 10), Fraction(6, 5)), WeightParams(0.3, 1.2)],
+                         ids=["exact", "float"])
+def test_eigen_poly_with_zero_lead_stores_no_coefficients(p):
+    leads = (0, Fraction(0)) if isinstance(p.alpha, Fraction) else (0, 0.0)
+    for lead in leads:
+        for k in ((0, 0), (3, 2)):
+            q = eigen_poly(p, k, lead=lead)
+            assert q.coeffs == {}
+            assert q == BivarPoly.zero()
+
+
+COEFFS = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-20, max_value=20, max_denominator=40),
+    st.floats(min_value=-20, max_value=20),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(st.integers(0, 2), st.fractions(min_value=-HALF, max_value=3, max_denominator=12)),
+    st.fractions(min_value=-HALF, max_value=3, max_denominator=12),
+    st.sampled_from(["int", "fraction", "float", "mixed"]),
+    st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 4)), COEFFS, max_size=10),
+)
+def test_apply_L_matches_the_five_product_form(a, b, kind, coeffs):
+    # int and Fraction coefficients, with denominators up to 40 that need
+    # not divide D, run on ints against the cached D-scaled operator when
+    # alpha is a Fraction; an int alpha or any float coefficient does not
+    convert = {"int": lambda v: int(v), "fraction": Fraction, "float": float, "mixed": lambda v: v}
+    q = BivarPoly({e: convert[kind](v) for e, v in coeffs.items()})
+    p = WeightParams(a, b)
+    got = apply_L(p, q)
+    assert typed(got) == typed(plain_apply_L(p, q))
+    assert all(c for c in got.coeffs.values())
+
+
+def test_apply_L_with_denominators_that_do_not_divide_D():
+    p = frac_params(Fraction(1, 4), Fraction(2, 3))  # D = 24
+    q = BivarPoly({(3, 1): Fraction(5, 7), (1, 2): Fraction(-3, 11), (2, 0): 4, (0, 1): Fraction(1, 8)})
+    got = apply_L(p, q)
+    assert typed(got) == typed(plain_apply_L(p, q))
+    assert all(type(c) is Fraction for c in got.coeffs.values())
+    assert any(c.denominator % 7 == 0 for c in got.coeffs.values())
