@@ -9,7 +9,6 @@ from .coords import (
     GroupElem,
     HexIndex,
     TriplePoint,
-    apply_group,
     cart_to_homog,
     compose,
     hat,
@@ -68,12 +67,9 @@ from .sturm import (
 )
 from .cubature import (
     CubatureRule,
-    gauss_rule,
     integrate,
     integrate_poly,
-    lobatto_rule,
     make_rule,
-    radau_rules,
     reference_integral,
     rule_to_csv,
     rule_to_json,

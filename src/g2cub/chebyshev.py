@@ -24,7 +24,7 @@ import numpy as np
 from . import quad
 from .coords import make_index, orbit_size
 from .gentrig import TrigFamily, eval as trig_eval
-from .poly import BivarPoly, star_cmp, star_key  # star_cmp re-exported
+from .poly import BivarPoly, star_cmp  # star_cmp re-exported
 
 HALF = Fraction(1, 2)
 
@@ -106,19 +106,14 @@ def weight_w(p: WeightParams, x: float, y: float) -> float:
 
 # star order ---------------------------------------------------------------
 
-def star_indices_upto(max_mdeg: int):
-    """All index pairs with weighted degree <= max_mdeg, in order."""
-    out = [
-        MIndex(i, j)
-        for i in range(max_mdeg // 2 + 1)
-        for j in range((max_mdeg - 2 * i) // 3 + 1)
-    ]
-    return sorted(out, key=star_key)
-
-
 def star_class(n: int):
     """Index pairs of weighted degree exactly n, in order."""
     return [MIndex((n - 3 * j) // 2, j) for j in range(n % 2, n // 3 + 1, 2)]
+
+
+def star_indices_upto(max_mdeg: int):
+    """All index pairs with weighted degree <= max_mdeg, in order."""
+    return [k for d in range(max_mdeg + 1) for k in star_class(d)]
 
 
 # exact polynomials ----------------------------------------------------------
@@ -184,19 +179,28 @@ def resolve_index(alpha: Fraction, beta: Fraction, k1: int, k2: int):
 
 # trigonometric evaluation ---------------------------------------------------
 
-def cheb_eval_trig(p: WeightParams, k, t) -> float:
-    """Evaluate a family member through its trigonometric quotient form,
-    falling back to the exact polynomial when the denominator is tiny."""
+def cheb_eval_trig(p: WeightParams, k, t):
+    """Evaluate a family member through its trigonometric quotient form.
+
+    The components of t may be scalars or numpy arrays that broadcast
+    against each other, as in `gentrig.eval`; scalar input gives a float.
+    Where the denominator is below DENOM_FALLBACK the exact polynomial is
+    evaluated instead, point by point.
+    """
     k = MIndex(*k)
     fam, num, den = _quotient(p, k)
     numerator = trig_eval(fam, num, t)
     if den is None:
         return numerator
     denominator = trig_eval(fam, den, t)
-    if abs(denominator) < DENOM_FALLBACK:
-        x, y = xy_map(t)
-        return float(cheb_poly(p, k)(x, y))
-    return numerator / denominator
+    small = np.abs(denominator) < DENOM_FALLBACK
+    if not small.any():
+        return numerator / denominator
+    value = np.array(numerator / np.where(small, 1.0, denominator))
+    poly = cheb_poly(p, k)
+    x, y = (np.broadcast_to(c, value.shape)[small].tolist() for c in xy_map(t))
+    value[small] = [float(poly(u, v)) for u, v in zip(x, y)]
+    return float(value) if value.ndim == 0 else value
 
 
 def orthogonality_constant(p: WeightParams, k) -> float:
@@ -227,7 +231,7 @@ def _require_integrable(p: WeightParams):
         )
 
 
-def continuous_inner(p: WeightParams, f, g, tol=quad.DEFAULT_TOL, cap=None):
+def continuous_inner(p: WeightParams, f, g, tol=quad.DEFAULT_TOL):
     """Weighted inner product normalized so that <1, 1> = 1.
 
     Polynomial arguments are integrated exactly through the operator's
@@ -235,8 +239,8 @@ def continuous_inner(p: WeightParams, f, g, tol=quad.DEFAULT_TOL, cap=None):
     pulled back to the parameter triangle and integrated by product
     Gauss-Jacobi quadrature (`quad.triangle_quadrature`): tol bounds its
     error estimate relative to the normalized result, as
-    tol * max(1, |result|), cap bounds the order per axis, and
-    QuadratureError is raised when the estimate stays above tol.  Raises
+    tol * max(1, |result|), and QuadratureError is raised when the
+    estimate stays above tol at the order cap `quad.ORDER_CAP`.  Raises
     ValueError where the weight is not integrable.
     """
     if isinstance(f, BivarPoly) and isinstance(g, BivarPoly):
@@ -252,7 +256,7 @@ def continuous_inner(p: WeightParams, f, g, tol=quad.DEFAULT_TOL, cap=None):
         return np.broadcast_to(f(x, y) * g(x, y), x.shape)
 
     return quad.triangle_quadrature(
-        values, tol=tol, cap=cap, alpha=float(p.alpha), beta=float(p.beta))
+        values, tol=tol, alpha=float(p.alpha), beta=float(p.beta))
 
 
 def weight_mass(p: WeightParams) -> float:

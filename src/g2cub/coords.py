@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-SUM_ZERO_TOL = 1e-14
 TRIANGLE_TOL = 1e-12
 
 SQRT3 = math.sqrt(3.0)
@@ -50,33 +49,29 @@ class GroupElem(NamedTuple):
         return type(t)(s * t[p[0]], s * t[p[1]], s * t[p[2]])
 
 
-def _elem(sign, perm, parity, name):
-    return GroupElem(sign, perm, parity, name)
-
-
-IDENTITY = _elem(+1, (0, 1, 2), +1, "1")
+IDENTITY = GroupElem(+1, (0, 1, 2), +1, "1")
 
 # The rotation subgroup of the triangle symmetries and its three
 # reflections, then everything negated.
 A2 = (
     IDENTITY,
-    _elem(-1, (0, 2, 1), -1, "s1"),
-    _elem(-1, (1, 0, 2), -1, "s2"),
-    _elem(-1, (2, 1, 0), -1, "s3"),
-    _elem(+1, (2, 0, 1), +1, "s1s2"),
-    _elem(+1, (1, 2, 0), +1, "s2s1"),
+    GroupElem(-1, (0, 2, 1), -1, "s1"),
+    GroupElem(-1, (1, 0, 2), -1, "s2"),
+    GroupElem(-1, (2, 1, 0), -1, "s3"),
+    GroupElem(+1, (2, 0, 1), +1, "s1s2"),
+    GroupElem(+1, (1, 2, 0), +1, "s2s1"),
 )
 
 A2_STAR = (
     IDENTITY,
-    _elem(+1, (0, 2, 1), -1, "-s1"),
-    _elem(+1, (1, 0, 2), -1, "-s2"),
-    _elem(+1, (2, 1, 0), -1, "-s3"),
-    _elem(+1, (2, 0, 1), +1, "s1s2"),
-    _elem(+1, (1, 2, 0), +1, "s2s1"),
+    GroupElem(+1, (0, 2, 1), -1, "-s1"),
+    GroupElem(+1, (1, 0, 2), -1, "-s2"),
+    GroupElem(+1, (2, 1, 0), -1, "-s3"),
+    GroupElem(+1, (2, 0, 1), +1, "s1s2"),
+    GroupElem(+1, (1, 2, 0), +1, "s2s1"),
 )
 
-G2 = A2 + tuple(_elem(-g.sign, g.perm, g.parity, "-" + g.name) for g in A2)
+G2 = A2 + tuple(GroupElem(-g.sign, g.perm, g.parity, "-" + g.name) for g in A2)
 
 
 def compose(g: GroupElem, h: GroupElem) -> GroupElem:
@@ -113,11 +108,6 @@ def point_from_index(j, n: int) -> TriplePoint:
     lattice points on symmetry lines keep exact float equalities
     (j1 == j2 gives t1 == t2, j3 == -n gives t3 == -1.0)."""
     return TriplePoint(j[0] / n, j[1] / n, j[2] / n)
-
-
-def apply_group(g: GroupElem, t):
-    """Image of a point or index under one group element."""
-    return g.apply(t)
 
 
 def hat(k: HexIndex) -> HexIndex:

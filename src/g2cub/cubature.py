@@ -30,7 +30,7 @@ import numpy as np
 from .chebyshev import (
     MIndex,
     WeightParams,
-    cheb_poly,
+    cheb_eval_trig,
     continuous_inner,
     star_class,
     xy_map,
@@ -40,6 +40,7 @@ from .gentrig import TrigFamily, eval as trig_eval
 from .jsonio import dumps as json_dumps
 from .lattice import enum_upsilon, upsilon_weight
 from .poly import BivarPoly
+from .quad import DEFAULT_TOL
 
 HALF = Fraction(1, 2)
 
@@ -66,6 +67,11 @@ class CubatureRule:
     indices: np.ndarray = field(compare=False)
 
 
+def _lattice_size(family: TrigFamily, n: int) -> int:
+    """m = n + shift1 - shift3 for the rule of size n whose factor family is family."""
+    return n + family.shift[0] - family.shift[2]
+
+
 def make_rule(kind: str, n: int) -> CubatureRule:
     """One of the four rules, read off the sine bits (d, p) and the shift
     of its factor family: lattice size m = n + shift1 - shift3, weight
@@ -79,7 +85,7 @@ def make_rule(kind: str, n: int) -> CubatureRule:
         raise ValueError("n must be >= 1")
     d, p = family.sines
     shift = family.shift
-    m = n + shift[0] - shift[2]
+    m = _lattice_size(family, n)
     j = enum_upsilon(m)
     j1, j2, j3 = j.T
     vanishes = ((d == 1) & (j1 == j2)) | ((p == 1) & ((j2 == 0) | (j3 == -m)))
@@ -99,27 +105,6 @@ def make_rule(kind: str, n: int) -> CubatureRule:
     )
 
 
-def gauss_rule(n: int) -> CubatureRule:
-    """Interior-node rule for the (1/2, 1/2) weight; the node count equals
-    the dimension of the weighted-degree n-1 polynomial space."""
-    return make_rule("gauss", n)
-
-
-def lobatto_rule(n: int) -> CubatureRule:
-    """Full-lattice rule for the (-1/2, -1/2) weight, boundary included."""
-    return make_rule("lobatto", n)
-
-
-def radau_rules(n: int):
-    """The two mixed-weight rules.
-
-    The first keeps nodes off the t1 = t2 edge and integrates the
-    (1/2, -1/2) weight; the second keeps nodes off t2 = 0 and t3 = -1 and
-    integrates (-1/2, 1/2).
-    """
-    return make_rule("radau1", n), make_rule("radau2", n)
-
-
 def integrate(rule: CubatureRule, f) -> float:
     """Apply the rule to a callable on (x, y), summing in node order."""
     total = 0.0
@@ -135,27 +120,26 @@ def integrate_poly(rule: CubatureRule, p: BivarPoly) -> float:
     return float(np.sum(np.multiply(rule.weights, p(x, y))))
 
 
-def reference_integral(p: WeightParams, f, tol=None) -> float:
+def reference_integral(p: WeightParams, f, tol=DEFAULT_TOL) -> float:
     """Independent oracle: the normalized weighted integral of f.  A
     polynomial is integrated exactly through the operator's moment
     recurrence, any other callable by product Gauss-Jacobi quadrature on
     the pulled-back parameter triangle; tol applies only there, relative
     to the normalized result, as in `continuous_inner`."""
-    kwargs = {} if tol is None else {"tol": tol}
     if isinstance(f, BivarPoly):
-        return continuous_inner(p, f, BivarPoly.constant(Fraction(1)), **kwargs)
-    return continuous_inner(p, f, lambda x, y: 1.0, **kwargs)
+        return continuous_inner(p, f, BivarPoly.constant(Fraction(1)), tol=tol)
+    return continuous_inner(p, f, lambda x, y: 1.0, tol=tol)
 
 
 # variety checks --------------------------------------------------------------
 
 
-def _first_kind_partner(k: MIndex) -> tuple:
+def _first_kind_partner(k: MIndex) -> MIndex:
     """Lower index paired with k in the two-term boundary-rule ideals:
     (k1-1, k2) when k1 > 0, else (1, k2-1)."""
     if k.k1 >= 1:
-        return 1, MIndex(k.k1 - 1, k.k2)
-    return 1, MIndex(1, k.k2 - 1)
+        return MIndex(k.k1 - 1, k.k2)
+    return MIndex(1, k.k2 - 1)
 
 
 def variety_check(kind: str, n: int, tol: float = 1e-10):
@@ -167,29 +151,34 @@ def variety_check(kind: str, n: int, tol: float = 1e-10):
     radau1:  members of the (1/2, -1/2) family of weighted degree n
     radau2:  differences of (-1/2, 1/2) members of weighted degree n+1
 
-    Residuals are normalized by the generator's max over a fixed dense
-    sample of the domain.  Each generator is evaluated once on the rule's
-    node arrays and once on the sample's.  Returns a report dict.
+    Each generator is evaluated through the closed forms
+    (`cheb_eval_trig`) at the nodes' lattice points j/m, where the
+    quotient's denominator is the rule's own factor and does not vanish.
+    Residuals are normalized by the generator's max over the interior
+    nodes of a fixed gauss rule.  Returns a report dict.
     """
     rule = make_rule(kind, n)
-    sample = lobatto_rule(max(24, 2 * n))
-    checks = []
+    sample = make_rule("gauss", max(24, 2 * n))
+    t_rule, t_sample = (
+        point_from_index(r.indices.T, _lattice_size(_RULE_FAMILY[r.kind], r.n))
+        for r in (rule, sample)
+    )
     p = rule.weight_params
     if _RULE_FAMILY[kind].sines[0]:
-        gens = [(str(tuple(k)), cheb_poly(p, k)) for k in star_class(n)]
+        gens = [(str(tuple(k)), k, None) for k in star_class(n)]
     else:
-        gens = []
-        for k in star_class(n + 1):
-            sign, partner = _first_kind_partner(k)
-            diff = cheb_poly(p, k) - sign * cheb_poly(p, partner)
-            gens.append((f"{tuple(k)}-{tuple(partner)}", diff))
+        pairs = [(k, _first_kind_partner(k)) for k in star_class(n + 1)]
+        gens = [(f"{tuple(k)}-{tuple(j)}", k, j) for k, j in pairs]
 
+    def generator(k, partner, t):
+        value = cheb_eval_trig(p, k, t)
+        return value if partner is None else value - cheb_eval_trig(p, partner, t)
+
+    checks = []
     passed = True
-    sx, sy = np.array(sample.nodes).T
-    x, y = np.array(rule.nodes).T
-    for label, gen in gens:
-        sup = float(np.max(np.abs(gen(sx, sy)))) or 1.0
-        resid = float(np.max(np.abs(gen(x, y)))) / sup
+    for label, k, partner in gens:
+        sup = float(np.max(np.abs(generator(k, partner, t_sample)))) or 1.0
+        resid = float(np.max(np.abs(generator(k, partner, t_rule)))) / sup
         ok = resid <= tol
         passed = passed and ok
         checks.append({"generator": label, "max_residual": resid, "pass": ok})

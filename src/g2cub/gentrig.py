@@ -140,9 +140,6 @@ def laplace_eigenvalue(k) -> float:
     return 2.0 * math.pi ** 2 / 9.0 * (d1 * d1 + d2 * d2 + d3 * d3)
 
 
-_EDGES = ("B1", "B2", "B3")
-
-
 def on_edge(t, edge: str, tol: float = 1e-12) -> bool:
     if edge == "B1":
         return abs(t[2] + 1.0) <= tol
@@ -159,8 +156,6 @@ def boundary_normal_derivative(family, k, t, edge: str) -> float:
     B1 is t3 = -1 (normal -d/dt3), B2 is t2 = 0 (normal -d/dt2), B3 is
     t1 = t2 (normal d/dt2 - d/dt1).  Rejects points off the named edge.
     """
-    if edge not in _EDGES:
-        raise ValueError(f"unknown edge {edge!r}")
     if not on_edge(t, edge):
         raise ValueError(f"point {tuple(t)} is not on edge {edge}")
     if edge == "B1":

@@ -5,6 +5,8 @@ round-trip and identical inputs produce byte-identical files."""
 
 from __future__ import annotations
 
+import json
+
 
 def format_float(x: float) -> str:
     return format(float(x), ".17g")
@@ -14,7 +16,7 @@ def dumps(obj, indent=0) -> str:
     pad = " " * indent
     if isinstance(obj, dict):
         items = ",\n".join(
-            f'{pad}  "{key}": {dumps(value, indent + 2).lstrip()}'
+            f'{pad}  {json.dumps(str(key))}: {dumps(value, indent + 2).lstrip()}'
             for key, value in obj.items()
         )
         return f"{pad}{{\n{items}\n{pad}}}"
@@ -36,4 +38,4 @@ def _scalar(v) -> str:
         return str(v)
     if v is None:
         return "null"
-    return '"' + str(v).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return json.dumps(str(v))

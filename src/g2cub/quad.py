@@ -2,7 +2,7 @@
 the parameter triangle 0 <= t2 <= t1 <= 1 - t2, for weighted integrals
 of general callables (polynomials use exact moments instead).
 
-The weight (`pullback`) is |sc_(1,0)|^(2a+1) |cs_(1,1)|^(2b+1), and each
+The pulled-back weight is |sc_(1,0)|^(2a+1) |cs_(1,1)|^(2b+1), and each
 of its six sine factors vanishes only on an edge or at a vertex.  Cut at
 the centroid P into six Duffy triangles (V, M, P), V a vertex and M the
 midpoint of an edge at V, with t = V + r((1-s)(M-V) + s(P-V)), the weight
@@ -39,23 +39,6 @@ class Rule(NamedTuple):  # images of the nodes, weights summing to one, weight's
     mass: float
 
 
-def _exponents(alpha, beta):
-    """Each sine factor's exponent, and the (4/3)^(ea+eb) of sc_(1,0), cs_(1,1)."""
-    expo = np.repeat([2.0 * float(alpha) + 1.0, 2.0 * float(beta) + 1.0], 3)
-    return expo, (4.0 / 3.0) ** (expo[0] + expo[3])
-
-
-def pullback(alpha, beta, t1, t2):
-    """The map (x, y) and the pulled-back weight at points (t1, t2)."""
-    from .chebyshev import xy_map  # chebyshev imports this module
-
-    expo, scale = _exponents(alpha, beta)
-    w = scale
-    for (l1, l2), e in zip(_L, expo):
-        w = w * np.abs(np.sin(np.pi * (l1 * t1 + l2 * t2))) ** e
-    return (*xy_map((t1, t2, -t1 - t2)), w)
-
-
 def _gauss_jacobi(order, b):
     """Nodes and weights on (0, 1) for the weight u^b, b > -1, from the
     Jacobi matrix's eigenvectors (Golub and Welsch 1969)."""
@@ -79,7 +62,7 @@ def _nodes(order, alpha, beta):
     at_v = lv == np.round(lv)
     on_e = at_v & (la == 0.0)
     lv[at_v] = 0.0  # an integer l.V only flips the sign of sin(pi l.t)
-    expo, scale = _exponents(alpha, beta)
+    expo = np.repeat([2.0 * float(alpha) + 1.0, 2.0 * float(beta) + 1.0], 3)
     jacobi = lru_cache(maxsize=None)(lambda b: _gauss_jacobi(order, b))  # 5 exponents, 12 uses
     r, wr = map(np.array, zip(*map(jacobi, (at_v * expo).sum(1) + 1.0)))  # (triangle, node)
     s, ws = map(np.array, zip(*map(jacobi, (on_e * expo).sum(1))))
@@ -90,7 +73,8 @@ def _nodes(order, alpha, beta):
         lt = lv[:, f, None] + r * ((1 - s) * la[:, f, None] + s * lb[:, f, None])
         den = np.where(on_e[:, f, None], r * s, np.where(at_v[:, f, None], r, 1.0))
         sines[f // 3] = sines[f // 3] * np.sin(np.pi * lt) / den
-    w = w * scale * np.abs(sines[0]) ** expo[0] * np.abs(sines[1]) ** expo[3]
+    w = w * (4.0 / 3.0) ** (expo[0] + expo[3])  # sc_(1,0) and cs_(1,1) are 4/3 times their sine products
+    w = w * np.abs(sines[0]) ** expo[0] * np.abs(sines[1]) ** expo[3]
     t1, t2 = (V[:, i, None] + r * ((1 - s) * A[:, i, None] + s * B[:, i, None]) for i in (0, 1))
     return t1.ravel(), t2.ravel(), w.ravel()
 
@@ -107,15 +91,14 @@ def rule(order, alpha, beta) -> Rule:
     return out
 
 
-def triangle_quadrature(values_fn, tol=DEFAULT_TOL, cap=None, alpha=0.0, beta=0.0):
+def triangle_quadrature(values_fn, tol=DEFAULT_TOL, alpha=0.0, beta=0.0):
     """Weighted mean at parameters (alpha, beta) of a function on the
     domain: values_fn(x, y) gets the images of the nodes as arrays and may
     return a stack of integrands, shape (m, npoints).  The order doubles
     from START_ORDER until the mean moves by at most tol * max(1, |mean|):
     the error estimate is relative to the normalized result."""
-    cap = ORDER_CAP if cap is None else cap
     order, prev, delta = START_ORDER, None, np.inf
-    while order <= cap:
+    while order <= ORDER_CAP:
         nodes = rule(order, alpha, beta)
         est = np.asarray(values_fn(nodes.x, nodes.y)) @ nodes.w
         if prev is not None:
@@ -123,5 +106,5 @@ def triangle_quadrature(values_fn, tol=DEFAULT_TOL, cap=None, alpha=0.0, beta=0.
             if delta <= tol:
                 return est if est.ndim else float(est)
         prev, order = est, 2 * order
-    raise QuadratureError(f"quadrature did not converge: at order {order // 2} (cap {cap}) "
+    raise QuadratureError(f"quadrature did not converge: at order {order // 2} (cap {ORDER_CAP}) "
                           f"the relative change was {delta:.3e}, above tol {tol:.3e}")

@@ -23,11 +23,12 @@ really is non-integral.  Float parameters take the same code with D = 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chebyshev import MIndex, WeightParams, _require_integrable, star_class
+from .chebyshev import MIndex, WeightParams, _require_integrable, continuous_inner, star_class
 from .lattice import dim_pi_star
 from .poly import BivarPoly
 
@@ -66,14 +67,14 @@ def apply_L(p: WeightParams, q: BivarPoly) -> BivarPoly:
     With Fraction alpha, rational beta and rational coefficients, q is
     scaled by the common denominator s of its coefficients and the
     products run against the parameters' cached operator coefficients,
-    scaled by D (see `_scale`), so they run on ints; the result is divided
+    scaled by D (see `_table`), so they run on ints; the result is divided
     by D * s at the end, which gives the same Fractions as the unscaled
     arithmetic.
     """
     rational = all(type(v) in (int, Fraction) for v in q.coeffs.values())
     # a Fraction alpha makes every unscaled result a Fraction, the type returned here
-    if type(p.alpha) is Fraction and rational and _scale(p) > 1:
-        table = _entry(p)
+    table = _table(p.alpha, p.beta)
+    if type(p.alpha) is Fraction and rational and table.D > 1:
         s = math.lcm(*(v.denominator for v in q.coeffs.values()))
         q = BivarPoly({e: v.numerator * (s // v.denominator) for e, v in q.coeffs.items()})
         A11, A12, A22, B1, B2 = table.ops
@@ -167,19 +168,6 @@ def _int(v):
 TIE_RTOL = 1e-12
 
 
-def _scale(p: WeightParams) -> int:
-    """D = 2 lcm(den alpha, den beta) for rational parameters, else 1.
-
-    Eigenvalues are integer-linear in 1, alpha and beta apart from the
-    factors 3/2 and 9/2, and monomial images are integer-linear in them, so
-    D times either is an integer.
-    """
-    a, b = p.alpha, p.beta
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return 2 * math.lcm(a.denominator, b.denominator)
-    return 1
-
-
 class _Table:
     """The operator at one parameter pair, laid out for the exact sweeps.
 
@@ -201,25 +189,24 @@ class _Table:
         self.polys, self.mu = {}, {(0, 0): Fraction(1)}
 
 
-# (alpha, beta, their types) -> _Table; the types keep exact and float
-# results apart, since Fraction(1, 2) == 0.5
-_EIGEN_CACHE = {}
+# typed: Fraction(1, 2) == 0.5, and the exact and float tables stay apart
+@functools.lru_cache(maxsize=None, typed=True)
+def _table(alpha, beta) -> _Table:
+    """The table at parameters (alpha, beta), built empty on first use.
 
-
-def _entry(p: WeightParams) -> _Table:
-    key = (p.alpha, p.beta, type(p.alpha), type(p.beta))
-    table = _EIGEN_CACHE.get(key)
-    if table is None:
-        D = _scale(p)
-        ops = None
-        if D > 1:
-            c = operator_coeffs(p)
-            ops = tuple(
-                BivarPoly({e: _int(D * v) for e, v in op.coeffs.items()})
-                for op in (c.A11, c.A12, c.A22, c.B1, c.B2)
-            )
-        table = _EIGEN_CACHE[key] = _Table(D, ops)
-    return table
+    D = 2 lcm(den alpha, den beta) for rational parameters, else 1.
+    Eigenvalues are integer-linear in 1, alpha and beta apart from the
+    factors 3/2 and 9/2, and monomial images are integer-linear in them, so
+    D times either is an integer.
+    """
+    if not (isinstance(alpha, (int, Fraction)) and isinstance(beta, (int, Fraction))):
+        return _Table(1)
+    D = 2 * math.lcm(alpha.denominator, beta.denominator)
+    c = operator_coeffs(WeightParams(alpha, beta))
+    return _Table(D, tuple(
+        BivarPoly({e: _int(D * v) for e, v in op.coeffs.items()})
+        for op in (c.A11, c.A12, c.A22, c.B1, c.B2)
+    ))
 
 
 def _grow(p: WeightParams, table: _Table, max_mdeg: int) -> None:
@@ -264,7 +251,7 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
     if k.k1 < 0 or k.k2 < 0:
         raise ValueError("index components must be nonnegative")
     a, b = p.alpha, p.beta
-    table = _entry(p)
+    table = _table(p.alpha, p.beta)
     D = table.D
     if D > 1 and not isinstance(lead, (int, Fraction)):
         raise TypeError(f"lead {lead!r} at rational parameters must be an int or Fraction")
@@ -327,7 +314,7 @@ def moments(p: WeightParams, max_mdeg: int) -> dict:
     """
     _require_integrable(p)
     q = WeightParams(*p.key())
-    table = _entry(q)
+    table = _table(q.alpha, q.beta)
     mu = table.mu
     size = dim_pi_star(max(max_mdeg, 0))
     if len(mu) >= size:  # the prefix already reaches max_mdeg
@@ -347,8 +334,6 @@ def jacobi_poly(p: WeightParams, k) -> BivarPoly:
 
 def selfadjointness_check(p: WeightParams, f: BivarPoly, g: BivarPoly):
     """Both orderings of the weighted pairing with the operator."""
-    from .chebyshev import continuous_inner
-
     lhs = continuous_inner(p, apply_L(p, f).to_float(), g.to_float())
     rhs = continuous_inner(p, f.to_float(), apply_L(p, g).to_float())
     return lhs, rhs

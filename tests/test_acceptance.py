@@ -24,9 +24,7 @@ from g2cub.chebyshev import (
 from g2cub.cli import main as cli_main
 from g2cub.coords import cart_to_homog, make_index, make_point, point_from_index
 from g2cub.cubature import (
-    gauss_rule,
     integrate_poly,
-    lobatto_rule,
     make_rule,
     reference_integral,
     variety_check,
@@ -227,11 +225,11 @@ def test_ac08_gauss_nodes():
     p = WeightParams(HALF, HALF)
     worst = 0.0
     for n in range(2, 13):
-        rule = gauss_rule(n)
+        rule = make_rule("gauss", n)
         assert len(rule.nodes) == dim_pi_star(n - 1)
         for k in star_class(n):
             poly = cheb_poly(p, k)
-            sup = max(abs(float(poly(x, y))) for x, y in lobatto_rule(24).nodes)
+            sup = max(abs(float(poly(x, y))) for x, y in make_rule("lobatto", 24).nodes)
             resid = max(abs(float(poly(x, y))) for x, y in rule.nodes) / sup
             worst = max(worst, resid)
             assert resid <= 1e-10, (n, k)

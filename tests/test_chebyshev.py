@@ -3,9 +3,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from g2cub.chebyshev import (
+    MIndex,
     WeightParams,
     cheb_eval_trig,
     cheb_poly,
@@ -25,7 +27,7 @@ from g2cub.coords import make_point
 from g2cub.gentrig import eval as trig
 from g2cub.coords import make_index, orbit, orbit_size
 from g2cub.jsonio import dumps
-from g2cub.poly import BivarPoly
+from g2cub.poly import BivarPoly, star_key
 from g2cub.sturm import moments
 
 HALF = Fraction(1, 2)
@@ -351,3 +353,31 @@ def test_poly_json_roundtrip():
     # terms come sorted by the weighted monomial order
     keys = [(t["i"], t["j"]) for t in parsed["terms"]]
     assert keys == sorted(keys, key=lambda k: (2 * k[0] + 3 * k[1], k[1]))
+
+
+def test_json_strings_and_keys_are_escaped():
+    doc = {'a"b': 'x\ny\t\x01é', "list": ["q\\", 'r"'], "nested": {"\n": None}}
+    assert json.loads(dumps(doc)) == doc
+
+
+def test_star_indices_upto_matches_the_sorted_box():
+    for d in range(-1, 61):
+        box = [MIndex(i, j) for i in range(d // 2 + 1) for j in range((d - 2 * i) // 3 + 1)]
+        assert star_indices_upto(d) == sorted(box, key=star_key), d
+
+
+@pytest.mark.parametrize("p", ALL, ids=["mm", "pm", "mp", "pp"])
+def test_eval_trig_on_arrays_matches_the_scalar_loop_bit_for_bit(p):
+    # interior points plus points on each edge and at the vertices, where
+    # the denominators vanish and the exact polynomial takes over
+    pts = interior_points(20, seed=11) + [
+        make_point(0.3, 0.3), make_point(0.4, 0.0), make_point(0.7, 0.3),
+        make_point(0.0, 0.0), make_point(1.0, 0.0), make_point(0.5, 0.5),
+    ]
+    t = tuple(np.array(c) for c in zip(*pts))
+    for k in ((0, 0), (1, 0), (2, 1), (3, 2), (0, 4)):
+        got = cheb_eval_trig(p, k, t)
+        assert isinstance(got, np.ndarray) and got.shape == (len(pts),)
+        loop = [cheb_eval_trig(p, k, pt) for pt in pts]
+        assert all(type(v) is float for v in loop)
+        assert got.tolist() == loop, k

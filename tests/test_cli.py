@@ -260,3 +260,12 @@ def test_poly_output_bytes_are_pinned(capsys, alpha, beta):
                            "--k1", str(k1), "--k2", str(k2))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (alpha, beta, k1, k2)
+
+
+@pytest.mark.parametrize("n", ["18", "24"])
+def test_verify_variety_passes_past_weighted_degree_30(capsys, n):
+    # the generators go through the bounded closed forms, not float monomial sums
+    code, out, _ = run(capsys, "verify", "--suite", "variety", "--n", n)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 4 and all(line.endswith("PASS") for line in lines)

@@ -8,7 +8,6 @@ from g2cub.coords import (
     A2_STAR,
     G2,
     HexIndex,
-    apply_group,
     cart_to_homog,
     compose,
     hat,
@@ -45,18 +44,18 @@ def test_group_has_twelve_distinct_elements():
 
 def test_sigma1_action():
     s1 = next(g for g in G2 if g.name == "s1")
-    assert apply_group(s1, make_point(1, 0)) == (-1.0, 1.0, 0.0)
+    assert s1.apply(make_point(1, 0)) == (-1.0, 1.0, 0.0)
 
 
 def test_negation_action():
     neg = next(g for g in G2 if g.name == "-1")
-    assert apply_group(neg, make_point(1, 0)) == (-1.0, 0.0, 1.0)
+    assert neg.apply(make_point(1, 0)) == (-1.0, 0.0, 1.0)
 
 
 def test_identity_action():
     ident = next(g for g in G2 if g.name == "1")
     t = make_point(0.3, 0.1)
-    assert apply_group(ident, t) == t
+    assert ident.apply(t) == t
 
 
 def test_s3_is_s1_s2_s1():
@@ -76,7 +75,7 @@ def test_group_closure():
 def test_sum_zero_preserved(t1, t2):
     t = make_point(t1, t2)
     for g in G2:
-        image = apply_group(g, t)
+        image = g.apply(t)
         assert abs(image[0] + image[1] + image[2]) <= 1e-14 * max(1.0, abs(t1), abs(t2))
 
 

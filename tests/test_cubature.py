@@ -19,12 +19,9 @@ from g2cub.chebyshev import (
 from g2cub.coords import point_from_index
 from g2cub.cubature import (
     RULE_KINDS,
-    gauss_rule,
     integrate,
     integrate_poly,
-    lobatto_rule,
     make_rule,
-    radau_rules,
     reference_integral,
     rule_to_csv,
     rule_to_json,
@@ -50,12 +47,12 @@ def test_weights_positive_sum_one(kind, n):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_gauss_node_count(n):
-    assert len(gauss_rule(n).nodes) == dim_pi_star(n - 1)
+    assert len(make_rule("gauss", n).nodes) == dim_pi_star(n - 1)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_lobatto_node_count(n):
-    assert len(lobatto_rule(n).nodes) == dim_pi_star(n)
+    assert len(make_rule("lobatto", n).nodes) == dim_pi_star(n)
 
 
 def test_nodes_inside_domain():
@@ -63,12 +60,12 @@ def test_nodes_inside_domain():
         rule = make_rule(kind, 6)
         for x, y in rule.nodes:
             assert deltoid_F(x, y) >= -1e-12
-    for x, y in gauss_rule(6).nodes:
+    for x, y in make_rule("gauss", 6).nodes:
         assert deltoid_F(x, y) > 0.0
 
 
 def test_lobatto_contains_corner():
-    rule = lobatto_rule(4)
+    rule = make_rule("lobatto", 4)
     assert rule.nodes[0] == (1.0, 1.0)
     assert rule.weights[0] == pytest.approx(1.0 / 16.0)
 
@@ -78,7 +75,7 @@ def test_gauss_weight_from_domain_polynomial():
     # interior lattice weight 12 times the squared odd factor, and that
     # square is three times F at the mapped node
     n = 6
-    rule = gauss_rule(n)
+    rule = make_rule("gauss", n)
     m = n + 5
     for (x, y), w, j in zip(rule.nodes, rule.weights, rule.indices):
         ss = trig("ss", make_index(2, 1), point_from_index(j, m))
@@ -89,7 +86,7 @@ def test_gauss_weight_from_domain_polynomial():
 
 def test_radau_dropped_nodes():
     n = 5
-    r1, r2 = radau_rules(n)
+    r1, r2 = make_rule("radau1", n), make_rule("radau2", n)
     # no generating index of the first rule sits on the t1 = t2 edge
     assert all(j[0] != j[1] for j in r1.indices)
     # the second avoids the other two edges
@@ -155,7 +152,7 @@ def test_rule_exact_on_random_polynomials(kind, n, data):
 
 
 def test_integrate_is_weight_sum_for_one():
-    rule = lobatto_rule(5)
+    rule = make_rule("lobatto", 5)
     assert integrate(rule, lambda x, y: 1.0) == pytest.approx(sum(rule.weights))
 
 
@@ -172,7 +169,7 @@ def test_reference_integral_basics():
 def test_lobatto_matches_reference_on_x():
     p = WeightParams(-HALF, -HALF)
     ref = reference_integral(p, BivarPoly.x())
-    got = integrate_poly(lobatto_rule(3), BivarPoly.x())
+    got = integrate_poly(make_rule("lobatto", 3), BivarPoly.x())
     assert got == pytest.approx(ref, abs=1e-12)
     assert got == pytest.approx(0.0, abs=1e-12)  # orthogonality to constants
 
@@ -199,7 +196,7 @@ def test_exactness_and_sharpness(kind):
 
 def test_gauss_nodes_annihilate_top_class():
     n = 6
-    rule = gauss_rule(n)
+    rule = make_rule("gauss", n)
     p = WeightParams(HALF, HALF)
     assert len(star_class(n)) == 2
     for k in star_class(n):
@@ -214,7 +211,7 @@ def test_variety_reports():
         assert report["pass"], report
         assert report["node_count"] == len(make_rule(kind, 6).nodes)
     # negative control: the constant does not vanish anywhere
-    rule = gauss_rule(4)
+    rule = make_rule("gauss", 4)
     one = cheb_poly(WeightParams(HALF, HALF), (0, 0))
     assert min(abs(float(one(x, y))) for x, y in rule.nodes) == 1.0
 
@@ -234,7 +231,7 @@ def test_lobatto_common_zeros_closed_form():
 
 
 def test_rule_json_layout():
-    rule = gauss_rule(6)
+    rule = make_rule("gauss", 6)
     doc = json.loads(rule_to_json(rule))
     assert doc["kind"] == "gauss" and doc["n"] == 6
     assert doc["alpha"] == 0.5 and doc["beta"] == 0.5
@@ -243,7 +240,7 @@ def test_rule_json_layout():
 
 
 def test_rule_csv_layout():
-    rule = lobatto_rule(4)
+    rule = make_rule("lobatto", 4)
     lines = rule_to_csv(rule).splitlines()
     assert lines[0] == "x,y,weight"
     assert len(lines) == 1 + dim_pi_star(4)

@@ -10,7 +10,6 @@ from g2cub.coords import (
     A2,
     A2_STAR,
     G2,
-    apply_group,
     cart_to_homog,
     make_index,
     make_point,
@@ -160,7 +159,7 @@ def test_invariance_relations(family):
         for k in ks:
             base = trig(family, k, t)
             for g in G2:
-                moved = trig(family, k, apply_group(g, t))
+                moved = trig(family, k, g.apply(t))
                 assert moved == pytest.approx(character(family, g) * base, abs=1e-12)
 
 
@@ -174,7 +173,7 @@ def test_laplace_eigenvalue_group_invariant():
     k = make_index(3, -1)
     lam = laplace_eigenvalue(k)
     for g in G2:
-        assert laplace_eigenvalue(apply_group(g, k)) == pytest.approx(lam)
+        assert laplace_eigenvalue(g.apply(k)) == pytest.approx(lam)
 
 
 def fd_laplacian(f, x1, x2, h=1e-4):

@@ -80,11 +80,11 @@ def test_polynomial_integrals_run_no_quadrature(monkeypatch):
 def test_pullback_is_the_weight_times_the_jacobian(a, b):
     # weight_w(x, y) |dx dy / dt1 dt2| = (4 pi^2 / 3)^(a+b+1) |sc|^(2a+1) |cs|^(2b+1)
     t1, t2 = np.array([0.31, 0.52, 0.7]), np.array([0.08, 0.2, 0.11])
-    x, y, w = quad.pullback(a, b, t1, t2)
-    w = np.broadcast_to(w, t1.shape)  # a scalar 1.0 when both exponents vanish
     t = (t1, t2, -t1 - t2)
-    assert all(np.array_equal(u, v) for u, v in zip((x, y), xy_map(t)))
-    jac = 4 * math.pi ** 2 / 3 * np.abs(trig("sc", make_index(1, 0), t) * trig("cs", make_index(1, 1), t))
+    sc, cs = np.abs(trig("sc", make_index(1, 0), t)), np.abs(trig("cs", make_index(1, 1), t))
+    w = sc ** (2 * a + 1) * cs ** (2 * b + 1)
+    x, y = xy_map(t)
+    jac = 4 * math.pi ** 2 / 3 * sc * cs
     p = WeightParams(a, b)
     for i in range(t1.size):
         expect = weight_w(p, x[i], y[i]) * jac[i] / (4 * math.pi ** 2 / 3) ** (a + b + 1)
@@ -139,15 +139,16 @@ def test_callable_moments_meet_tol_against_the_exact_moments(a, b):
 
 def test_quadrature_error_states_the_order_and_the_last_change():
     rough = lambda x, y: np.sign(x - 0.1)  # a jump: slow convergence
-    with pytest.raises(quad.QuadratureError, match=r"at order 32 .*change was \d\.\d+e-\d+"):
-        quad.triangle_quadrature(rough, tol=1e-14, cap=32)
+    with pytest.raises(quad.QuadratureError, match=r"at order 128 .*change was \d\.\d+e-\d+"):
+        quad.triangle_quadrature(rough, tol=1e-14)
 
 
 def test_pullback_weight_is_finite_at_the_rule_nodes():
-    # no divide-by-zero: the nodes avoid the edges where a negative power diverges
+    # no divide-by-zero: the weights are formed in the Duffy coordinates, so a
+    # negative power of a sine that vanishes on an edge stays finite
     for a, b in [(-0.6, 0.3), (0.3, -0.7), (-0.9, 0.2)]:
-        t1, t2, _ = quad._nodes(32, a, b)
-        assert np.all(np.isfinite(quad.pullback(a, b, t1, t2)[2]))
+        w = quad.rule(32, a, b).w
+        assert np.all(np.isfinite(w)) and np.all(w > 0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -162,6 +163,3 @@ def test_sine_product_forms_of_sc_and_cs(u, v):
     cs = 4 / 3 * math.sin(math.pi * t1) * math.sin(math.pi * t2) * math.sin(math.pi * t[2])
     assert sc == pytest.approx(trig("sc", make_index(1, 0), t), rel=1e-12)
     assert cs == pytest.approx(trig("cs", make_index(1, 1), t), rel=1e-12)
-    # the pulled-back weight with one exponent 1 and the other 0
-    assert quad.pullback(0.0, -0.5, t1, t2)[2] == pytest.approx(abs(sc), rel=1e-12)
-    assert quad.pullback(-0.5, 0.0, t1, t2)[2] == pytest.approx(abs(cs), rel=1e-12)

@@ -389,8 +389,8 @@ def oracle_eigen_poly(p, k, lead=1, images=None):
 
 
 def cold(p):
-    """Drop the parameters' table so that the next call starts from nothing."""
-    sturm._EIGEN_CACHE.pop((p.alpha, p.beta, type(p.alpha), type(p.beta)), None)
+    """Drop the tables so that the next call at p starts from nothing."""
+    sturm._table.cache_clear()
     return p
 
 
@@ -439,7 +439,7 @@ def test_table_matches_the_oracle_at_rational_parameters(a, b, data):
         check_against_oracle(p, k)
         # the order grows in place only as far as asked, and is never rebuilt
         reached = max(reached, k.mdegree)
-        assert sturm._entry(p).order == [tuple(m) for m in star_indices_upto(reached)]
+        assert sturm._table(p.alpha, p.beta).order == [tuple(m) for m in star_indices_upto(reached)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -551,3 +551,17 @@ def test_apply_L_with_denominators_that_do_not_divide_D():
     assert typed(got) == typed(plain_apply_L(p, q))
     assert all(type(c) is Fraction for c in got.coeffs.values())
     assert any(c.denominator % 7 == 0 for c in got.coeffs.values())
+
+
+def test_table_cache_keeps_exact_and_float_parameters_apart():
+    sturm._table.cache_clear()
+    exact, inexact = WeightParams(HALF, HALF), WeightParams(0.5, 0.5)
+    eigen_poly(exact, (2, 1))
+    eigen_poly(inexact, (2, 1))
+    info = sturm._table.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    assert sturm._table(HALF, HALF).D == 4 and sturm._table(0.5, 0.5).D == 1
+    hits = sturm._table.cache_info().hits
+    eigen_poly(exact, (2, 1))
+    assert sturm._table.cache_info().hits == hits + 1
+    assert sturm._table.cache_info().currsize == 2
