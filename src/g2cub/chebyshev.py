@@ -24,7 +24,7 @@ import numpy as np
 from . import quad
 from .coords import make_index, orbit_size
 from .gentrig import TrigFamily, eval as trig_eval
-from .poly import BivarPoly, star_cmp  # star_cmp re-exported
+from .poly import EVAL_REL_BOUND, BivarPoly, EvaluationError, star_cmp  # star_cmp re-exported
 
 HALF = Fraction(1, 2)
 
@@ -185,7 +185,8 @@ def cheb_eval_trig(p: WeightParams, k, t):
     The components of t may be scalars or numpy arrays that broadcast
     against each other, as in `gentrig.eval`; scalar input gives a float.
     Where the denominator is below DENOM_FALLBACK the exact polynomial is
-    evaluated instead, point by point.
+    evaluated instead, in one array call; EvaluationError is raised where
+    its `error_bound` exceeds EVAL_REL_BOUND * max(1, |value|).
     """
     k = MIndex(*k)
     fam, num, den = _quotient(p, k)
@@ -198,8 +199,13 @@ def cheb_eval_trig(p: WeightParams, k, t):
         return numerator / denominator
     value = np.array(numerator / np.where(small, 1.0, denominator))
     poly = cheb_poly(p, k)
-    x, y = (np.broadcast_to(c, value.shape)[small].tolist() for c in xy_map(t))
-    value[small] = [float(poly(u, v)) for u, v in zip(x, y)]
+    x, y = (np.broadcast_to(c, value.shape)[small] for c in xy_map(t))
+    fallback = poly(x, y)
+    bound = poly.error_bound(x, y)
+    if np.any(bound > EVAL_REL_BOUND * np.maximum(1.0, np.abs(fallback))):
+        raise EvaluationError(f"index {tuple(k)} near a zero of the denominator: the monomial "
+                              f"sum may be off by {float(np.max(bound)):.3e}")
+    value[small] = fallback
     return float(value) if value.ndim == 0 else value
 
 
@@ -234,8 +240,12 @@ def _require_integrable(p: WeightParams):
 def continuous_inner(p: WeightParams, f, g, tol=quad.DEFAULT_TOL):
     """Weighted inner product normalized so that <1, 1> = 1.
 
-    Polynomial arguments are integrated exactly through the operator's
-    moments (`sturm.moments`).  General callables (x, y) -> value are
+    Polynomial arguments are integrated through the operator's moments
+    (`sturm.moments`): the sum of c * mu over the terms of f * g is exact
+    in Fractions, rounded once, when every coefficient is an int or a
+    Fraction.  Otherwise it is a float sum of N terms, and EvaluationError
+    is raised where its bound (N + 2) 2^-53 sum |c * mu| exceeds
+    tol * max(1, |result|).  General callables (x, y) -> value are
     pulled back to the parameter triangle and integrated by product
     Gauss-Jacobi quadrature (`quad.triangle_quadrature`): tol bounds its
     error estimate relative to the normalized result, as
@@ -248,7 +258,14 @@ def continuous_inner(p: WeightParams, f, g, tol=quad.DEFAULT_TOL):
 
         prod = f * g
         mu = moments(p, prod.mdegree())
-        return float(sum(float(c) * float(mu[ij]) for ij, c in prod.coeffs.items()))
+        if all(isinstance(c, (int, Fraction)) for c in prod.coeffs.values()):
+            return float(sum(c * mu[ij] for ij, c in prod.coeffs.items()))
+        terms = [float(c) * float(mu[ij]) for ij, c in prod.coeffs.items()]
+        value = float(sum(terms))
+        bound = (len(terms) + 2) * 2.0 ** -53 * sum(map(abs, terms))
+        if bound > tol * max(1.0, abs(value)):
+            raise EvaluationError(f"the moment sum of {len(terms)} terms may be off by {bound:.3e}")
+        return value
 
     _require_integrable(p)
 

@@ -17,7 +17,7 @@ from .chebyshev import WeightParams, cheb_poly, poly_to_json_dict
 from .cubature import RULE_KINDS, make_rule, rule_to_csv, rule_to_json
 from .gentrig import TrigFamily
 from .jsonio import dumps as json_dumps, format_float
-from .poly import BivarPoly
+from .poly import EVAL_REL_BOUND, BivarPoly
 from .sturm import jacobi_poly
 from .verify import SUITES, run_suite
 
@@ -25,8 +25,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-EVAL_REL_BOUND = 1e-8
 
 
 def _finite_float(text: str) -> float:
@@ -76,14 +74,12 @@ def cmd_nodes(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    """Print the float monomial sum of one family polynomial at (x, y).  With
-    N terms of weighted degree d its error is at most about (N + d) 2^-53
-    sum |c| |x|^i |y|^j; above EVAL_REL_BOUND * max(1, |value|), print that
+    """Print the float value of one family polynomial at (x, y).  Where its
+    `error_bound` exceeds EVAL_REL_BOUND * max(1, |value|), print that
     bound on stderr instead of the value and exit 1."""
     poly = _family_poly(args)
     value = float(poly(args.x, args.y))
-    scale = BivarPoly({e: abs(c) for e, c in poly.coeffs.items()})(abs(args.x), abs(args.y))
-    bound = (len(poly.coeffs) + poly.mdegree()) * 2.0 ** -53 * float(scale)
+    bound = float(poly.error_bound(args.x, args.y))
     if bound > EVAL_REL_BOUND * max(1.0, abs(value)):
         print(f"error: the float monomial sum may be off by {bound:.3e}; no value", file=sys.stderr)
         return EXIT_VERIFY_FAILED

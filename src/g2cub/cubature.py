@@ -39,7 +39,7 @@ from .coords import orbit_size, point_from_index
 from .gentrig import TrigFamily, eval as trig_eval
 from .jsonio import dumps as json_dumps
 from .lattice import enum_upsilon, upsilon_weight
-from .poly import BivarPoly
+from .poly import EVAL_REL_BOUND, BivarPoly, EvaluationError
 from .quad import DEFAULT_TOL
 
 HALF = Fraction(1, 2)
@@ -115,9 +115,16 @@ def integrate(rule: CubatureRule, f) -> float:
 
 def integrate_poly(rule: CubatureRule, p: BivarPoly) -> float:
     """Apply the rule to a polynomial: one weighted sum of p evaluated
-    once on the arrays of all node coordinates."""
+    once on the arrays of all node coordinates.  Raises EvaluationError
+    where the weighted sum of p's `error_bound` at the nodes exceeds
+    EVAL_REL_BOUND * max(1, |value|)."""
     x, y = np.array(rule.nodes).T
-    return float(np.sum(np.multiply(rule.weights, p(x, y))))
+    w = np.array(rule.weights)
+    value = float(np.sum(np.multiply(w, p(x, y))))
+    bound = float(np.sum(np.multiply(np.abs(w), p.error_bound(x, y))))
+    if bound > EVAL_REL_BOUND * max(1.0, abs(value)):
+        raise EvaluationError(f"the {rule.kind} n={rule.n} integral may be off by {bound:.3e}")
+    return value
 
 
 def reference_integral(p: WeightParams, f, tol=DEFAULT_TOL) -> float:

@@ -11,6 +11,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+# relative error above which a float evaluation counts as failed
+EVAL_REL_BOUND = 1e-8
+
+
+class EvaluationError(ArithmeticError):
+    """Raised where the stated error bound of a float evaluation exceeds
+    the tolerance of the caller."""
+
 
 def star_key(k):
     """Ascending sort key for the weighted monomial order."""
@@ -164,10 +172,28 @@ class BivarPoly:
         return BivarPoly({k: float(c) for k, c in self.coeffs.items()})
 
     def __call__(self, x, y):
-        total = 0.0 * x * y if hasattr(x, "shape") else 0.0
+        """Float value at (x, y), scalars or arrays that broadcast.  The
+        powers x^0 ... x^imax and y^0 ... y^jmax are built by repeated
+        multiplication, then float(c) x^i y^j is added term by term in
+        storage order, with no BLAS call: scalar and array calls give the
+        same bits.  `error_bound` bounds the error."""
+        xp, yp = [x ** 0], [y ** 0]  # ones of the shapes of x and y
+        total = 0.0 * xp[0] * yp[0]
+        for _ in range(max((i for i, _ in self.coeffs), default=0)):
+            xp.append(xp[-1] * x)
+        for _ in range(max((j for _, j in self.coeffs), default=0)):
+            yp.append(yp[-1] * y)
         for (i, j), c in self.coeffs.items():
-            total = total + float(c) * x ** i * y ** j
+            total = total + float(c) * xp[i] * yp[j]
         return total
+
+    def error_bound(self, x, y):
+        """Bound on |p(x, y) - exact value| for `__call__`, barring overflow
+        and underflow: each term takes at most i + j + 1 roundings and the
+        sum N - 1 more, so with N terms and weighted degree d >= i + j the
+        error is at most (N + d) 2^-53 sum |c| |x|^i |y|^j."""
+        scale = BivarPoly({e: abs(c) for e, c in self.coeffs.items()})(abs(x), abs(y))
+        return (len(self.coeffs) + self.mdegree()) * 2.0 ** -53 * scale
 
     def __repr__(self):
         if not self.coeffs:

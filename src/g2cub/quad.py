@@ -81,10 +81,17 @@ def _nodes(order, alpha, beta):
 
 @lru_cache(maxsize=32)
 def rule(order, alpha, beta) -> Rule:
-    """Images (x, y) of `_nodes`, weights scaled to sum to one (read-only), and their sum."""
+    """Images (x, y) of `_nodes`, weights scaled to sum to one (read-only),
+    and their sum.  Raises ValueError if a node rounds onto the boundary
+    of the triangle, as happens within about 1e-10 of beta = -5/6: the
+    weight, and an integrand, may be singular there."""
     from .chebyshev import xy_map  # chebyshev imports this module
 
     t1, t2, w = _nodes(order, alpha, beta)
+    on_edge = np.count_nonzero((t2 <= 0.0) | (t1 <= t2) | (t1 + t2 >= 1.0))
+    if on_edge:
+        raise ValueError(f"the order-{order} rule at parameters ({alpha}, {beta}) "
+                         f"has {on_edge} nodes on the boundary of the triangle")
     out = Rule(*xy_map((t1, t2, -t1 - t2)), w / w.sum(), float(w.sum()))
     for arr in out[:3]:
         arr.flags.writeable = False

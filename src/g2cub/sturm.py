@@ -333,7 +333,8 @@ def jacobi_poly(p: WeightParams, k) -> BivarPoly:
 
 
 def selfadjointness_check(p: WeightParams, f: BivarPoly, g: BivarPoly):
-    """Both orderings of the weighted pairing with the operator."""
-    lhs = continuous_inner(p, apply_L(p, f).to_float(), g.to_float())
-    rhs = continuous_inner(p, f.to_float(), apply_L(p, g).to_float())
+    """Both orderings of the weighted pairing with the operator; exact
+    polynomials at rational parameters pair exactly (`continuous_inner`)."""
+    lhs = continuous_inner(p, apply_L(p, f), g)
+    rhs = continuous_inner(p, f, apply_L(p, g))
     return lhs, rhs

@@ -27,8 +27,8 @@ from g2cub.coords import make_point
 from g2cub.gentrig import eval as trig
 from g2cub.coords import make_index, orbit, orbit_size
 from g2cub.jsonio import dumps
-from g2cub.poly import BivarPoly, star_key
-from g2cub.sturm import moments
+from g2cub.poly import BivarPoly, EvaluationError, star_key
+from g2cub.sturm import jacobi_poly, moments
 
 HALF = Fraction(1, 2)
 MM = WeightParams(-HALF, -HALF)
@@ -324,8 +324,20 @@ def test_continuous_orthogonality_all_families():
         for a, ka in enumerate(indices):
             for kb in indices[a:]:
                 value = continuous_inner(p, polys[tuple(ka)], polys[tuple(kb)])
-                expect = orthogonality_constant(p, ka) if ka == kb else 0.0
-                assert abs(value - expect) <= 1e-9, (p, ka, kb)
+                if ka == kb:
+                    assert abs(value - orthogonality_constant(p, ka)) <= 1e-9, (p, ka)
+                else:  # rational coefficients and moments: the sum is exact
+                    assert value == 0.0, (p, ka, kb)
+
+
+def test_continuous_inner_raises_where_its_float_sum_bound_exceeds_tol():
+    p = WeightParams(0.17, -0.23)
+    P = jacobi_poly(p, (0, 4))
+    value = continuous_inner(p, P, P)
+    assert value > 0
+    # the bound here is about 5e-13 of the result
+    with pytest.raises(EvaluationError, match="moment sum"):
+        continuous_inner(p, P, P, tol=1e-14)
 
 
 def test_orthogonality_constant_pattern():

@@ -90,14 +90,15 @@ def test_eval_coeff_listing(capsys):
 
 
 def test_eval_withholds_a_value_its_error_bound_does_not_cover(capsys):
-    # the image of t = (0.41, 0.13); the exact value there is -0.0176103,
-    # the float monomial sum gives 82.17
-    code, out, err = run(capsys, "eval", "--alpha", "0.5", "--beta", "0.5",
-                         "--k1", "20", "--k2", "10",
-                         "--x", "0.19765111478346734", "--y", "-0.37612132690065253")
-    assert code == 1
-    assert out == ""
-    assert "may be off by" in err
+    # the images of t = (0.41, 0.13), where the exact value is -0.0176103
+    # and the float monomial sum gives 82.17, and of t = (0.3 + 1e-9, 0.3)
+    for x, y, bound in (("0.19765111478346734", "-0.37612132690065253", "2.462e+05"),
+                        ("0.1273220017581471", "-0.4756836618024476", "1.918e+05")):
+        code, out, err = run(capsys, "eval", "--alpha", "0.5", "--beta", "0.5",
+                             "--k1", "20", "--k2", "10", "--x", x, "--y", y)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: the float monomial sum may be off by {bound}; no value\n"
 
 
 def test_eval_rejects_bad_parameters(capsys):

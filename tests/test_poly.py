@@ -1,9 +1,15 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from g2cub.poly import BivarPoly, mdegree_of, star_cmp, star_key
+from g2cub.chebyshev import WeightParams, cheb_eval_trig, cheb_poly, xy_map
+from g2cub.coords import make_point
+from g2cub.cubature import integrate_poly, make_rule
+from g2cub.poly import EVAL_REL_BOUND, BivarPoly, EvaluationError, mdegree_of, star_cmp, star_key
+
+HH = WeightParams(Fraction(1, 2), Fraction(1, 2))
 
 
 def test_no_zero_terms_stored():
@@ -87,8 +93,75 @@ def test_evaluation():
 
 
 def test_evaluation_on_arrays():
-    np = pytest.importorskip("numpy")
     p = BivarPoly({(1, 1): Fraction(3), (0, 0): Fraction(1)})
     xs = np.array([0.0, 1.0, 2.0])
     ys = np.array([1.0, 1.0, 0.5])
     assert np.allclose(p(xs, ys), [1.0, 4.0, 4.0])
+    # a constant and the zero polynomial take the broadcast shape
+    assert BivarPoly.constant(2.0)(xs, 0.5).tolist() == [2.0, 2.0, 2.0]
+    zero = BivarPoly.zero()(xs[:, None], ys)
+    assert zero.shape == (3, 3) and not zero.any()
+    assert BivarPoly.zero()(0.3, 0.4) == 0.0
+
+
+# weighted degree at most 30, so |x|^i |y|^j stays far from underflow for
+# |x|, |y| >= 1e-6 and the bound's relative rounding model holds
+EXPONENTS = st.tuples(st.integers(0, 15), st.integers(0, 10)).filter(lambda e: mdegree_of(e) <= 30)
+COEFFS = st.fractions(-1000, 1000, max_denominator=1000).filter(bool)
+POINT = st.floats(-2.0, 2.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-6)
+POLYS = st.dictionaries(EXPONENTS, COEFFS, max_size=25).map(BivarPoly)
+
+
+def exact_value(p, x, y):
+    X, Y = Fraction(x), Fraction(y)
+    return sum(c * X ** i * Y ** j for (i, j), c in p.coeffs.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(POLYS, POINT, POINT)
+def test_error_bound_covers_the_float_value(p, x, y):
+    value, bound = p(x, y), p.error_bound(x, y)
+    assert type(value) is float and type(bound) is float
+    assert abs(Fraction(value) - exact_value(p, x, y)) <= Fraction(bound)
+
+
+@settings(max_examples=50, deadline=None)
+@given(POLYS, st.lists(st.tuples(POINT, POINT), min_size=1, max_size=8))
+def test_scalar_and_array_calls_give_the_same_bits(p, points):
+    xs, ys = (np.array(c) for c in zip(*points))
+    for got, scalar in ((p(xs, ys), [p(x, y) for x, y in points]),
+                        (p.error_bound(xs, ys), [p.error_bound(x, y) for x, y in points])):
+        assert got.shape == xs.shape
+        assert got.tobytes() == np.array(scalar).tobytes()
+
+
+def test_error_bound_of_a_family_member():
+    # (N + d) 2^-53 times the absolute-coefficient polynomial at (|x|, |y|)
+    p = cheb_poly(HH, (3, 2))
+    x, y = -0.3, 0.2
+    scale = sum(abs(c) * abs(x) ** i * abs(y) ** j for (i, j), c in p.coeffs.items())
+    n, d = len(p.coeffs), p.mdegree()
+    assert p.error_bound(x, y) == pytest.approx((n + d) * 2.0 ** -53 * float(scale), rel=1e-14)
+    assert BivarPoly.zero().error_bound(x, y) == 0.0
+
+
+def test_integral_past_the_evaluation_bound_raises():
+    # the rule is exact at this degree and the integral is 0, but the
+    # float monomial sum at the nodes loses every digit
+    rule, p = make_rule("gauss", 40), cheb_poly(HH, (12, 8))
+    with pytest.raises(EvaluationError, match="gauss n=40"):
+        integrate_poly(rule, p)
+    assert integrate_poly(rule, cheb_poly(HH, (3, 2))) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_trig_fallback_past_the_evaluation_bound_raises():
+    # 1e-9 from the edge t1 = t2 the denominator is below DENOM_FALLBACK;
+    # the monomial sum gives 65.61 where the exact value is 13.92
+    t = make_point(0.3 + 1e-9, 0.3)
+    with pytest.raises(EvaluationError, match=r"\(20, 10\)"):
+        cheb_eval_trig(HH, (20, 10), t)
+    x, y = xy_map(t)
+    p = cheb_poly(HH, (3, 2))
+    assert p.error_bound(x, y) <= EVAL_REL_BOUND
+    assert cheb_eval_trig(HH, (3, 2), t) == p(x, y)
+    assert issubclass(EvaluationError, ArithmeticError)

@@ -125,6 +125,16 @@ def test_rule_nodes_are_interior_and_weights_positive(ab, order):
     assert np.all(np.isfinite(w)) and np.all(w > 0)
 
 
+def test_rule_refuses_nodes_rounded_onto_the_boundary():
+    # 1e-14 above beta = -5/6 the nodes next to the vertex (1, 0) round
+    # onto t1 + t2 = 1; 1e-8 above it every node is still interior
+    with pytest.raises(ValueError, match=r"order-8 rule at parameters \(0\.3, -0\.83"):
+        quad.rule(8, 0.3, -5 / 6 + 1e-14)
+    for order in (8, 128):
+        nodes = quad.rule(order, 0.3, -5 / 6 + 1e-8)
+        assert np.all(np.isfinite(nodes.w)) and np.all(nodes.w > 0)
+
+
 @pytest.mark.parametrize("a,b", [(Fraction(23, 20), Fraction(-9, 20)), (1.15, -0.45)])
 def test_callable_moments_meet_tol_against_the_exact_moments(a, b):
     # tol bounds the normalized result, not the raw weighted integral,

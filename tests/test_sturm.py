@@ -331,6 +331,13 @@ def test_selfadjointness():
         assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs))
         lhs, rhs = selfadjointness_check(p, BivarPoly.constant(1.0), x * y)
         assert abs(lhs) <= 1e-10 and abs(rhs) <= 1e-8
+    # exact at rational parameters, where the float moment sums of these
+    # products, of weighted degree 26 and 28, would exceed their bound
+    p = WeightParams(Fraction(1, 2), Fraction(1, 2))
+    f, g = cheb_poly(p, (4, 2)), cheb_poly(p, (3, 2))
+    assert selfadjointness_check(p, f, g) == (0.0, 0.0)
+    lhs, rhs = selfadjointness_check(p, f, f)
+    assert lhs == rhs > 0
 
 
 # the table path against the dict-based back-substitution ---------------------
