@@ -22,7 +22,7 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -37,10 +37,9 @@ from .chebyshev import (
 )
 from .coords import orbit_size, point_from_index
 from .gentrig import TrigFamily, eval as trig_eval
-from .jsonio import dumps as json_dumps
 from .lattice import enum_upsilon, upsilon_weight
 from .poly import EVAL_REL_BOUND, BivarPoly, EvaluationError
-from .quad import DEFAULT_TOL
+from .quad import DEFAULT_TOL, Rule
 
 HALF = Fraction(1, 2)
 
@@ -54,17 +53,28 @@ _RULE_FAMILY = {
 RULE_KINDS = tuple(_RULE_FAMILY)
 
 
-@dataclass(frozen=True)
-class CubatureRule:
+@dataclass(frozen=True, eq=False)
+class CubatureRule(Rule):
+    """One of the four rules: nodes (N, 2) in lexicographic lattice order,
+    their weights, and indices (N, 3), the generating lattice triples in
+    the same order, all read-only.  The rule is a function of (kind, n),
+    so it compares and hashes by them."""
+
     kind: str
     n: int
-    nodes: tuple            # ((x, y), ...) in lexicographic lattice order
-    weights: tuple
     exact_mdegree: int
     weight_params: WeightParams
-    # (N, 3) generating lattice triples, same order; left out of == and
-    # hash, which an array cannot take part in and nodes already decide
-    indices: np.ndarray = field(compare=False)
+    indices: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.indices.flags.writeable = False
+
+    def __eq__(self, other):
+        return isinstance(other, CubatureRule) and (self.kind, self.n) == (other.kind, other.n)
+
+    def __hash__(self):
+        return hash((self.kind, self.n))
 
 
 def _lattice_size(family: TrigFamily, n: int) -> int:
@@ -91,14 +101,13 @@ def make_rule(kind: str, n: int) -> CubatureRule:
     vanishes = ((d == 1) & (j1 == j2)) | ((p == 1) & ((j2 == 0) | (j3 == -m)))
     j = j[~vanishes]
     t = point_from_index(j.T, m)
-    x, y = xy_map(t)
     value = trig_eval(family, shift, t)
     weights = orbit_size(shift) / m ** 2 * upsilon_weight(j.T, m) * (value * value)
     return CubatureRule(
+        nodes=np.array(xy_map(t)).T,  # the transpose keeps x and y contiguous
+        weights=weights,
         kind=kind,
         n=n,
-        nodes=tuple(zip(x.tolist(), y.tolist())),
-        weights=tuple(weights.tolist()),
         exact_mdegree=2 * n - 1,
         weight_params=WeightParams(d - HALF, p - HALF),
         indices=j,
@@ -106,9 +115,10 @@ def make_rule(kind: str, n: int) -> CubatureRule:
 
 
 def integrate(rule: CubatureRule, f) -> float:
-    """Apply the rule to a callable on (x, y), summing in node order."""
+    """Apply the rule to a callable on Python floats (x, y), summing in
+    node order."""
     total = 0.0
-    for (x, y), w in zip(rule.nodes, rule.weights):
+    for x, y, w in zip(*rule.nodes.T.tolist(), rule.weights.tolist()):
         total += w * f(x, y)
     return total
 
@@ -118,10 +128,9 @@ def integrate_poly(rule: CubatureRule, p: BivarPoly) -> float:
     once on the arrays of all node coordinates.  Raises EvaluationError
     where the weighted sum of p's `error_bound` at the nodes exceeds
     EVAL_REL_BOUND * max(1, |value|)."""
-    x, y = np.array(rule.nodes).T
-    w = np.array(rule.weights)
-    value = float(np.sum(np.multiply(w, p(x, y))))
-    bound = float(np.sum(np.multiply(np.abs(w), p.error_bound(x, y))))
+    x, y = rule.nodes.T
+    value = float(rule.mean(p(x, y)))
+    bound = float(rule.mean(p.error_bound(x, y)))  # the weights are positive
     if bound > EVAL_REL_BOUND * max(1.0, abs(value)):
         raise EvaluationError(f"the {rule.kind} n={rule.n} integral may be off by {bound:.3e}")
     return value
@@ -202,22 +211,34 @@ def variety_check(kind: str, n: int, tol: float = 1e-10):
 # serialization ----------------------------------------------------------------
 
 
+# both formats write floats as `jsonio` does, with 17 significant digits
+
+_JSON = """{
+  "kind": "%s",
+  "n": %d,
+  "alpha": %.17g,
+  "beta": %.17g,
+  "nodes": [
+%s
+  ],
+  "weights": [%s],
+  "exact_mdegree": %d
+}"""
+
+
 def rule_to_json(rule: CubatureRule) -> str:
-    doc = {
-        "kind": rule.kind,
-        "n": rule.n,
-        "alpha": float(rule.weight_params.alpha),
-        "beta": float(rule.weight_params.beta),
-        "nodes": [[x, y] for x, y in rule.nodes],
-        "weights": list(rule.weights),
-        "exact_mdegree": rule.exact_mdegree,
-    }
-    return json_dumps(doc)
+    """The rule in the layout `jsonio.dumps` gives its fields."""
+    count = len(rule.weights)
+    nodes = ",\n".join(["    [%.17g, %.17g]"] * count) % tuple(rule.nodes.ravel().tolist())
+    weights = ", ".join(["%.17g"] * count) % tuple(rule.weights.tolist())
+    p = rule.weight_params
+    return _JSON % (rule.kind, rule.n, float(p.alpha), float(p.beta),
+                    nodes, weights, rule.exact_mdegree)
 
 
 _CSV_ROW = "%.17g,%.17g,%.17g\n"
 
 
 def rule_to_csv(rule: CubatureRule) -> str:
-    rows = [_CSV_ROW % (x, y, w) for (x, y), w in zip(rule.nodes, rule.weights)]
-    return "x,y,weight\n" + "".join(rows)
+    table = np.column_stack((rule.nodes, rule.weights))
+    return "x,y,weight\n" + _CSV_ROW * len(table) % tuple(table.ravel().tolist())

@@ -15,8 +15,8 @@ function of (r, s), by r or r s, so it stays accurate at the vertices.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,11 +32,21 @@ class QuadratureError(RuntimeError):
     """Raised when the error estimate is still above tol at the order cap."""
 
 
-class Rule(NamedTuple):  # images of the nodes, weights summing to one, weight's integral
-    x: np.ndarray
-    y: np.ndarray
-    w: np.ndarray
-    mass: float
+@dataclass(frozen=True, eq=False)
+class Rule:
+    """A weighted point set on the domain: nodes (N, 2), one (x, y) per
+    row, and weights (N,) summing to one, both read-only float64 arrays."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        self.nodes.flags.writeable = self.weights.flags.writeable = False
+
+    def mean(self, values):
+        """The weighted sum over the last axis of values at the nodes, in
+        an order that does not depend on the BLAS."""
+        return np.sum(np.multiply(values, self.weights), axis=-1)
 
 
 def _gauss_jacobi(order, b):
@@ -81,10 +91,10 @@ def _nodes(order, alpha, beta):
 
 @lru_cache(maxsize=32)
 def rule(order, alpha, beta) -> Rule:
-    """Images (x, y) of `_nodes`, weights scaled to sum to one (read-only),
-    and their sum.  Raises ValueError if a node rounds onto the boundary
-    of the triangle, as happens within about 1e-10 of beta = -5/6: the
-    weight, and an integrand, may be singular there."""
+    """Images (x, y) of `_nodes` with their weights scaled to sum to one.
+    Raises ValueError if a node rounds onto the boundary of the triangle,
+    as happens within about 1e-10 of beta = -5/6: the weight, and an
+    integrand, may be singular there."""
     from .chebyshev import xy_map  # chebyshev imports this module
 
     t1, t2, w = _nodes(order, alpha, beta)
@@ -92,10 +102,8 @@ def rule(order, alpha, beta) -> Rule:
     if on_edge:
         raise ValueError(f"the order-{order} rule at parameters ({alpha}, {beta}) "
                          f"has {on_edge} nodes on the boundary of the triangle")
-    out = Rule(*xy_map((t1, t2, -t1 - t2)), w / w.sum(), float(w.sum()))
-    for arr in out[:3]:
-        arr.flags.writeable = False
-    return out
+    xy = np.array(xy_map((t1, t2, -t1 - t2)))
+    return Rule(xy.T, w / w.sum())  # the transpose keeps x and y contiguous
 
 
 def triangle_quadrature(values_fn, tol=DEFAULT_TOL, alpha=0.0, beta=0.0):
@@ -106,8 +114,8 @@ def triangle_quadrature(values_fn, tol=DEFAULT_TOL, alpha=0.0, beta=0.0):
     the error estimate is relative to the normalized result."""
     order, prev, delta = START_ORDER, None, np.inf
     while order <= ORDER_CAP:
-        nodes = rule(order, alpha, beta)
-        est = np.asarray(values_fn(nodes.x, nodes.y)) @ nodes.w
+        r = rule(order, alpha, beta)
+        est = r.mean(values_fn(*r.nodes.T))
         if prev is not None:
             delta = float(np.max(np.abs(est - prev))) / max(1.0, float(np.max(np.abs(est))))
             if delta <= tol:

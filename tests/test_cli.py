@@ -270,3 +270,49 @@ def test_verify_variety_passes_past_weighted_degree_30(capsys, n):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 4 and all(line.endswith("PASS") for line in lines)
+
+
+# SHA-256 of `g2cub nodes` stdout, recorded while the rule record held tuples
+# of floats, before it held read-only arrays; the bytes must not move
+NODES_SHA256 = {
+    "gauss": {
+        (1, "json"): "4f3026d03ff71460e4a4600b1b4930a3f2619e427cc4be39ef21e397343bf7de",
+        (1, "csv"): "c2d5aacb3cbb0f1b27acee5c80b4f0610c8c344712a1c0c284d6346e79bcd8fa",
+        (8, "json"): "08e76c8f39022fff1c48a38b0cec8da9a34ace5a5d41bfbfd9786f9d8a5f3f4c",
+        (8, "csv"): "ea7a9370b5848fb3d8183c34edd9d0a20e3c0335fd3777ff948cdc695efc9e08",
+        (160, "json"): "7b11b218d7a7cac0822aeacc1612c4febda7dc7557ac121dce022ebdb632514d",
+        (160, "csv"): "29d2356453a21b582e7602ae359301ae2f199661ada14327caff7a5ebf027c82",
+    },
+    "lobatto": {
+        (1, "json"): "c55a9b3728ed4ed81a36404e47d97e5101f2e4b6136b6be1a5e0af324db31cd2",
+        (1, "csv"): "240f6dbf0967e194516619731ad978d3389cee4c8063d28c9c4426cea0ca47c9",
+        (8, "json"): "104de9ecef46426f432556c270dd17b972ed0787f8fe78f8cf932e248d28e7d2",
+        (8, "csv"): "1954c8714412b88b34b3b0c228148f00957d88dba90db92cff325cde21991d3c",
+        (160, "json"): "709052658f4551a64d7fe3ac7a55b97f201473629464f13776955f2561692514",
+        (160, "csv"): "1da21c968682da5725bd5c6d23475c2cdde432aa78be8f8e3e12439bc1fc8c88",
+    },
+    "radau1": {
+        (1, "json"): "bc177d6bc23531a86f052c573a1082d8b550b15b0d73efb2066b12f25212e257",
+        (1, "csv"): "c3bfecc612957060fae8892aa79c49025c2b5d3cb14a84dbdb75047bdb22ad38",
+        (8, "json"): "ab2315dfbab8668562219755505ff03bd20286313200e837b8649d09d50073a9",
+        (8, "csv"): "bf69c366a66318e7598ba78885a56f95f4d69630eacb0906062abee5fce12b5e",
+        (160, "json"): "10c97729e2b1752fb14520c1cc82b260e5cae209afa0596dee8f182d5188948e",
+        (160, "csv"): "8fc47d6d962c917bd69a78f4d3e4447fd47d993e33711aea1176b2f6cc43ef40",
+    },
+    "radau2": {
+        (1, "json"): "33640f354cea14f25c053accc53d81214acb556d300471ee8c0dd415fbcae102",
+        (1, "csv"): "47f51a4a28696126a819b2c91fb851d4e1e574b7bf90b607d3ef4f2f357e7f92",
+        (8, "json"): "0902442fabec3f2f2b1594ce101c522948ee6899f66f62de82760d4ae7399fd6",
+        (8, "csv"): "67a5b400f9d7dadd7bc86cf427f7cd4481f90db7048fa664abc976d0fbbdf5dd",
+        (160, "json"): "d5df1e94c1987b97740ac27ed04c107b581eb89b7ebb2ab9de332af9bea59d33",
+        (160, "csv"): "d6dd22477eab8573610397ff32abe447dde992dc83613738445d7806fe5f4567",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", list(NODES_SHA256))
+def test_nodes_output_bytes_are_pinned(capsys, kind):
+    for (n, fmt), digest in NODES_SHA256[kind].items():
+        code, out, _ = run(capsys, "nodes", "--rule", kind, "--n", str(n), "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (kind, n, fmt)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2cub import cubature
+from g2cub import cubature, jsonio
 from g2cub.chebyshev import (
     WeightParams,
     cheb_poly,
@@ -66,7 +66,7 @@ def test_nodes_inside_domain():
 
 def test_lobatto_contains_corner():
     rule = make_rule("lobatto", 4)
-    assert rule.nodes[0] == (1.0, 1.0)
+    assert tuple(rule.nodes[0]) == (1.0, 1.0)
     assert rule.weights[0] == pytest.approx(1.0 / 16.0)
 
 
@@ -253,19 +253,50 @@ def test_serialization_deterministic():
     b = rule_to_json(make_rule("radau2", 5))
     assert a == b
     assert rule_to_csv(make_rule("radau1", 5)) == rule_to_csv(make_rule("radau1", 5))
-    # the rule record still compares and hashes with its index array inside
+    # the rule is a function of (kind, n) and compares and hashes by them
     assert make_rule("gauss", 4) == make_rule("gauss", 4) != make_rule("gauss", 5)
+    assert make_rule("gauss", 4) != make_rule("lobatto", 4)
     assert hash(make_rule("gauss", 4)) == hash(make_rule("gauss", 4))
 
 
-# the CSV row template against csv.writer -----------------------------------
+def test_rule_arrays_are_read_only():
+    rule = make_rule("gauss", 4)
+    assert rule.nodes.shape == (len(rule.weights), 2)
+    for arr in (rule.nodes, rule.weights, rule.indices):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 99
+    with pytest.raises(ValueError, match="read-only"):
+        rule.indices[0, 0] = 99
+
+
+# the JSON and CSV templates against the general writers ----------------------
+
+
+def jsonio_document(rule):
+    doc = {
+        "kind": rule.kind,
+        "n": rule.n,
+        "alpha": float(rule.weight_params.alpha),
+        "beta": float(rule.weight_params.beta),
+        "nodes": rule.nodes.tolist(),
+        "weights": rule.weights.tolist(),
+        "exact_mdegree": rule.exact_mdegree,
+    }
+    return jsonio.dumps(doc)
+
+
+@pytest.mark.parametrize("kind", RULE_KINDS)
+def test_rule_json_matches_jsonio(kind):
+    for n in (1, 2, 8, 40):
+        rule = make_rule(kind, n)
+        assert rule_to_json(rule) == jsonio_document(rule)
 
 
 def csv_writer_rows(rule):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x", "y", "weight"])
-    for (x, y), w in zip(rule.nodes, rule.weights):
+    for (x, y), w in zip(rule.nodes.tolist(), rule.weights.tolist()):
         writer.writerow([f"{x:.17g}", f"{y:.17g}", f"{w:.17g}"])
     return buf.getvalue()
 
