@@ -136,7 +136,7 @@ def _quotient(p: WeightParams, k: MIndex):
 
 
 def cheb_poly(p: WeightParams, k) -> BivarPoly:
-    """Exact rational polynomial of one family member.
+    """Exact polynomial of one family member; its coefficients are ints.
 
     It is the operator's eigenpolynomial whose leading coefficient
     6^(k1+k2) |orbit(den)| / |orbit(num)|, that is 6^(k1+k2) times the
@@ -149,7 +149,9 @@ def cheb_poly(p: WeightParams, k) -> BivarPoly:
         raise ValueError("index components must be nonnegative")
     fam, num, _ = _quotient(p, k)
     lead = 6 ** (k.k1 + k.k2) * orbit_size(fam.shift)
-    return eigen_poly(WeightParams(*p.key()), k, Fraction(lead, orbit_size(num)))
+    if type(p.alpha) is not Fraction or type(p.beta) is not Fraction:
+        p = WeightParams(*p.key())  # float half-integers name the exact families
+    return eigen_poly(p, k, Fraction(lead, orbit_size(num)))
 
 
 def resolve_index(alpha: Fraction, beta: Fraction, k1: int, k2: int):
@@ -305,7 +307,7 @@ def poly_to_json_dict(p: WeightParams, k, polynomial: BivarPoly) -> dict:
     k = MIndex(*k)
     terms = []
     for (i, j), c in polynomial.star_sorted_terms():
-        frac = c if isinstance(c, Fraction) else Fraction(c)
+        frac = c if isinstance(c, (int, Fraction)) else Fraction(c)  # an int has den 1
         terms.append({"i": i, "j": j, "num": frac.numerator, "den": frac.denominator})
     return {
         "alpha": float(p.alpha),

@@ -22,6 +22,7 @@ deterministic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,6 +77,12 @@ class CubatureRule(Rule):
     def __hash__(self):
         return hash((self.kind, self.n))
 
+    @functools.cached_property
+    def triples(self) -> tuple:
+        """(x, y, weight) of every node as Python floats, in node order,
+        built on first use."""
+        return tuple(zip(*self.nodes.T.tolist(), self.weights.tolist()))
+
 
 def _lattice_size(family: TrigFamily, n: int) -> int:
     """m = n + shift1 - shift3 for the rule of size n whose factor family is family."""
@@ -87,7 +94,13 @@ def make_rule(kind: str, n: int) -> CubatureRule:
     of its factor family: lattice size m = n + shift1 - shift3, weight
     parameters (d - 1/2, p - 1/2), scale |orbit(shift)|, and the nodes
     where the factor vanishes dropped, j1 = j2 when d = 1 and j2 = 0 or
-    j3 = -m when p = 1."""
+    j3 = -m when p = 1.  Rules are immutable, so the last 32 built are
+    cached and shared (see `_build_rule`)."""
+    return _build_rule(kind, n)
+
+
+@functools.lru_cache(maxsize=32, typed=True)  # typed: n = 4.0 or True is not the int rule's key
+def _build_rule(kind: str, n: int) -> CubatureRule:
     family = _RULE_FAMILY.get(kind)
     if family is None:
         raise ValueError(f"unknown rule kind {kind!r}")
@@ -118,7 +131,7 @@ def integrate(rule: CubatureRule, f) -> float:
     """Apply the rule to a callable on Python floats (x, y), summing in
     node order."""
     total = 0.0
-    for x, y, w in zip(*rule.nodes.T.tolist(), rule.weights.tolist()):
+    for x, y, w in rule.triples:
         total += w * f(x, y)
     return total
 

@@ -5,7 +5,7 @@ round-trip and identical inputs produce byte-identical files."""
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str, in C
 
 
 def format_float(x: float) -> str:
@@ -16,7 +16,7 @@ def dumps(obj, indent=0) -> str:
     pad = " " * indent
     if isinstance(obj, dict):
         items = ",\n".join(
-            f'{pad}  {json.dumps(str(key))}: {dumps(value, indent + 2).lstrip()}'
+            f'{pad}  {_quote(str(key))}: {dumps(value, indent + 2).lstrip()}'
             for key, value in obj.items()
         )
         return f"{pad}{{\n{items}\n{pad}}}"
@@ -38,4 +38,4 @@ def _scalar(v) -> str:
         return str(v)
     if v is None:
         return "null"
-    return json.dumps(str(v))
+    return _quote(str(v))

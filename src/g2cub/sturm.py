@@ -17,8 +17,10 @@ weighted order as a list of positions grown one degree class at a time,
 each eigenvalue and lowered monomial image at its position, and the
 operator's coefficient polynomials, all scaled by the one common
 denominator D = 2 lcm(den alpha, den beta) so that for rational
-parameters they are Python ints; a Fraction appears only where a value
-really is non-integral.  Float parameters take the same code with D = 1.
+parameters they are Python ints.  The exact results keep that form: an
+eigenpolynomial's coefficient, an eigenvalue or a coefficient of
+`apply_L` is an int where it is integral and a Fraction only where it is
+not.  Float parameters take the same code with D = 1.
 """
 
 from __future__ import annotations
@@ -64,17 +66,16 @@ def operator_coeffs(p: WeightParams) -> OperatorCoeffs:
 def apply_L(p: WeightParams, q: BivarPoly) -> BivarPoly:
     """Apply the operator by direct differentiation of q.
 
-    With Fraction alpha, rational beta and rational coefficients, q is
-    scaled by the common denominator s of its coefficients and the
-    products run against the parameters' cached operator coefficients,
-    scaled by D (see `_table`), so they run on ints; the result is divided
-    by D * s at the end, which gives the same Fractions as the unscaled
-    arithmetic.
+    At rational parameters with int and Fraction coefficients, q is scaled
+    by the common denominator s of its coefficients and the products run
+    on ints against the parameters' cached operator coefficients, scaled
+    by D (see `_table`); each result is divided by D * s at the end.
+    Otherwise the unscaled operator coefficients are used.  Either way an
+    exact coefficient is an int where it is integral and a Fraction only
+    where it is not.
     """
-    rational = all(type(v) in (int, Fraction) for v in q.coeffs.values())
-    # a Fraction alpha makes every unscaled result a Fraction, the type returned here
     table = _table(p.alpha, p.beta)
-    if type(p.alpha) is Fraction and rational and table.D > 1:
+    if table.D > 1 and all(type(v) in (int, Fraction) for v in q.coeffs.values()):
         s = math.lcm(*(v.denominator for v in q.coeffs.values()))
         q = BivarPoly({e: v.numerator * (s // v.denominator) for e, v in q.coeffs.items()})
         A11, A12, A22, B1, B2 = table.ops
@@ -93,8 +94,10 @@ def apply_L(p: WeightParams, q: BivarPoly) -> BivarPoly:
         + B2 * qy
     )
     if n == 1:
-        return out
-    return BivarPoly({e: Fraction(v, n) for e, v in out.coeffs.items()})
+        out.coeffs = {e: _int(v) for e, v in out.coeffs.items()}
+    else:
+        out.coeffs = {e: Fraction(v, n) if v % n else v // n for e, v in out.coeffs.items()}
+    return out
 
 
 # shift table of the monomial image: (mu, nu) -> exponent (j-2mu+3nu, k+mu-2nu)
@@ -139,9 +142,10 @@ def _image_terms(j, k, one, a, b):
 
 
 def eigenvalue(p: WeightParams, k):
-    """Closed-form eigenvalue attached to one index pair."""
+    """Closed-form eigenvalue attached to one index pair; at rational
+    parameters an int where it is integral, else a Fraction."""
     a = p.alpha
-    return HALF * _twice_eigenvalue(*MIndex(*k), a * 0 + 1, a, p.beta)
+    return _int(HALF * _twice_eigenvalue(*MIndex(*k), a * 0 + 1, a, p.beta))
 
 
 def _twice_eigenvalue(k1, k2, one, a, b):
@@ -241,8 +245,9 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
     back-substitution down that order: c_m = acc_m / (lambda_k - lambda_m),
     where acc_m collects the images of the coefficients already fixed.
     Both acc_m and the gap carry the table's factor D, so for rational
-    parameters the quotient is one integer division, and a Fraction only
-    where it leaves a remainder; floating point otherwise.  Raises
+    parameters the quotient is one integer division: each coefficient is
+    an int where it is integral and a Fraction only where it is not;
+    floating point otherwise.  Raises
     ValueError when an eigenvalue tie leaves a coefficient undetermined,
     and TypeError for a lead other than an int or Fraction at rational
     parameters, where it would spoil the exact result.
@@ -255,6 +260,7 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
     D = table.D
     if D > 1 and not isinstance(lead, (int, Fraction)):
         raise TypeError(f"lead {lead!r} at rational parameters must be an int or Fraction")
+    lead = _int(lead)  # an int key hashes several times faster than a Fraction
     done = table.polys.get((k, lead))
     if done is not None:
         return done
@@ -266,7 +272,9 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
     top = table.pos[k]
     lam = lams[top]
     tie = TIE_RTOL * max(D, abs(float(lam)))
-    c = _int(lead)
+    if D > 1:
+        tie = math.floor(tie)  # every gap is an int: |gap| <= floor(tie) iff |gap| <= tie
+    c = lead
     coeffs = {order[top]: c}
     acc = [0] * top
     for e, v in lowered[top]:
@@ -276,7 +284,7 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
         if not r:
             continue
         gap = lam - lams[i]
-        if abs(float(gap)) <= tie:
+        if abs(gap) <= tie:
             raise ValueError(
                 f"eigenvalue tie between {tuple(k)} and {order[i]} at "
                 f"parameters ({a}, {b}) leaves the polynomial undetermined"
@@ -289,10 +297,8 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
         coeffs[order[i]] = c
         for e, v in lowered[i]:
             acc[e] += c * v
-    one = a * 0 + 1  # each coefficient takes the type of c * one
-    if type(one) is Fraction:
-        coeffs = {m: Fraction(c) if type(c) is int else c for m, c in coeffs.items()}
-    else:
+    if D == 1:
+        one = a * 0 + 1  # each coefficient takes the type of c * one
         coeffs = {m: c * one for m, c in coeffs.items()}
     q = table.polys[(k, lead)] = BivarPoly()
     q.coeffs = coeffs  # every coefficient is nonzero: the lead, or r / gap with r != 0

@@ -24,6 +24,7 @@ from g2cub.chebyshev import (
 from g2cub.cli import main as cli_main
 from g2cub.coords import cart_to_homog, make_index, make_point, point_from_index
 from g2cub.cubature import (
+    _build_rule,
     integrate_poly,
     make_rule,
     reference_integral,
@@ -361,6 +362,7 @@ def test_ac12_determinism(tmp_path):
     files = []
     for name in ("first.json", "second.json"):
         target = tmp_path / name
+        _build_rule.cache_clear()  # each run builds its own rule
         code = cli_main(
             ["nodes", "--rule", "gauss", "--n", "8", "--out", str(target)]
         )
@@ -370,6 +372,7 @@ def test_ac12_determinism(tmp_path):
     csvs = []
     for name in ("first.csv", "second.csv"):
         target = tmp_path / name
+        _build_rule.cache_clear()
         code = cli_main(
             ["nodes", "--rule", "radau2", "--n", "7", "--format", "csv",
              "--out", str(target)]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from g2cub.chebyshev import (
     MIndex,
@@ -370,6 +371,12 @@ def test_poly_json_roundtrip():
 def test_json_strings_and_keys_are_escaped():
     doc = {'a"b': 'x\ny\t\x01é', "list": ["q\\", 'r"'], "nested": {"\n": None}}
     assert json.loads(dumps(doc)) == doc
+
+
+@given(st.text())
+def test_json_strings_are_quoted_as_json_dumps_quotes_them(text):
+    assert dumps(text) == json.dumps(text)
+    assert dumps({text: [text]}) == "{\n  " + json.dumps(text) + ": [" + json.dumps(text) + "]\n}"
 
 
 def test_star_indices_upto_matches_the_sorted_box():

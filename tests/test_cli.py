@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 from g2cub.cli import main
+from g2cub.cubature import _build_rule
 
 
 def run(capsys, *argv):
@@ -43,6 +44,7 @@ def test_nodes_deterministic(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     for target in (a, b):
+        _build_rule.cache_clear()  # each run builds its own rule
         code, _, _ = run(capsys, "nodes", "--rule", "radau1", "--n", "5",
                          "--out", str(target))
         assert code == 0
@@ -52,6 +54,18 @@ def test_nodes_deterministic(tmp_path, capsys):
 def test_nodes_usage_error(capsys):
     code, _, err = run(capsys, "nodes", "--rule", "radau1", "--n", "0")
     assert code == 2
+
+
+def test_usage_errors_exit_2_after_a_successful_call(tmp_path, capsys):
+    assert run(capsys, "nodes", "--rule", "gauss", "--n", "2", "--out", str(tmp_path / "r.json"))[0] == 0
+    for argv in (["nodes", "--rule", "nope", "--n", "4"], ["poly", "--alpha", "0.5"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert run(capsys, "nodes", "--rule", "gauss", "--n", "0")[0] == 2
+    code, out, _ = run(capsys, "nodes", "--rule", "gauss", "--n", "2")
+    assert code == 0 and out == (tmp_path / "r.json").read_text()  # --out does not carry over
 
 
 def test_nodes_io_error(tmp_path, capsys):
@@ -207,31 +221,37 @@ def test_non_finite_numbers_are_usage_errors(capsys, argv, flag):
 
 
 # SHA-256 of `g2cub poly` stdout, recorded before the per-parameter operator
-# table replaced the dict-based back-substitution; the bytes must not move
+# table replaced the dict-based back-substitution, and for the weighted-degree
+# 36 index of each half-integer family while coefficients were all Fractions;
+# the bytes must not move
 POLY_SHA256 = {
     (0.5, 0.5): {
         (0, 0): "befd6c86296c8eaeac29f872afb14152ed0164b14abe4b1136fc023b197ad6e9",
         (3, 2): "54c5f42d1e1ab90ca0c199571df9d76b9f2aac0486615a77646b0d844c21763d",
         (7, 5): "faad3680679f439167f327fbaee166cc94c3703744078ea92d5f37f9db754db0",
         (12, 0): "158dd273df2d56f8f9f8da9d87cc217c4e3289ab07dc355ccba2ae9554ff1e04",
+        (9, 6): "7d4db27ee51bee6c7cfff9105bf8074f64042cb85fe73578ddb03041fdea69cd",
     },
     (-0.5, -0.5): {
         (0, 0): "20cf8f9242ac27f45db26553811157b0fd43e6b8637c1ffe3016ed3416ce3937",
         (3, 2): "4e7154e28f0ad5a71f0c10fb9157a819b038302ed292f8f504ca3a7ee7dae2d0",
         (7, 5): "578a535ca508f38ebd28085de467bb801bea441b4026d283ba6f04bee004eeca",
         (12, 0): "bc5d1568eb1d2d92b45b3c952824e0f9fcca134b075505448b9e7e23ffbab414",
+        (18, 0): "c38a7a26cf0e0c090e2a03fb70f401686a5b602c68d7d644354aa2fa9c93ea33",
     },
     (0.5, -0.5): {
         (0, 0): "2232d3c439ea925fd84a010ac9c96f6f3cae15c389576b9b6dbe50b932f944e2",
         (3, 2): "31530d50723bae4bab732c12dc3b86411ad23106e464d1e99965e02758aee82b",
         (7, 5): "a2bf6d93ce0763677c7c278241e03692c25a190f194a8a1394cede7f5cf1b3bc",
         (12, 0): "0e30f23b7a5908c827aaf4de1b01257bb1f4fcba7fcaf2b74a6271a4b5b33090",
+        (0, 12): "dbcf41ec0d9f832adc482754464e31c5ee96dbdd8ea3eeffa4b22efd9d2dc2f2",
     },
     (-0.5, 0.5): {
         (0, 0): "8494b1db5013b76ff7bddfad9d747324d60373366ace3db90566e17135111941",
         (3, 2): "a6eef18ee68a1088ee1e8a182b260c5c1a2c294f1e067cbe41f9f6657a3d64e9",
         (7, 5): "189d115c9d4d05fd9a3c51dd655028df61d4c6ed22384c7a49ae23ab8e7fc3f6",
         (12, 0): "a459306d0b3adcb0d3c1800c31102288a3d39114792d2658c3f4816b844335ce",
+        (15, 2): "9b096d9d120e7696f6a9ccbec794434b3d5c3947f679d0e60745dba155f69269",
     },
     (0.3, 1.2): {
         (0, 0): "c32e89ef8e294206c6e982590cc8bce57af555126fdbc4a35d7ffc4220d272d1",

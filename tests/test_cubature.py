@@ -19,6 +19,7 @@ from g2cub.chebyshev import (
 from g2cub.coords import point_from_index
 from g2cub.cubature import (
     RULE_KINDS,
+    _build_rule,
     integrate,
     integrate_poly,
     make_rule,
@@ -126,8 +127,44 @@ def test_make_rule_builds_only_the_requested_radau_rule(monkeypatch):
     monkeypatch.setattr(cubature, "enum_upsilon", lambda m: sizes.append(m) or real(m))
     for kind, m in (("radau1", 7), ("radau2", 8)):
         sizes.clear()
+        _build_rule.cache_clear()  # a cached rule would build nothing
         make_rule(kind, 5)
         assert sizes == [m]
+
+
+def test_make_rule_returns_the_cached_rule():
+    _build_rule.cache_clear()
+    rule = make_rule("radau2", 6)
+    assert make_rule("radau2", 6) is rule
+    assert make_rule("radau1", 6) is not rule
+    info = _build_rule.cache_info()
+    assert (info.hits, info.misses, info.currsize, info.maxsize) == (1, 2, 2, 32)
+
+
+def test_make_rule_does_not_depend_on_the_call_history():
+    # the cache key carries the type of n, so an int rule is not handed
+    # out for a float or bool n of equal value, nor the other way round
+    for warm, other in ((4, 4.0), (1, True), (4.0, 4), (True, 1)):
+        _build_rule.cache_clear()
+        cold = make_rule("gauss", other)
+        _build_rule.cache_clear()
+        make_rule("gauss", warm)
+        rule = make_rule("gauss", other)
+        assert type(rule.n) is type(other) is type(cold.n)
+        assert rule_to_json(rule) == rule_to_json(cold)
+
+
+@pytest.mark.parametrize("kind", RULE_KINDS)
+def test_integrate_equals_the_loop_over_the_arrays_bit_for_bit(kind):
+    f = lambda x, y: math.exp(0.7 * x - 0.3 * y) * math.cos(1.3 * x + 0.4 * y)
+    for n in (1, 8, 40):
+        rule = make_rule(kind, n)
+        want = 0.0
+        for x, y, w in zip(*rule.nodes.T.tolist(), rule.weights.tolist()):
+            want += w * f(x, y)
+        assert integrate(rule, f) == want  # twice: the view is built once, then reused
+        assert integrate(rule, f) == want
+        assert all(type(v) is float for triple in rule.triples for v in triple)
 
 
 @settings(max_examples=40, deadline=None)
@@ -249,10 +286,14 @@ def test_rule_csv_layout():
 
 
 def test_serialization_deterministic():
-    a = rule_to_json(make_rule("radau2", 5))
-    b = rule_to_json(make_rule("radau2", 5))
+    def fresh(kind, n):  # a rule built anew, not the cached one
+        _build_rule.cache_clear()
+        return make_rule(kind, n)
+
+    a = rule_to_json(fresh("radau2", 5))
+    b = rule_to_json(fresh("radau2", 5))
     assert a == b
-    assert rule_to_csv(make_rule("radau1", 5)) == rule_to_csv(make_rule("radau1", 5))
+    assert rule_to_csv(fresh("radau1", 5)) == rule_to_csv(fresh("radau1", 5))
     # the rule is a function of (kind, n) and compares and hashes by them
     assert make_rule("gauss", 4) == make_rule("gauss", 4) != make_rule("gauss", 5)
     assert make_rule("gauss", 4) != make_rule("lobatto", 4)

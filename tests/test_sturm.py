@@ -93,18 +93,34 @@ def test_apply_L_on_x():
     assert out == BivarPoly({(1, 0): 21 + 12 * a + 18 * b, (0, 0): 3 + 6 * a})
 
 
+def _int(v):
+    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
+
+
+def exact_type(v):
+    """The type an exact value takes: int where it is integral, else Fraction."""
+    return int if Fraction(v).denominator == 1 else Fraction
+
+
+def canonical(poly):
+    """Every coefficient exact, an int exactly where it is integral."""
+    return all(type(c) is exact_type(c) for c in poly.coeffs.values())
+
+
 def plain_apply_L(p, q):
     """The operator by plain BivarPoly arithmetic on the unscaled operator
-    coefficients, an independent reference for apply_L."""
+    coefficients, an independent reference for apply_L, with each exact
+    result an int where it is integral."""
     c = operator_coeffs(p)
     qx, qy = q.diff_x(), q.diff_y()
-    return (
+    out = (
         -(c.A11 * qx.diff_x())
         - 2 * (c.A12 * qx.diff_y())
         - (c.A22 * qy.diff_y())
         + c.B1 * qx
         + c.B2 * qy
     )
+    return BivarPoly({e: _int(v) for e, v in out.coeffs.items()})
 
 
 def typed(poly):
@@ -112,6 +128,10 @@ def typed(poly):
 
 
 RATIONAL = st.fractions(min_value=-HALF, max_value=3, max_denominator=30)
+COEFFS_EXACT = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-20, max_value=20, max_denominator=40),
+)
 
 
 @settings(max_examples=80, deadline=None)
@@ -131,7 +151,7 @@ def test_apply_L_matches_plain_fraction_arithmetic(a, b, coeffs):
     q = BivarPoly(coeffs)
     got = apply_L(p, q)
     assert typed(got) == typed(plain_apply_L(p, q))
-    assert all(type(c) is Fraction for c in got.coeffs.values())
+    assert canonical(got)
     qf = q.to_float()
     got = apply_L(p, qf)
     assert typed(got) == typed(plain_apply_L(p, qf))
@@ -253,12 +273,62 @@ def test_eigen_poly_exact_identity(a, b, k):
     assert apply_L(p, q) == eigenvalue(p, k) * q
 
 
+EXACT = st.one_of(st.integers(0, 3), RATIONAL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    EXACT,
+    EXACT,
+    st.sampled_from(star_indices_upto(12)),
+    st.one_of(st.integers(1, 9), st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)),
+    st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 4)), COEFFS_EXACT, max_size=8),
+)
+def test_exact_results_are_ints_exactly_where_integral(a, b, k, lead, coeffs):
+    # the same values as int and as Fraction parameters give the same typed results
+    forms = (WeightParams(_int(Fraction(a)), _int(Fraction(b))), frac_params(a, b))
+    q = BivarPoly(coeffs)
+    results = []
+    for p in forms:
+        lam = eigenvalue(p, k)
+        poly = eigen_poly(p, k, lead)
+        image = apply_L(p, poly)
+        assert type(lam) is exact_type(lam)
+        assert canonical(poly) and canonical(image) and canonical(apply_L(p, q))
+        assert image == lam * poly
+        results.append((type(lam), repr(lam), in_order(poly), typed(image), typed(apply_L(p, q))))
+    assert results[0] == results[1]
+
+
+def test_apply_L_reads_no_lowered_image():
+    # apply_L differentiates, so it stays an independent check of eigen_poly
+    p = cold(frac_params(Fraction(1, 4), Fraction(2, 3)))
+    q = eigen_poly(p, (3, 2))
+    table = sturm._table(p.alpha, p.beta)
+    saved, table.lowered = table.lowered, None
+    try:
+        assert apply_L(p, q) == eigenvalue(p, (3, 2)) * q
+    finally:
+        table.lowered = saved
+
+
+def test_cheb_poly_coefficients_are_ints_through_degree_36():
+    count = bits = 0
+    for p in ALL_HALF:
+        for k in star_indices_upto(36):
+            coeffs = cheb_poly(p, k).coeffs.values()
+            assert all(type(c) is int for c in coeffs), (p, k)
+            count += len(coeffs)
+            bits = max(bits, *(abs(c).bit_length() for c in coeffs))
+    assert (count, bits) == (30180, 51)
+
+
 def test_eigen_poly_nonintegral_coefficients_at_rational_parameters():
     # the back-substitution's integer division leaves a remainder here
     p = frac_params(Fraction(3, 10), Fraction(6, 5))
     for k in star_indices_upto(12):
         q = eigen_poly(p, k)
-        assert all(type(c) is Fraction for c in q.coeffs.values())
+        assert canonical(q)
         if k != (0, 0):
             assert any(c.denominator > 1 for c in q.coeffs.values()), k
         assert plain_apply_L(p, q) == eigenvalue(p, k) * q
@@ -268,7 +338,7 @@ def test_eigen_poly_nonintegral_coefficients_at_rational_parameters():
 def test_eigen_poly_exact_and_float_kept_apart():
     exact = eigen_poly(MM, (2, 0))
     numeric = eigen_poly(WeightParams(-0.5, -0.5), (2, 0))
-    assert all(isinstance(c, Fraction) for c in exact.coeffs.values())
+    assert canonical(exact)
     assert all(isinstance(c, float) for c in numeric.coeffs.values())
 
 
@@ -343,10 +413,6 @@ def test_selfadjointness():
 # the table path against the dict-based back-substitution ---------------------
 
 
-def _int(v):
-    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
-
-
 def oracle_eigen_poly(p, k, lead=1, images=None):
     """The back-substitution without the per-parameter table, as a reference
     for it: it walks the star_class list of every weighted degree from k's
@@ -387,10 +453,10 @@ def oracle_eigen_poly(p, k, lead=1, images=None):
             c = coeffs[m]
             for e, v in image(m)[1]:
                 acc[e] = acc.get(e, 0) + c * v
-    one = a * 0 + 1
-    if type(one) is Fraction:
-        coeffs = {m: Fraction(c) if type(c) is int else c for m, c in coeffs.items()}
+    if rational:
+        coeffs = {m: _int(c) for m, c in coeffs.items()}
     else:
+        one = a * 0 + 1
         coeffs = {m: c * one for m, c in coeffs.items()}
     return BivarPoly(coeffs)
 
@@ -556,7 +622,7 @@ def test_apply_L_with_denominators_that_do_not_divide_D():
     q = BivarPoly({(3, 1): Fraction(5, 7), (1, 2): Fraction(-3, 11), (2, 0): 4, (0, 1): Fraction(1, 8)})
     got = apply_L(p, q)
     assert typed(got) == typed(plain_apply_L(p, q))
-    assert all(type(c) is Fraction for c in got.coeffs.values())
+    assert canonical(got)
     assert any(c.denominator % 7 == 0 for c in got.coeffs.values())
 
 
