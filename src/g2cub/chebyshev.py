@@ -14,7 +14,9 @@ identities of those functions.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -26,8 +28,6 @@ from .coords import make_index, orbit_size
 from .gentrig import TrigFamily, eval as trig_eval
 from .poly import EVAL_REL_BOUND, BivarPoly, EvaluationError, star_cmp  # star_cmp re-exported
 
-HALF = Fraction(1, 2)
-
 DENOM_FALLBACK = 1e-8
 
 
@@ -38,6 +38,12 @@ class MIndex(NamedTuple):
     @property
     def mdegree(self) -> int:
         return 2 * self.k1 + 3 * self.k2
+
+    @classmethod
+    def of(cls, k) -> "MIndex":
+        """k as an index of Python ints: numpy integers are converted, and a
+        component that is not an integer raises TypeError."""
+        return cls(*map(operator.index, k))
 
 
 @dataclass(frozen=True)
@@ -52,20 +58,27 @@ class WeightParams:
         if not (a > -1 and b > -1):
             raise ValueError("weight parameters must both exceed -1")
 
-    @property
-    def is_half_integer(self) -> bool:
-        return abs(self.alpha) == HALF and abs(self.beta) == HALF
+    @functools.cached_property
+    def family(self):
+        """The trig family whose polynomials have these parameters
+        (`TrigFamily.params`), or None off the four half-integer cases;
+        0.5 and Fraction(1, 2) both match."""
+        return _FAMILY_OF_PARAMS.get((self.alpha, self.beta))
 
     def key(self):
         return (Fraction(self.alpha), Fraction(self.beta))
 
 
-def _require_half_integer(p: WeightParams):
-    if not p.is_half_integer:
+_FAMILY_OF_PARAMS = {fam.params: fam for fam in TrigFamily}
+
+
+def _family(p: WeightParams) -> TrigFamily:
+    if p.family is None:
         raise ValueError(
             f"parameters ({p.alpha}, {p.beta}) are outside the four "
             "half-integer cases"
         )
+    return p.family
 
 
 def xy_map(t) -> tuple:
@@ -118,19 +131,12 @@ def star_indices_upto(max_mdeg: int):
 
 # exact polynomials ----------------------------------------------------------
 
-def _sines(alpha, beta) -> tuple:
-    """Sine bits (d, p) of the family at half-integer parameters: 1 where
-    the parameter is 1/2, 0 where it is -1/2."""
-    return int(alpha != -HALF), int(beta != -HALF)
-
-
 def _quotient(p: WeightParams, k: MIndex):
     """Trig family, numerator index and denominator index (None for the
     first kind) of the quotient form of one family member: the family's
     sine bits are the signs of alpha and beta, its denominator is the
     family's shift and the numerator (k1+k2, k2) plus that shift."""
-    _require_half_integer(p)
-    fam = TrigFamily.from_sines(*_sines(p.alpha, p.beta))
+    fam = _family(p)
     num = make_index(k.k1 + k.k2 + fam.shift[0], k.k2 + fam.shift[1])
     return fam, num, fam.shift if any(fam.sines) else None
 
@@ -144,13 +150,13 @@ def cheb_poly(p: WeightParams, k) -> BivarPoly:
     """
     from .sturm import eigen_poly  # sturm imports this module
 
-    k = MIndex(*k)
+    k = MIndex.of(k)
     if k.k1 < 0 or k.k2 < 0:
         raise ValueError("index components must be nonnegative")
     fam, num, _ = _quotient(p, k)
     lead = 6 ** (k.k1 + k.k2) * orbit_size(fam.shift)
     if type(p.alpha) is not Fraction or type(p.beta) is not Fraction:
-        p = WeightParams(*p.key())  # float half-integers name the exact families
+        p = WeightParams(*fam.params)  # float half-integers name the exact families
     return eigen_poly(p, k, Fraction(lead, orbit_size(num)))
 
 
@@ -162,8 +168,7 @@ def resolve_index(alpha: Fraction, beta: Fraction, k1: int, k2: int):
     makes the member vanish.  Returns (sign, MIndex) or (0, None) when
     the member is identically zero.  Raises ValueError off the four
     half-integer cases, where these identities do not hold."""
-    _require_half_integer(WeightParams(alpha, beta))
-    d, p = _sines(alpha, beta)
+    d, p = _family(WeightParams(alpha, beta)).sines
     sign = 1
     for _ in range(64):
         if k1 >= 0 and k2 >= 0:
@@ -190,7 +195,7 @@ def cheb_eval_trig(p: WeightParams, k, t):
     evaluated instead, in one array call; EvaluationError is raised where
     its `error_bound` exceeds EVAL_REL_BOUND * max(1, |value|).
     """
-    k = MIndex(*k)
+    k = MIndex.of(k)
     fam, num, den = _quotient(p, k)
     numerator = trig_eval(fam, num, t)
     if den is None:
@@ -218,7 +223,7 @@ def orthogonality_constant(p: WeightParams, k) -> float:
     Equal to the orbit constant of the numerator index divided by the
     orbit constant of the denominator index of the quotient form.
     """
-    _, num, den = _quotient(p, MIndex(*k))
+    _, num, den = _quotient(p, MIndex.of(k))
     value = 1.0 / orbit_size(num)
     if den is not None:
         value /= 1.0 / orbit_size(den)
@@ -304,7 +309,7 @@ def normalization_c(p: WeightParams) -> float:
 # serialization ---------------------------------------------------------------
 
 def poly_to_json_dict(p: WeightParams, k, polynomial: BivarPoly) -> dict:
-    k = MIndex(*k)
+    k = MIndex.of(k)
     terms = []
     for (i, j), c in polynomial.star_sorted_terms():
         frac = c if isinstance(c, (int, Fraction)) else Fraction(c)  # an int has den 1

@@ -42,7 +42,7 @@ def _family_poly(args) -> BivarPoly:
     if args.k1 < 0 or args.k2 < 0:
         raise ValueError("k1 and k2 must be nonnegative")
     p = WeightParams(args.alpha, args.beta)
-    return (cheb_poly if p.is_half_integer else jacobi_poly)(p, (args.k1, args.k2))
+    return (cheb_poly if p.family is not None else jacobi_poly)(p, (args.k1, args.k2))
 
 
 def _write(text: str, out) -> int:

@@ -42,8 +42,6 @@ from .lattice import enum_upsilon, upsilon_weight
 from .poly import EVAL_REL_BOUND, BivarPoly, EvaluationError
 from .quad import DEFAULT_TOL, Rule
 
-HALF = Fraction(1, 2)
-
 # rule kind -> the trig family whose squared shift member is its factor
 _RULE_FAMILY = {
     "gauss": TrigFamily.SS,
@@ -122,7 +120,7 @@ def _build_rule(kind: str, n: int) -> CubatureRule:
         kind=kind,
         n=n,
         exact_mdegree=2 * n - 1,
-        weight_params=WeightParams(d - HALF, p - HALF),
+        weight_params=WeightParams(*family.params),
         indices=j,
     )
 

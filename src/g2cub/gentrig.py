@@ -48,6 +48,8 @@ class TrigFamily(enum.Enum):
         self.sines = (int(value[0] == "s"), int(value[1] == "s"))
         d, p = self.sines
         self.shift = HexIndex(d + p, p, -d - 2 * p)
+        # the weight parameters (d - 1/2, p - 1/2) of the family's polynomials
+        self.params = (Fraction(2 * d - 1, 2), Fraction(2 * p - 1, 2))
 
     @classmethod
     def of(cls, value) -> "TrigFamily":

@@ -11,24 +11,27 @@ otherwise; both the Chebyshev-type families and the general-parameter
 polynomials come from it.  `moments` runs the same triangular structure
 up the order to get every polynomial integral exactly.
 
-All three exact sweeps, down the order (`eigen_poly`), up it (`moments`)
-and the eigen-check (`apply_L`), read one table per parameter pair: the
-weighted order as a list of positions grown one degree class at a time,
-each eigenvalue and lowered monomial image at its position, and the
-operator's coefficient polynomials, all scaled by the one common
+One table per parameter pair serves both exact sweeps, down the order
+(`eigen_poly`) and up it (`moments`), and the eigen-check (`apply_L`).
+It holds the operator's coefficient polynomials, built once with every
+integral coefficient an int, and the weighted order as a list of
+positions grown one degree class at a time, with each eigenvalue and
+lowered monomial image at its position, scaled by the one common
 denominator D = 2 lcm(den alpha, den beta) so that for rational
-parameters they are Python ints.  The exact results keep that form: an
-eigenpolynomial's coefficient, an eigenvalue or a coefficient of
-`apply_L` is an int where it is integral and a Fraction only where it is
-not.  Float parameters take the same code with D = 1.
+parameters they are Python ints.  `apply_L` multiplies q's derivatives
+by the coefficient polynomials in q's own arithmetic and never reads the
+lowered images.  The exact results keep one form: an eigenpolynomial's
+coefficient, an eigenvalue or a coefficient of `apply_L` is an int where
+it is integral and a Fraction only where it is not.  Float parameters
+take the same code with D = 1.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chebyshev import MIndex, WeightParams, _require_integrable, continuous_inner, star_class
 from .lattice import dim_pi_star
@@ -36,13 +39,11 @@ from .poly import BivarPoly
 
 HALF = Fraction(1, 2)
 
-_A11 = BivarPoly({(2, 0): Fraction(-6), (0, 1): Fraction(1), (1, 0): Fraction(3), (0, 0): Fraction(2)})
-_A12 = BivarPoly({(1, 1): Fraction(-9), (2, 0): Fraction(18), (0, 1): Fraction(-6), (0, 0): Fraction(-3)})
-_A22 = BivarPoly({(0, 2): Fraction(-18), (3, 0): Fraction(108), (1, 1): Fraction(-54), (1, 0): Fraction(-27), (0, 1): Fraction(-9)})
 
+class OperatorCoeffs(NamedTuple):
+    """The operator's five coefficient polynomials at one parameter pair;
+    the record is cached and shared (see `operator_coeffs`), do not modify it."""
 
-@dataclass(frozen=True)
-class OperatorCoeffs:
     A11: BivarPoly
     A12: BivarPoly
     A22: BivarPoly
@@ -50,40 +51,34 @@ class OperatorCoeffs:
     B2: BivarPoly
 
 
+def _operator(one, a, b) -> OperatorCoeffs:
+    """The coefficient polynomials in the unit `one`; linear in
+    (one, alpha, beta) with integer factors, as `_image_terms` is."""
+    return OperatorCoeffs(
+        BivarPoly({(2, 0): -6 * one, (0, 1): one, (1, 0): 3 * one, (0, 0): 2 * one}),
+        BivarPoly({(1, 1): -9 * one, (2, 0): 18 * one, (0, 1): -6 * one, (0, 0): -3 * one}),
+        BivarPoly({(0, 2): -18 * one, (3, 0): 108 * one, (1, 1): -54 * one,
+                   (1, 0): -27 * one, (0, 1): -9 * one}),
+        BivarPoly({(1, 0): 21 * one + 12 * a + 18 * b, (0, 0): 6 * a + 3 * one}),
+        BivarPoly({(1, 0): 18 * one + 36 * a, (0, 1): 45 * one + 36 * b + 18 * a,
+                   (0, 0): 18 * b + 9 * one}),
+    )
+
+
 def operator_coeffs(p: WeightParams) -> OperatorCoeffs:
-    """Coefficient polynomials; exact when the parameters are rational."""
-    a, b = p.alpha, p.beta
-    one = a * 0 + 1  # unit of the parameter's numeric type
-    B1 = BivarPoly({(1, 0): 21 * one + 12 * a + 18 * b, (0, 0): 6 * a + 3 * one})
-    B2 = BivarPoly({
-        (1, 0): 18 * one + 36 * a,
-        (0, 1): 45 * one + 36 * b + 18 * a,
-        (0, 0): 18 * b + 9 * one,
-    })
-    return OperatorCoeffs(_A11, _A12, _A22, B1, B2)
+    """The coefficient polynomials at p, from its table: A11, A12 and A22
+    have int coefficients; those of B1 and B2 are ints where integral,
+    Fractions elsewhere at rational parameters and floats at float ones.
+    Returns the cached record itself; do not modify it."""
+    return _table(p.alpha, p.beta).op
 
 
 def apply_L(p: WeightParams, q: BivarPoly) -> BivarPoly:
-    """Apply the operator by direct differentiation of q.
-
-    At rational parameters with int and Fraction coefficients, q is scaled
-    by the common denominator s of its coefficients and the products run
-    on ints against the parameters' cached operator coefficients, scaled
-    by D (see `_table`); each result is divided by D * s at the end.
-    Otherwise the unscaled operator coefficients are used.  Either way an
-    exact coefficient is an int where it is integral and a Fraction only
-    where it is not.
-    """
-    table = _table(p.alpha, p.beta)
-    if table.D > 1 and all(type(v) in (int, Fraction) for v in q.coeffs.values()):
-        s = math.lcm(*(v.denominator for v in q.coeffs.values()))
-        q = BivarPoly({e: v.numerator * (s // v.denominator) for e, v in q.coeffs.items()})
-        A11, A12, A22, B1, B2 = table.ops
-        n = table.D * s
-    else:
-        c = operator_coeffs(p)
-        A11, A12, A22, B1, B2 = c.A11, c.A12, c.A22, c.B1, c.B2
-        n = 1
+    """Apply the operator by direct differentiation of q, multiplying by
+    the parameters' cached coefficient polynomials in q's own arithmetic.
+    An exact coefficient is an int where it is integral and a Fraction
+    only where it is not."""
+    A11, A12, A22, B1, B2 = operator_coeffs(p)
     qx = q.diff_x()
     qy = q.diff_y()
     out = (
@@ -93,10 +88,7 @@ def apply_L(p: WeightParams, q: BivarPoly) -> BivarPoly:
         + B1 * qx
         + B2 * qy
     )
-    if n == 1:
-        out.coeffs = {e: _int(v) for e, v in out.coeffs.items()}
-    else:
-        out.coeffs = {e: Fraction(v, n) if v % n else v // n for e, v in out.coeffs.items()}
+    out.coeffs = {e: _int(v) for e, v in out.coeffs.items()}
     return out
 
 
@@ -145,7 +137,7 @@ def eigenvalue(p: WeightParams, k):
     """Closed-form eigenvalue attached to one index pair; at rational
     parameters an int where it is integral, else a Fraction."""
     a = p.alpha
-    return _int(HALF * _twice_eigenvalue(*MIndex(*k), a * 0 + 1, a, p.beta))
+    return _int(HALF * _twice_eigenvalue(*MIndex.of(k), a * 0 + 1, a, p.beta))
 
 
 def _twice_eigenvalue(k1, k2, one, a, b):
@@ -175,20 +167,20 @@ TIE_RTOL = 1e-12
 class _Table:
     """The operator at one parameter pair, laid out for the exact sweeps.
 
+    `op` is the operator's coefficient record (`operator_coeffs`).
     `order` is the weighted monomial order through weighted degree `degree`,
     grown in place one class at a time, so a position, once given, never
     changes; `pos` inverts it.  At each position, `lam` holds D lambda and
     `lowered` the image of that monomial without its diagonal term, as
-    (position, D coefficient) pairs, all at earlier positions.  `ops` holds
-    A11, A12, A22, B1 and B2 scaled by D, for rational parameters only.  `polys` keeps the finished eigenpolynomials by
-    (index, lead) and `mu` the normalized moments by index, a prefix of
-    the order.
+    (position, D coefficient) pairs, all at earlier positions.  `polys`
+    keeps the finished eigenpolynomials by (index, lead) and `mu` the
+    normalized moments by index, a prefix of the order.
     """
 
-    __slots__ = ("D", "ops", "degree", "order", "pos", "lam", "lowered", "polys", "mu")
+    __slots__ = ("D", "op", "degree", "order", "pos", "lam", "lowered", "polys", "mu")
 
-    def __init__(self, D: int, ops: tuple = None):
-        self.D, self.ops, self.degree = D, ops, -1
+    def __init__(self, D: int, op: OperatorCoeffs):
+        self.D, self.op, self.degree = D, op, -1
         self.order, self.pos, self.lam, self.lowered = [], {}, [], []
         self.polys, self.mu = {}, {(0, 0): Fraction(1)}
 
@@ -196,21 +188,20 @@ class _Table:
 # typed: Fraction(1, 2) == 0.5, and the exact and float tables stay apart
 @functools.lru_cache(maxsize=None, typed=True)
 def _table(alpha, beta) -> _Table:
-    """The table at parameters (alpha, beta), built empty on first use.
+    """The table at parameters (alpha, beta), built on first use with its
+    operator record, every integral coefficient an int, and an empty order.
 
     D = 2 lcm(den alpha, den beta) for rational parameters, else 1.
     Eigenvalues are integer-linear in 1, alpha and beta apart from the
     factors 3/2 and 9/2, and monomial images are integer-linear in them, so
     D times either is an integer.
     """
-    if not (isinstance(alpha, (int, Fraction)) and isinstance(beta, (int, Fraction))):
-        return _Table(1)
-    D = 2 * math.lcm(alpha.denominator, beta.denominator)
-    c = operator_coeffs(WeightParams(alpha, beta))
-    return _Table(D, tuple(
-        BivarPoly({e: _int(D * v) for e, v in op.coeffs.items()})
-        for op in (c.A11, c.A12, c.A22, c.B1, c.B2)
+    exact = isinstance(alpha, (int, Fraction)) and isinstance(beta, (int, Fraction))
+    D = 2 * math.lcm(alpha.denominator, beta.denominator) if exact else 1
+    op = OperatorCoeffs(*(
+        BivarPoly({e: _int(v) for e, v in c.coeffs.items()}) for c in _operator(1, alpha, beta)
     ))
+    return _Table(D, op)
 
 
 def _grow(p: WeightParams, table: _Table, max_mdeg: int) -> None:
@@ -252,7 +243,7 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
     and TypeError for a lead other than an int or Fraction at rational
     parameters, where it would spoil the exact result.
     """
-    k = MIndex(*k)
+    k = MIndex.of(k)
     if k.k1 < 0 or k.k2 < 0:
         raise ValueError("index components must be nonnegative")
     a, b = p.alpha, p.beta

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -25,11 +26,12 @@ from g2cub.chebyshev import (
     xy_map,
 )
 from g2cub.coords import make_point
-from g2cub.gentrig import eval as trig
+from g2cub import sturm
+from g2cub.gentrig import TrigFamily, eval as trig
 from g2cub.coords import make_index, orbit, orbit_size
 from g2cub.jsonio import dumps
 from g2cub.poly import BivarPoly, EvaluationError, star_key
-from g2cub.sturm import jacobi_poly, moments
+from g2cub.sturm import eigen_poly, eigenvalue, jacobi_poly, moments
 
 HALF = Fraction(1, 2)
 MM = WeightParams(-HALF, -HALF)
@@ -193,6 +195,41 @@ def test_first_kind_is_plain_cc():
             kap = (k[0] + k[1], k[1])
             expect = trig("cc", make_index(*kap), t)
             assert cheb_eval_trig(MM, k, t) == pytest.approx(expect, abs=1e-13)
+
+
+def test_weight_params_name_their_family():
+    for fam in TrigFamily:
+        a, b = fam.params
+        assert (a, b) == (fam.sines[0] - HALF, fam.sines[1] - HALF)
+        for p in (WeightParams(a, b), WeightParams(float(a), float(b)), WeightParams(np.float64(a), b)):
+            assert p.family is fam
+    for a, b in ((0.3, 0.5), (HALF, 0), (Fraction(3, 2), HALF), (0.5, 0.5000001)):
+        assert WeightParams(a, b).family is None
+        with pytest.raises(ValueError, match="outside the four half-integer cases"):
+            cheb_poly(WeightParams(a, b), (1, 0))
+
+
+def test_numpy_index_leaves_the_exact_cache_exact():
+    # a numpy index once stored numpy coefficients under the int index's key
+    sturm._table.cache_clear()
+    p = WeightParams(HALF, -HALF)
+    cheb_poly(p, np.array([4, 2]))
+    for value in (orthogonality_constant(p, np.array([4, 2])), eigenvalue(p, np.array([4, 2]))):
+        assert type(value) in (float, int)
+    assert all(type(c) is int for c in cheb_poly(p, (4, 2)).coeffs.values())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = cheb_poly(p, np.array([20, 10]))  # the lead 6**30 overflows int64
+    assert all(type(c) is int for c in big.coeffs.values())
+    sturm._table.cache_clear()
+    assert big == cheb_poly(p, (20, 10))
+    assert dumps(poly_to_json_dict(p, np.array([20, 10]), big)) == dumps(poly_to_json_dict(p, (20, 10), big))
+    for bad in ((4.0, 2), (4, 2.5)):
+        for call in (cheb_poly, eigenvalue, orthogonality_constant):
+            with pytest.raises(TypeError):
+                call(p, bad)
+        with pytest.raises(TypeError):
+            eigen_poly(p, bad)
 
 
 @pytest.mark.parametrize("alpha,beta,k1,k2", [(0.3, 0.7, -1, 2), (-0.3, 0.7, 3, -1), (0.3, 0.7, -3, 1)])

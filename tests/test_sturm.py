@@ -107,18 +107,30 @@ def canonical(poly):
     return all(type(c) is exact_type(c) for c in poly.coeffs.values())
 
 
+A11 = BivarPoly({(2, 0): Fraction(-6), (0, 1): Fraction(1), (1, 0): Fraction(3), (0, 0): Fraction(2)})
+A12 = BivarPoly({(1, 1): Fraction(-9), (2, 0): Fraction(18), (0, 1): Fraction(-6), (0, 0): Fraction(-3)})
+A22 = BivarPoly({(0, 2): Fraction(-18), (3, 0): Fraction(108), (1, 1): Fraction(-54),
+                 (1, 0): Fraction(-27), (0, 1): Fraction(-9)})
+
+
 def plain_apply_L(p, q):
-    """The operator by plain BivarPoly arithmetic on the unscaled operator
-    coefficients, an independent reference for apply_L, with each exact
-    result an int where it is integral."""
-    c = operator_coeffs(p)
+    """The operator by plain BivarPoly arithmetic on coefficient
+    polynomials written out here, with Fraction constants and B1, B2 in
+    the parameters' own arithmetic: a reference for apply_L that shares
+    none of its operator record, with each exact result an int where it
+    is integral."""
+    a, b = p.alpha, p.beta
+    one = a * 0 + 1
+    B1 = BivarPoly({(1, 0): 21 * one + 12 * a + 18 * b, (0, 0): 6 * a + 3 * one})
+    B2 = BivarPoly({(1, 0): 18 * one + 36 * a, (0, 1): 45 * one + 36 * b + 18 * a,
+                    (0, 0): 18 * b + 9 * one})
     qx, qy = q.diff_x(), q.diff_y()
     out = (
-        -(c.A11 * qx.diff_x())
-        - 2 * (c.A12 * qx.diff_y())
-        - (c.A22 * qy.diff_y())
-        + c.B1 * qx
-        + c.B2 * qy
+        -(A11 * qx.diff_x())
+        - 2 * (A12 * qx.diff_y())
+        - (A22 * qy.diff_y())
+        + B1 * qx
+        + B2 * qy
     )
     return BivarPoly({e: _int(v) for e, v in out.coeffs.items()})
 
@@ -606,15 +618,24 @@ COEFFS = st.one_of(
     st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 4)), COEFFS, max_size=10),
 )
 def test_apply_L_matches_the_five_product_form(a, b, kind, coeffs):
-    # int and Fraction coefficients, with denominators up to 40 that need
-    # not divide D, run on ints against the cached D-scaled operator when
-    # alpha is a Fraction; an int alpha or any float coefficient does not
+    # int and Fraction coefficients, with denominators up to 40, against
+    # int and Fraction parameters, and the same q against their floats
     convert = {"int": lambda v: int(v), "fraction": Fraction, "float": float, "mixed": lambda v: v}
     q = BivarPoly({e: convert[kind](v) for e, v in coeffs.items()})
-    p = WeightParams(a, b)
-    got = apply_L(p, q)
-    assert typed(got) == typed(plain_apply_L(p, q))
-    assert all(c for c in got.coeffs.values())
+    for p in (WeightParams(a, b), WeightParams(float(a), float(b))):
+        got = apply_L(p, q)
+        assert typed(got) == typed(plain_apply_L(p, q))
+        assert all(c for c in got.coeffs.values())
+
+
+def test_operator_coefficients_are_ints_at_half_integer_and_int_pairs():
+    for p in ALL_HALF + (WeightParams(0, 0), WeightParams(2, 1), frac_params(1, 3)):
+        c = operator_coeffs(p)
+        assert all(type(v) is int for poly in c for v in poly.coeffs.values()), p
+    half = operator_coeffs(WeightParams(HALF, HALF))
+    assert half.B1 == BivarPoly({(1, 0): 36, (0, 0): 6})
+    assert half.B2 == BivarPoly({(1, 0): 36, (0, 1): 72, (0, 0): 18})
+    assert operator_coeffs(WeightParams(HALF, HALF)) is half  # built once per pair
 
 
 def test_apply_L_with_denominators_that_do_not_divide_D():
