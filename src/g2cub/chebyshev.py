@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,7 @@ import numpy as np
 from . import quad
 from .coords import make_index, orbit_size
 from .gentrig import TrigFamily, eval as trig_eval
-from .poly import EVAL_REL_BOUND, BivarPoly, EvaluationError, star_cmp  # star_cmp re-exported
+from .poly import BivarPoly, within_bound
 
 DENOM_FALLBACK = 1e-8
 
@@ -46,12 +47,24 @@ class MIndex(NamedTuple):
         return cls(*map(operator.index, k))
 
 
+def _parameter(v):
+    """v as an int (numpy integers too), a Fraction, or another real as a
+    float; TypeError for anything else."""
+    if not isinstance(v, numbers.Real):
+        raise TypeError(f"weight parameters must be real numbers, got {v!r}")
+    if isinstance(v, numbers.Integral):
+        return operator.index(v)
+    return v if isinstance(v, Fraction) else float(v)
+
+
 @dataclass(frozen=True)
 class WeightParams:
     alpha: object
     beta: object
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", _parameter(self.alpha))
+        object.__setattr__(self, "beta", _parameter(self.beta))
         a, b = float(self.alpha), float(self.beta)
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError("weight parameters must be finite")
@@ -192,8 +205,8 @@ def cheb_eval_trig(p: WeightParams, k, t):
     The components of t may be scalars or numpy arrays that broadcast
     against each other, as in `gentrig.eval`; scalar input gives a float.
     Where the denominator is below DENOM_FALLBACK the exact polynomial is
-    evaluated instead, in one array call; EvaluationError is raised where
-    its `error_bound` exceeds EVAL_REL_BOUND * max(1, |value|).
+    evaluated instead, in one array call, and judged by `within_bound`
+    on its `error_bound`.
     """
     k = MIndex.of(k)
     fam, num, den = _quotient(p, k)
@@ -207,12 +220,8 @@ def cheb_eval_trig(p: WeightParams, k, t):
     value = np.array(numerator / np.where(small, 1.0, denominator))
     poly = cheb_poly(p, k)
     x, y = (np.broadcast_to(c, value.shape)[small] for c in xy_map(t))
-    fallback = poly(x, y)
-    bound = poly.error_bound(x, y)
-    if np.any(bound > EVAL_REL_BOUND * np.maximum(1.0, np.abs(fallback))):
-        raise EvaluationError(f"index {tuple(k)} near a zero of the denominator: the monomial "
-                              f"sum may be off by {float(np.max(bound)):.3e}")
-    value[small] = fallback
+    what = f"index {tuple(k)} near a zero of the denominator: the monomial sum"
+    value[small] = within_bound(poly(x, y), poly.error_bound(x, y), what)
     return float(value) if value.ndim == 0 else value
 
 
@@ -250,15 +259,15 @@ def continuous_inner(p: WeightParams, f, g, tol=quad.DEFAULT_TOL):
     Polynomial arguments are integrated through the operator's moments
     (`sturm.moments`): the sum of c * mu over the terms of f * g is exact
     in Fractions, rounded once, when every coefficient is an int or a
-    Fraction.  Otherwise it is a float sum of N terms, and EvaluationError
-    is raised where its bound (N + 2) 2^-53 sum |c * mu| exceeds
-    tol * max(1, |result|).  General callables (x, y) -> value are
-    pulled back to the parameter triangle and integrated by product
-    Gauss-Jacobi quadrature (`quad.triangle_quadrature`): tol bounds its
-    error estimate relative to the normalized result, as
-    tol * max(1, |result|), and QuadratureError is raised when the
-    estimate stays above tol at the order cap `quad.ORDER_CAP`.  Raises
-    ValueError where the weight is not integrable.
+    Fraction.  Otherwise it is a float sum of N terms, judged by
+    `within_bound` at tol on its bound (N + 2) 2^-53 sum |c * mu|.
+    General callables (x, y) -> value are pulled back to the parameter
+    triangle and integrated by product Gauss-Jacobi quadrature
+    (`quad.triangle_quadrature`): tol bounds its error estimate relative
+    to max(1, |result|) of the normalized result, and QuadratureError is
+    raised when the estimate stays above tol at the order cap
+    `quad.ORDER_CAP`.  Raises ValueError where the weight is not
+    integrable.
     """
     if isinstance(f, BivarPoly) and isinstance(g, BivarPoly):
         from .sturm import moments  # sturm imports this module
@@ -268,11 +277,8 @@ def continuous_inner(p: WeightParams, f, g, tol=quad.DEFAULT_TOL):
         if all(isinstance(c, (int, Fraction)) for c in prod.coeffs.values()):
             return float(sum(c * mu[ij] for ij, c in prod.coeffs.items()))
         terms = [float(c) * float(mu[ij]) for ij, c in prod.coeffs.items()]
-        value = float(sum(terms))
         bound = (len(terms) + 2) * 2.0 ** -53 * sum(map(abs, terms))
-        if bound > tol * max(1.0, abs(value)):
-            raise EvaluationError(f"the moment sum of {len(terms)} terms may be off by {bound:.3e}")
-        return value
+        return within_bound(float(sum(terms)), bound, f"the moment sum of {len(terms)} terms", tol)
 
     _require_integrable(p)
 

@@ -17,7 +17,7 @@ from .chebyshev import WeightParams, cheb_poly, poly_to_json_dict
 from .cubature import RULE_KINDS, make_rule, rule_to_csv, rule_to_json
 from .gentrig import TrigFamily
 from .jsonio import dumps as json_dumps, format_float
-from .poly import EVAL_REL_BOUND, BivarPoly
+from .poly import BivarPoly
 from .sturm import jacobi_poly
 from .verify import SUITES, run_suite
 
@@ -74,16 +74,10 @@ def cmd_nodes(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    """Print the float value of one family polynomial at (x, y).  Where its
-    `error_bound` exceeds EVAL_REL_BOUND * max(1, |value|), print that
-    bound on stderr instead of the value and exit 1."""
+    """Print the value of one family polynomial at (x, y): the exact sum
+    of its coefficients at the floats x and y, rounded once."""
     poly = _family_poly(args)
-    value = float(poly(args.x, args.y))
-    bound = float(poly.error_bound(args.x, args.y))
-    if bound > EVAL_REL_BOUND * max(1.0, abs(value)):
-        print(f"error: the float monomial sum may be off by {bound:.3e}; no value", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    print(format_float(value))
+    print(format_float(poly.exact_value(args.x, args.y)))
     if args.coeffs:
         for (i, j), c in poly.star_sorted_terms():
             print(f"x^{i} y^{j} {c}")

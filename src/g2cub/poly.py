@@ -9,7 +9,10 @@ first exponent; star_key realizes that order as an ascending sort key.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+import numpy as np
 
 # relative error above which a float evaluation counts as failed
 EVAL_REL_BOUND = 1e-8
@@ -18,6 +21,15 @@ EVAL_REL_BOUND = 1e-8
 class EvaluationError(ArithmeticError):
     """Raised where the stated error bound of a float evaluation exceeds
     the tolerance of the caller."""
+
+
+def within_bound(value, bound, what: str, tol: float = EVAL_REL_BOUND):
+    """value, a float evaluation off by at most bound, where bound <= tol *
+    max(1, |value|), elementwise for arrays; elsewhere EvaluationError
+    "<what> may be off by <the largest bound>"."""
+    if np.any(bound > tol * np.maximum(1.0, np.abs(value))):
+        raise EvaluationError(f"{what} may be off by {float(np.max(bound)):.3e}")
+    return value
 
 
 def star_key(k):
@@ -194,6 +206,22 @@ class BivarPoly:
         error is at most (N + d) 2^-53 sum |c| |x|^i |y|^j."""
         scale = BivarPoly({e: abs(c) for e, c in self.coeffs.items()})(abs(x), abs(y))
         return (len(self.coeffs) + self.mdegree()) * 2.0 ** -53 * scale
+
+    def exact_value(self, x: float, y: float) -> float:
+        """The exact value at the floats x and y, rounded once, or +-inf
+        beyond the float range: the sum on Python ints over one common
+        denominator, then one correctly rounded int true division."""
+        (xn, xd), (yn, yd) = float(x).as_integer_ratio(), float(y).as_integer_ratio()
+        ratios = {e: c.as_integer_ratio() for e, c in self.coeffs.items()}
+        imax, jmax = (max((e[axis] for e in ratios), default=0) for axis in (0, 1))
+        xs = [xn ** i * xd ** (imax - i) for i in range(imax + 1)]
+        ys = [yn ** j * yd ** (jmax - j) for j in range(jmax + 1)]
+        scale = math.lcm(*(d for _, d in ratios.values()))
+        total = sum(n * (scale // d) * xs[i] * ys[j] for (i, j), (n, d) in ratios.items())
+        try:
+            return total / (scale * xd ** imax * yd ** jmax)
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
 
     def __repr__(self):
         if not self.coeffs:

@@ -30,9 +30,8 @@ from .cubature import RULE_KINDS, integrate_poly, make_rule, variety_check
 from .poly import BivarPoly
 from .sturm import apply_L, eigen_residual, eigenvalue, jacobi_poly, moments, operator_coeffs
 
-HALF = Fraction(1, 2)
 HALF_PARAMS = tuple(
-    WeightParams(sa * HALF, sb * HALF) for sa in (-1, 1) for sb in (-1, 1)
+    WeightParams(*params) for params in sorted(f.params for f in gentrig.TrigFamily)
 )
 
 
@@ -173,7 +172,7 @@ def suite_identities(n: int = 100, tol: float = None):
     checks.append(Check("jacobian", float(worst), jac_tol))
 
     # exact polynomial identities
-    coeffs = operator_coeffs(WeightParams(HALF, HALF))
+    coeffs = operator_coeffs(WeightParams(*gentrig.TrigFamily.SS.params))
     F = deltoid_F(BivarPoly.x(), BivarPoly.y())
     det = coeffs.A11 * coeffs.A22 - coeffs.A12 * coeffs.A12
     checks.append(Check("det-matches-9F", 0.0 if det == 9 * F else 1.0, 0.0))
@@ -190,12 +189,8 @@ def suite_variety(n: int = 6, tol: float = 1e-10):
     gauss and radau1 rules have no generators of weighted degree 1."""
     if n < 2:
         raise ValueError("the variety suite needs n >= 2")
-    checks = []
-    for kind in RULE_KINDS:
-        rep = variety_check(kind, n, tol)
-        worst = max(c["max_residual"] for c in rep["checks"])
-        checks.append(Check(f"variety-{kind}", worst, tol))
-    return checks
+    return [Check(f"variety-{kind}", max(variety_check(kind, n).values()), tol)
+            for kind in RULE_KINDS]
 
 
 SUITES = {
@@ -208,10 +203,5 @@ SUITES = {
 
 
 def run_suite(name: str, n=None, tol=None):
-    fn = SUITES[name]
-    kwargs = {}
-    if n is not None:
-        kwargs["n"] = n
-    if tol is not None:
-        kwargs["tol"] = tol
-    return fn(**kwargs)
+    kwargs = {"n": n, "tol": tol}
+    return SUITES[name](**{key: v for key, v in kwargs.items() if v is not None})

@@ -31,7 +31,7 @@ from g2cub.gentrig import TrigFamily, eval as trig
 from g2cub.coords import make_index, orbit, orbit_size
 from g2cub.jsonio import dumps
 from g2cub.poly import BivarPoly, EvaluationError, star_key
-from g2cub.sturm import eigen_poly, eigenvalue, jacobi_poly, moments
+from g2cub.sturm import apply_L, eigen_poly, eigenvalue, jacobi_poly, moments
 
 HALF = Fraction(1, 2)
 MM = WeightParams(-HALF, -HALF)
@@ -230,6 +230,29 @@ def test_numpy_index_leaves_the_exact_cache_exact():
                 call(p, bad)
         with pytest.raises(TypeError):
             eigen_poly(p, bad)
+
+
+def test_numpy_parameters_give_the_python_parameters_exact_results():
+    # numpy ints once gave a mix of float64 and int64 coefficients that
+    # missed the eigen identity, and numpy floats a second table entry
+    p, q = WeightParams(np.int64(1), np.int64(2)), WeightParams(1, 2)
+    assert (type(p.alpha), type(p.beta)) == (int, int) and p == q
+    poly = eigen_poly(p, (20, 10))
+    assert poly == eigen_poly(q, (20, 10))
+    assert {type(c) for c in poly.coeffs.values()} <= {int, Fraction}
+    assert apply_L(p, poly) == eigenvalue(p, (20, 10)) * poly
+    f = WeightParams(np.float64(0.3), np.float32(0.5))
+    assert (type(f.alpha), type(f.beta)) == (float, float) and f.beta == 0.5
+    assert all(type(c) is float for c in eigen_poly(f, (3, 2)).coeffs.values())
+    assert type(WeightParams(HALF, 0.5).alpha) is Fraction
+
+
+@pytest.mark.parametrize("bad", ["0.3", None, 1j, (0.3,)])
+def test_weight_params_reject_what_is_not_a_real_number(bad):
+    with pytest.raises(TypeError, match="real numbers"):
+        WeightParams(bad, 0.5)
+    with pytest.raises(TypeError, match="real numbers"):
+        WeightParams(0.5, bad)
 
 
 @pytest.mark.parametrize("alpha,beta,k1,k2", [(0.3, 0.7, -1, 2), (-0.3, 0.7, 3, -1), (0.3, 0.7, -3, 1)])

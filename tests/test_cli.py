@@ -1,11 +1,17 @@
 import hashlib
 import json
+import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
+from g2cub.chebyshev import MIndex, WeightParams, cheb_poly, star_indices_upto, xy_map
 from g2cub.cli import main
+from g2cub.coords import make_point
 from g2cub.cubature import _build_rule
+from g2cub.jsonio import format_float
+from g2cub.sturm import jacobi_poly
 
 
 def run(capsys, *argv):
@@ -103,16 +109,44 @@ def test_eval_coeff_listing(capsys):
     assert "x^2 y^0 6" in lines
 
 
-def test_eval_withholds_a_value_its_error_bound_does_not_cover(capsys):
-    # the images of t = (0.41, 0.13), where the exact value is -0.0176103
-    # and the float monomial sum gives 82.17, and of t = (0.3 + 1e-9, 0.3)
-    for x, y, bound in (("0.19765111478346734", "-0.37612132690065253", "2.462e+05"),
-                        ("0.1273220017581471", "-0.4756836618024476", "1.918e+05")):
+def test_eval_prints_the_exact_value_where_the_float_sum_loses_every_digit(capsys):
+    # the images of t = (0.41, 0.13), where the float monomial sum gives
+    # 82.17, and of t = (0.3 + 1e-9, 0.3), where it gives 65.61; the exact
+    # sums, rounded once, are printed
+    for x, y, value in (("0.19765111478346734", "-0.37612132690065253", "-0.017610278643242366"),
+                        ("0.1273220017581471", "-0.4756836618024476", "13.917961528633175")):
         code, out, err = run(capsys, "eval", "--alpha", "0.5", "--beta", "0.5",
                              "--k1", "20", "--k2", "10", "--x", x, "--y", y)
-        assert code == 1
-        assert out == ""
-        assert err == f"error: the float monomial sum may be off by {bound}; no value\n"
+        assert (code, out, err) == (0, value + "\n", "")
+
+
+# the seven parameter pairs of the CI's polynomial export
+CI_PAIRS = ((0.5, 0.5), (-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5),
+            (0.3, 1.2), (-0.4, 0.7), (0.17, -0.23))
+
+
+def test_eval_is_the_correctly_rounded_exact_sum(capsys):
+    # oracle: the sum in Fractions at the binary values of x and y, whose
+    # float() is the nearest float
+    rng = random.Random(48)
+    for alpha, beta in CI_PAIRS:
+        for k in rng.sample(star_indices_upto(48), 3) + [MIndex(24, 0), MIndex(0, 16)]:
+            t2 = rng.uniform(0.0, 0.5)
+            x, y = xy_map(make_point(rng.uniform(t2, 1.0 - t2), t2))
+            code, out, _ = run(capsys, "eval", "--alpha", str(alpha), "--beta", str(beta),
+                               "--k1", str(k.k1), "--k2", str(k.k2), "--x", repr(x), "--y", repr(y))
+            p = WeightParams(alpha, beta)
+            poly = (cheb_poly if p.family is not None else jacobi_poly)(p, k)
+            exact = sum(Fraction(c) * Fraction(x) ** i * Fraction(y) ** j
+                        for (i, j), c in poly.coeffs.items())
+            assert (code, out) == (0, format_float(float(exact)) + "\n"), (alpha, beta, k, x, y)
+
+
+def test_eval_past_the_float_range_prints_inf(capsys):
+    for k1, k2, value in (("2", "0", "inf"), ("0", "2", "-inf"), ("0", "1", "1.2e+201")):
+        code, out, _ = run(capsys, "eval", "--alpha", "0.5", "--beta", "0.5",
+                           "--k1", k1, "--k2", k2, "--x", "1e200", "--y", "1e200")
+        assert (code, out) == (0, value + "\n")
 
 
 def test_eval_rejects_bad_parameters(capsys):

@@ -203,6 +203,13 @@ def test_reference_integral_basics():
     assert reference_integral(p, poly * poly) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_reference_integral_of_a_callable_matches_the_exact_moments():
+    q = cheb_poly(WeightParams(HALF, -HALF), (2, 1)) + BivarPoly.constant(3)
+    for p in (WeightParams(HALF, HALF), WeightParams(0.3, 1.2), WeightParams(-0.4, 0.7)):
+        exact = reference_integral(p, q)
+        assert abs(reference_integral(p, lambda x, y: q(x, y)) - exact) <= 1e-12
+
+
 def test_lobatto_matches_reference_on_x():
     p = WeightParams(-HALF, -HALF)
     ref = reference_integral(p, BivarPoly.x())
@@ -243,10 +250,13 @@ def test_gauss_nodes_annihilate_top_class():
 
 
 def test_variety_reports():
-    for kind in ("gauss", "lobatto", "radau1", "radau2"):
-        report = variety_check(kind, 6)
-        assert report["pass"], report
-        assert report["node_count"] == len(make_rule(kind, 6).nodes)
+    # one residual per generator: the n = 6 class has two indices, the
+    # n + 1 = 7 class one
+    for kind, labels in (("gauss", ["(3, 0)", "(0, 2)"]), ("lobatto", ["(2, 1)-(1, 1)"]),
+                         ("radau1", ["(3, 0)", "(0, 2)"]), ("radau2", ["(2, 1)-(1, 1)"])):
+        residuals = variety_check(kind, 6)
+        assert list(residuals) == labels
+        assert all(0.0 <= r <= 1e-13 for r in residuals.values()), residuals
     # negative control: the constant does not vanish anywhere
     rule = make_rule("gauss", 4)
     one = cheb_poly(WeightParams(HALF, HALF), (0, 0))
