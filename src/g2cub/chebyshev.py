@@ -27,7 +27,7 @@ import numpy as np
 from . import quad
 from .coords import make_index, orbit_size
 from .gentrig import TrigFamily, eval as trig_eval
-from .poly import BivarPoly, within_bound
+from .poly import BivarPoly, integer_form, rounded_quotient, within_bound
 
 DENOM_FALLBACK = 1e-8
 
@@ -256,29 +256,24 @@ def _require_integrable(p: WeightParams):
 def continuous_inner(p: WeightParams, f, g, tol=quad.DEFAULT_TOL):
     """Weighted inner product normalized so that <1, 1> = 1.
 
-    Polynomial arguments are integrated through the operator's moments
-    (`sturm.moments`): the sum of c * mu over the terms of f * g is exact
-    in Fractions, rounded once, when every coefficient is an int or a
-    Fraction.  Otherwise it is a float sum of N terms, judged by
-    `within_bound` at tol on its bound (N + 2) 2^-53 sum |c * mu|.
-    General callables (x, y) -> value are pulled back to the parameter
+    Two polynomials, whatever their coefficients, are paired exactly: f, g
+    and their moments (`sturm.moments`) each become ints over one common
+    denominator (`poly.integer_form`), c * mu is summed over the terms of
+    f * g on Python ints, and the sum is rounded once.  tol applies only
+    to general callables (x, y) -> value, pulled back to the parameter
     triangle and integrated by product Gauss-Jacobi quadrature
     (`quad.triangle_quadrature`): tol bounds its error estimate relative
-    to max(1, |result|) of the normalized result, and QuadratureError is
-    raised when the estimate stays above tol at the order cap
-    `quad.ORDER_CAP`.  Raises ValueError where the weight is not
-    integrable.
+    to max(1, |result|), and QuadratureError is raised when the estimate
+    stays above tol at the order cap `quad.ORDER_CAP`.  Raises ValueError
+    where the weight is not integrable.
     """
     if isinstance(f, BivarPoly) and isinstance(g, BivarPoly):
         from .sturm import moments  # sturm imports this module
-
-        prod = f * g
+        (fn, fd), (gn, gd) = integer_form(f.coeffs), integer_form(g.coeffs)
+        prod = BivarPoly(fn) * BivarPoly(gn)
         mu = moments(p, prod.mdegree())
-        if all(isinstance(c, (int, Fraction)) for c in prod.coeffs.values()):
-            return float(sum(c * mu[ij] for ij, c in prod.coeffs.items()))
-        terms = [float(c) * float(mu[ij]) for ij, c in prod.coeffs.items()]
-        bound = (len(terms) + 2) * 2.0 ** -53 * sum(map(abs, terms))
-        return within_bound(float(sum(terms)), bound, f"the moment sum of {len(terms)} terms", tol)
+        mus, den = integer_form({e: mu[e] for e in prod.coeffs})
+        return rounded_quotient(sum(c * mus[e] for e, c in prod.coeffs.items()), fd * gd * den)
 
     _require_integrable(p)
 
@@ -318,8 +313,8 @@ def poly_to_json_dict(p: WeightParams, k, polynomial: BivarPoly) -> dict:
     k = MIndex.of(k)
     terms = []
     for (i, j), c in polynomial.star_sorted_terms():
-        frac = c if isinstance(c, (int, Fraction)) else Fraction(c)  # an int has den 1
-        terms.append({"i": i, "j": j, "num": frac.numerator, "den": frac.denominator})
+        num, den = c.as_integer_ratio()
+        terms.append({"i": i, "j": j, "num": num, "den": den})
     return {
         "alpha": float(p.alpha),
         "beta": float(p.beta),

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -145,14 +144,10 @@ def integrate_poly(rule: CubatureRule, p: BivarPoly) -> float:
 
 
 def reference_integral(p: WeightParams, f, tol=DEFAULT_TOL) -> float:
-    """Independent oracle: the normalized weighted integral of f.  A
-    polynomial is integrated exactly through the operator's moment
-    recurrence, any other callable by product Gauss-Jacobi quadrature on
-    the pulled-back parameter triangle; tol applies only there, relative
-    to the normalized result, as in `continuous_inner`."""
-    if isinstance(f, BivarPoly):
-        return continuous_inner(p, f, BivarPoly.constant(Fraction(1)), tol=tol)
-    return continuous_inner(p, f, lambda x, y: 1.0, tol=tol)
+    """Independent oracle: `continuous_inner` of f and 1, exact and rounded
+    once for a polynomial, by quadrature at tol for any other callable."""
+    one = BivarPoly.constant(1) if isinstance(f, BivarPoly) else (lambda x, y: 1.0)
+    return continuous_inner(p, f, one, tol=tol)
 
 
 # variety checks --------------------------------------------------------------

@@ -23,13 +23,29 @@ class EvaluationError(ArithmeticError):
     the tolerance of the caller."""
 
 
-def within_bound(value, bound, what: str, tol: float = EVAL_REL_BOUND):
-    """value, a float evaluation off by at most bound, where bound <= tol *
-    max(1, |value|), elementwise for arrays; elsewhere EvaluationError
-    "<what> may be off by <the largest bound>"."""
-    if np.any(bound > tol * np.maximum(1.0, np.abs(value))):
+def within_bound(value, bound, what: str):
+    """value, a float evaluation off by at most bound, where bound <=
+    EVAL_REL_BOUND * max(1, |value|), elementwise for arrays; elsewhere
+    EvaluationError "<what> may be off by <the largest bound>"."""
+    if np.any(bound > EVAL_REL_BOUND * np.maximum(1.0, np.abs(value))):
         raise EvaluationError(f"{what} may be off by {float(np.max(bound)):.3e}")
     return value
+
+
+def integer_form(coeffs: dict):
+    """({e: n}, den) with every coeffs[e] == n / den, over the least den > 0:
+    an int, a Fraction and a float are all exact rationals."""
+    ratios = {e: c.as_integer_ratio() for e, c in coeffs.items()}
+    den = math.lcm(*(d for _, d in ratios.values()))
+    return {e: n * (den // d) for e, (n, d) in ratios.items()}, den
+
+
+def rounded_quotient(num: int, den: int) -> float:
+    """num / den for den > 0, correctly rounded, or +-inf beyond the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def star_key(k):
@@ -210,18 +226,14 @@ class BivarPoly:
     def exact_value(self, x: float, y: float) -> float:
         """The exact value at the floats x and y, rounded once, or +-inf
         beyond the float range: the sum on Python ints over one common
-        denominator, then one correctly rounded int true division."""
+        denominator (`integer_form`), then one int true division."""
         (xn, xd), (yn, yd) = float(x).as_integer_ratio(), float(y).as_integer_ratio()
-        ratios = {e: c.as_integer_ratio() for e, c in self.coeffs.items()}
-        imax, jmax = (max((e[axis] for e in ratios), default=0) for axis in (0, 1))
+        nums, den = integer_form(self.coeffs)
+        imax, jmax = (max((e[axis] for e in nums), default=0) for axis in (0, 1))
         xs = [xn ** i * xd ** (imax - i) for i in range(imax + 1)]
         ys = [yn ** j * yd ** (jmax - j) for j in range(jmax + 1)]
-        scale = math.lcm(*(d for _, d in ratios.values()))
-        total = sum(n * (scale // d) * xs[i] * ys[j] for (i, j), (n, d) in ratios.items())
-        try:
-            return total / (scale * xd ** imax * yd ** jmax)
-        except OverflowError:
-            return math.inf if total > 0 else -math.inf
+        total = sum(n * xs[i] * ys[j] for (i, j), n in nums.items())
+        return rounded_quotient(total, den * xd ** imax * yd ** jmax)
 
     def __repr__(self):
         if not self.coeffs:

@@ -330,8 +330,6 @@ def jacobi_poly(p: WeightParams, k) -> BivarPoly:
 
 
 def selfadjointness_check(p: WeightParams, f: BivarPoly, g: BivarPoly):
-    """Both orderings of the weighted pairing with the operator; exact
-    polynomials at rational parameters pair exactly (`continuous_inner`)."""
-    lhs = continuous_inner(p, apply_L(p, f), g)
-    rhs = continuous_inner(p, f, apply_L(p, g))
-    return lhs, rhs
+    """(<L f, g>, <f, L g>), each exact and rounded once (`continuous_inner`),
+    so equal wherever `apply_L` is exact: on exact polys at rational parameters."""
+    return continuous_inner(p, apply_L(p, f), g), continuous_inner(p, f, apply_L(p, g))

@@ -30,7 +30,7 @@ from g2cub import sturm
 from g2cub.gentrig import TrigFamily, eval as trig
 from g2cub.coords import make_index, orbit, orbit_size
 from g2cub.jsonio import dumps
-from g2cub.poly import BivarPoly, EvaluationError, star_key
+from g2cub.poly import BivarPoly, star_key
 from g2cub.sturm import apply_L, eigen_poly, eigenvalue, jacobi_poly, moments
 
 HALF = Fraction(1, 2)
@@ -391,14 +391,30 @@ def test_continuous_orthogonality_all_families():
                     assert value == 0.0, (p, ka, kb)
 
 
-def test_continuous_inner_raises_where_its_float_sum_bound_exceeds_tol():
+def fraction_inner(p, f, g):
+    """The exact pairing in Fractions: f * g term pair by term pair, then
+    each of its coefficients against its moment."""
+    prod = {}
+    for e, a in f.coeffs.items():
+        for h, b in g.coeffs.items():
+            key = (e[0] + h[0], e[1] + h[1])
+            prod[key] = prod.get(key, 0) + Fraction(a) * Fraction(b)
+    mu = moments(p, f.mdegree() + g.mdegree())
+    return sum(c * mu[e] for e, c in prod.items())
+
+
+def test_continuous_inner_sums_float_coefficients_exactly():
     p = WeightParams(0.17, -0.23)
     P = jacobi_poly(p, (0, 4))
     value = continuous_inner(p, P, P)
     assert value > 0
-    # the bound here is about 5e-13 of the result
-    with pytest.raises(EvaluationError, match="moment sum"):
-        continuous_inner(p, P, P, tol=1e-14)
+    assert value == float(fraction_inner(p, P, P)) == continuous_inner(p, P, P, tol=1e-14)
+    # monic float eigenpolynomials of weighted degree 36 and 42: summed in
+    # floats, their squared norms came out as 5.8e-19 and -2.8e-17
+    p = WeightParams(0.3, 1.2)
+    for k, norm in (((9, 6), 1.596004977337912e-24), ((9, 8), 1.1780345096352702e-27)):
+        q = jacobi_poly(p, k)
+        assert continuous_inner(p, q, q) == float(fraction_inner(p, q, q)) == norm
 
 
 def test_orthogonality_constant_pattern():

@@ -413,8 +413,8 @@ def test_selfadjointness():
         assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs))
         lhs, rhs = selfadjointness_check(p, BivarPoly.constant(1.0), x * y)
         assert abs(lhs) <= 1e-10 and abs(rhs) <= 1e-8
-    # exact at rational parameters, where the float moment sums of these
-    # products, of weighted degree 26 and 28, would exceed their bound
+    # at rational parameters apply_L is exact as well as the pairing, so the
+    # two orderings agree exactly, here on products of weighted degree 26 and 28
     p = WeightParams(Fraction(1, 2), Fraction(1, 2))
     f, g = cheb_poly(p, (4, 2)), cheb_poly(p, (3, 2))
     assert selfadjointness_check(p, f, g) == (0.0, 0.0)
@@ -626,6 +626,34 @@ def test_apply_L_matches_the_five_product_form(a, b, kind, coeffs):
         got = apply_L(p, q)
         assert typed(got) == typed(plain_apply_L(p, q))
         assert all(c for c in got.coeffs.values())
+
+
+def fraction_inner(p, f, g):
+    """The exact pairing in Fractions: f * g term pair by term pair, then
+    each of its coefficients against its moment."""
+    prod = {}
+    for e, a in f.coeffs.items():
+        for h, b in g.coeffs.items():
+            key = (e[0] + h[0], e[1] + h[1])
+            prod[key] = prod.get(key, 0) + Fraction(a) * Fraction(b)
+    mu = moments(p, f.mdegree() + g.mdegree())
+    return sum(c * mu[e] for e, c in prod.items())
+
+
+POLY_COEFFS = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 3)), COEFFS, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.tuples(INTEGRABLE, INTEGRABLE),
+              st.tuples(st.floats(min_value=-0.5, max_value=2), st.floats(min_value=-0.5, max_value=2))),
+    POLY_COEFFS,
+    POLY_COEFFS,
+)
+def test_continuous_inner_of_polynomials_is_the_exact_pairing_rounded_once(ab, fc, gc):
+    p, f, g = WeightParams(*ab), BivarPoly(fc), BivarPoly(gc)
+    assert continuous_inner(p, f, g) == continuous_inner(p, g, f) == float(fraction_inner(p, f, g))
+    assert continuous_inner(p, f, f) >= 0
 
 
 def test_operator_coefficients_are_ints_at_half_integer_and_int_pairs():
