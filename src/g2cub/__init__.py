@@ -36,7 +36,7 @@ from .lattice import (
     triangle_discrete_inner,
     upsilon_weight,
 )
-from .poly import EVAL_REL_BOUND, BivarPoly, EvaluationError, star_cmp, star_key
+from .poly import BivarPoly, star_cmp, star_key
 from .chebyshev import (
     MIndex,
     WeightParams,

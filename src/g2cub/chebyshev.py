@@ -27,7 +27,7 @@ import numpy as np
 from . import quad
 from .coords import make_index, orbit_size
 from .gentrig import TrigFamily, eval as trig_eval
-from .poly import BivarPoly, integer_form, rounded_quotient, within_bound
+from .poly import BivarPoly, integer_form, integer_ratio, rounded_quotient
 
 DENOM_FALLBACK = 1e-8
 
@@ -205,8 +205,8 @@ def cheb_eval_trig(p: WeightParams, k, t):
     The components of t may be scalars or numpy arrays that broadcast
     against each other, as in `gentrig.eval`; scalar input gives a float.
     Where the denominator is below DENOM_FALLBACK the exact polynomial is
-    evaluated instead, in one array call, and judged by `within_bound`
-    on its `error_bound`.
+    summed instead, exactly at the rounded image xy_map(t) and rounded
+    once (`BivarPoly.exact_value`).
     """
     k = MIndex.of(k)
     fam, num, den = _quotient(p, k)
@@ -218,10 +218,8 @@ def cheb_eval_trig(p: WeightParams, k, t):
     if not small.any():
         return numerator / denominator
     value = np.array(numerator / np.where(small, 1.0, denominator))
-    poly = cheb_poly(p, k)
-    x, y = (np.broadcast_to(c, value.shape)[small] for c in xy_map(t))
-    what = f"index {tuple(k)} near a zero of the denominator: the monomial sum"
-    value[small] = within_bound(poly(x, y), poly.error_bound(x, y), what)
+    x, y = (np.broadcast_to(c, value.shape)[small].tolist() for c in xy_map(t))
+    value[small] = [cheb_poly(p, k).exact_value(a, b) for a, b in zip(x, y)]
     return float(value) if value.ndim == 0 else value
 
 
@@ -313,7 +311,7 @@ def poly_to_json_dict(p: WeightParams, k, polynomial: BivarPoly) -> dict:
     k = MIndex.of(k)
     terms = []
     for (i, j), c in polynomial.star_sorted_terms():
-        num, den = c.as_integer_ratio()
+        num, den = integer_ratio(c)
         terms.append({"i": i, "j": j, "num": num, "den": den})
     return {
         "alpha": float(p.alpha),

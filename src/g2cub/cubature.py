@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import (
-    DENOM_FALLBACK,
     MIndex,
     WeightParams,
     cheb_eval_trig,
@@ -39,7 +38,7 @@ from .chebyshev import (
 from .coords import orbit_size, point_from_index
 from .gentrig import TrigFamily, eval as trig_eval
 from .lattice import enum_upsilon, upsilon_weight
-from .poly import BivarPoly, within_bound
+from .poly import BivarPoly
 from .quad import DEFAULT_TOL, Rule
 
 # rule kind -> the trig family whose squared shift member is its factor
@@ -135,12 +134,9 @@ def integrate(rule: CubatureRule, f) -> float:
 
 
 def integrate_poly(rule: CubatureRule, p: BivarPoly) -> float:
-    """Apply the rule to a polynomial: one weighted sum of p evaluated
-    once on the arrays of all node coordinates, judged by `within_bound`
-    on the weighted sum of p's `error_bound` at the nodes."""
-    x, y = rule.nodes.T
-    bound = float(rule.mean(p.error_bound(x, y)))  # the weights are positive
-    return within_bound(float(rule.mean(p(x, y))), bound, f"the {rule.kind} n={rule.n} integral")
+    """Apply the rule to a polynomial: `BivarPoly.exact_sum` over the rule's
+    `triples`, exact at the floats' binary values and rounded once."""
+    return p.exact_sum(rule.triples)
 
 
 def reference_integral(p: WeightParams, f, tol=DEFAULT_TOL) -> float:
@@ -166,15 +162,12 @@ def variety_check(kind: str, n: int) -> dict:
     (`cheb_eval_trig`) at the nodes' lattice points j/m, where the
     quotient's denominator is the rule's own factor and does not vanish.
     Residuals are normalized by the generator's max over the interior
-    nodes of a fixed gauss rule, taken where that denominator is at
-    least DENOM_FALLBACK, so that no float monomial sum is formed.
+    nodes of a fixed gauss rule.
     """
     rule, sample = make_rule(kind, n), make_rule("gauss", max(24, 2 * n))
     family = _RULE_FAMILY[kind]
     t_rule = point_from_index(rule.indices.T, _lattice_size(family, n))
     t_sample = point_from_index(sample.indices.T, _lattice_size(TrigFamily.SS, sample.n))
-    keep = np.abs(trig_eval(family, family.shift, t_sample)) >= DENOM_FALLBACK
-    t_sample = t_sample._make(c[keep] for c in t_sample)
     p = rule.weight_params
     if family.sines[0]:
         gens = [(str(tuple(k)), k, None) for k in star_class(n)]

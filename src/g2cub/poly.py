@@ -5,39 +5,38 @@ coefficients are never stored.  Arithmetic with Fraction coefficients is
 exact and closed.  Polynomials are graded by the weighted degree
 2*i + 3*j and ordered, within one weighted-degree class, by descending
 first exponent; star_key realizes that order as an ascending sort key.
+
+Every value the package reports is an exact sum rounded once
+(`BivarPoly.exact_sum`); `BivarPoly.__call__` is the float evaluator.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
-import numpy as np
 
-# relative error above which a float evaluation counts as failed
-EVAL_REL_BOUND = 1e-8
-
-
-class EvaluationError(ArithmeticError):
-    """Raised where the stated error bound of a float evaluation exceeds
-    the tolerance of the caller."""
-
-
-def within_bound(value, bound, what: str):
-    """value, a float evaluation off by at most bound, where bound <=
-    EVAL_REL_BOUND * max(1, |value|), elementwise for arrays; elsewhere
-    EvaluationError "<what> may be off by <the largest bound>"."""
-    if np.any(bound > EVAL_REL_BOUND * np.maximum(1.0, np.abs(value))):
-        raise EvaluationError(f"{what} may be off by {float(np.max(bound)):.3e}")
-    return value
+def integer_ratio(c) -> tuple:
+    """(num, den) with c == num / den over the least den > 0; numpy integers too."""
+    try:
+        return c.as_integer_ratio()
+    except AttributeError:
+        return operator.index(c), 1
 
 
 def integer_form(coeffs: dict):
-    """({e: n}, den) with every coeffs[e] == n / den, over the least den > 0:
-    an int, a Fraction and a float are all exact rationals."""
-    ratios = {e: c.as_integer_ratio() for e, c in coeffs.items()}
+    """({e: n}, den) with every coeffs[e] == n / den, over the least den > 0."""
+    ratios = {e: integer_ratio(c) for e, c in coeffs.items()}
     den = math.lcm(*(d for _, d in ratios.values()))
     return {e: n * (den // d) for e, (n, d) in ratios.items()}, den
+
+
+def _binary_form(values) -> tuple:
+    """([n], e) with float(values[k]) == n_k / 2^e over the least e >= 0."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    e = max(d for _, d in ratios).bit_length() - 1
+    return [n << (e - d.bit_length() + 1) for n, d in ratios], e
 
 
 def rounded_quotient(num: int, den: int) -> float:
@@ -46,6 +45,16 @@ def rounded_quotient(num: int, den: int) -> float:
         return num / den
     except OverflowError:
         return math.inf if num > 0 else -math.inf
+
+
+def _power_rows(row: list, values: list, exponents) -> dict:
+    """{e: row * values^e elementwise} for each e in exponents, and no other rows."""
+    rows, at = {}, 0
+    for e in sorted(set(exponents)):
+        for _ in range(e - at):
+            row = list(map(operator.mul, row, values))
+        rows[e], at = row, e
+    return rows
 
 
 def star_key(k):
@@ -200,11 +209,11 @@ class BivarPoly:
         return BivarPoly({k: float(c) for k, c in self.coeffs.items()})
 
     def __call__(self, x, y):
-        """Float value at (x, y), scalars or arrays that broadcast.  The
-        powers x^0 ... x^imax and y^0 ... y^jmax are built by repeated
-        multiplication, then float(c) x^i y^j is added term by term in
-        storage order, with no BLAS call: scalar and array calls give the
-        same bits.  `error_bound` bounds the error."""
+        """Float value at (x, y), scalars or arrays that broadcast, with no
+        error bound (`exact_sum` is exact).  Powers of x and y are built by
+        repeated multiplication, then float(c) x^i y^j is added term by term
+        in storage order, with no BLAS call: scalar and array calls give the
+        same bits."""
         xp, yp = [x ** 0], [y ** 0]  # ones of the shapes of x and y
         total = 0.0 * xp[0] * yp[0]
         for _ in range(max((i for i, _ in self.coeffs), default=0)):
@@ -215,25 +224,23 @@ class BivarPoly:
             total = total + float(c) * xp[i] * yp[j]
         return total
 
-    def error_bound(self, x, y):
-        """Bound on |p(x, y) - exact value| for `__call__`, barring overflow
-        and underflow: each term takes at most i + j + 1 roundings and the
-        sum N - 1 more, so with N terms and weighted degree d >= i + j the
-        error is at most (N + d) 2^-53 sum |c| |x|^i |y|^j."""
-        scale = BivarPoly({e: abs(c) for e, c in self.coeffs.items()})(abs(x), abs(y))
-        return (len(self.coeffs) + self.mdegree()) * 2.0 ** -53 * scale
-
-    def exact_value(self, x: float, y: float) -> float:
-        """The exact value at the floats x and y, rounded once, or +-inf
-        beyond the float range: the sum on Python ints over one common
-        denominator (`integer_form`), then one int true division."""
-        (xn, xd), (yn, yd) = float(x).as_integer_ratio(), float(y).as_integer_ratio()
+    def exact_sum(self, triples) -> float:
+        """Sum of w * p(x, y) over (x, y, w) triples of floats, exact at their
+        binary values and rounded once (`rounded_quotient`): the coefficients
+        (`integer_form`), xs, ys and ws each become ints over one denominator."""
         nums, den = integer_form(self.coeffs)
         imax, jmax = (max((e[axis] for e in nums), default=0) for axis in (0, 1))
-        xs = [xn ** i * xd ** (imax - i) for i in range(imax + 1)]
-        ys = [yn ** j * yd ** (jmax - j) for j in range(jmax + 1)]
-        total = sum(n * xs[i] * ys[j] for (i, j), n in nums.items())
-        return rounded_quotient(total, den * xd ** imax * yd ** jmax)
+        (xs, xe), (ys, ye), (ws, we) = map(_binary_form, zip(*triples))
+        wx = _power_rows(ws, xs, (i for i, _ in nums))  # W X^i at every node
+        yp = _power_rows([1] * len(ys), ys, (j for _, j in nums))
+        # n x^i y^j = n 2^(xe (imax-i) + ye (jmax-j)) X^i Y^j / 2^(xe imax + ye jmax)
+        total = sum(n * sum(map(operator.mul, wx[i], yp[j])) << (xe * (imax - i) + ye * (jmax - j))
+                    for (i, j), n in nums.items())
+        return rounded_quotient(total, den << (we + xe * imax + ye * jmax))
+
+    def exact_value(self, x: float, y: float) -> float:
+        """The exact value at (x, y) rounded once: `exact_sum` at one node of weight 1."""
+        return self.exact_sum(((x, y, 1.0),))
 
     def __repr__(self):
         if not self.coeffs:

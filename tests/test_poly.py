@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2cub.chebyshev import WeightParams, cheb_eval_trig, cheb_poly, xy_map
+from g2cub.chebyshev import (
+    WeightParams,
+    cheb_eval_trig,
+    cheb_poly,
+    continuous_inner,
+    poly_to_json_dict,
+    xy_map,
+)
 from g2cub.coords import make_point
-from g2cub.cubature import integrate_poly, make_rule
-from g2cub.poly import EVAL_REL_BOUND, BivarPoly, EvaluationError, mdegree_of, star_cmp, star_key
+from g2cub.cubature import RULE_KINDS, integrate_poly, make_rule
+from g2cub.poly import BivarPoly, mdegree_of, star_cmp, star_key
 
 HH = WeightParams(Fraction(1, 2), Fraction(1, 2))
 
@@ -105,63 +112,75 @@ def test_evaluation_on_arrays():
 
 
 # weighted degree at most 30, so |x|^i |y|^j stays far from underflow for
-# |x|, |y| >= 1e-6 and the bound's relative rounding model holds
+# |x|, |y| >= 1e-6
 EXPONENTS = st.tuples(st.integers(0, 15), st.integers(0, 10)).filter(lambda e: mdegree_of(e) <= 30)
 COEFFS = st.fractions(-1000, 1000, max_denominator=1000).filter(bool)
 POINT = st.floats(-2.0, 2.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-6)
 POLYS = st.dictionaries(EXPONENTS, COEFFS, max_size=25).map(BivarPoly)
 
 
-def exact_value(p, x, y):
-    X, Y = Fraction(x), Fraction(y)
-    return sum(c * X ** i * Y ** j for (i, j), c in p.coeffs.items())
-
-
-@settings(max_examples=200, deadline=None)
-@given(POLYS, POINT, POINT)
-def test_error_bound_covers_the_float_value(p, x, y):
-    value, bound = p(x, y), p.error_bound(x, y)
-    assert type(value) is float and type(bound) is float
-    assert abs(Fraction(value) - exact_value(p, x, y)) <= Fraction(bound)
-
-
 @settings(max_examples=50, deadline=None)
 @given(POLYS, st.lists(st.tuples(POINT, POINT), min_size=1, max_size=8))
 def test_scalar_and_array_calls_give_the_same_bits(p, points):
     xs, ys = (np.array(c) for c in zip(*points))
-    for got, scalar in ((p(xs, ys), [p(x, y) for x, y in points]),
-                        (p.error_bound(xs, ys), [p.error_bound(x, y) for x, y in points])):
-        assert got.shape == xs.shape
-        assert got.tobytes() == np.array(scalar).tobytes()
+    got = p(xs, ys)
+    assert got.shape == xs.shape
+    assert got.tobytes() == np.array([p(x, y) for x, y in points]).tobytes()
 
 
-def test_error_bound_of_a_family_member():
-    # (N + d) 2^-53 times the absolute-coefficient polynomial at (|x|, |y|)
-    p = cheb_poly(HH, (3, 2))
-    x, y = -0.3, 0.2
-    scale = sum(abs(c) * abs(x) ** i * abs(y) ** j for (i, j), c in p.coeffs.items())
-    n, d = len(p.coeffs), p.mdegree()
-    assert p.error_bound(x, y) == pytest.approx((n + d) * 2.0 ** -53 * float(scale), rel=1e-14)
-    assert BivarPoly.zero().error_bound(x, y) == 0.0
+def fraction_sum(p, triples):
+    """The Fraction oracle: sum of w * p(x, y) over (x, y, w) at the binary
+    values of the floats."""
+    return sum(Fraction(w) * sum(Fraction(c) * Fraction(x) ** i * Fraction(y) ** j
+                                 for (i, j), c in p.coeffs.items())
+               for x, y, w in triples)
 
 
-def test_integral_past_the_evaluation_bound_raises():
-    # the rule is exact at this degree and the integral is 0, but the
-    # float monomial sum at the nodes loses every digit
+MIXED_COEFFS = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-20, max_value=20, max_denominator=40),
+    st.floats(min_value=-20, max_value=20),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(RULE_KINDS), st.integers(1, 8),
+       st.dictionaries(st.tuples(st.integers(0, 8), st.integers(0, 5)), MIXED_COEFFS, max_size=10))
+def test_integrate_poly_is_the_exact_rule_sum_rounded_once(kind, n, coeffs):
+    rule, q = make_rule(kind, n), BivarPoly(coeffs)
+    assert integrate_poly(rule, q) == float(fraction_sum(q, rule.triples))
+
+
+@settings(max_examples=100, deadline=None)
+@given(POLYS, POINT, POINT)
+def test_exact_value_is_the_one_node_exact_sum(p, x, y):
+    assert p.exact_value(x, y) == p.exact_sum([(x, y, 1.0)]) == float(fraction_sum(p, [(x, y, 1)]))
+
+
+def test_integral_where_the_float_sum_loses_every_digit_is_exact():
+    # the rule is exact at this degree and the integral is 0; a float
+    # monomial sum at the nodes loses every digit, the exact sum does not
     rule, p = make_rule("gauss", 40), cheb_poly(HH, (12, 8))
-    with pytest.raises(EvaluationError, match="gauss n=40"):
-        integrate_poly(rule, p)
+    assert integrate_poly(rule, p) == float(fraction_sum(p, rule.triples)) == -5.061343694850985e-16
     assert integrate_poly(rule, cheb_poly(HH, (3, 2))) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_trig_fallback_past_the_evaluation_bound_raises():
+def test_trig_fallback_sums_the_polynomial_exactly():
     # 1e-9 from the edge t1 = t2 the denominator is below DENOM_FALLBACK;
-    # the monomial sum gives 65.61 where the exact value is 13.92
+    # a float monomial sum there gives 65.61 where the exact value is 13.92
     t = make_point(0.3 + 1e-9, 0.3)
-    with pytest.raises(EvaluationError, match=r"\(20, 10\)"):
-        cheb_eval_trig(HH, (20, 10), t)
     x, y = xy_map(t)
-    p = cheb_poly(HH, (3, 2))
-    assert p.error_bound(x, y) <= EVAL_REL_BOUND
-    assert cheb_eval_trig(HH, (3, 2), t) == p(x, y)
-    assert issubclass(EvaluationError, ArithmeticError)
+    assert cheb_eval_trig(HH, (20, 10), t) == cheb_poly(HH, (20, 10)).exact_value(x, y)
+    assert cheb_eval_trig(HH, (20, 10), t) == 13.917961528633175
+    assert cheb_eval_trig(HH, (3, 2), t) == cheb_poly(HH, (3, 2)).exact_value(x, y)
+
+
+def test_numpy_integer_coefficients_are_exact_rationals():
+    q = BivarPoly.constant(1) * np.int64(2) + BivarPoly.monomial(1, 0) * np.int64(3)
+    same = BivarPoly({(0, 0): 2, (1, 0): 3})
+    rule = make_rule("gauss", 4)
+    assert integrate_poly(rule, q) == float(fraction_sum(same, rule.triples))
+    assert q.exact_value(0.1, 0.2) == float(2 + 3 * Fraction(0.1))
+    assert continuous_inner(HH, q, q) == continuous_inner(HH, same, same)
+    assert poly_to_json_dict(HH, (0, 0), q)["terms"] == [
+        {"i": 0, "j": 0, "num": 2, "den": 1}, {"i": 1, "j": 0, "num": 3, "den": 1}]

@@ -18,7 +18,8 @@ def test_suite_runs_its_named_checks_and_passes(suite, names):
 def test_variety_passes_where_the_normalizing_sample_meets_small_denominators():
     # at n = 98 corner nodes of the gauss sample have a quotient
     # denominator below DENOM_FALLBACK, where the closed form gives way to
-    # a float monomial sum whose bound is far above its tolerance
+    # the exact sum of the polynomial; those nodes carry the generators'
+    # largest values, so they set the normalization
     checks = run_suite("variety", n=98)
     assert [c.name for c in checks] == [f"variety-{kind}" for kind in RULE_KINDS]
     assert all(c.passed for c in checks), checks
