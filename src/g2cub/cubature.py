@@ -80,6 +80,15 @@ class CubatureRule(Rule):
         built on first use."""
         return tuple(zip(*self.nodes.T.tolist(), self.weights.tolist()))
 
+    @functools.cached_property
+    def float_text(self) -> str:
+        """x, y and weight of every node with 17 significant digits, one
+        "x,y,weight" line per node in node order: one ASCII str, formatted
+        on first use by `rule_to_json` or `rule_to_csv`."""
+        count = len(self.weights)
+        cells = np.column_stack((self.nodes, self.weights)).ravel().tolist()
+        return "%.17g,%.17g,%.17g\n" * count % tuple(cells)
+
 
 def _lattice_size(family: TrigFamily, n: int) -> int:
     """m = n + shift1 - shift3 for the rule of size n whose factor family is family."""
@@ -91,7 +100,8 @@ def make_rule(kind: str, n: int) -> CubatureRule:
     of its factor family: lattice size m = n + shift1 - shift3, weight
     parameters (d - 1/2, p - 1/2), scale |orbit(shift)|, and the nodes
     where the factor vanishes dropped, j1 = j2 when d = 1 and j2 = 0 or
-    j3 = -m when p = 1.  Rules are immutable, so the last 32 built are
+    j3 = -m when p = 1.  n must be an integer >= 1; a non-integral n
+    raises ValueError.  Rules are immutable, so the last 32 built are
     cached and shared (see `_build_rule`)."""
     return _build_rule(kind, n)
 
@@ -101,6 +111,8 @@ def _build_rule(kind: str, n: int) -> CubatureRule:
     family = _RULE_FAMILY.get(kind)
     if family is None:
         raise ValueError(f"unknown rule kind {kind!r}")
+    if n != int(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
     d, p = family.sines
@@ -205,18 +217,21 @@ _JSON = """{
 
 
 def rule_to_json(rule: CubatureRule) -> str:
-    """The rule in the layout `jsonio.dumps` gives its fields."""
-    count = len(rule.weights)
-    nodes = ",\n".join(["    [%.17g, %.17g]"] * count) % tuple(rule.nodes.ravel().tolist())
-    weights = ", ".join(["%.17g"] * count) % tuple(rule.weights.tolist())
+    """The rule in the layout `jsonio.dumps` gives its fields.  Its node
+    and weight digits are cut from `rule.float_text`, formatted on the
+    rule's first export and kept with the cached rule (~140 KB at n = 160),
+    so a later export only joins them."""
+    cells = rule.float_text.replace(",", " ").split()
+    weights = ", ".join(cells[2::3])
+    del cells[2::3]  # what is left is x, y of each node in turn
+    nodes = ",\n".join(["    [%s, %s]"] * len(rule.weights)) % tuple(cells)
     p = rule.weight_params
     return _JSON % (rule.kind, rule.n, float(p.alpha), float(p.beta),
                     nodes, weights, rule.exact_mdegree)
 
 
-_CSV_ROW = "%.17g,%.17g,%.17g\n"
-
-
 def rule_to_csv(rule: CubatureRule) -> str:
-    table = np.column_stack((rule.nodes, rule.weights))
-    return "x,y,weight\n" + _CSV_ROW * len(table) % tuple(table.ravel().tolist())
+    """The rule as CSV: an "x,y,weight" header, then one line per node in
+    node order.  The lines are `rule.float_text`, formatted on the rule's
+    first export and kept with the cached rule (~140 KB at n = 160)."""
+    return "x,y,weight\n" + rule.float_text

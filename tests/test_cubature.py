@@ -154,6 +154,13 @@ def test_make_rule_does_not_depend_on_the_call_history():
         assert rule_to_json(rule) == rule_to_json(cold)
 
 
+@pytest.mark.parametrize("n", [4.5, 0.5, Fraction(9, 2)])
+def test_make_rule_rejects_a_non_integral_n(n):
+    # int(4.5) would build the 2-node n = 4 rule and label it n = 4
+    with pytest.raises(ValueError, match="integer"):
+        make_rule("gauss", n)
+
+
 @pytest.mark.parametrize("kind", RULE_KINDS)
 def test_integrate_equals_the_loop_over_the_arrays_bit_for_bit(kind):
     f = lambda x, y: math.exp(0.7 * x - 0.3 * y) * math.cos(1.3 * x + 0.4 * y)
@@ -357,3 +364,26 @@ def test_rule_csv_matches_csv_writer(kind):
     for n in (1, 2, 8, 40):
         rule = make_rule(kind, n)
         assert rule_to_csv(rule) == csv_writer_rows(rule)
+
+
+@pytest.mark.parametrize("kind", RULE_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 8, 40, 160])
+def test_export_does_not_depend_on_call_order_or_cache_state(kind, n):
+    # the digits are formatted on a rule's first export and kept with it,
+    # so either export may come first and a repeat reads the kept text
+    for order in ((rule_to_csv, rule_to_json), (rule_to_json, rule_to_csv)):
+        _build_rule.cache_clear()  # a fresh rule, never exported
+        rule = make_rule(kind, n)
+        key = hash(rule)
+        arrays = [a.tolist() for a in (rule.nodes, rule.weights, rule.indices)]
+        text = {export: export(rule) for export in order}
+        assert text[rule_to_json] == jsonio_document(rule)
+        assert text[rule_to_csv] == csv_writer_rows(rule)
+        assert make_rule(kind, n) is rule
+        assert rule_to_json(rule) == text[rule_to_json]
+        assert rule_to_csv(rule) == text[rule_to_csv]
+        _build_rule.cache_clear()
+        other = make_rule(kind, n)
+        assert other is not rule and other == rule and hash(rule) == hash(other) == key
+        for arr, before in zip((rule.nodes, rule.weights, rule.indices), arrays):
+            assert not arr.flags.writeable and arr.tolist() == before
