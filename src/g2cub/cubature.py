@@ -81,13 +81,22 @@ class CubatureRule(Rule):
         return tuple(zip(*self.nodes.T.tolist(), self.weights.tolist()))
 
     @functools.cached_property
-    def float_text(self) -> str:
-        """x, y and weight of every node with 17 significant digits, one
-        "x,y,weight" line per node in node order: one ASCII str, formatted
-        on first use by `rule_to_json` or `rule_to_csv`."""
+    def json_text(self) -> str:
+        """`rule_to_json(self)`: formatted straight from the floats on the
+        rule's first JSON export, then kept with the rule."""
         count = len(self.weights)
-        cells = np.column_stack((self.nodes, self.weights)).ravel().tolist()
-        return "%.17g,%.17g,%.17g\n" * count % tuple(cells)
+        nodes = ",\n".join(["    [%.17g, %.17g]"] * count) % tuple(self.nodes.ravel().tolist())
+        weights = ", ".join(["%.17g"] * count) % tuple(self.weights.tolist())
+        p = self.weight_params
+        return _JSON % (self.kind, self.n, float(p.alpha), float(p.beta),
+                        nodes, weights, self.exact_mdegree)
+
+    @functools.cached_property
+    def csv_text(self) -> str:
+        """`rule_to_csv(self)`: formatted straight from the floats on the
+        rule's first CSV export, then kept with the rule."""
+        table = np.column_stack((self.nodes, self.weights))
+        return "x,y,weight\n" + "%.17g,%.17g,%.17g\n" * len(table) % tuple(table.ravel().tolist())
 
 
 def _lattice_size(family: TrigFamily, n: int) -> int:
@@ -217,21 +226,16 @@ _JSON = """{
 
 
 def rule_to_json(rule: CubatureRule) -> str:
-    """The rule in the layout `jsonio.dumps` gives its fields.  Its node
-    and weight digits are cut from `rule.float_text`, formatted on the
-    rule's first export and kept with the cached rule (~140 KB at n = 160),
-    so a later export only joins them."""
-    cells = rule.float_text.replace(",", " ").split()
-    weights = ", ".join(cells[2::3])
-    del cells[2::3]  # what is left is x, y of each node in turn
-    nodes = ",\n".join(["    [%s, %s]"] * len(rule.weights)) % tuple(cells)
-    p = rule.weight_params
-    return _JSON % (rule.kind, rule.n, float(p.alpha), float(p.beta),
-                    nodes, weights, rule.exact_mdegree)
+    """The rule in the layout `jsonio.dumps` gives its fields.  The text is
+    formatted on the rule's first JSON export and kept with the cached rule
+    (`rule.json_text`, ~160 KB at n = 160), so a later JSON export of the
+    same rule in the same process formats nothing."""
+    return rule.json_text
 
 
 def rule_to_csv(rule: CubatureRule) -> str:
-    """The rule as CSV: an "x,y,weight" header, then one line per node in
-    node order.  The lines are `rule.float_text`, formatted on the rule's
-    first export and kept with the cached rule (~140 KB at n = 160)."""
-    return "x,y,weight\n" + rule.float_text
+    """The rule as CSV: an "x,y,weight" header, then one "x,y,weight" line
+    per node in node order.  The text is formatted on the rule's first CSV
+    export and kept with the cached rule (`rule.csv_text`, ~140 KB at
+    n = 160), so a later CSV export of the same rule formats nothing."""
+    return rule.csv_text

@@ -369,8 +369,8 @@ def test_rule_csv_matches_csv_writer(kind):
 @pytest.mark.parametrize("kind", RULE_KINDS)
 @pytest.mark.parametrize("n", [1, 2, 8, 40, 160])
 def test_export_does_not_depend_on_call_order_or_cache_state(kind, n):
-    # the digits are formatted on a rule's first export and kept with it,
-    # so either export may come first and a repeat reads the kept text
+    # each export is formatted on its first call for a rule and kept with it,
+    # so either export may come first and a repeat returns the kept text
     for order in ((rule_to_csv, rule_to_json), (rule_to_json, rule_to_csv)):
         _build_rule.cache_clear()  # a fresh rule, never exported
         rule = make_rule(kind, n)
