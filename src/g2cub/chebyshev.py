@@ -27,7 +27,7 @@ import numpy as np
 from . import quad
 from .coords import make_index, orbit_size
 from .gentrig import TrigFamily, eval as trig_eval
-from .poly import BivarPoly, integer_form, integer_ratio, rounded_quotient
+from .poly import BivarPoly, _times, integer_form, integer_ratio, mdegree_of, rounded_quotient
 
 DENOM_FALLBACK = 1e-8
 
@@ -254,10 +254,13 @@ def _require_integrable(p: WeightParams):
 def continuous_inner(p: WeightParams, f, g, tol=quad.DEFAULT_TOL):
     """Weighted inner product normalized so that <1, 1> = 1.
 
-    Two polynomials, whatever their coefficients, are paired exactly: f, g
-    and their moments (`sturm.moments`) each become ints over one common
-    denominator (`poly.integer_form`), c * mu is summed over the terms of
-    f * g on Python ints, and the sum is rounded once.  tol applies only
+    Two polynomials, whatever their coefficients, are paired exactly: f
+    and g each become ints over one common denominator
+    (`poly.integer_form`), f * g is formed on those ints, c * mu is summed
+    over its terms against the moments the parameter table keeps as ints
+    over one denominator (`sturm._integer_moments`, brought to that form
+    once as the moments grow, not on each call), and the sum is rounded
+    once.  tol applies only
     to general callables (x, y) -> value, pulled back to the parameter
     triangle and integrated by product Gauss-Jacobi quadrature
     (`quad.triangle_quadrature`): tol bounds its error estimate relative
@@ -266,12 +269,11 @@ def continuous_inner(p: WeightParams, f, g, tol=quad.DEFAULT_TOL):
     where the weight is not integrable.
     """
     if isinstance(f, BivarPoly) and isinstance(g, BivarPoly):
-        from .sturm import moments  # sturm imports this module
+        from .sturm import _integer_moments  # sturm imports this module
         (fn, fd), (gn, gd) = integer_form(f.coeffs), integer_form(g.coeffs)
-        prod = BivarPoly(fn) * BivarPoly(gn)
-        mu = moments(p, prod.mdegree())
-        mus, den = integer_form({e: mu[e] for e in prod.coeffs})
-        return rounded_quotient(sum(c * mus[e] for e, c in prod.coeffs.items()), fd * gd * den)
+        prod = _times(fn, gn)
+        mus, den = _integer_moments(p, max(map(mdegree_of, prod), default=0))
+        return rounded_quotient(sum([c * mus[e] for e, c in prod.items()]), fd * gd * den)
 
     _require_integrable(p)
 

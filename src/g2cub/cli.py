@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -100,7 +101,10 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so every `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="g2cub",
         description="Triangle trigonometric transforms, Chebyshev-type "

@@ -57,6 +57,22 @@ def _power_rows(row: list, values: list, exponents) -> dict:
     return rows
 
 
+def _times(f: dict, g: dict) -> dict:
+    """The coefficients of the product of two coefficient dicts: each term
+    pair added in turn, f-major, and a key dropped where its sum cancels.
+    `BivarPoly.__mul__` and `sturm.apply_L` share it, so one key order."""
+    out = {}
+    for (i1, j1), c1 in f.items():
+        for (i2, j2), c2 in g.items():
+            key = (i1 + i2, j1 + j2)
+            s = out.get(key, 0) + c1 * c2
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+    return out
+
+
 def star_key(k):
     """Ascending sort key for the weighted monomial order."""
     return (2 * k[0] + 3 * k[1], k[1])
@@ -135,17 +151,8 @@ class BivarPoly:
 
     def __mul__(self, other):
         if isinstance(other, BivarPoly):
-            out = {}
-            for (i1, j1), c1 in self.coeffs.items():
-                for (i2, j2), c2 in other.coeffs.items():
-                    key = (i1 + i2, j1 + j2)
-                    s = out.get(key, 0) + c1 * c2
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
             result = BivarPoly()
-            result.coeffs = out
+            result.coeffs = _times(self.coeffs, other.coeffs)
             return result
         if not other:
             return BivarPoly.zero()
@@ -212,8 +219,8 @@ class BivarPoly:
         """Float value at (x, y), scalars or arrays that broadcast, with no
         error bound (`exact_sum` is exact).  Powers of x and y are built by
         repeated multiplication, then float(c) x^i y^j is added term by term
-        in storage order, with no BLAS call: scalar and array calls give the
-        same bits."""
+        in storage order, in place into one array for array input, with no
+        BLAS call: scalar and array calls give the same bits."""
         xp, yp = [x ** 0], [y ** 0]  # ones of the shapes of x and y
         total = 0.0 * xp[0] * yp[0]
         for _ in range(max((i for i, _ in self.coeffs), default=0)):
@@ -221,7 +228,7 @@ class BivarPoly:
         for _ in range(max((j for _, j in self.coeffs), default=0)):
             yp.append(yp[-1] * y)
         for (i, j), c in self.coeffs.items():
-            total = total + float(c) * xp[i] * yp[j]
+            total += float(c) * xp[i] * yp[j]
         return total
 
     def exact_sum(self, triples) -> float:

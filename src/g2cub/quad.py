@@ -50,14 +50,20 @@ class Rule:
 
 
 def _gauss_jacobi(order, b):
-    """Nodes and weights on (0, 1) for the weight u^b, b > -1, from the
-    Jacobi matrix's eigenvectors (Golub and Welsch 1969)."""
+    """Nodes and weights on (0, 1) for the weights u^b, one row for each
+    exponent in the 1-d array b > -1, from the Jacobi matrices'
+    eigenvectors (Golub and Welsch 1969), all solved in one stacked call."""
+    b = b[:, None]
     n = np.arange(1.0, order)
     s = 2.0 * n + b
-    diag = np.concatenate(([b / (b + 2.0)], b * b / (s * (s + 2.0))))
+    diag = np.concatenate((b / (b + 2.0), b * b / (s * (s + 2.0))), axis=1)
     off = np.sqrt(n * n * (n + b) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
-    nodes, vecs = np.linalg.eigh(np.diag(0.5 + 0.5 * diag) + np.diag(off, 1) + np.diag(off, -1))
-    return nodes, vecs[0] ** 2 / (b + 1.0)
+    jacobi = np.zeros((len(b), order, order))
+    i = np.arange(order)
+    jacobi[:, i, i] = 0.5 + 0.5 * diag
+    jacobi[:, i[1:], i[:-1]] = jacobi[:, i[:-1], i[1:]] = off
+    nodes, vecs = np.linalg.eigh(jacobi)
+    return nodes, vecs[:, 0] ** 2 / (b + 1.0)
 
 
 def _nodes(order, alpha, beta):
@@ -73,9 +79,12 @@ def _nodes(order, alpha, beta):
     on_e = at_v & (la == 0.0)
     lv[at_v] = 0.0  # an integer l.V only flips the sign of sin(pi l.t)
     expo = np.repeat([2.0 * float(alpha) + 1.0, 2.0 * float(beta) + 1.0], 3)
-    jacobi = lru_cache(maxsize=None)(lambda b: _gauss_jacobi(order, b))  # 5 exponents, 12 uses
-    r, wr = map(np.array, zip(*map(jacobi, (at_v * expo).sum(1) + 1.0)))  # (triangle, node)
-    s, ws = map(np.array, zip(*map(jacobi, (on_e * expo).sum(1))))
+    # 12 uses, r^(c+1) per triangle then s^e, of at most 5 distinct exponents
+    uses = np.concatenate(((at_v * expo).sum(1) + 1.0, (on_e * expo).sum(1))).tolist()
+    exponents = list(dict.fromkeys(uses))
+    nodes, weights = _gauss_jacobi(order, np.array(exponents))
+    use = [exponents.index(b) for b in uses]
+    (r, s), (wr, ws) = np.split(nodes[use], 2), np.split(weights[use], 2)  # (triangle, node)
     w = (wr[:, :, None] * ws[:, None, :]).reshape(6, -1) * area2
     r, s = np.repeat(r, order, axis=1), np.tile(s, order)
     sines = [1.0, 1.0]  # the products over the factors of sc_(1,0) and of cs_(1,1)

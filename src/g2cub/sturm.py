@@ -9,7 +9,9 @@ weighted inner product.  `eigen_poly` builds it by back-substitution down
 the order, exactly for rational parameters and in floating point
 otherwise; both the Chebyshev-type families and the general-parameter
 polynomials come from it.  `moments` runs the same triangular structure
-up the order to get every polynomial integral exactly.
+up the order to get every polynomial integral exactly, on Python ints:
+each moment is a reduced numerator and denominator, and one step takes
+the lcm of its at most eight earlier denominators and one gcd.
 
 One table per parameter pair serves both exact sweeps, down the order
 (`eigen_poly`) and up it (`moments`), and the eigen-check (`apply_L`).
@@ -20,10 +22,14 @@ lowered monomial image at its position, scaled by the one common
 denominator D = 2 lcm(den alpha, den beta) so that for rational
 parameters they are Python ints.  `apply_L` multiplies q's derivatives
 by the coefficient polynomials in q's own arithmetic and never reads the
-lowered images.  The exact results keep one form: an eigenpolynomial's
-coefficient, an eigenvalue or a coefficient of `apply_L` is an int where
-it is integral and a Fraction only where it is not.  Float parameters
-take the same code with D = 1.
+lowered images.  The moments stay in the table, so a deeper call goes on
+where the last one stopped; besides their reduced pairs it keeps them as
+ints over one common denominator, grown with the prefix, which
+`continuous_inner` pairs two polynomials against without rebuilding that
+denominator on each call.  The exact results keep one form: an
+eigenpolynomial's coefficient, an eigenvalue or a coefficient of
+`apply_L` is an int where it is integral and a Fraction only where it is
+not.  Float parameters take the same code with D = 1.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from typing import NamedTuple
 
 from .chebyshev import MIndex, WeightParams, _require_integrable, continuous_inner, star_class
 from .lattice import dim_pi_star
-from .poly import BivarPoly
+from .poly import BivarPoly, _times
 
 HALF = Fraction(1, 2)
 
@@ -77,19 +83,33 @@ def apply_L(p: WeightParams, q: BivarPoly) -> BivarPoly:
     """Apply the operator by direct differentiation of q, multiplying by
     the parameters' cached coefficient polynomials in q's own arithmetic.
     An exact coefficient is an int where it is integral and a Fraction
-    only where it is not."""
+    only where it is not.
+
+    The five products are formed and summed on plain dicts, in the order
+    and with the arithmetic of -(A11 q_xx) - 2 (A12 q_xy) - (A22 q_yy)
+    + B1 q_x + B2 q_y in `BivarPoly`, so every bit and key order is theirs.
+    """
     A11, A12, A22, B1, B2 = operator_coeffs(p)
-    qx = q.diff_x()
-    qy = q.diff_y()
-    out = (
-        -(A11 * qx.diff_x())
-        - 2 * (A12 * qx.diff_y())
-        - (A22 * qy.diff_y())
-        + B1 * qx
-        + B2 * qy
-    )
-    out.coeffs = {e: _int(v) for e, v in out.coeffs.items()}
-    return out
+    qx = {(i - 1, j): c * i for (i, j), c in q.coeffs.items() if i}
+    qy = {(i, j - 1): c * j for (i, j), c in q.coeffs.items() if j}
+    qxx = {(i - 1, j): c * i for (i, j), c in qx.items() if i}
+    qxy = {(i, j - 1): c * j for (i, j), c in qx.items() if j}
+    qyy = {(i, j - 1): c * j for (i, j), c in qy.items() if j}
+    out = {}
+    for negate, prod in ((True, _times(A11.coeffs, qxx)),
+                         (True, {e: c * 2 for e, c in _times(A12.coeffs, qxy).items()}),
+                         (True, _times(A22.coeffs, qyy)),
+                         (False, _times(B1.coeffs, qx)),
+                         (False, _times(B2.coeffs, qy))):
+        for e, c in prod.items():
+            s = out.get(e, 0) - c if negate else out.get(e, 0) + c
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
+    result = BivarPoly()
+    result.coeffs = {e: _int(v) for e, v in out.items()}
+    return result
 
 
 # shift table of the monomial image: (mu, nu) -> exponent (j-2mu+3nu, k+mu-2nu)
@@ -148,11 +168,16 @@ def _twice_eigenvalue(k1, k2, one, a, b):
 
 
 def eigen_residual(p: WeightParams, k, polynomial: BivarPoly) -> float:
-    """Coefficient-space relative residual of L q = lambda q."""
-    lam = eigenvalue(p, k)
-    resid = apply_L(p, polynomial) - float(lam) * polynomial.to_float()
-    scale = max(1.0, abs(float(lam)) * polynomial.max_abs_coeff())
-    return resid.max_abs_coeff() / scale
+    """Coefficient-space relative residual of L q = lambda q: the largest
+    |(L q)_e - lambda q_e| over both supports, in one pass, relative to
+    max(1, |lambda| max |q_e|)."""
+    lam = float(eigenvalue(p, k))
+    image = apply_L(p, polynomial).coeffs
+    q = polynomial.coeffs if lam else {}
+    diffs = [v - lam * float(q[e]) if e in q else v for e, v in image.items()]
+    diffs += [lam * float(c) for e, c in q.items() if e not in image]
+    resid = max((abs(float(d)) for d in diffs if d), default=0.0)
+    return resid / max(1.0, abs(lam) * polynomial.max_abs_coeff())
 
 
 def _int(v):
@@ -173,16 +198,23 @@ class _Table:
     changes; `pos` inverts it.  At each position, `lam` holds D lambda and
     `lowered` the image of that monomial without its diagonal term, as
     (position, D coefficient) pairs, all at earlier positions.  `polys`
-    keeps the finished eigenpolynomials by (index, lead) and `mu` the
-    normalized moments by index, a prefix of the order.
+    keeps the finished eigenpolynomials by (index, lead).  The normalized
+    moments, a prefix of the order, are kept three ways: `num` and `den`
+    hold each one as a reduced int pair by position; `mu` holds them as
+    Fractions by index, as far as `moments` was asked; and `ints` holds them
+    by index as ints over the one denominator `ints_den`, as far as
+    `_integer_moments` was asked.
     """
 
-    __slots__ = ("D", "op", "degree", "order", "pos", "lam", "lowered", "polys", "mu")
+    __slots__ = ("D", "op", "degree", "order", "pos", "lam", "lowered", "polys",
+                 "num", "den", "mu", "ints", "ints_den")
 
     def __init__(self, D: int, op: OperatorCoeffs):
         self.D, self.op, self.degree = D, op, -1
         self.order, self.pos, self.lam, self.lowered = [], {}, [], []
-        self.polys, self.mu = {}, {(0, 0): Fraction(1)}
+        self.polys = {}
+        self.num, self.den, self.mu = [1], [1], {(0, 0): Fraction(1)}
+        self.ints, self.ints_den = {(0, 0): 1}, 1
 
 
 # typed: Fraction(1, 2) == 0.5, and the exact and float tables stay apart
@@ -296,31 +328,72 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
     return q
 
 
-def moments(p: WeightParams, max_mdeg: int) -> dict:
-    """Exact normalized moments <x^i y^j, 1>, as Fractions, for every
-    monomial up to weighted degree max_mdeg.
+def _moment_table(p: WeightParams, max_mdeg: int):
+    """The exact table at p with its moments through weighted degree
+    max_mdeg as reduced int pairs, and the number of them.
 
     L is symmetric under the weight and L 1 = 0, so <L x^m, 1> = 0; with
     L x^m = lambda_m x^m + sum_e c_e x^e over earlier monomials, this gives
     mu_m = -sum_e c_e mu_e / lambda_m from mu_(0,0) = 1, up the weighted
-    order, with c_e and lambda_m both scaled by the table's D.  Float
-    parameters enter by their exact binary value.  Returns the cached
-    table itself, a prefix of that order grown in place; do not modify it.
-    Raises ValueError where the weight is not integrable; elsewhere every
-    lambda_m with m != 0 is positive.
+    order, with c_e and lambda_m both scaled by the table's D.  On ints, a
+    step brings its at most eight mu_e to the lcm of their denominators and
+    reduces the quotient by one gcd.  Float parameters enter by their exact
+    binary value.  Raises ValueError where the weight is not integrable;
+    elsewhere every lambda_m with m != 0 is positive.
     """
     _require_integrable(p)
     q = WeightParams(*p.key())
     table = _table(q.alpha, q.beta)
-    mu = table.mu
     size = dim_pi_star(max(max_mdeg, 0))
-    if len(mu) >= size:  # the prefix already reaches max_mdeg
-        return mu
-    _grow(q, table, max_mdeg)
-    order, lams, lowered = table.order, table.lam, table.lowered
+    num, den = table.num, table.den
+    if len(num) < size:
+        _grow(q, table, max_mdeg)
+        lams, lowered = table.lam, table.lowered
+        for i in range(len(num), size):
+            terms = lowered[i]
+            lcm = math.lcm(*[den[e] for e, _ in terms])
+            s = sum([c * num[e] * (lcm // den[e]) for e, c in terms])
+            d = lcm * lams[i]
+            g = math.gcd(s, d)
+            num.append(-s // g)
+            den.append(d // g)
+    return table, size
+
+
+def moments(p: WeightParams, max_mdeg: int) -> dict:
+    """Exact normalized moments <x^i y^j, 1>, as Fractions, for every
+    monomial up to weighted degree max_mdeg, from the recursion of
+    `_moment_table`.  Returns the cached table itself, a prefix of the
+    weighted order grown in place; do not modify it.  Raises ValueError
+    where the weight is not integrable.
+    """
+    table, size = _moment_table(p, max_mdeg)
+    mu, order, num, den = table.mu, table.order, table.num, table.den
     for i in range(len(mu), size):
-        mu[order[i]] = Fraction(-sum(c * mu[order[e]] for e, c in lowered[i]), lams[i])
+        mu[order[i]] = Fraction(num[i], den[i])
     return mu
+
+
+def _integer_moments(p: WeightParams, max_mdeg: int):
+    """The moments of `moments` in integer form: ({index: n}, den) with
+    every moment through weighted degree max_mdeg equal to n / den, over
+    the least den for the prefix kept.  The prefix grows in place, each
+    growth rescaling the ints already kept; returns the cached dict
+    itself, do not modify it."""
+    table, size = _moment_table(p, max_mdeg)
+    ints = table.ints
+    if len(ints) < size:
+        order, num, den = table.order, table.num, table.den
+        new = range(len(ints), size)
+        lcm = math.lcm(table.ints_den, *[den[i] for i in new])
+        scale = lcm // table.ints_den
+        if scale > 1:
+            for e in ints:
+                ints[e] *= scale
+        for i in new:
+            ints[order[i]] = num[i] * (lcm // den[i])
+        table.ints_den = lcm
+    return ints, table.ints_den
 
 
 def jacobi_poly(p: WeightParams, k) -> BivarPoly:

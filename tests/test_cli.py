@@ -1,13 +1,18 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from g2cub.chebyshev import MIndex, WeightParams, cheb_poly, star_indices_upto, xy_map
-from g2cub.cli import main
+import g2cub
+from g2cub.cli import build_parser, main
 from g2cub.coords import make_point
 from g2cub.cubature import _build_rule
 from g2cub.jsonio import format_float
@@ -235,6 +240,28 @@ def test_verify_rejects_negative_tolerance(capsys):
     code, _, _ = run(capsys, "verify", "--suite", "orthogonality",
                      "--n", "4", "--tol", "-1")
     assert code == 2
+
+
+ALTERNATING = (
+    ("nodes", "--rule", "radau2", "--n", "5", "--format", "csv"),
+    ("poly", "--alpha", "0.3", "--beta", "1.2", "--k1", "3", "--k2", "2"),
+    ("eval", "--alpha", "-0.4", "--beta", "0.7", "--k1", "2", "--k2", "1", "--x", "0.1", "--y", "0.2"),
+    ("verify", "--suite", "eigen", "--n", "4"),
+)
+
+
+def test_one_parser_serves_alternating_commands(capsys):
+    env = {**os.environ, "PYTHONPATH": str(Path(g2cub.__file__).resolve().parents[1])}
+    alone = [subprocess.run([sys.executable, "-m", "g2cub", *argv], env=env, capture_output=True,
+                            text=True, check=True).stdout for argv in ALTERNATING]
+    for _ in range(2):
+        for argv, want in zip(ALTERNATING, alone):
+            assert run(capsys, *argv)[:2] == (0, want)
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--no-such-option"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --no-such-option" in capsys.readouterr().err
+    assert build_parser() is build_parser()
 
 
 @pytest.mark.parametrize("argv,flag", [

@@ -128,6 +128,15 @@ def test_scalar_and_array_calls_give_the_same_bits(p, points):
     assert got.tobytes() == np.array([p(x, y) for x, y in points]).tobytes()
 
 
+@settings(max_examples=50, deadline=None)
+@given(POLYS, st.lists(POINT, min_size=1, max_size=5), st.lists(POINT, min_size=1, max_size=4))
+def test_calls_on_crossed_axes_give_the_bits_of_the_scalar_loop(p, xs, ys):
+    # x of shape (N, 1) and y of shape (1, M): every term broadcasts to (N, M)
+    got = p(np.array(xs)[:, None], np.array(ys)[None, :])
+    assert got.shape == (len(xs), len(ys))
+    assert got.tobytes() == np.array([[p(x, y) for y in ys] for x in xs]).tobytes()
+
+
 def fraction_sum(p, triples):
     """The Fraction oracle: sum of w * p(x, y) over (x, y, w) at the binary
     values of the floats."""

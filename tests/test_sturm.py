@@ -3,7 +3,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from g2cub import sturm
 from g2cub.chebyshev import (
@@ -592,6 +592,40 @@ def test_moments_from_a_cold_table_equal_moments_after_eigen_poly(a, b, data):
         check_against_oracle(p, k)
 
 
+def fraction_moments(p, max_mdeg):
+    """The moment recursion written out in Fractions: mu_m = -sum_e c_e mu_e
+    / lambda_m over the image of x^m without its diagonal term, at the
+    parameters' exact binary values."""
+    q = WeightParams(*p.key())
+    mu = {(0, 0): Fraction(1)}
+    for m in star_indices_upto(max_mdeg)[1:]:
+        image = sum((Fraction(c) * mu[e] for e, c in monomial_image(q, *m) if e != m), Fraction(0))
+        mu[tuple(m)] = -image / eigenvalue(q, m)
+    return mu
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(st.tuples(INTEGRABLE, INTEGRABLE),
+              st.tuples(st.floats(min_value=-0.5, max_value=2), st.floats(min_value=-0.5, max_value=2))),
+    st.integers(0, 24),
+    st.integers(0, 24),
+)
+@example((Fraction(-1, 2), Fraction(0)), 0, 4)  # mu_(1,0) = 0: its image has no lower terms
+def test_moments_match_a_plain_fraction_recursion(ab, first, second):
+    p = WeightParams(*ab)
+    top = max(first, second)
+    want = list(fraction_moments(p, top).items())
+    cold(p)
+    whole = list(moments(p, top).items())
+    cold(p)
+    moments(p, first)  # the table grown in two steps, the second maybe a no-op
+    assert list(moments(p, second).items())[:len(want)] == whole == want
+    assert all(type(v) is Fraction for _, v in whole)
+    ints, den = sturm._integer_moments(p, top)
+    assert [(e, Fraction(n, den)) for e, n in ints.items()] == want
+
+
 @pytest.mark.parametrize("p", [frac_params(Fraction(3, 10), Fraction(6, 5)), WeightParams(0.3, 1.2)],
                          ids=["exact", "float"])
 def test_eigen_poly_with_zero_lead_stores_no_coefficients(p):
@@ -626,6 +660,33 @@ def test_apply_L_matches_the_five_product_form(a, b, kind, coeffs):
         got = apply_L(p, q)
         assert typed(got) == typed(plain_apply_L(p, q))
         assert all(c for c in got.coeffs.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(st.tuples(RATIONAL, RATIONAL), st.tuples(st.floats(-HALF, 3), st.floats(-HALF, 3))),
+    st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 4)), st.floats(-20, 20), max_size=10),
+)
+def test_apply_L_keeps_the_term_order_and_bits_of_plain_arithmetic(ab, coeffs):
+    # `typed` sorts the terms; their storage order is what `__call__` sums in
+    p, q = WeightParams(*ab), BivarPoly(coeffs)
+    got, want = apply_L(p, q), plain_apply_L(p, q)
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    assert in_order(got) == in_order(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(GENERAL + ALL_HALF + (frac_params(Fraction(1, 4), Fraction(2, 3)),)),
+    st.sampled_from(star_indices_upto(12)),
+    st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 4)), COEFFS, max_size=10),
+)
+def test_eigen_residual_is_the_polynomial_difference_bit_for_bit(p, k, coeffs):
+    q = BivarPoly(coeffs)
+    lam = float(eigenvalue(p, k))
+    resid = apply_L(p, q) - lam * q.to_float()
+    want = resid.max_abs_coeff() / max(1.0, abs(lam) * q.max_abs_coeff())
+    assert eigen_residual(p, k, q).hex() == want.hex()
 
 
 def fraction_inner(p, f, g):
