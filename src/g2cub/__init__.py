@@ -26,6 +26,7 @@ from .gentrig import (
     laplace_eigenvalue,
     phi,
     product_expand,
+    xy_map,
 )
 from .lattice import (
     dim_pi_star,
@@ -37,25 +38,12 @@ from .lattice import (
     upsilon_weight,
 )
 from .poly import BivarPoly, star_cmp, star_key
-from .chebyshev import (
-    MIndex,
-    WeightParams,
-    cheb_eval_trig,
-    cheb_poly,
-    continuous_inner,
-    deltoid_F,
-    deltoid_factors,
-    normalization_c,
-    orthogonality_constant,
-    star_class,
-    star_indices_upto,
-    weight_mass,
-    weight_w,
-    xy_map,
-)
 from .sturm import (
+    MIndex,
     OperatorCoeffs,
+    WeightParams,
     apply_L,
+    continuous_inner,
     eigen_poly,
     eigen_residual,
     eigenvalue,
@@ -64,6 +52,18 @@ from .sturm import (
     monomial_image,
     operator_coeffs,
     selfadjointness_check,
+    star_class,
+    star_indices_upto,
+)
+from .chebyshev import (
+    cheb_eval_trig,
+    cheb_poly,
+    deltoid_F,
+    deltoid_factors,
+    normalization_c,
+    orthogonality_constant,
+    weight_mass,
+    weight_w,
 )
 from .cubature import (
     CubatureRule,

@@ -1,88 +1,33 @@
-"""Change of variables onto the deltoid-bounded domain, the weight
-functions, and the four Chebyshev-type polynomial families with exact
-rational coefficients.
+"""The deltoid-bounded domain, its weight functions and their masses,
+and the four Chebyshev-type polynomial families with exact rational
+coefficients.
 
-The map (x, y) = (cc_{1,0,-1}, cc_{1,1,-2}) sends the fundamental
-triangle onto the region between two hypocycloid arcs, cut out by
-F(x, y) >= 0.  Polynomials are graded by the weighted degree
+The map (x, y) = (cc_{1,0,-1}, cc_{1,1,-2}) (`gentrig.xy_map`) sends the
+fundamental triangle onto the region between two hypocycloid arcs, cut
+out by F(x, y) >= 0.  Polynomials are graded by the weighted degree
 2*k1 + 3*k2.  Each family member is the eigenpolynomial of the operator
 in `sturm` for its half-integer parameters, scaled by an exact leading
 coefficient so that it equals a quotient of trigonometric functions;
 `resolve_index` folds out-of-range indices back by the reflection
-identities of those functions.
+identities of those functions.  `WeightParams`, `star_indices_upto`,
+`continuous_inner` and `xy_map` can still be imported from here.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import numbers
-import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
-from . import quad
 from .coords import make_index, orbit_size
-from .gentrig import TrigFamily, eval as trig_eval
-from .poly import BivarPoly, _times, integer_form, integer_ratio, mdegree_of, rounded_quotient
+from .gentrig import TrigFamily, eval as trig_eval, xy_map
+from .poly import BivarPoly, integer_ratio
+from .quad import _require_integrable
+from .sturm import MIndex, WeightParams, eigen_poly
+from .sturm import continuous_inner, star_indices_upto  # re-exported only
 
 DENOM_FALLBACK = 1e-8
-
-
-class MIndex(NamedTuple):
-    k1: int
-    k2: int
-
-    @property
-    def mdegree(self) -> int:
-        return 2 * self.k1 + 3 * self.k2
-
-    @classmethod
-    def of(cls, k) -> "MIndex":
-        """k as an index of Python ints: numpy integers are converted, and a
-        component that is not an integer raises TypeError."""
-        return cls(*map(operator.index, k))
-
-
-def _parameter(v):
-    """v as an int (numpy integers too), a Fraction, or another real as a
-    float; TypeError for anything else."""
-    if not isinstance(v, numbers.Real):
-        raise TypeError(f"weight parameters must be real numbers, got {v!r}")
-    if isinstance(v, numbers.Integral):
-        return operator.index(v)
-    return v if isinstance(v, Fraction) else float(v)
-
-
-@dataclass(frozen=True)
-class WeightParams:
-    alpha: object
-    beta: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _parameter(self.alpha))
-        object.__setattr__(self, "beta", _parameter(self.beta))
-        a, b = float(self.alpha), float(self.beta)
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError("weight parameters must be finite")
-        if not (a > -1 and b > -1):
-            raise ValueError("weight parameters must both exceed -1")
-
-    @functools.cached_property
-    def family(self):
-        """The trig family whose polynomials have these parameters
-        (`TrigFamily.params`), or None off the four half-integer cases;
-        0.5 and Fraction(1, 2) both match."""
-        return _FAMILY_OF_PARAMS.get((self.alpha, self.beta))
-
-    def key(self):
-        return (Fraction(self.alpha), Fraction(self.beta))
-
-
-_FAMILY_OF_PARAMS = {fam.params: fam for fam in TrigFamily}
 
 
 def _family(p: WeightParams) -> TrigFamily:
@@ -92,14 +37,6 @@ def _family(p: WeightParams) -> TrigFamily:
             "half-integer cases"
         )
     return p.family
-
-
-def xy_map(t) -> tuple:
-    """Images of a point under the two lowest invariant trig functions;
-    point components may be arrays."""
-    x = trig_eval(TrigFamily.CC, make_index(1, 0), t)
-    y = trig_eval(TrigFamily.CC, make_index(1, 1), t)
-    return x, y
 
 
 def deltoid_factors(x, y):
@@ -130,18 +67,6 @@ def weight_w(p: WeightParams, x: float, y: float) -> float:
     return pref * f1 ** a * f2 ** b
 
 
-# star order ---------------------------------------------------------------
-
-def star_class(n: int):
-    """Index pairs of weighted degree exactly n, in order."""
-    return [MIndex((n - 3 * j) // 2, j) for j in range(n % 2, n // 3 + 1, 2)]
-
-
-def star_indices_upto(max_mdeg: int):
-    """All index pairs with weighted degree <= max_mdeg, in order."""
-    return [k for d in range(max_mdeg + 1) for k in star_class(d)]
-
-
 # exact polynomials ----------------------------------------------------------
 
 def _quotient(p: WeightParams, k: MIndex):
@@ -161,8 +86,6 @@ def cheb_poly(p: WeightParams, k) -> BivarPoly:
     6^(k1+k2) |orbit(den)| / |orbit(num)|, that is 6^(k1+k2) times the
     orthogonality constant, makes it equal to its trigonometric quotient.
     """
-    from .sturm import eigen_poly  # sturm imports this module
-
     k = MIndex.of(k)
     if k.k1 < 0 or k.k2 < 0:
         raise ValueError("index components must be nonnegative")
@@ -239,57 +162,12 @@ def orthogonality_constant(p: WeightParams, k) -> float:
 
 # weighted integrals ---------------------------------------------------------
 
-def _require_integrable(p: WeightParams):
-    """The weight is integrable only for beta > -5/6 and alpha + beta > -4/3
-    besides alpha, beta > -1: sc and cs both vanish to order 3 at the
-    vertex t = (0, 0), and cs alone at (1, 0)."""
-    a, b = float(p.alpha), float(p.beta)
-    if not (b > -5 / 6 and a + b > -4 / 3):
-        raise ValueError(
-            f"the weight at parameters ({p.alpha}, {p.beta}) is not integrable: "
-            "it needs beta > -5/6 and alpha + beta > -4/3"
-        )
-
-
-def continuous_inner(p: WeightParams, f, g, tol=quad.DEFAULT_TOL):
-    """Weighted inner product normalized so that <1, 1> = 1.
-
-    Two polynomials, whatever their coefficients, are paired exactly: f
-    and g each become ints over one common denominator
-    (`poly.integer_form`), f * g is formed on those ints, c * mu is summed
-    over its terms against the moments the parameter table keeps as ints
-    over one denominator (`sturm._integer_moments`, brought to that form
-    once as the moments grow, not on each call), and the sum is rounded
-    once.  tol applies only
-    to general callables (x, y) -> value, pulled back to the parameter
-    triangle and integrated by product Gauss-Jacobi quadrature
-    (`quad.triangle_quadrature`): tol bounds its error estimate relative
-    to max(1, |result|), and QuadratureError is raised when the estimate
-    stays above tol at the order cap `quad.ORDER_CAP`.  Raises ValueError
-    where the weight is not integrable.
-    """
-    if isinstance(f, BivarPoly) and isinstance(g, BivarPoly):
-        from .sturm import _integer_moments  # sturm imports this module
-        (fn, fd), (gn, gd) = integer_form(f.coeffs), integer_form(g.coeffs)
-        prod = _times(fn, gn)
-        mus, den = _integer_moments(p, max(map(mdegree_of, prod), default=0))
-        return rounded_quotient(sum([c * mus[e] for e, c in prod.items()]), fd * gd * den)
-
-    _require_integrable(p)
-
-    def values(x, y):
-        return np.broadcast_to(f(x, y) * g(x, y), x.shape)
-
-    return quad.triangle_quadrature(
-        values, tol=tol, alpha=float(p.alpha), beta=float(p.beta))
-
-
 def weight_mass(p: WeightParams) -> float:
     """Integral of the pulled-back weight over the parameter triangle:
     Macdonald's constant-term product for G2 (Habsieger 1986, Zeilberger
     1988), 36^-(a+b)/144 prod_r G(c_r+k_r+1) G(c_r-k_r+1) / G(c_r+1)^2 over
     the positive roots r, with multiplicities k_s = a+1/2 and k_l = b+1/2."""
-    _require_integrable(p)  # which makes every Gamma argument positive
+    _require_integrable(p.alpha, p.beta)  # which makes every Gamma argument positive
     a, b = float(p.alpha), float(p.beta)
     ks, kl = a + 0.5, b + 0.5
     roots = ((ks, ks), (ks + 3 * kl, ks), (2 * ks + 3 * kl, ks),

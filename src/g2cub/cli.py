@@ -14,12 +14,12 @@ import math
 import sys
 
 from . import lattice
-from .chebyshev import WeightParams, cheb_poly, poly_to_json_dict
+from .chebyshev import cheb_poly, poly_to_json_dict
 from .cubature import RULE_KINDS, make_rule, rule_to_csv, rule_to_json
 from .gentrig import TrigFamily
 from .jsonio import dumps as json_dumps, format_float
 from .poly import BivarPoly
-from .sturm import jacobi_poly
+from .sturm import WeightParams, jacobi_poly
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0

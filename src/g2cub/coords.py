@@ -32,10 +32,6 @@ class HexIndex(NamedTuple):
     k2: int
     k3: int
 
-    def is_congruent_mod3(self) -> bool:
-        """True when all three components agree mod 3."""
-        return self.k1 % 3 == self.k2 % 3 == self.k3 % 3
-
 
 class GroupElem(NamedTuple):
     sign: int          # overall factor applied after permuting

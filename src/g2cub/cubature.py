@@ -27,19 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import (
-    MIndex,
-    WeightParams,
-    cheb_eval_trig,
-    continuous_inner,
-    star_class,
-    xy_map,
-)
+from .chebyshev import cheb_eval_trig
 from .coords import orbit_size, point_from_index
-from .gentrig import TrigFamily, eval as trig_eval
+from .gentrig import TrigFamily, eval as trig_eval, xy_map
 from .lattice import enum_upsilon, upsilon_weight
 from .poly import BivarPoly
 from .quad import DEFAULT_TOL, Rule
+from .sturm import MIndex, WeightParams, continuous_inner, star_class
 
 # rule kind -> the trig family whose squared shift member is its factor
 _RULE_FAMILY = {

@@ -19,10 +19,12 @@ at the index `TrigFamily.shift` = (d+p, p, -d-2p).
 
 `eval` is the one evaluator of these closed forms: index and point
 components may be scalars or numpy arrays that broadcast against each
-other, and the same numpy expression serves both; `phi` and `partial_t`
-work the same way.  Structural zeros are returned as exact 0.0: the
-families with p = 1 vanish identically when the index (or the point)
-contains a zero component, those with d = 1 when it contains two equal
+other, and the same numpy expression serves both; `phi`, `partial_t`
+and `xy_map`, the change of variables (x, y) = (cc_{1,0,-1},
+cc_{1,1,-2}) onto the deltoid-bounded domain, work the same way.
+Structural zeros are returned as exact 0.0: the families with p = 1
+vanish identically when the index (or the point) contains a zero
+component, those with d = 1 when it contains two equal
 components.
 """
 
@@ -111,6 +113,13 @@ def eval(family, k, t):
     return float(value) if value.ndim == 0 else value
 
 
+def xy_map(t) -> tuple:
+    """Images (x, y) = (cc_(1,0,-1), cc_(1,1,-2)) of a point under the two
+    lowest invariant members, the change of variables onto the
+    deltoid-bounded domain; point components may be arrays."""
+    return eval(TrigFamily.CC, HexIndex(1, 0, -1), t), eval(TrigFamily.CC, HexIndex(1, 1, -2), t)
+
+
 def partial_t(family, k, t, i: int):
     """Partial derivative of the closed form with respect to coordinate i,
     treating t1, t2, t3 as independent.  k and t broadcast as in `eval`;
@@ -189,8 +198,3 @@ def product_expand(family_a, j, family_b, k):
          g.sign ** (da + pa) * g.parity ** da * c)
         for g in G2
     ]
-
-
-def eval_expansion(terms, t) -> float:
-    """Evaluate a product_expand result at a point."""
-    return float(sum(float(c) * eval(fam, idx, t) for fam, idx, c in terms))

@@ -197,13 +197,6 @@ class BivarPoly:
             return 0
         return max(mdegree_of(k) for k in self.coeffs)
 
-    def leading_star_term(self):
-        """(exponent pair, coefficient) of the term latest in the order."""
-        if not self.coeffs:
-            return (0, 0), 0
-        key = max(self.coeffs, key=star_key)
-        return key, self.coeffs[key]
-
     def star_sorted_terms(self):
         return [(k, self.coeffs[k]) for k in sorted(self.coeffs, key=star_key)]
 
@@ -212,6 +205,7 @@ class BivarPoly:
             return 0.0
         return max(abs(float(c)) for c in self.coeffs.values())
 
+    # kept for bench/tracer.py, whose vars(cls)["to_float"] raises KeyError without it
     def to_float(self):
         return BivarPoly({k: float(c) for k, c in self.coeffs.items()})
 

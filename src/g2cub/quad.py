@@ -20,6 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .gentrig import xy_map
+
 DEFAULT_TOL = 1e-12
 ORDER_CAP = 128
 START_ORDER = 8
@@ -30,6 +32,19 @@ _L = ((1 / 3, -1 / 3), (1 / 3, 2 / 3), (-2 / 3, -1 / 3), (1.0, 0.0), (0.0, 1.0),
 
 class QuadratureError(RuntimeError):
     """Raised when the error estimate is still above tol at the order cap."""
+
+
+def _require_integrable(alpha, beta):
+    """The weight at parameters (alpha, beta) is integrable only where
+    every exponent of `_nodes` exceeds -1: alpha > -1, beta > -5/6 and
+    alpha + beta > -4/3, as sc and cs both vanish to order 3 at the vertex
+    t = (0, 0), cs alone at (1, 0), and one of them along each edge."""
+    a, b = float(alpha), float(beta)
+    if not (a > -1 and b > -5 / 6 and a + b > -4 / 3):
+        raise ValueError(
+            f"the weight at parameters ({alpha}, {beta}) is not integrable: "
+            "it needs alpha > -1, beta > -5/6 and alpha + beta > -4/3"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +83,9 @@ def _gauss_jacobi(order, b):
 
 def _nodes(order, alpha, beta):
     """Nodes (t1, t2) and weights with order nodes per axis on each Duffy
-    triangle, for the weight at parameters (alpha, beta)."""
+    triangle, for the weight at parameters (alpha, beta); ValueError where
+    the weight is not integrable."""
+    _require_integrable(alpha, beta)
     # per triangle, two at each vertex: V, M - V, P - V; per triangle and factor:
     # l.V, l.(M - V), l.(P - V), and whether it vanishes at V and along V-M
     V = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5]], 2, axis=0)
@@ -101,11 +118,10 @@ def _nodes(order, alpha, beta):
 @lru_cache(maxsize=32)
 def rule(order, alpha, beta) -> Rule:
     """Images (x, y) of `_nodes` with their weights scaled to sum to one.
-    Raises ValueError if a node rounds onto the boundary of the triangle,
-    as happens within about 1e-10 of beta = -5/6: the weight, and an
-    integrand, may be singular there."""
-    from .chebyshev import xy_map  # chebyshev imports this module
-
+    Raises ValueError where the weight is not integrable, and if a node
+    rounds onto the boundary of the triangle, as happens within about
+    1e-10 of beta = -5/6: the weight, and an integrand, may be singular
+    there."""
     t1, t2, w = _nodes(order, alpha, beta)
     on_edge = np.count_nonzero((t2 <= 0.0) | (t1 <= t2) | (t1 + t2 >= 1.0))
     if on_edge:

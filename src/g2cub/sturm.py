@@ -1,6 +1,8 @@
-"""The two-parameter second-order operator behind the polynomial families:
-exact coefficients, application to polynomials, monomial images,
-eigenvalues, the eigenpolynomials themselves, and the weight's moments.
+"""The parameter domain and the two-parameter second-order operator
+behind the polynomial families: the weight parameters, the weighted
+monomial order, exact operator coefficients, application to polynomials,
+monomial images, eigenvalues, the eigenpolynomials themselves, and the
+weight's moments and the inner product built on them.
 
 The operator is triangular with respect to the weighted monomial order,
 so each index pair carries exactly one eigenpolynomial with a given
@@ -23,27 +25,103 @@ denominator D = 2 lcm(den alpha, den beta) so that for rational
 parameters they are Python ints.  `apply_L` multiplies q's derivatives
 by the coefficient polynomials in q's own arithmetic and never reads the
 lowered images.  The moments stay in the table, so a deeper call goes on
-where the last one stopped; besides their reduced pairs it keeps them as
-ints over one common denominator, grown with the prefix, which
-`continuous_inner` pairs two polynomials against without rebuilding that
-denominator on each call.  The exact results keep one form: an
-eigenpolynomial's coefficient, an eigenvalue or a coefficient of
-`apply_L` is an int where it is integral and a Fraction only where it is
-not.  Float parameters take the same code with D = 1.
+where the last one stopped, in two forms: their reduced pairs, from which
+`moments` builds its Fractions on each call, and ints over one common
+denominator, grown with the prefix, which `continuous_inner` pairs two
+polynomials against without rebuilding that denominator on each call.
+The exact results keep one form: an eigenpolynomial's coefficient, an
+eigenvalue or a coefficient of `apply_L` is an int where it is integral
+and a Fraction only where it is not.  Float parameters take the same
+code with D = 1.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chebyshev import MIndex, WeightParams, _require_integrable, continuous_inner, star_class
+import numpy as np
+
+from . import quad
+from .gentrig import TrigFamily
 from .lattice import dim_pi_star
-from .poly import BivarPoly, _times
+from .poly import BivarPoly, _times, integer_form, mdegree_of, rounded_quotient
+from .quad import _require_integrable
 
 HALF = Fraction(1, 2)
+
+
+class MIndex(NamedTuple):
+    k1: int
+    k2: int
+
+    @property
+    def mdegree(self) -> int:
+        return 2 * self.k1 + 3 * self.k2
+
+    @classmethod
+    def of(cls, k) -> "MIndex":
+        """k as an index of Python ints: numpy integers are converted, and a
+        component that is not an integer raises TypeError."""
+        return cls(*map(operator.index, k))
+
+
+def _parameter(v):
+    """v as an int (numpy integers too), a Fraction, or another real as a
+    float; TypeError for anything else."""
+    if not isinstance(v, numbers.Real):
+        raise TypeError(f"weight parameters must be real numbers, got {v!r}")
+    if isinstance(v, numbers.Integral):
+        return operator.index(v)
+    return v if isinstance(v, Fraction) else float(v)
+
+
+@dataclass(frozen=True)
+class WeightParams:
+    alpha: object
+    beta: object
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", _parameter(self.alpha))
+        object.__setattr__(self, "beta", _parameter(self.beta))
+        a, b = float(self.alpha), float(self.beta)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError("weight parameters must be finite")
+        if not (a > -1 and b > -1):
+            raise ValueError("weight parameters must both exceed -1")
+
+    @functools.cached_property
+    def family(self):
+        """The trig family whose polynomials have these parameters
+        (`TrigFamily.params`), or None off the four half-integer cases;
+        0.5 and Fraction(1, 2) both match."""
+        return _FAMILY_OF_PARAMS.get((self.alpha, self.beta))
+
+    def key(self):
+        return (Fraction(self.alpha), Fraction(self.beta))
+
+
+_FAMILY_OF_PARAMS = {fam.params: fam for fam in TrigFamily}
+
+
+# star order ---------------------------------------------------------------
+
+def star_class(n: int):
+    """Index pairs of weighted degree exactly n, in order."""
+    return [MIndex((n - 3 * j) // 2, j) for j in range(n % 2, n // 3 + 1, 2)]
+
+
+def star_indices_upto(max_mdeg: int):
+    """All index pairs with weighted degree <= max_mdeg, in order."""
+    return [k for d in range(max_mdeg + 1) for k in star_class(d)]
+
+
+# the operator ---------------------------------------------------------------
 
 
 class OperatorCoeffs(NamedTuple):
@@ -199,21 +277,20 @@ class _Table:
     `lowered` the image of that monomial without its diagonal term, as
     (position, D coefficient) pairs, all at earlier positions.  `polys`
     keeps the finished eigenpolynomials by (index, lead).  The normalized
-    moments, a prefix of the order, are kept three ways: `num` and `den`
-    hold each one as a reduced int pair by position; `mu` holds them as
-    Fractions by index, as far as `moments` was asked; and `ints` holds them
-    by index as ints over the one denominator `ints_den`, as far as
-    `_integer_moments` was asked.
+    moments, a prefix of the order, are kept two ways: `num` and `den`
+    hold each one as a reduced int pair by position, as far as any caller
+    asked; and `ints` holds them by index as ints over the one denominator
+    `ints_den`, as far as `_integer_moments` was asked.
     """
 
     __slots__ = ("D", "op", "degree", "order", "pos", "lam", "lowered", "polys",
-                 "num", "den", "mu", "ints", "ints_den")
+                 "num", "den", "ints", "ints_den")
 
     def __init__(self, D: int, op: OperatorCoeffs):
         self.D, self.op, self.degree = D, op, -1
         self.order, self.pos, self.lam, self.lowered = [], {}, [], []
         self.polys = {}
-        self.num, self.den, self.mu = [1], [1], {(0, 0): Fraction(1)}
+        self.num, self.den = [1], [1]
         self.ints, self.ints_den = {(0, 0): 1}, 1
 
 
@@ -341,13 +418,14 @@ def _moment_table(p: WeightParams, max_mdeg: int):
     binary value.  Raises ValueError where the weight is not integrable;
     elsewhere every lambda_m with m != 0 is positive.
     """
-    _require_integrable(p)
+    _require_integrable(p.alpha, p.beta)
     q = WeightParams(*p.key())
     table = _table(q.alpha, q.beta)
-    size = dim_pi_star(max(max_mdeg, 0))
+    max_mdeg = max(max_mdeg, 0)
+    size = dim_pi_star(max_mdeg)
+    _grow(q, table, max_mdeg)  # also on a cold table at degree 0: the keys read its order
     num, den = table.num, table.den
     if len(num) < size:
-        _grow(q, table, max_mdeg)
         lams, lowered = table.lam, table.lowered
         for i in range(len(num), size):
             terms = lowered[i]
@@ -361,17 +439,14 @@ def _moment_table(p: WeightParams, max_mdeg: int):
 
 
 def moments(p: WeightParams, max_mdeg: int) -> dict:
-    """Exact normalized moments <x^i y^j, 1>, as Fractions, for every
-    monomial up to weighted degree max_mdeg, from the recursion of
-    `_moment_table`.  Returns the cached table itself, a prefix of the
-    weighted order grown in place; do not modify it.  Raises ValueError
-    where the weight is not integrable.
+    """Exact normalized moments <x^i y^j, 1>, as Fractions, keyed in the
+    weighted order, for every monomial up to weighted degree max_mdeg and
+    every later one the table already keeps, from the recursion of
+    `_moment_table`.  A new dict on each call, built from the reduced pairs
+    the table keeps.  Raises ValueError where the weight is not integrable.
     """
-    table, size = _moment_table(p, max_mdeg)
-    mu, order, num, den = table.mu, table.order, table.num, table.den
-    for i in range(len(mu), size):
-        mu[order[i]] = Fraction(num[i], den[i])
-    return mu
+    table, _ = _moment_table(p, max_mdeg)
+    return dict(zip(table.order, map(Fraction, table.num, table.den)))
 
 
 def _integer_moments(p: WeightParams, max_mdeg: int):
@@ -394,6 +469,35 @@ def _integer_moments(p: WeightParams, max_mdeg: int):
             ints[order[i]] = num[i] * (lcm // den[i])
         table.ints_den = lcm
     return ints, table.ints_den
+
+
+def continuous_inner(p: WeightParams, f, g, tol=quad.DEFAULT_TOL):
+    """Weighted inner product normalized so that <1, 1> = 1.
+
+    Two polynomials, whatever their coefficients, are paired exactly: f
+    and g each become ints over one common denominator
+    (`poly.integer_form`), f * g is formed on those ints, c * mu is summed
+    over its terms against the moments the parameter table keeps as ints
+    over one denominator (`_integer_moments`, brought to that form once as
+    the moments grow, not on each call), and the sum is rounded once.  tol
+    applies only to general callables (x, y) -> value, pulled back to the
+    parameter triangle and integrated by product Gauss-Jacobi quadrature
+    (`quad.triangle_quadrature`): tol bounds its error estimate relative
+    to max(1, |result|), and QuadratureError is raised when the estimate
+    stays above tol at the order cap `quad.ORDER_CAP`.  Raises ValueError
+    where the weight is not integrable.
+    """
+    if isinstance(f, BivarPoly) and isinstance(g, BivarPoly):
+        (fn, fd), (gn, gd) = integer_form(f.coeffs), integer_form(g.coeffs)
+        prod = _times(fn, gn)
+        mus, den = _integer_moments(p, max(map(mdegree_of, prod), default=0))
+        return rounded_quotient(sum([c * mus[e] for e, c in prod.items()]), fd * gd * den)
+
+    def values(x, y):
+        return np.broadcast_to(f(x, y) * g(x, y), x.shape)
+
+    return quad.triangle_quadrature(
+        values, tol=tol, alpha=float(p.alpha), beta=float(p.beta))
 
 
 def jacobi_poly(p: WeightParams, k) -> BivarPoly:

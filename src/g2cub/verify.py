@@ -15,20 +15,21 @@ from fractions import Fraction
 import numpy as np
 
 from . import gentrig, lattice
-from .chebyshev import (
-    WeightParams,
-    cheb_poly,
-    continuous_inner,
-    deltoid_F,
-    deltoid_factors,
-    orthogonality_constant,
-    star_indices_upto,
-    xy_map,
-)
+from .chebyshev import cheb_poly, deltoid_F, deltoid_factors, orthogonality_constant
 from .coords import make_index, make_point
 from .cubature import RULE_KINDS, integrate_poly, make_rule, variety_check
 from .poly import BivarPoly
-from .sturm import apply_L, eigen_residual, eigenvalue, jacobi_poly, moments, operator_coeffs
+from .sturm import (
+    WeightParams,
+    apply_L,
+    continuous_inner,
+    eigen_residual,
+    eigenvalue,
+    jacobi_poly,
+    moments,
+    operator_coeffs,
+    star_indices_upto,
+)
 
 HALF_PARAMS = tuple(
     WeightParams(*params) for params in sorted(f.params for f in gentrig.TrigFamily)
@@ -151,7 +152,7 @@ def suite_identities(n: int = 100, tol: float = None):
     cc10 = gentrig.eval("cc", make_index(1, 0), t)
     cc11 = gentrig.eval("cc", make_index(1, 1), t)
     cc30 = gentrig.eval("cc", make_index(3, 0), t)
-    x, y = xy_map(t)
+    x, y = gentrig.xy_map(t)
     f1, f2 = deltoid_factors(x, y)
     h10 = [gentrig.partial_t("cc", make_index(1, 0), t, i) for i in range(3)]
     h11 = [gentrig.partial_t("cc", make_index(1, 1), t, i) for i in range(3)]

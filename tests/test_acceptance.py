@@ -17,7 +17,6 @@ from g2cub.chebyshev import (
     cheb_poly,
     continuous_inner,
     orthogonality_constant,
-    star_class,
     star_indices_upto,
     xy_map,
 )
@@ -39,7 +38,14 @@ from g2cub.lattice import (
     upsilon_weight,
 )
 from g2cub.poly import BivarPoly
-from g2cub.sturm import apply_L, eigen_residual, eigenvalue, jacobi_poly, operator_coeffs
+from g2cub.sturm import (
+    apply_L,
+    eigen_residual,
+    eigenvalue,
+    jacobi_poly,
+    operator_coeffs,
+    star_class,
+)
 
 HALF = Fraction(1, 2)
 HALF_PARAMS = tuple(WeightParams(sa * HALF, sb * HALF) for sa in (-1, 1) for sb in (-1, 1))

@@ -41,6 +41,12 @@ PP = WeightParams(HALF, HALF)
 ALL = (MM, PM, MP, PP)
 
 
+def leading_star_term(q):
+    """(exponent pair, coefficient) of q's term latest in the weighted order."""
+    key = max(q.coeffs, key=star_key)
+    return key, q.coeffs[key]
+
+
 def interior_points(count, seed=2):
     rng = random.Random(seed)
     out = []
@@ -311,7 +317,7 @@ def test_orbit_size_closed_form_matches_the_orbit():
 def test_leading_coefficient_positive():
     for p in ALL:
         for k in star_indices_upto(12):
-            key, coeff = cheb_poly(p, k).leading_star_term()
+            key, coeff = leading_star_term(cheb_poly(p, k))
             assert key == (k.k1, k.k2)
             assert coeff > 0
 

@@ -12,7 +12,6 @@ from g2cub.chebyshev import (
     WeightParams,
     cheb_poly,
     deltoid_F,
-    star_class,
     star_indices_upto,
     xy_map,
 )
@@ -32,6 +31,7 @@ from g2cub.gentrig import eval as trig
 from g2cub.coords import make_index
 from g2cub.lattice import dim_pi_star, enum_upsilon, upsilon_weight
 from g2cub.poly import BivarPoly
+from g2cub.sturm import star_class
 
 HALF = Fraction(1, 2)
 

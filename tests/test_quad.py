@@ -125,6 +125,20 @@ def test_rule_nodes_are_interior_and_weights_positive(ab, order):
     assert np.all(np.isfinite(w)) and np.all(w > 0)
 
 
+@pytest.mark.parametrize("a,b", [(-0.9, -0.8), (0.0, -5 / 6), (-0.6, -0.75), (-1.5, 1.0)])
+def test_quadrature_refuses_a_weight_that_is_not_integrable(a, b, monkeypatch):
+    # alpha <= -1, beta <= -5/6 or alpha + beta <= -4/3: some exponent of the
+    # Duffy triangles is <= -1, so the check comes before any Gauss-Jacobi work
+    def fail(*args, **kwargs):
+        raise AssertionError("Gauss-Jacobi reached")
+
+    monkeypatch.setattr(quad, "_gauss_jacobi", fail)
+    with pytest.raises(ValueError, match="not integrable"):
+        quad.rule(8, a, b)
+    with pytest.raises(ValueError, match="not integrable"):
+        quad.triangle_quadrature(lambda x, y: x * 0 + 1, alpha=a, beta=b)
+
+
 def test_rule_refuses_nodes_rounded_onto_the_boundary():
     # 1e-14 above beta = -5/6 the nodes next to the vertex (1, 0) round
     # onto t1 + t2 = 1; 1e-8 above it every node is still interior
