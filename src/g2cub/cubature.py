@@ -114,7 +114,11 @@ def _build_rule(kind: str, n: int) -> CubatureRule:
     family = _RULE_FAMILY.get(kind)
     if family is None:
         raise ValueError(f"unknown rule kind {kind!r}")
-    if n != int(n):
+    try:
+        integral = n == int(n)
+    except (OverflowError, ValueError):  # int() of an infinity or a nan
+        integral = False
+    if not integral:
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("n must be >= 1")

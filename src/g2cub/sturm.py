@@ -11,9 +11,9 @@ weighted inner product.  `eigen_poly` builds it by back-substitution down
 the order, exactly for rational parameters and in floating point
 otherwise; both the Chebyshev-type families and the general-parameter
 polynomials come from it.  `moments` runs the same triangular structure
-up the order to get every polynomial integral exactly, on Python ints:
-each moment is a reduced numerator and denominator, and one step takes
-the lcm of its at most eight earlier denominators and one gcd.
+up the order to get every polynomial integral exactly.  Both exact
+sweeps run on Python ints over one least common denominator, which grows
+only where a division leaves a remainder (`_reduced`).
 
 One table per parameter pair serves both exact sweeps, down the order
 (`eigen_poly`) and up it (`moments`), and the eigen-check (`apply_L`).
@@ -24,11 +24,10 @@ lowered monomial image at its position, scaled by the one common
 denominator D = 2 lcm(den alpha, den beta) so that for rational
 parameters they are Python ints.  `apply_L` multiplies q's derivatives
 by the coefficient polynomials in q's own arithmetic and never reads the
-lowered images.  The moments stay in the table, so a deeper call goes on
-where the last one stopped, in two forms: their reduced pairs, from which
-`moments` builds its Fractions on each call, and ints over one common
-denominator, grown with the prefix, which `continuous_inner` pairs two
-polynomials against without rebuilding that denominator on each call.
+lowered images.  The moments stay in the table as ints over their
+least common denominator, so a deeper call goes on where the last one
+stopped, `moments` builds its Fractions from them on each call, and
+`continuous_inner` pairs two polynomials against them directly.
 The exact results keep one form: an eigenpolynomial's coefficient, an
 eigenvalue or a coefficient of `apply_L` is an int where it is integral
 and a Fraction only where it is not.  Float parameters take the same
@@ -50,7 +49,7 @@ import numpy as np
 from . import quad
 from .gentrig import TrigFamily
 from .lattice import dim_pi_star
-from .poly import BivarPoly, _times, integer_form, mdegree_of, rounded_quotient
+from .poly import BivarPoly, _times, integer_form, integer_ratio, mdegree_of, rounded_quotient
 from .quad import _require_integrable
 
 HALF = Fraction(1, 2)
@@ -258,6 +257,15 @@ def eigen_residual(p: WeightParams, k, polynomial: BivarPoly) -> float:
     return resid / max(1.0, abs(lam) * polynomial.max_abs_coeff())
 
 
+def _reduced(r: int, d: int):
+    """(n, g) with n / g == r / d over the least g, for a d that does not
+    divide r: g > 1 is prime to n.  So ints kept over their least common
+    denominator den stay so when r / (d den) joins them as n over den g
+    and every kept int is scaled by g."""
+    g = math.gcd(r, d) if d > 0 else -math.gcd(r, d)
+    return r // g, d // g
+
+
 def _int(v):
     """A Fraction with denominator 1 as a plain int, whose arithmetic is
     several times cheaper; anything else unchanged."""
@@ -276,21 +284,18 @@ class _Table:
     changes; `pos` inverts it.  At each position, `lam` holds D lambda and
     `lowered` the image of that monomial without its diagonal term, as
     (position, D coefficient) pairs, all at earlier positions.  `polys`
-    keeps the finished eigenpolynomials by (index, lead).  The normalized
-    moments, a prefix of the order, are kept two ways: `num` and `den`
-    hold each one as a reduced int pair by position, as far as any caller
-    asked; and `ints` holds them by index as ints over the one denominator
-    `ints_den`, as far as `_integer_moments` was asked.
+    keeps the finished eigenpolynomials by (index, lead).  `ints` holds
+    the normalized moments, a prefix of the order, by index as ints over
+    their least common denominator `ints_den` (`_integer_moments`).
     """
 
     __slots__ = ("D", "op", "degree", "order", "pos", "lam", "lowered", "polys",
-                 "num", "den", "ints", "ints_den")
+                 "ints", "ints_den")
 
     def __init__(self, D: int, op: OperatorCoeffs):
         self.D, self.op, self.degree = D, op, -1
         self.order, self.pos, self.lam, self.lowered = [], {}, [], []
         self.polys = {}
-        self.num, self.den = [1], [1]
         self.ints, self.ints_den = {(0, 0): 1}, 1
 
 
@@ -344,10 +349,13 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
     earlier in the weighted order, so the coefficients follow by
     back-substitution down that order: c_m = acc_m / (lambda_k - lambda_m),
     where acc_m collects the images of the coefficients already fixed.
-    Both acc_m and the gap carry the table's factor D, so for rational
-    parameters the quotient is one integer division: each coefficient is
-    an int where it is integral and a Fraction only where it is not;
-    floating point otherwise.  Raises
+    Both acc_m and the gap carry the table's factor D.  For rational
+    parameters the coefficients and acc are ints over one least common
+    denominator, starting at the lead's: each quotient is one divmod, and
+    only where it leaves a remainder does the denominator grow, with the
+    kept ints rescaled (`_reduced`).  Each coefficient is an int where it
+    is integral and a Fraction only where it is not; floating point
+    otherwise.  Raises
     ValueError when an eigenvalue tie leaves a coefficient undetermined,
     and TypeError for a lead other than an int or Fraction at rational
     parameters, where it would spoil the exact result.
@@ -357,8 +365,8 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
         raise ValueError("index components must be nonnegative")
     a, b = p.alpha, p.beta
     table = _table(p.alpha, p.beta)
-    D = table.D
-    if D > 1 and not isinstance(lead, (int, Fraction)):
+    exact = table.D > 1
+    if exact and not isinstance(lead, (int, Fraction)):
         raise TypeError(f"lead {lead!r} at rational parameters must be an int or Fraction")
     lead = _int(lead)  # an int key hashes several times faster than a Fraction
     done = table.polys.get((k, lead))
@@ -371,10 +379,10 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
     order, lams, lowered = table.order, table.lam, table.lowered
     top = table.pos[k]
     lam = lams[top]
-    tie = TIE_RTOL * max(D, abs(float(lam)))
-    if D > 1:
+    tie = TIE_RTOL * max(table.D, abs(float(lam)))
+    if exact:
         tie = math.floor(tie)  # every gap is an int: |gap| <= floor(tie) iff |gap| <= tie
-    c = lead
+    c, den = integer_ratio(lead) if exact else (lead, 1)
     coeffs = {order[top]: c}
     acc = [0] * top
     for e, v in lowered[top]:
@@ -389,15 +397,22 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
                 f"eigenvalue tie between {tuple(k)} and {order[i]} at "
                 f"parameters ({a}, {b}) leaves the polynomial undetermined"
             )
-        if type(r) is int and type(gap) is int:
-            quo, rem = divmod(r, gap)
-            c = Fraction(r, gap) if rem else quo
+        if exact:
+            c, rem = divmod(r, gap)
+            if rem:
+                c, grow = _reduced(r, gap)
+                den *= grow
+                for m in coeffs:
+                    coeffs[m] *= grow
+                acc[:i] = [v * grow for v in acc[:i]]
         else:
-            c = _int(r / gap)
+            c = r / gap
         coeffs[order[i]] = c
         for e, v in lowered[i]:
             acc[e] += c * v
-    if D == 1:
+    if den > 1:
+        coeffs = {m: _int(Fraction(n, den)) for m, n in coeffs.items()}
+    elif not exact:
         one = a * 0 + 1  # each coefficient takes the type of c * one
         coeffs = {m: c * one for m, c in coeffs.items()}
     q = table.polys[(k, lead)] = BivarPoly()
@@ -405,70 +420,48 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
     return q
 
 
-def _moment_table(p: WeightParams, max_mdeg: int):
-    """The exact table at p with its moments through weighted degree
-    max_mdeg as reduced int pairs, and the number of them.
+def _integer_moments(p: WeightParams, max_mdeg: int):
+    """The normalized moments <x^i y^j, 1> in integer form: ({index: n},
+    den) with every moment through weighted degree max_mdeg, and every
+    later one the table already keeps, equal to n / den over the least den.
 
     L is symmetric under the weight and L 1 = 0, so <L x^m, 1> = 0; with
     L x^m = lambda_m x^m + sum_e c_e x^e over earlier monomials, this gives
     mu_m = -sum_e c_e mu_e / lambda_m from mu_(0,0) = 1, up the weighted
-    order, with c_e and lambda_m both scaled by the table's D.  On ints, a
-    step brings its at most eight mu_e to the lcm of their denominators and
-    reduces the quotient by one gcd.  Float parameters enter by their exact
-    binary value.  Raises ValueError where the weight is not integrable;
-    elsewhere every lambda_m with m != 0 is positive.
+    order, with c_e and lambda_m both scaled by the table's D.  A step sums
+    its at most eight c_e n_e and divides by lambda_m; where that leaves a
+    remainder, den grows and the kept ints are rescaled (`_reduced`).  Float parameters enter by their exact binary value.  Returns
+    the table's dict itself, do not modify it.  Raises ValueError where the
+    weight is not integrable; elsewhere every lambda_m with m != 0 is
+    positive.
     """
     _require_integrable(p.alpha, p.beta)
     q = WeightParams(*p.key())
     table = _table(q.alpha, q.beta)
     max_mdeg = max(max_mdeg, 0)
-    size = dim_pi_star(max_mdeg)
     _grow(q, table, max_mdeg)  # also on a cold table at degree 0: the keys read its order
-    num, den = table.num, table.den
-    if len(num) < size:
-        lams, lowered = table.lam, table.lowered
-        for i in range(len(num), size):
-            terms = lowered[i]
-            lcm = math.lcm(*[den[e] for e, _ in terms])
-            s = sum([c * num[e] * (lcm // den[e]) for e, c in terms])
-            d = lcm * lams[i]
-            g = math.gcd(s, d)
-            num.append(-s // g)
-            den.append(d // g)
-    return table, size
+    ints, order = table.ints, table.order
+    lams, lowered = table.lam, table.lowered
+    for i in range(len(ints), dim_pi_star(max_mdeg)):
+        s = -sum([c * ints[order[e]] for e, c in lowered[i]])
+        n, rem = divmod(s, lams[i])
+        if rem:
+            n, grow = _reduced(s, lams[i])
+            table.ints_den *= grow
+            for e in ints:
+                ints[e] *= grow
+        ints[order[i]] = n
+    return ints, table.ints_den
 
 
 def moments(p: WeightParams, max_mdeg: int) -> dict:
     """Exact normalized moments <x^i y^j, 1>, as Fractions, keyed in the
     weighted order, for every monomial up to weighted degree max_mdeg and
-    every later one the table already keeps, from the recursion of
-    `_moment_table`.  A new dict on each call, built from the reduced pairs
-    the table keeps.  Raises ValueError where the weight is not integrable.
+    every later one the table already keeps (`_integer_moments`).  A new
+    dict on each call.  Raises ValueError where the weight is not integrable.
     """
-    table, _ = _moment_table(p, max_mdeg)
-    return dict(zip(table.order, map(Fraction, table.num, table.den)))
-
-
-def _integer_moments(p: WeightParams, max_mdeg: int):
-    """The moments of `moments` in integer form: ({index: n}, den) with
-    every moment through weighted degree max_mdeg equal to n / den, over
-    the least den for the prefix kept.  The prefix grows in place, each
-    growth rescaling the ints already kept; returns the cached dict
-    itself, do not modify it."""
-    table, size = _moment_table(p, max_mdeg)
-    ints = table.ints
-    if len(ints) < size:
-        order, num, den = table.order, table.num, table.den
-        new = range(len(ints), size)
-        lcm = math.lcm(table.ints_den, *[den[i] for i in new])
-        scale = lcm // table.ints_den
-        if scale > 1:
-            for e in ints:
-                ints[e] *= scale
-        for i in new:
-            ints[order[i]] = num[i] * (lcm // den[i])
-        table.ints_den = lcm
-    return ints, table.ints_den
+    ints, den = _integer_moments(p, max_mdeg)
+    return {e: Fraction(n, den) for e, n in ints.items()}
 
 
 def continuous_inner(p: WeightParams, f, g, tol=quad.DEFAULT_TOL):

@@ -47,22 +47,14 @@ from g2cub.sturm import (
     star_class,
 )
 
+from helpers import interior_points
+
 HALF = Fraction(1, 2)
 HALF_PARAMS = tuple(WeightParams(sa * HALF, sb * HALF) for sa in (-1, 1) for sb in (-1, 1))
 
 
 def report(name, detail):
     print(f"{name}: PASS ({detail})")
-
-
-def interior_points(count, seed):
-    rng = random.Random(seed)
-    pts = []
-    for _ in range(count):
-        t2 = rng.uniform(0.02, 0.47)
-        t1 = rng.uniform(t2 + 0.02, 1 - t2 - 0.02)
-        pts.append(make_point(t1, t2))
-    return pts
 
 
 def test_ac01_dimension_table():

@@ -1,6 +1,5 @@
 import json
 import math
-import random
 import warnings
 from fractions import Fraction
 
@@ -33,28 +32,14 @@ from g2cub.jsonio import dumps
 from g2cub.poly import BivarPoly, star_key
 from g2cub.sturm import apply_L, eigen_poly, eigenvalue, jacobi_poly, moments
 
+from helpers import fraction_inner, interior_points, leading_star_term
+
 HALF = Fraction(1, 2)
 MM = WeightParams(-HALF, -HALF)
 PM = WeightParams(HALF, -HALF)
 MP = WeightParams(-HALF, HALF)
 PP = WeightParams(HALF, HALF)
 ALL = (MM, PM, MP, PP)
-
-
-def leading_star_term(q):
-    """(exponent pair, coefficient) of q's term latest in the weighted order."""
-    key = max(q.coeffs, key=star_key)
-    return key, q.coeffs[key]
-
-
-def interior_points(count, seed=2):
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        t2 = rng.uniform(0.02, 0.47)
-        t1 = rng.uniform(t2 + 0.02, 1 - t2 - 0.02)
-        out.append(make_point(t1, t2))
-    return out
 
 
 def test_xy_map_corners():
@@ -67,7 +52,7 @@ def test_xy_map_corners():
 def test_deltoid_F_values():
     assert deltoid_F(1.0, 1.0) == pytest.approx(0.0, abs=1e-14)
     assert deltoid_F(0.0, 0.0) == -1.0
-    for t in interior_points(20):
+    for t in interior_points(20, seed=2):
         x, y = xy_map(t)
         ss = trig("ss", make_index(2, 1), t)
         assert deltoid_F(x, y) == pytest.approx(ss * ss / 3.0, abs=1e-12)
@@ -90,7 +75,7 @@ def test_deltoid_factors_exact_and_float():
 
 def test_weight_w_unit_for_zero_parameters():
     p = WeightParams(0.0, 0.0)
-    for t in interior_points(5):
+    for t in interior_points(5, seed=2):
         x, y = xy_map(t)
         assert weight_w(p, x, y) == pytest.approx(1.0)
 
@@ -395,18 +380,6 @@ def test_continuous_orthogonality_all_families():
                     assert abs(value - orthogonality_constant(p, ka)) <= 1e-9, (p, ka)
                 else:  # rational coefficients and moments: the sum is exact
                     assert value == 0.0, (p, ka, kb)
-
-
-def fraction_inner(p, f, g):
-    """The exact pairing in Fractions: f * g term pair by term pair, then
-    each of its coefficients against its moment."""
-    prod = {}
-    for e, a in f.coeffs.items():
-        for h, b in g.coeffs.items():
-            key = (e[0] + h[0], e[1] + h[1])
-            prod[key] = prod.get(key, 0) + Fraction(a) * Fraction(b)
-    mu = moments(p, f.mdegree() + g.mdegree())
-    return sum(c * mu[e] for e, c in prod.items())
 
 
 def test_continuous_inner_sums_float_coefficients_exactly():

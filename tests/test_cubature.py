@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -154,10 +155,10 @@ def test_make_rule_does_not_depend_on_the_call_history():
         assert rule_to_json(rule) == rule_to_json(cold)
 
 
-@pytest.mark.parametrize("n", [4.5, 0.5, Fraction(9, 2)])
+@pytest.mark.parametrize("n", [4.5, 0.5, Fraction(9, 2), float("inf"), float("nan")])
 def test_make_rule_rejects_a_non_integral_n(n):
     # int(4.5) would build the 2-node n = 4 rule and label it n = 4
-    with pytest.raises(ValueError, match="integer"):
+    with pytest.raises(ValueError, match=re.escape(f"integer, got {n!r}")):
         make_rule("gauss", n)
 
 

@@ -25,15 +25,7 @@ from g2cub.gentrig import (
     product_expand,
 )
 
-
-def interior_points(count, seed=1):
-    rng = random.Random(seed)
-    pts = []
-    for _ in range(count):
-        t2 = rng.uniform(0.02, 0.47)
-        t1 = rng.uniform(t2 + 0.02, 1 - t2 - 0.02)
-        pts.append(make_point(t1, t2))
-    return pts
+from helpers import interior_points
 
 
 def eval_expansion(terms, t) -> float:

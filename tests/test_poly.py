@@ -16,13 +16,9 @@ from g2cub.coords import make_point
 from g2cub.cubature import RULE_KINDS, integrate_poly, make_rule
 from g2cub.poly import BivarPoly, mdegree_of, star_cmp, star_key
 
+from helpers import leading_star_term
+
 HH = WeightParams(Fraction(1, 2), Fraction(1, 2))
-
-
-def leading_star_term(q):
-    """(exponent pair, coefficient) of q's term latest in the weighted order."""
-    key = max(q.coeffs, key=star_key)
-    return key, q.coeffs[key]
 
 
 def test_no_zero_terms_stored():

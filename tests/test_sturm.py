@@ -13,6 +13,7 @@ from g2cub.chebyshev import (
     continuous_inner,
     star_indices_upto,
 )
+from g2cub.lattice import dim_pi_star
 from g2cub.poly import BivarPoly, star_key
 from g2cub.sturm import (
     TIE_RTOL,
@@ -28,16 +29,12 @@ from g2cub.sturm import (
     star_class,
 )
 
+from helpers import fraction_inner, leading_star_term
+
 HALF = Fraction(1, 2)
 MM = WeightParams(-HALF, -HALF)
 ALL_HALF = tuple(WeightParams(sa * HALF, sb * HALF) for sa in (-1, 1) for sb in (-1, 1))
 GENERAL = (WeightParams(0.0, 0.0), WeightParams(0.3, 1.2), WeightParams(-0.4, 0.7))
-
-
-def leading_star_term(q):
-    """(exponent pair, coefficient) of q's term latest in the weighted order."""
-    key = max(q.coeffs, key=star_key)
-    return key, q.coeffs[key]
 
 
 def frac_params(a, b):
@@ -499,12 +496,12 @@ def outcome(fn, *args):
         return "tie"
 
 
-def check_against_oracle(p, k):
-    want = outcome(oracle_eigen_poly, p, k)
-    got = outcome(eigen_poly, p, k)
-    assert got == want, (p, k)
+def check_against_oracle(p, k, lead=1):
+    want = outcome(oracle_eigen_poly, p, k, lead)
+    got = outcome(eigen_poly, p, k, lead)
+    assert got == want, (p, k, lead)
     if want != "tie":
-        assert all(c for c in eigen_poly(p, k).coeffs.values())
+        assert all(c for c in eigen_poly(p, k, lead).coeffs.values())
 
 
 TO_24 = star_indices_upto(24)
@@ -519,15 +516,17 @@ def interleaved(draw):
 
 
 OPEN_RATIONAL = st.fractions(min_value=-1, max_value=2, max_denominator=12).filter(lambda v: -1 < v < 2)
+LEADS = st.one_of(st.integers(-50, 50), st.fractions(min_value=-20, max_value=20, max_denominator=40)).filter(bool)
 
 
 @settings(max_examples=60, deadline=None)
-@given(OPEN_RATIONAL, OPEN_RATIONAL, st.data())
-def test_table_matches_the_oracle_at_rational_parameters(a, b, data):
+@given(OPEN_RATIONAL, OPEN_RATIONAL, LEADS, st.data())
+def test_table_matches_the_oracle_at_rational_parameters(a, b, lead, data):
+    # a Fraction lead starts the coefficients' common denominator above 1
     p = cold(frac_params(a, b))
     reached = -1
     for k in interleaved(data.draw):
-        check_against_oracle(p, k)
+        check_against_oracle(p, k, lead)
         # the order grows in place only as far as asked, and is never rebuilt
         reached = max(reached, k.mdegree)
         assert sturm._table(p.alpha, p.beta).order == [tuple(m) for m in star_indices_upto(reached)]
@@ -632,6 +631,20 @@ def test_moments_match_a_plain_fraction_recursion(ab, first, second):
     assert [(e, Fraction(n, den)) for e, n in ints.items()] == want
 
 
+@pytest.mark.parametrize("p", [WeightParams(0.3, 1.2), frac_params(Fraction(1, 4), Fraction(2, 3))],
+                         ids=["binary", "rational"])
+def test_moments_grown_one_degree_at_a_time_stay_over_the_least_denominator(p):
+    want = list(fraction_moments(p, 60).items())
+    cold(p)
+    dens = set()
+    for d in range(61):
+        assert list(moments(p, d).items()) == want[:dim_pi_star(d)], d
+        ints, den = sturm._integer_moments(p, d)
+        assert math.gcd(den, *ints.values()) == 1, d
+        dens.add(den)
+    assert len(dens) > 31  # the denominator grew at more than half of the 60 steps
+
+
 @pytest.mark.parametrize("p", [frac_params(Fraction(3, 10), Fraction(6, 5)), WeightParams(0.3, 1.2)],
                          ids=["exact", "float"])
 def test_eigen_poly_with_zero_lead_stores_no_coefficients(p):
@@ -693,18 +706,6 @@ def test_eigen_residual_is_the_polynomial_difference_bit_for_bit(p, k, coeffs):
     resid = apply_L(p, q) - lam * q.to_float()
     want = resid.max_abs_coeff() / max(1.0, abs(lam) * q.max_abs_coeff())
     assert eigen_residual(p, k, q).hex() == want.hex()
-
-
-def fraction_inner(p, f, g):
-    """The exact pairing in Fractions: f * g term pair by term pair, then
-    each of its coefficients against its moment."""
-    prod = {}
-    for e, a in f.coeffs.items():
-        for h, b in g.coeffs.items():
-            key = (e[0] + h[0], e[1] + h[1])
-            prod[key] = prod.get(key, 0) + Fraction(a) * Fraction(b)
-    mu = moments(p, f.mdegree() + g.mdegree())
-    return sum(c * mu[e] for e, c in prod.items())
 
 
 POLY_COEFFS = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 3)), COEFFS, max_size=6)
