@@ -123,21 +123,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_nodes.add_argument("--out", default=None)
     p_nodes.set_defaults(fn=cmd_nodes)
 
-    p_eval = sub.add_parser("eval", help="evaluate one family polynomial")
-    p_eval.add_argument("--alpha", type=_finite_float, required=True)
-    p_eval.add_argument("--beta", type=_finite_float, required=True)
-    p_eval.add_argument("--k1", type=int, required=True)
-    p_eval.add_argument("--k2", type=int, required=True)
+    member = argparse.ArgumentParser(add_help=False)  # the arguments of `_family_poly`
+    member.add_argument("--alpha", type=_finite_float, required=True)
+    member.add_argument("--beta", type=_finite_float, required=True)
+    member.add_argument("--k1", type=int, required=True)
+    member.add_argument("--k2", type=int, required=True)
+
+    p_eval = sub.add_parser("eval", parents=[member], help="evaluate one family polynomial")
     p_eval.add_argument("--x", type=_finite_float, required=True)
     p_eval.add_argument("--y", type=_finite_float, required=True)
     p_eval.add_argument("--coeffs", action="store_true", help="also print terms")
     p_eval.set_defaults(fn=cmd_eval)
 
-    p_poly = sub.add_parser("poly", help="emit one polynomial as JSON")
-    p_poly.add_argument("--alpha", type=_finite_float, required=True)
-    p_poly.add_argument("--beta", type=_finite_float, required=True)
-    p_poly.add_argument("--k1", type=int, required=True)
-    p_poly.add_argument("--k2", type=int, required=True)
+    p_poly = sub.add_parser("poly", parents=[member], help="emit one polynomial as JSON")
     p_poly.add_argument("--out", default=None)
     p_poly.set_defaults(fn=cmd_poly)
 

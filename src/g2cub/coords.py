@@ -58,16 +58,10 @@ A2 = (
     GroupElem(+1, (1, 2, 0), +1, "s2s1"),
 )
 
-A2_STAR = (
-    IDENTITY,
-    GroupElem(+1, (0, 2, 1), -1, "-s1"),
-    GroupElem(+1, (1, 0, 2), -1, "-s2"),
-    GroupElem(+1, (2, 1, 0), -1, "-s3"),
-    GroupElem(+1, (2, 0, 1), +1, "s1s2"),
-    GroupElem(+1, (1, 2, 0), +1, "s2s1"),
-)
-
 G2 = A2 + tuple(GroupElem(-g.sign, g.perm, g.parity, "-" + g.name) for g in A2)
+
+# the rotations and the negated reflections: the plain permutations of G2
+A2_STAR = tuple(g for g in G2 if g.sign == 1)
 
 
 def compose(g: GroupElem, h: GroupElem) -> GroupElem:

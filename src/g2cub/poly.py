@@ -100,6 +100,13 @@ class BivarPoly:
 
     # constructors -------------------------------------------------------
     @classmethod
+    def _of(cls, coeffs: dict):
+        """The polynomial on the dict coeffs itself: int-pair keys, no zero."""
+        result = cls()
+        result.coeffs = coeffs
+        return result
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -130,16 +137,12 @@ class BivarPoly:
                 out[key] = s
             elif key in out:
                 del out[key]
-        result = BivarPoly()
-        result.coeffs = out
-        return result
+        return BivarPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        result = BivarPoly()
-        result.coeffs = {k: -c for k, c in self.coeffs.items()}
-        return result
+        return BivarPoly._of({k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, BivarPoly):
@@ -151,14 +154,10 @@ class BivarPoly:
 
     def __mul__(self, other):
         if isinstance(other, BivarPoly):
-            result = BivarPoly()
-            result.coeffs = _times(self.coeffs, other.coeffs)
-            return result
+            return BivarPoly._of(_times(self.coeffs, other.coeffs))
         if not other:
             return BivarPoly.zero()
-        result = BivarPoly()
-        result.coeffs = {k: c * other for k, c in self.coeffs.items()}
-        return result
+        return BivarPoly._of({k: c * other for k, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 

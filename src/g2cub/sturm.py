@@ -52,8 +52,6 @@ from .lattice import dim_pi_star
 from .poly import BivarPoly, _times, integer_form, integer_ratio, mdegree_of, rounded_quotient
 from .quad import _require_integrable
 
-HALF = Fraction(1, 2)
-
 
 class MIndex(NamedTuple):
     k1: int
@@ -134,17 +132,14 @@ class OperatorCoeffs(NamedTuple):
     B2: BivarPoly
 
 
-def _operator(one, a, b) -> OperatorCoeffs:
-    """The coefficient polynomials in the unit `one`; linear in
-    (one, alpha, beta) with integer factors, as `_image_terms` is."""
+def _operator(a, b) -> OperatorCoeffs:
+    """The coefficient polynomials at parameters (a, b)."""
     return OperatorCoeffs(
-        BivarPoly({(2, 0): -6 * one, (0, 1): one, (1, 0): 3 * one, (0, 0): 2 * one}),
-        BivarPoly({(1, 1): -9 * one, (2, 0): 18 * one, (0, 1): -6 * one, (0, 0): -3 * one}),
-        BivarPoly({(0, 2): -18 * one, (3, 0): 108 * one, (1, 1): -54 * one,
-                   (1, 0): -27 * one, (0, 1): -9 * one}),
-        BivarPoly({(1, 0): 21 * one + 12 * a + 18 * b, (0, 0): 6 * a + 3 * one}),
-        BivarPoly({(1, 0): 18 * one + 36 * a, (0, 1): 45 * one + 36 * b + 18 * a,
-                   (0, 0): 18 * b + 9 * one}),
+        BivarPoly({(2, 0): -6, (0, 1): 1, (1, 0): 3, (0, 0): 2}),
+        BivarPoly({(1, 1): -9, (2, 0): 18, (0, 1): -6, (0, 0): -3}),
+        BivarPoly({(0, 2): -18, (3, 0): 108, (1, 1): -54, (1, 0): -27, (0, 1): -9}),
+        BivarPoly({(1, 0): 21 + 12 * a + 18 * b, (0, 0): 6 * a + 3}),
+        BivarPoly({(1, 0): 18 + 36 * a, (0, 1): 45 + 36 * b + 18 * a, (0, 0): 18 * b + 9}),
     )
 
 
@@ -184,31 +179,30 @@ def apply_L(p: WeightParams, q: BivarPoly) -> BivarPoly:
                 out[e] = s
             elif e in out:
                 del out[e]
-    result = BivarPoly()
-    result.coeffs = {e: _int(v) for e, v in out.items()}
-    return result
-
-
-# shift table of the monomial image: (mu, nu) -> exponent (j-2mu+3nu, k+mu-2nu)
-_SHIFTS = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 1), (3, 2), (4, 2), (4, 3), (5, 3))
+    return BivarPoly._of({e: _int(v) for e, v in out.items()})
 
 
 def monomial_image(p: WeightParams, j: int, k: int):
     """Nine-term expansion of the operator applied to x^j y^k, as a list
-    of ((i1, i2), coefficient) with zero terms dropped."""
-    if j < 0 or k < 0:
+    of ((i1, i2), coefficient) with zero terms dropped: the diagonal term
+    ((j, k), `eigenvalue`) first, then the terms earlier in the weighted
+    order.  The exponents go through `MIndex.of`; at rational parameters a
+    coefficient is an int where it is integral and a Fraction elsewhere."""
+    m = MIndex.of((j, k))
+    if m.k1 < 0 or m.k2 < 0:
         raise ValueError("exponents must be nonnegative")
-    a = p.alpha
-    return _image_terms(j, k, a * 0 + 1, a, p.beta)
+    table = _table(p.alpha, p.beta)
+    lam = eigenvalue(p, m)
+    return ([(tuple(m), lam)] if lam else []) + [
+        (e, _over(c, table.D)) for e, c in _image_terms(table, *m)]
 
 
-def _image_terms(j, k, one, a, b):
-    """`monomial_image` with the unit `one`: every coefficient is linear in
-    (one, alpha, beta), so scaling all three by D scales the image by D."""
-    coeff = {
-        (0, 0): 6 * (j * j + 3 * k * k + 3 * j * k) * one
-        + 3 * j * (5 * one + 4 * a + 6 * b)
-        + 3 * k * (9 * one + 6 * a + 12 * b),
+def _image_terms(table: _Table, j, k):
+    """The terms of the image of x^j y^k earlier in the weighted order, in
+    the table's scale: each coefficient is linear in (one, alpha, beta)
+    with integer factors, so it is D times the operator's coefficient."""
+    one, a, b = table.one, table.a, table.b
+    coeff = {  # shift (mu, nu) -> coefficient of x^(j-2mu+3nu) y^(k+mu-2nu)
         (0, 1): -108 * k * (k - 1) * one,
         (1, 0): -j * (j - 1) * one,
         (1, 1): 18 * k * ((3 * k - 2 - 2 * j) * one + 2 * a),
@@ -219,8 +213,7 @@ def _image_terms(j, k, one, a, b):
         (5, 3): 6 * j * k * one,
     }
     out = []
-    for mu, nu in _SHIFTS:
-        c = coeff[(mu, nu)]
+    for (mu, nu), c in coeff.items():
         if not c:
             continue
         expo = (j - 2 * mu + 3 * nu, k + mu - 2 * nu)
@@ -232,16 +225,22 @@ def _image_terms(j, k, one, a, b):
 
 def eigenvalue(p: WeightParams, k):
     """Closed-form eigenvalue attached to one index pair; at rational
-    parameters an int where it is integral, else a Fraction."""
-    a = p.alpha
-    return _int(HALF * _twice_eigenvalue(*MIndex.of(k), a * 0 + 1, a, p.beta))
+    parameters an int where it is integral, else a Fraction.  Raises
+    ValueError where float parameters overflow it."""
+    table = _table(p.alpha, p.beta)
+    return _over(_twice_eigenvalue(table, *MIndex.of(k)), 2 * table.D)
 
 
-def _twice_eigenvalue(k1, k2, one, a, b):
-    """Twice the eigenvalue of index (k1, k2) in the unit `one`; linear in
-    (one, alpha, beta) as `_image_terms` is, with integer factors."""
+def _twice_eigenvalue(table: _Table, k1, k2):
+    """Twice the eigenvalue of index (k1, k2) in the table's scale, linear
+    in (one, alpha, beta) as `_image_terms` is: 2 D lambda.  Raises
+    ValueError where float parameters make it inf or nan."""
+    one, a, b = table.one, table.a, table.b
     m = 2 * k1 + 3 * k2
-    return 3 * m * ((m + 5) * one + 4 * a + 6 * b) + 9 * k2 * ((k2 + 1) * one + 2 * b)
+    lam2 = 3 * m * ((m + 5) * one + 4 * a + 6 * b) + 9 * k2 * ((k2 + 1) * one + 2 * b)
+    if type(lam2) is float and not math.isfinite(lam2):
+        raise ValueError(f"weight parameters ({a}, {b}) overflow the eigenvalue of {(k1, k2)}")
+    return lam2
 
 
 def eigen_residual(p: WeightParams, k, polynomial: BivarPoly) -> float:
@@ -272,13 +271,25 @@ def _int(v):
     return v.numerator if type(v) is Fraction and v.denominator == 1 else v
 
 
+def _over(v, d: int):
+    """v / d for d > 0: an int where an int v is a multiple of d, else a
+    Fraction; a float v gives v / d (a Fraction v, an int where integral)."""
+    if type(v) is int:
+        n, rem = divmod(v, d)
+        return Fraction(v, d) if rem else n
+    return _int(v / d)
+
+
 TIE_RTOL = 1e-12
 
 
 class _Table:
     """The operator at one parameter pair, laid out for the exact sweeps.
 
-    `op` is the operator's coefficient record (`operator_coeffs`).
+    `op` is the operator's coefficient record (`operator_coeffs`).  `one`,
+    `a` and `b` are the unit and the parameters in the table's scale: D, D
+    alpha and D beta at rational parameters, where all three are ints, and
+    at float parameters the unit of alpha's type, alpha and beta, with D = 1.
     `order` is the weighted monomial order through weighted degree `degree`,
     grown in place one class at a time, so a position, once given, never
     changes; `pos` inverts it.  At each position, `lam` holds D lambda and
@@ -289,11 +300,12 @@ class _Table:
     their least common denominator `ints_den` (`_integer_moments`).
     """
 
-    __slots__ = ("D", "op", "degree", "order", "pos", "lam", "lowered", "polys",
-                 "ints", "ints_den")
+    __slots__ = ("D", "one", "a", "b", "op", "degree", "order", "pos", "lam", "lowered",
+                 "polys", "ints", "ints_den")
 
-    def __init__(self, D: int, op: OperatorCoeffs):
-        self.D, self.op, self.degree = D, op, -1
+    def __init__(self, D: int, one, a, b, op: OperatorCoeffs):
+        self.D, self.one, self.a, self.b = D, one, a, b
+        self.op, self.degree = op, -1
         self.order, self.pos, self.lam, self.lowered = [], {}, [], []
         self.polys = {}
         self.ints, self.ints_den = {(0, 0): 1}, 1
@@ -311,35 +323,29 @@ def _table(alpha, beta) -> _Table:
     D times either is an integer.
     """
     exact = isinstance(alpha, (int, Fraction)) and isinstance(beta, (int, Fraction))
-    D = 2 * math.lcm(alpha.denominator, beta.denominator) if exact else 1
     op = OperatorCoeffs(*(
-        BivarPoly({e: _int(v) for e, v in c.coeffs.items()}) for c in _operator(1, alpha, beta)
+        BivarPoly({e: _int(v) for e, v in c.coeffs.items()}) for c in _operator(alpha, beta)
     ))
-    return _Table(D, op)
+    if not exact:
+        return _Table(1, type(alpha)(1), alpha, beta, op)
+    D = 2 * math.lcm(alpha.denominator, beta.denominator)
+    return _Table(D, D, _int(D * alpha), _int(D * beta), op)
 
 
-def _grow(p: WeightParams, table: _Table, max_mdeg: int) -> None:
+def _grow(table: _Table, max_mdeg: int) -> None:
     """Extend the table's order, eigenvalues and lowered images through
-    weighted degree max_mdeg.  With D = 2 lcm(den alpha, den beta) for
-    rational parameters all of these are ints; float parameters have
-    D = 1 and keep their float values."""
-    if max_mdeg <= table.degree:
-        return
-    D, order, pos = table.D, table.order, table.pos
-    a, b = p.alpha, p.beta
-    one = a * 0 + 1
-    if D > 1:
-        one, a, b = D, _int(D * a), _int(D * b)
+    weighted degree max_mdeg, in the table's scale: ints at rational
+    parameters, floats at float ones."""
+    order, pos = table.order, table.pos
     for d in range(table.degree + 1, max_mdeg + 1):
-        for k1, k2 in star_class(d):
-            m = (k1, k2)
+        # every eigenvalue of the class first, so an overflow leaves the table whole
+        lams = [(tuple(m), _twice_eigenvalue(table, *m)) for m in star_class(d)]
+        for m, lam2 in lams:
             pos[m] = len(order)
             order.append(m)
-            lam2 = _twice_eigenvalue(*m, one, a, b)
-            table.lam.append(lam2 // 2 if D > 1 else lam2 / 2)
-            image = _image_terms(*m, one, a, b)
-            table.lowered.append([(pos[e], _int(c)) for e, c in image if e != m])
-    table.degree = max_mdeg
+            table.lam.append(lam2 // 2 if table.D > 1 else lam2 / 2)
+            table.lowered.append([(pos[e], _int(c)) for e, c in _image_terms(table, *m)])
+        table.degree = d
 
 
 def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
@@ -363,7 +369,6 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
     k = MIndex.of(k)
     if k.k1 < 0 or k.k2 < 0:
         raise ValueError("index components must be nonnegative")
-    a, b = p.alpha, p.beta
     table = _table(p.alpha, p.beta)
     exact = table.D > 1
     if exact and not isinstance(lead, (int, Fraction)):
@@ -375,7 +380,7 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
     if not lead:
         return BivarPoly()
 
-    _grow(p, table, k.mdegree)
+    _grow(table, k.mdegree)
     order, lams, lowered = table.order, table.lam, table.lowered
     top = table.pos[k]
     lam = lams[top]
@@ -395,7 +400,7 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
         if abs(gap) <= tie:
             raise ValueError(
                 f"eigenvalue tie between {tuple(k)} and {order[i]} at "
-                f"parameters ({a}, {b}) leaves the polynomial undetermined"
+                f"parameters ({p.alpha}, {p.beta}) leaves the polynomial undetermined"
             )
         if exact:
             c, rem = divmod(r, gap)
@@ -411,12 +416,11 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
         for e, v in lowered[i]:
             acc[e] += c * v
     if den > 1:
-        coeffs = {m: _int(Fraction(n, den)) for m, n in coeffs.items()}
-    elif not exact:
-        one = a * 0 + 1  # each coefficient takes the type of c * one
-        coeffs = {m: c * one for m, c in coeffs.items()}
-    q = table.polys[(k, lead)] = BivarPoly()
-    q.coeffs = coeffs  # every coefficient is nonzero: the lead, or r / gap with r != 0
+        coeffs = {m: _over(n, den) for m, n in coeffs.items()}
+    elif not exact:  # each coefficient takes the type of c * one
+        coeffs = {m: c * table.one for m, c in coeffs.items()}
+    # every coefficient is nonzero: the lead, or r / gap with r != 0
+    table.polys[(k, lead)] = q = BivarPoly._of(coeffs)
     return q
 
 
@@ -436,10 +440,9 @@ def _integer_moments(p: WeightParams, max_mdeg: int):
     positive.
     """
     _require_integrable(p.alpha, p.beta)
-    q = WeightParams(*p.key())
-    table = _table(q.alpha, q.beta)
+    table = _table(*p.key())
     max_mdeg = max(max_mdeg, 0)
-    _grow(q, table, max_mdeg)  # also on a cold table at degree 0: the keys read its order
+    _grow(table, max_mdeg)  # also on a cold table at degree 0: the keys read its order
     ints, order = table.ints, table.order
     lams, lowered = table.lam, table.lowered
     for i in range(len(ints), dim_pi_star(max_mdeg)):

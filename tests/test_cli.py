@@ -397,3 +397,13 @@ def test_nodes_output_bytes_are_pinned(capsys, kind):
         code, out, _ = run(capsys, "nodes", "--rule", kind, "--n", str(n), "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (kind, n, fmt)
+
+
+@pytest.mark.parametrize("argv", [
+    ["poly", "--alpha", "1e308", "--beta", "0", "--k1", "1", "--k2", "0"],
+    ["eval", "--alpha", "1e308", "--beta", "0", "--k1", "3", "--k2", "2", "--x", "0.1", "--y", "0.2"],
+])
+def test_overflowing_parameters_exit_2(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "1e+308" in err

@@ -7,6 +7,8 @@ from g2cub.coords import (
     A2,
     A2_STAR,
     G2,
+    IDENTITY,
+    GroupElem,
     HexIndex,
     cart_to_homog,
     compose,
@@ -112,3 +114,15 @@ def test_fundamental_triangle_membership():
     assert not in_fundamental_triangle(make_point(0, 1))
     assert in_fundamental_triangle(make_point(1, 0))
     assert not in_fundamental_triangle(make_point(1.01, 0))
+
+
+def test_a2_star_is_the_rotations_and_the_negated_reflections():
+    oracle = {
+        IDENTITY,
+        GroupElem(+1, (0, 2, 1), -1, "-s1"),
+        GroupElem(+1, (1, 0, 2), -1, "-s2"),
+        GroupElem(+1, (2, 1, 0), -1, "-s3"),
+        GroupElem(+1, (2, 0, 1), +1, "s1s2"),
+        GroupElem(+1, (1, 2, 0), +1, "s2s1"),
+    }
+    assert len(A2_STAR) == 6 and set(A2_STAR) == oracle

@@ -2,6 +2,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -755,3 +756,109 @@ def test_table_cache_keeps_exact_and_float_parameters_apart():
     eigen_poly(exact, (2, 1))
     assert sturm._table.cache_info().hits == hits + 1
     assert sturm._table.cache_info().currsize == 2
+
+
+# monomial images and eigenvalues: one formula for lambda ----------------------
+
+ABOVE_MINUS_ONE = st.fractions(min_value=-1, max_value=3, max_denominator=12).filter(lambda v: v > -1)
+FLOAT_PARAM = st.floats(min_value=-0.99, max_value=3)
+UPTO_24 = st.sampled_from(star_indices_upto(24))
+
+
+def starts_with_eigenvalue(image, p, m):
+    """The image's first term is ((j, k), lambda), or lambda is 0 and absent."""
+    lam = eigenvalue(p, m)
+    if lam:
+        assert image[0] == (tuple(m), lam)
+        return image[0][1], lam
+    assert tuple(m) not in dict(image)
+    return lam, lam
+
+
+@settings(max_examples=80, deadline=None)
+@given(ABOVE_MINUS_ONE, ABOVE_MINUS_ONE, UPTO_24)
+def test_monomial_image_is_the_eigenvalue_then_apply_L_in_ints_where_integral(a, b, m):
+    p = WeightParams(a, b)
+    image = monomial_image(p, *m)
+    starts_with_eigenvalue(image, p, m)
+    assert dict(image) == apply_L(p, BivarPoly.monomial(*m)).coeffs
+    assert all(type(c) is int or c.denominator > 1 for _, c in image)
+
+
+@settings(max_examples=80, deadline=None)
+@given(FLOAT_PARAM, FLOAT_PARAM, UPTO_24)
+@example(0.3, 1.2, MIndex(2, 1))
+def test_monomial_image_diagonal_has_the_bits_of_eigenvalue_at_float_parameters(a, b, m):
+    p = WeightParams(a, b)
+    got, lam = starts_with_eigenvalue(monomial_image(p, *m), p, m)
+    assert type(got) is float and got.hex() == lam.hex()
+
+
+def test_monomial_image_exponents_go_through_MIndex_of():
+    p = WeightParams(HALF, HALF)
+    image = monomial_image(p, np.int64(4), np.int64(2))
+    assert image == monomial_image(p, 4, 2)
+    assert all(type(i) is int for e, _ in image for i in e)
+    with pytest.raises(TypeError):
+        monomial_image(p, 2.0, 1)
+
+
+def closed_form_eigenvalue(a, b, k1, k2):
+    """lambda = (3/2) m (m + 5 + 4 alpha + 6 beta) + (9/2) k2 (k2 + 1 + 2 beta),
+    m = 2 k1 + 3 k2, exactly in Fractions."""
+    a, b, m = Fraction(a), Fraction(b), 2 * k1 + 3 * k2
+    return Fraction(3, 2) * m * (m + 5 + 4 * a + 6 * b) + Fraction(9, 2) * k2 * (k2 + 1 + 2 * b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        st.tuples(st.one_of(st.integers(0, 5), ABOVE_MINUS_ONE), ABOVE_MINUS_ONE),
+        st.tuples(FLOAT_PARAM, FLOAT_PARAM),
+    ),
+    st.tuples(st.integers(0, 30), st.integers(0, 30)),
+)
+def test_eigenvalue_matches_the_closed_form(ab, k):
+    p, want = WeightParams(*ab), closed_form_eigenvalue(*ab, *k)
+    lam = eigenvalue(p, k)
+    if isinstance(ab[0], float):
+        a, b = ab
+        m = 2 * k[0] + 3 * k[1]
+        lam2 = 3 * m * ((m + 5) + 4 * a + 6 * b) + 9 * k[1] * ((k[1] + 1) + 2 * b)
+        assert type(lam) is float and lam.hex() == (0.5 * lam2).hex()
+        scale = closed_form_eigenvalue(abs(a), abs(b), *k)
+        assert abs(Fraction(lam) - want) <= 1e-14 * scale
+    else:
+        assert lam == want
+        assert type(lam) is (int if want.denominator == 1 else Fraction)
+
+
+OVERFLOWING = WeightParams(1e308, 0.0)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (eigenvalue, ((0, 0),)),
+    (eigenvalue, ((1, 0),)),
+    (monomial_image, (1, 0)),
+    (eigen_poly, ((1, 0),)),
+    (jacobi_poly, ((3, 2),)),
+])
+def test_overflowing_float_parameters_raise_value_error(fn, args):
+    # lambda_(0,0) = 0 * inf is nan here, and 0 * inf in an image term passed the zero test
+    with pytest.raises(ValueError, match=r"\(1e\+308, 0\.0\)"):
+        fn(OVERFLOWING, *args)
+
+
+def test_an_overflow_part_way_up_leaves_the_table_whole():
+    # 2 lambda ~ 1.8e307 (m + k2) here: in weighted degree 8, the eigenvalue
+    # of (4, 0) is finite and that of (1, 2) overflows
+    p = WeightParams(0.0, 1e306)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="overflow"):
+            eigen_poly(p, (1, 2))
+        table = sturm._table(p.alpha, p.beta)
+        assert table.degree == 7
+        assert table.order == [tuple(m) for m in star_indices_upto(7)]
+        assert len(table.lam) == len(table.lowered) == len(table.order)
+
