@@ -16,6 +16,7 @@ identities of those functions.  `WeightParams`, `star_indices_upto`,
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -166,17 +167,26 @@ def weight_mass(p: WeightParams) -> float:
     """Integral of the pulled-back weight over the parameter triangle:
     Macdonald's constant-term product for G2 (Habsieger 1986, Zeilberger
     1988), 36^-(a+b)/144 prod_r G(c_r+k_r+1) G(c_r-k_r+1) / G(c_r+1)^2 over
-    the positive roots r, with multiplicities k_s = a+1/2 and k_l = b+1/2."""
+    the positive roots r, with multiplicities k_s = a+1/2 and k_l = b+1/2.
+    It is one exp of the summed logs, so neither factor under- or overflows
+    on its own; ValueError where the mass is outside the normal float range."""
     _require_integrable(p.alpha, p.beta)  # which makes every Gamma argument positive
     a, b = float(p.alpha), float(p.beta)
     ks, kl = a + 0.5, b + 0.5
     roots = ((ks, ks), (ks + 3 * kl, ks), (2 * ks + 3 * kl, ks),
              (kl, kl), (ks + kl, kl), (ks + 2 * kl, kl))
-    log_prod = sum(
-        math.lgamma(c + k + 1) + math.lgamma(c - k + 1) - 2 * math.lgamma(c + 1)
-        for c, k in roots
-    )
-    return 36.0 ** -(a + b) / 144.0 * math.exp(log_prod)
+    try:
+        log_prod = sum(
+            math.lgamma(c + k + 1) + math.lgamma(c - k + 1) - 2 * math.lgamma(c + 1)
+            for c, k in roots
+        )
+        mass = math.exp(log_prod - (a + b) * math.log(36.0) - math.log(144.0))
+    except OverflowError:  # from lgamma or exp
+        mass = math.inf
+    if not sys.float_info.min <= mass < math.inf:  # a nan fails too
+        raise ValueError(f"the weight's mass at parameters ({p.alpha}, {p.beta}) "
+                         "is outside the float range")
+    return mass
 
 
 def normalization_c(p: WeightParams) -> float:

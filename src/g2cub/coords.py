@@ -68,7 +68,6 @@ def compose(g: GroupElem, h: GroupElem) -> GroupElem:
     """Element acting as g followed by h: t*(g h) = (t*g)*h."""
     sign = g.sign * h.sign
     perm = tuple(g.perm[h.perm[i]] for i in range(3))
-    parity = g.parity * h.parity
     for elem in G2:
         if elem.sign == sign and elem.perm == perm:
             return elem

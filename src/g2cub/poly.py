@@ -186,10 +186,10 @@ class BivarPoly:
 
     # calculus and queries -------------------------------------------------
     def diff_x(self):
-        return BivarPoly({(i - 1, j): c * i for (i, j), c in self.coeffs.items() if i})
+        return BivarPoly._of({(i - 1, j): c * i for (i, j), c in self.coeffs.items() if i})
 
     def diff_y(self):
-        return BivarPoly({(i, j - 1): c * j for (i, j), c in self.coeffs.items() if j})
+        return BivarPoly._of({(i, j - 1): c * j for (i, j), c in self.coeffs.items() if j})
 
     def mdegree(self) -> int:
         if not self.coeffs:

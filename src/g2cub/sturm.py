@@ -86,9 +86,14 @@ class WeightParams:
     def __post_init__(self):
         object.__setattr__(self, "alpha", _parameter(self.alpha))
         object.__setattr__(self, "beta", _parameter(self.beta))
+        for name in ("alpha", "beta"):
+            try:
+                finite = math.isfinite(getattr(self, name))
+            except OverflowError:  # an int or Fraction beyond the float range
+                finite = False
+            if not finite:
+                raise ValueError(f"weight parameter {name} must be finite as a float")
         a, b = float(self.alpha), float(self.beta)
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError("weight parameters must be finite")
         if not (a > -1 and b > -1):
             raise ValueError("weight parameters must both exceed -1")
 
@@ -133,13 +138,14 @@ class OperatorCoeffs(NamedTuple):
 
 
 def _operator(a, b) -> OperatorCoeffs:
-    """The coefficient polynomials at parameters (a, b)."""
+    """The coefficient polynomials at (a, b), every integral coefficient an int."""
     return OperatorCoeffs(
         BivarPoly({(2, 0): -6, (0, 1): 1, (1, 0): 3, (0, 0): 2}),
         BivarPoly({(1, 1): -9, (2, 0): 18, (0, 1): -6, (0, 0): -3}),
         BivarPoly({(0, 2): -18, (3, 0): 108, (1, 1): -54, (1, 0): -27, (0, 1): -9}),
-        BivarPoly({(1, 0): 21 + 12 * a + 18 * b, (0, 0): 6 * a + 3}),
-        BivarPoly({(1, 0): 18 + 36 * a, (0, 1): 45 + 36 * b + 18 * a, (0, 0): 18 * b + 9}),
+        BivarPoly({(1, 0): _int(21 + 12 * a + 18 * b), (0, 0): _int(6 * a + 3)}),
+        BivarPoly({(1, 0): _int(18 + 36 * a), (0, 1): _int(45 + 36 * b + 18 * a),
+                   (0, 0): _int(18 * b + 9)}),
     )
 
 
@@ -152,27 +158,24 @@ def operator_coeffs(p: WeightParams) -> OperatorCoeffs:
 
 
 def apply_L(p: WeightParams, q: BivarPoly) -> BivarPoly:
-    """Apply the operator by direct differentiation of q, multiplying by
-    the parameters' cached coefficient polynomials in q's own arithmetic.
-    An exact coefficient is an int where it is integral and a Fraction
-    only where it is not.
+    """Apply the operator by differentiating q (`BivarPoly.diff_x` and
+    `diff_y`) and multiplying by the parameters' cached coefficient
+    polynomials in q's own arithmetic.  An exact coefficient is an int
+    where it is integral and a Fraction only where it is not.
 
     The five products are formed and summed on plain dicts, in the order
     and with the arithmetic of -(A11 q_xx) - 2 (A12 q_xy) - (A22 q_yy)
     + B1 q_x + B2 q_y in `BivarPoly`, so every bit and key order is theirs.
     """
     A11, A12, A22, B1, B2 = operator_coeffs(p)
-    qx = {(i - 1, j): c * i for (i, j), c in q.coeffs.items() if i}
-    qy = {(i, j - 1): c * j for (i, j), c in q.coeffs.items() if j}
-    qxx = {(i - 1, j): c * i for (i, j), c in qx.items() if i}
-    qxy = {(i, j - 1): c * j for (i, j), c in qx.items() if j}
-    qyy = {(i, j - 1): c * j for (i, j), c in qy.items() if j}
+    qx, qy = q.diff_x(), q.diff_y()
+    qxx, qxy, qyy = qx.diff_x(), qx.diff_y(), qy.diff_y()
     out = {}
-    for negate, prod in ((True, _times(A11.coeffs, qxx)),
-                         (True, {e: c * 2 for e, c in _times(A12.coeffs, qxy).items()}),
-                         (True, _times(A22.coeffs, qyy)),
-                         (False, _times(B1.coeffs, qx)),
-                         (False, _times(B2.coeffs, qy))):
+    for negate, prod in ((True, _times(A11.coeffs, qxx.coeffs)),
+                         (True, {e: c * 2 for e, c in _times(A12.coeffs, qxy.coeffs).items()}),
+                         (True, _times(A22.coeffs, qyy.coeffs)),
+                         (False, _times(B1.coeffs, qx.coeffs)),
+                         (False, _times(B2.coeffs, qy.coeffs))):
         for e, c in prod.items():
             s = out.get(e, 0) - c if negate else out.get(e, 0) + c
             if s:
@@ -281,6 +284,7 @@ def _over(v, d: int):
 
 
 TIE_RTOL = 1e-12
+_TIE_NUM, _TIE_DEN = TIE_RTOL.as_integer_ratio()
 
 
 class _Table:
@@ -323,9 +327,7 @@ def _table(alpha, beta) -> _Table:
     D times either is an integer.
     """
     exact = isinstance(alpha, (int, Fraction)) and isinstance(beta, (int, Fraction))
-    op = OperatorCoeffs(*(
-        BivarPoly({e: _int(v) for e, v in c.coeffs.items()}) for c in _operator(alpha, beta)
-    ))
+    op = _operator(alpha, beta)
     if not exact:
         return _Table(1, type(alpha)(1), alpha, beta, op)
     D = 2 * math.lcm(alpha.denominator, beta.denominator)
@@ -384,9 +386,9 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
     order, lams, lowered = table.order, table.lam, table.lowered
     top = table.pos[k]
     lam = lams[top]
-    tie = TIE_RTOL * max(table.D, abs(float(lam)))
-    if exact:
-        tie = math.floor(tie)  # every gap is an int: |gap| <= floor(tie) iff |gap| <= tie
+    scale = max(table.D, abs(lam))
+    # exact gaps are ints, so the bound's floor, taken on ints, makes the same test
+    tie = scale * _TIE_NUM // _TIE_DEN if exact else TIE_RTOL * scale
     c, den = integer_ratio(lead) if exact else (lead, 1)
     coeffs = {order[top]: c}
     acc = [0] * top

@@ -330,6 +330,28 @@ def test_weight_mass_steps_by_the_moments_of_the_factors(a, b):
         mass * continuous_inner(p, f2, one), rel=1e-13)
 
 
+@pytest.mark.parametrize("a,b", [(200, 150), (400, 0), (170, 0)])
+def test_weight_mass_at_large_parameters_is_one_exp_of_summed_logs(a, b):
+    # 36^-(a+b) underflows at (200, 150) and the Gamma product overflows at
+    # (400, 0); the exp's error grows with |ln mass|, hence rel 1e-11
+    x, y = BivarPoly.x(), BivarPoly.y()
+    f1 = 1 + 2 * y - 3 * x * x
+    f2 = 24 * x * x * x - y * y - 12 * x * y - 6 * x - 4 * y - 1
+    one = BivarPoly.constant(Fraction(1))
+    p = WeightParams(a, b)
+    mass = weight_mass(p)
+    assert 0 < mass < math.inf
+    assert weight_mass(WeightParams(a + 1, b)) == pytest.approx(
+        mass * continuous_inner(p, f1, one) / 3, rel=1e-11)
+    assert weight_mass(WeightParams(a, b + 1)) == pytest.approx(
+        mass * continuous_inner(p, f2, one), rel=1e-11)
+
+
+def test_weight_mass_outside_the_float_range_raises_value_error():
+    with pytest.raises(ValueError, match="outside the float range"):
+        weight_mass(WeightParams(1e5, 0))
+
+
 @pytest.mark.parametrize("a,b", [(-0.9, -0.8), (0.0, -0.84), (-0.6, -0.75)])
 def test_unintegrable_weight_raises_value_error(a, b):
     # beta <= -5/6 or alpha + beta <= -4/3: the weight's integral diverges

@@ -53,6 +53,40 @@ def test_operator_coefficient_polynomials():
     assert c.B2 == BivarPoly({(1, 0): 18, (0, 1): 45, (0, 0): 9})
 
 
+def typed_terms(q):
+    return [(e, type(c), repr(c)) for e, c in q.coeffs.items()]
+
+
+OPERATOR_PARAMETER = st.one_of(
+    st.integers(0, 3),
+    st.fractions(min_value=-1, max_value=3, max_denominator=12).filter(lambda v: v > -1),
+    st.floats(min_value=-1, max_value=3, exclude_min=True),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(OPERATOR_PARAMETER, OPERATOR_PARAMETER)
+@example(0, 2)
+@example(Fraction(-1, 2), Fraction(-1, 2))  # B1 and B2 lose their constant terms
+@example(-0.5, 1.2)
+def test_operator_coeffs_are_the_closed_forms_with_their_types_and_key_order(a, b):
+    p = WeightParams(a, b)
+    a, b = p.alpha, p.beta
+
+    def poly(terms):  # an integral Fraction as an int; BivarPoly drops a zero term
+        return BivarPoly({e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                          for e, c in terms.items()})
+
+    want = (
+        poly({(2, 0): -6, (0, 1): 1, (1, 0): 3, (0, 0): 2}),
+        poly({(1, 1): -9, (2, 0): 18, (0, 1): -6, (0, 0): -3}),
+        poly({(0, 2): -18, (3, 0): 108, (1, 1): -54, (1, 0): -27, (0, 1): -9}),
+        poly({(1, 0): 21 + 12 * a + 18 * b, (0, 0): 6 * a + 3}),
+        poly({(1, 0): 18 + 36 * a, (0, 1): 45 + 36 * b + 18 * a, (0, 0): 18 * b + 9}),
+    )
+    assert [typed_terms(c) for c in operator_coeffs(p)] == [typed_terms(c) for c in want]
+
+
 def domain_poly():
     return BivarPoly(
         {(0, 0): Fraction(1), (0, 1): Fraction(2), (2, 0): Fraction(-3)}
@@ -365,6 +399,32 @@ def test_eigen_poly_rejects_a_float_lead_at_rational_parameters():
         eigen_poly(WeightParams(0, 0), (1, 1), lead=1.0)
     assert eigen_poly(MM, (2, 0), lead=Fraction(5, 2)) == Fraction(5, 2) * eigen_poly(MM, (2, 0))
     assert leading_star_term(eigen_poly(WeightParams(-0.5, -0.5), (2, 0), lead=2.5)) == ((2, 0), 2.5)
+
+
+@pytest.mark.parametrize("p, k", [
+    (WeightParams(Fraction(1e308), 0), (2, 0)),
+    (WeightParams(Fraction(1e308), 0), (0, 1)),
+    (WeightParams(10 ** 300, Fraction(1, 3)), (1, 1)),
+])
+def test_exact_tables_bound_ties_on_ints(p, k):
+    # at alpha ~ 1e308 the scaled eigenvalues are ints beyond the float range;
+    # at (10**300, 1/3) they are ints over D = 6
+    q = eigen_poly(p, k)
+    assert apply_L(p, q) == eigenvalue(p, k) * q
+
+
+def test_an_exact_tie_beyond_the_float_range_still_raises():
+    # within a degree class the gaps do not grow with alpha: ~1e-307 of lambda here
+    with pytest.raises(ValueError, match="eigenvalue tie"):
+        eigen_poly(WeightParams(Fraction(1e308), 0), (3, 2))
+
+
+@pytest.mark.parametrize("v", [10 ** 400, Fraction(10 ** 400)], ids=["int", "fraction"])
+def test_parameters_beyond_the_float_range_raise_value_error(v):
+    with pytest.raises(ValueError, match="alpha must be finite as a float"):
+        WeightParams(v, 0)
+    with pytest.raises(ValueError, match="beta must be finite as a float"):
+        WeightParams(0, v)
 
 
 @pytest.mark.parametrize(
