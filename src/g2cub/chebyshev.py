@@ -163,13 +163,8 @@ def orthogonality_constant(p: WeightParams, k) -> float:
 
 # weighted integrals ---------------------------------------------------------
 
-def weight_mass(p: WeightParams) -> float:
-    """Integral of the pulled-back weight over the parameter triangle:
-    Macdonald's constant-term product for G2 (Habsieger 1986, Zeilberger
-    1988), 36^-(a+b)/144 prod_r G(c_r+k_r+1) G(c_r-k_r+1) / G(c_r+1)^2 over
-    the positive roots r, with multiplicities k_s = a+1/2 and k_l = b+1/2.
-    It is one exp of the summed logs, so neither factor under- or overflows
-    on its own; ValueError where the mass is outside the normal float range."""
+def _log_mass(p: WeightParams) -> float:
+    """The log of `weight_mass`, +inf where a log-Gamma overflows."""
     _require_integrable(p.alpha, p.beta)  # which makes every Gamma argument positive
     a, b = float(p.alpha), float(p.beta)
     ks, kl = a + 0.5, b + 0.5
@@ -180,19 +175,41 @@ def weight_mass(p: WeightParams) -> float:
             math.lgamma(c + k + 1) + math.lgamma(c - k + 1) - 2 * math.lgamma(c + 1)
             for c, k in roots
         )
-        mass = math.exp(log_prod - (a + b) * math.log(36.0) - math.log(144.0))
-    except OverflowError:  # from lgamma or exp
-        mass = math.inf
-    if not sys.float_info.min <= mass < math.inf:  # a nan fails too
-        raise ValueError(f"the weight's mass at parameters ({p.alpha}, {p.beta}) "
+    except OverflowError:
+        return math.inf
+    return log_prod - (a + b) * math.log(36.0) - math.log(144.0)
+
+
+def _exp_in_range(log_value: float, name: str, p: WeightParams) -> float:
+    """exp(log_value); ValueError naming p where it is outside the normal
+    float range."""
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
+    if not sys.float_info.min <= value < math.inf:  # a nan fails too
+        raise ValueError(f"{name} at parameters ({p.alpha}, {p.beta}) "
                          "is outside the float range")
-    return mass
+    return value
+
+
+def weight_mass(p: WeightParams) -> float:
+    """Integral of the pulled-back weight over the parameter triangle:
+    Macdonald's constant-term product for G2 (Habsieger 1986, Zeilberger
+    1988), 36^-(a+b)/144 prod_r G(c_r+k_r+1) G(c_r-k_r+1) / G(c_r+1)^2 over
+    the positive roots r, with multiplicities k_s = a+1/2 and k_l = b+1/2.
+    It is one exp of the summed logs, so neither factor under- or overflows
+    on its own; ValueError where the mass is outside the normal float range."""
+    return _exp_in_range(_log_mass(p), "the weight's mass", p)
 
 
 def normalization_c(p: WeightParams) -> float:
-    """Reciprocal of the weight's integral over its domain, in closed form."""
+    """Reciprocal of the weight's integral over its domain, in closed form:
+    (3 / (4 pi^2))^(a+b+1) / `weight_mass`, taken as one exp of the summed
+    logs; ValueError where it is outside the normal float range."""
     a, b = float(p.alpha), float(p.beta)
-    return (3.0 / (4.0 * math.pi ** 2)) ** (a + b + 1.0) / weight_mass(p)
+    log_c = (a + b + 1.0) * math.log(3.0 / (4.0 * math.pi ** 2)) - _log_mass(p)
+    return _exp_in_range(log_c, "the normalization constant", p)
 
 
 # serialization ---------------------------------------------------------------

@@ -69,10 +69,10 @@ class CubatureRule(Rule):
         return hash((self.kind, self.n))
 
     @functools.cached_property
-    def triples(self) -> tuple:
-        """(x, y, weight) of every node as Python floats, in node order,
-        built on first use."""
-        return tuple(zip(*self.nodes.T.tolist(), self.weights.tolist()))
+    def columns(self) -> tuple:
+        """(xs, ys, ws): the nodes' x and y and their weights, each a list
+        of Python floats in node order, built on first use."""
+        return (*self.nodes.T.tolist(), self.weights.tolist())
 
     @functools.cached_property
     def json_text(self) -> str:
@@ -124,7 +124,7 @@ def _build_rule(kind: str, n: int) -> CubatureRule:
         raise ValueError("n must be >= 1")
     d, p = family.sines
     shift = family.shift
-    m = _lattice_size(family, n)
+    m = _lattice_size(family, int(n))  # an int lattice for n = 4.0 or True too
     j = enum_upsilon(m)
     j1, j2, j3 = j.T
     vanishes = ((d == 1) & (j1 == j2)) | ((p == 1) & ((j2 == 0) | (j3 == -m)))
@@ -147,15 +147,15 @@ def integrate(rule: CubatureRule, f) -> float:
     """Apply the rule to a callable on Python floats (x, y), summing in
     node order."""
     total = 0.0
-    for x, y, w in rule.triples:
+    for x, y, w in zip(*rule.columns):
         total += w * f(x, y)
     return total
 
 
 def integrate_poly(rule: CubatureRule, p: BivarPoly) -> float:
     """Apply the rule to a polynomial: `BivarPoly.exact_sum` over the rule's
-    `triples`, exact at the floats' binary values and rounded once."""
-    return p.exact_sum(rule.triples)
+    `columns`, exact at the floats' binary values and rounded once."""
+    return p.exact_sum(*rule.columns)
 
 
 def reference_integral(p: WeightParams, f, tol=DEFAULT_TOL) -> float:

@@ -3,11 +3,12 @@ cubature / inner products on the hexagon and on the fundamental triangle.
 
 Two integer lattices appear: the full sum-zero integer triples (dagger
 lattice) and its sublattice of triples whose components are congruent
-mod 3.  Every enumeration is one exact integer mask over the sum-zero
-triples of a bounded box and returns an (N, 3) int array whose rows are
-in lexicographic order.  The weight of a triangle lattice node, and of
-any congruent triple through its orbit representative, is
-`upsilon_weight`.
+mod 3.  Every enumeration is built row by row (`_rows`): for each first
+component k1 the second runs over one arithmetic range read off the
+set's inequalities, so only the kept triples are ever built.  Each
+returns an (N, 3) int64 array whose rows are in lexicographic order.
+The weight of a triangle lattice node, and of any congruent triple
+through its orbit representative, is `upsilon_weight`.
 """
 
 from __future__ import annotations
@@ -18,23 +19,39 @@ from .coords import hat, point_from_index
 from .gentrig import TrigFamily
 
 
-def _triples(lo: int, hi: int):
-    """The (N, 3) array of sum-zero triples (k1, k2, -k1-k2) with
-    lo <= k1, k2 <= hi, in lexicographic order."""
-    k1, k2 = np.divmod(np.arange((hi - lo + 1) ** 2), hi - lo + 1)
-    return np.stack((k1 + lo, k2 + lo, -k1 - k2 - 2 * lo), axis=1)
+def _rows(k1, lo, hi, step: int = 1):
+    """The (N, 3) int64 array of sum-zero triples (k1, k2, -k1-k2), where
+    k1 runs over the ascending int array k1 and, in row i, k2 over
+    range(lo[i], hi[i] + 1, step), in lexicographic order; lo and hi are
+    int arrays or ints that broadcast against k1.  Rows with hi < lo are
+    empty; nothing outside the kept triples is built."""
+    counts = np.maximum((hi - lo) // step + 1, 0)
+    starts = np.cumsum(counts) - counts
+    out = np.empty((int(starts[-1] + counts[-1]), 3), dtype=np.int64)
+    first, second, third = out.T
+    first[:] = np.repeat(k1, counts)
+    # k2 = lo[i] + step (position - starts[i]) in row i
+    second[:] = np.repeat(lo - step * starts, counts)
+    second += np.arange(0, step * len(out), step)
+    np.add(first, second, out=third)
+    np.negative(third, out=third)
+    return out
 
 
 def enum_H(n: int):
     """The mod-3 congruent lattice inside the closed hexagon of size n and
-    the dagger lattice with all pairwise differences bounded by n."""
+    the dagger lattice with all pairwise differences bounded by n, both
+    with -n <= k1, k2 <= n, built row by row over k1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    k = _triples(-n, n)
-    k1, k2, k3 = k.T
-    h = (np.abs(k3) <= n) & ((k1 - k2) % 3 == 0)
-    hdag = (np.abs(k3 - k2) <= n) & (np.abs(k1 - k3) <= n) & (np.abs(k2 - k1) <= n)
-    return k[h], k[hdag]
+    k1 = np.arange(-n, n + 1)
+    # h: |k3| <= n and k2 = k1 mod 3
+    lo = np.maximum(-n, -n - k1)
+    h = _rows(k1, lo + (k1 - lo) % 3, np.minimum(n, n - k1), 3)
+    # hdag: |k1 + 2 k2|, |2 k1 + k2| and |k2 - k1| at most n, which keep |k2| <= n
+    lo = np.maximum.reduce([-((n + k1) // 2), -n - 2 * k1, k1 - n])
+    hi = np.minimum.reduce([(n - k1) // 2, n - 2 * k1, k1 + n])
+    return h, _rows(k1, lo, hi)
 
 
 def hex_cubature(f, n: int):
@@ -51,12 +68,12 @@ def hex_cubature(f, n: int):
 
 def enum_upsilon(n: int):
     """Nodes of the triangle lattice 0 <= j2 <= j1 <= -j3 <= n (components
-    congruent mod 3), sorted lexicographically."""
+    congruent mod 3), sorted lexicographically: for each j1, j2 runs from
+    j1 mod 3 to min(j1, n - j1) in steps of 3, about n^2/12 rows."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    j = _triples(0, n)
-    j1, j2, j3 = j.T
-    return j[(j2 <= j1) & (-j3 <= n) & ((j1 - j2) % 3 == 0)]
+    j1 = np.arange(n + 1)
+    return _rows(j1, j1 % 3, np.minimum(j1, n - j1), 3)
 
 
 def upsilon_weight(j, n: int):
@@ -78,14 +95,15 @@ def upsilon_weight(j, n: int):
 def enum_gamma(family, n: int):
     """Frequency index set of one family at transform size n, from the
     inequality chain 0 (<|<=) k2 (<|<=) k1 (<|<=) k3+n, whose three
-    inequalities are strict by the family's sine bits (p, d, d)."""
+    inequalities are strict by the family's sine bits (p, d, d): for each
+    k1, k2 runs from p to min(k1 - d, n - d - 2 k1), sorted
+    lexicographically."""
     family = TrigFamily.of(family)
     if n < 1:
         raise ValueError("n must be >= 1")
     d, p = family.sines
-    k = _triples(0, n)
-    k1, k2, k3 = k.T
-    return k[(p <= k2) & (k2 + d <= k1) & (k1 + d <= k3 + n)]
+    k1 = np.arange(n + 1)
+    return _rows(k1, p, np.minimum(k1 - d, n - d - 2 * k1))
 
 
 def dim_pi_star(n: int) -> int:

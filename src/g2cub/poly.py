@@ -224,13 +224,14 @@ class BivarPoly:
             total += float(c) * xp[i] * yp[j]
         return total
 
-    def exact_sum(self, triples) -> float:
-        """Sum of w * p(x, y) over (x, y, w) triples of floats, exact at their
-        binary values and rounded once (`rounded_quotient`): the coefficients
-        (`integer_form`), xs, ys and ws each become ints over one denominator."""
+    def exact_sum(self, xs, ys, ws) -> float:
+        """Sum of ws[k] * p(xs[k], ys[k]) over columns of floats of one
+        length, exact at their binary values and rounded once
+        (`rounded_quotient`): the coefficients (`integer_form`), xs, ys and
+        ws each become ints over one denominator."""
         nums, den = integer_form(self.coeffs)
         imax, jmax = (max((e[axis] for e in nums), default=0) for axis in (0, 1))
-        (xs, xe), (ys, ye), (ws, we) = map(_binary_form, zip(*triples))
+        (xs, xe), (ys, ye), (ws, we) = map(_binary_form, (xs, ys, ws))
         wx = _power_rows(ws, xs, (i for i, _ in nums))  # W X^i at every node
         yp = _power_rows([1] * len(ys), ys, (j for _, j in nums))
         # n x^i y^j = n 2^(xe (imax-i) + ye (jmax-j)) X^i Y^j / 2^(xe imax + ye jmax)
@@ -240,7 +241,7 @@ class BivarPoly:
 
     def exact_value(self, x: float, y: float) -> float:
         """The exact value at (x, y) rounded once: `exact_sum` at one node of weight 1."""
-        return self.exact_sum(((x, y, 1.0),))
+        return self.exact_sum([x], [y], [1.0])
 
     def __repr__(self):
         if not self.coeffs:

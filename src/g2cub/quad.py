@@ -15,6 +15,7 @@ function of (r, s), by r or r s, so it stays accurate at the vertices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -73,6 +74,8 @@ def _gauss_jacobi(order, b):
     s = 2.0 * n + b
     diag = np.concatenate((b / (b + 2.0), b * b / (s * (s + 2.0))), axis=1)
     off = np.sqrt(n * n * (n + b) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
+    if not math.isfinite(diag.sum() + off.sum()):  # a nan entry, from an exponent near the float range
+        return np.full((2, len(b), order), np.nan)  # refused in `rule`
     jacobi = np.zeros((len(b), order, order))
     i = np.arange(order)
     jacobi[:, i, i] = 0.5 + 0.5 * diag
@@ -118,17 +121,23 @@ def _nodes(order, alpha, beta):
 @lru_cache(maxsize=32)
 def rule(order, alpha, beta) -> Rule:
     """Images (x, y) of `_nodes` with their weights scaled to sum to one.
-    Raises ValueError where the weight is not integrable, and if a node
+    Raises ValueError where the weight is not integrable, where a scaled
+    weight is outside the float range, as at (1e3, 0), and if a node
     rounds onto the boundary of the triangle, as happens within about
     1e-10 of beta = -5/6: the weight, and an integrand, may be singular
     there."""
-    t1, t2, w = _nodes(order, alpha, beta)
+    with np.errstate(over="ignore", invalid="ignore"):  # such weights are refused below
+        t1, t2, w = _nodes(order, alpha, beta)
+        total = w.sum()
+    if not 0.0 < total < np.inf:  # each weight is >= 0 or nan, so then each is finite
+        raise ValueError(f"the order-{order} rule at parameters ({alpha}, {beta}) "
+                         "has weights outside the float range")
     on_edge = np.count_nonzero((t2 <= 0.0) | (t1 <= t2) | (t1 + t2 >= 1.0))
     if on_edge:
         raise ValueError(f"the order-{order} rule at parameters ({alpha}, {beta}) "
                          f"has {on_edge} nodes on the boundary of the triangle")
     xy = np.array(xy_map((t1, t2, -t1 - t2)))
-    return Rule(xy.T, w / w.sum())  # the transpose keeps x and y contiguous
+    return Rule(xy.T, w / total)  # the transpose keeps x and y contiguous
 
 
 def triangle_quadrature(values_fn, tol=DEFAULT_TOL, alpha=0.0, beta=0.0):

@@ -1,8 +1,10 @@
 import json
 import math
+import re
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -312,6 +314,36 @@ def test_normalization_constants():
     assert normalization_c(PM) == pytest.approx(18 / math.pi ** 2, rel=1e-11)
     assert normalization_c(MP) == pytest.approx(18 / math.pi ** 2, rel=1e-11)
     assert normalization_c(PP) == pytest.approx(243 / math.pi ** 4, rel=1e-11)
+
+
+def _normalization_c_50_digits(a, b):
+    """(3 / (4 pi^2))^(a+b+1) / mass in 50-digit mpmath, the mass from
+    Macdonald's constant-term product as in `weight_mass`."""
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        ks, kl = a + mpmath.mpf(1) / 2, b + mpmath.mpf(1) / 2
+        roots = ((ks, ks), (ks + 3 * kl, ks), (2 * ks + 3 * kl, ks),
+                 (kl, kl), (ks + kl, kl), (ks + 2 * kl, kl))
+        mass = mpmath.mpf(1) / (144 * mpmath.mpf(36) ** (a + b))
+        for c, k in roots:
+            mass *= mpmath.gamma(c + k + 1) * mpmath.gamma(c - k + 1) / mpmath.gamma(c + 1) ** 2
+        return float((3 / (4 * mpmath.pi ** 2)) ** (a + b + 1) / mass)
+
+
+@pytest.mark.parametrize("a,b", [(200, 150), (300, 0), (170, 0), (0.3, 1.2), (-0.4, 0.7), (-0.5, -0.5)])
+def test_normalization_c_is_one_exp_of_summed_logs(a, b):
+    # (3 / (4 pi^2))^(a+b+1) underflows at (200, 150) and (300, 0), where the
+    # constants are 5.8e-152 and 2.0e-292; the exp's error grows with |ln c|,
+    # hence rel 1e-11, and abs 0 so that 0.0 fails
+    assert normalization_c(WeightParams(a, b)) == pytest.approx(
+        _normalization_c_50_digits(a, b), rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("a,b", [(1e5, 0), (0, 1e4)])
+def test_normalization_c_outside_the_float_range_raises_value_error(a, b):
+    with pytest.raises(ValueError, match=re.escape(
+            f"normalization constant at parameters ({a}, {b}) is outside the float range")):
+        normalization_c(WeightParams(a, b))
 
 
 @pytest.mark.parametrize("a,b", [(-0.6, 0.3), (0.3, -0.7), (-0.7, -0.6), (-0.95, 0.4)])

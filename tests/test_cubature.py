@@ -3,8 +3,10 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -155,6 +157,27 @@ def test_make_rule_does_not_depend_on_the_call_history():
         assert rule_to_json(rule) == rule_to_json(cold)
 
 
+def test_make_rule_peaks_near_the_arrays_it_keeps():
+    # a lattice masked from the (m+1)^2 box would peak at 16 times the kept arrays
+    _build_rule.cache_clear()
+    tracemalloc.start()
+    try:
+        rule = make_rule("gauss", 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (rule.nodes.nbytes + rule.weights.nbytes + rule.indices.nbytes)
+
+
+@pytest.mark.parametrize("n", [4, 4.0, True])
+def test_make_rule_builds_an_int_lattice_for_any_integral_n(n):
+    # the lattice is built on int(n); the rule keeps n as given
+    rule = make_rule("gauss", n)
+    assert rule.indices.dtype == np.int64
+    assert type(rule.n) is type(n)
+    assert rule.indices.tolist() == make_rule("gauss", int(n)).indices.tolist()
+
+
 @pytest.mark.parametrize("n", [4.5, 0.5, Fraction(9, 2), float("inf"), float("nan")])
 def test_make_rule_rejects_a_non_integral_n(n):
     # int(4.5) would build the 2-node n = 4 rule and label it n = 4
@@ -172,7 +195,7 @@ def test_integrate_equals_the_loop_over_the_arrays_bit_for_bit(kind):
             want += w * f(x, y)
         assert integrate(rule, f) == want  # twice: the view is built once, then reused
         assert integrate(rule, f) == want
-        assert all(type(v) is float for triple in rule.triples for v in triple)
+        assert all(type(v) is float for column in rule.columns for v in column)
 
 
 @settings(max_examples=40, deadline=None)

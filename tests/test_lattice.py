@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from g2cub.coords import HexIndex, hat, make_index, make_point, point_from_index
 from g2cub.gentrig import TrigFamily, eval as trig, phi
@@ -73,6 +74,36 @@ def oracle_gamma(family, n):
             if k1 + d <= k3 + n:
                 members.append([k1, k2, k3])
     return members
+
+
+# the box-and-mask oracle: every sum-zero triple of a square box in
+# lexicographic order, then one exact integer mask
+
+
+def box(lo, hi):
+    k1, k2 = np.divmod(np.arange((hi - lo + 1) ** 2, dtype=np.int64), hi - lo + 1)
+    return np.stack((k1 + lo, k2 + lo, -k1 - k2 - 2 * lo), axis=1)
+
+
+def masked_upsilon(n):
+    j = box(0, n)
+    j1, j2, j3 = j.T
+    return j[(j2 <= j1) & (-j3 <= n) & ((j1 - j2) % 3 == 0)]
+
+
+def masked_gamma(family, n):
+    d, p = TrigFamily.of(family).sines
+    k = box(0, n)
+    k1, k2, k3 = k.T
+    return k[(p <= k2) & (k2 + d <= k1) & (k1 + d <= k3 + n)]
+
+
+def masked_H(n):
+    k = box(-n, n)
+    k1, k2, k3 = k.T
+    h = (np.abs(k3) <= n) & ((k1 - k2) % 3 == 0)
+    hdag = (np.abs(k3 - k2) <= n) & (np.abs(k1 - k3) <= n) & (np.abs(k2 - k1) <= n)
+    return k[h], k[hdag]
 
 
 def weights_by_node(n):
@@ -282,6 +313,34 @@ def test_enumerators_match_the_oracle_row_for_row(n):
         assert enum_gamma(family, n).tolist() == oracle_gamma(family, n)
     h, hdag = enum_H(n)
     assert (h.tolist(), hdag.tolist()) == oracle_H(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 400))
+@example(n=1)
+@example(n=2)
+@example(n=3)
+@example(n=400)
+def test_row_by_row_enumerators_equal_the_box_and_mask(n):
+    pairs = [(enum_upsilon(n), masked_upsilon(n)), *zip(enum_H(n), masked_H(n))]
+    pairs += [(enum_gamma(family, n), masked_gamma(family, n)) for family in TrigFamily]
+    for got, want in pairs:
+        assert got.dtype == np.int64
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)  # values and row order
+
+
+def test_enum_upsilon_builds_only_the_kept_rows():
+    # masking the (n+1)^2 box of sum-zero triples would peak at 32 times the
+    # output at n = 2005; row by row the peak is the output and a few columns
+    tracemalloc.start()
+    try:
+        j = enum_upsilon(2005)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(j) == dim_pi_star(2005)
+    assert peak <= 3 * j.nbytes
 
 
 @st.composite

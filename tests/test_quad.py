@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -147,6 +149,20 @@ def test_rule_refuses_nodes_rounded_onto_the_boundary():
     for order in (8, 128):
         w = quad.rule(order, 0.3, -5 / 6 + 1e-8).weights
         assert np.all(np.isfinite(w)) and np.all(w > 0)
+
+
+@pytest.mark.parametrize("a,b", [(1e3, 0), (1e5, 0), (1e300, 1e300)])
+@pytest.mark.parametrize("order", [8, 32])
+def test_rule_refuses_weights_outside_the_float_range(a, b, order):
+    # the weights underflow to 0 at (1e3, 0), overflow at (1e5, 0), and the
+    # Jacobi matrices overflow at (1e300, 1e300): no nan weight, no numpy
+    # RuntimeWarning and no LinAlgError, but a ValueError naming the pair
+    quad.rule.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                f"order-{order} rule at parameters ({a}, {b}) has weights outside the float range")):
+            quad.rule(order, a, b)
 
 
 @pytest.mark.parametrize("a,b", [(Fraction(23, 20), Fraction(-9, 20)), (1.15, -0.45)])
