@@ -50,7 +50,9 @@ class CubatureRule(Rule):
     """One of the four rules: nodes (N, 2) in lexicographic lattice order,
     their weights, and indices (N, 3), the generating lattice triples in
     the same order, all read-only.  The rule is a function of (kind, n),
-    so it compares and hashes by them."""
+    so it compares and hashes by them.  Its first export builds both the
+    JSON and the CSV text (`texts`) from one formatting pass, and the
+    cached rule keeps them."""
 
     kind: str
     n: int
@@ -75,22 +77,24 @@ class CubatureRule(Rule):
         return (*self.nodes.T.tolist(), self.weights.tolist())
 
     @functools.cached_property
-    def json_text(self) -> str:
-        """`rule_to_json(self)`: formatted straight from the floats on the
-        rule's first JSON export, then kept with the rule."""
+    def texts(self) -> tuple:
+        """(json_text, csv_text), the texts of `rule_to_json(self)` and
+        `rule_to_csv(self)`, laid out on the rule's first export and kept
+        with the rule.  One %.17g pass over the (N, 3) table of nodes and
+        weights writes the CSV rows; the JSON places the same digit
+        strings, so no float is formatted twice."""
         count = len(self.weights)
-        nodes = ",\n".join(["    [%.17g, %.17g]"] * count) % tuple(self.nodes.ravel().tolist())
-        weights = ", ".join(["%.17g"] * count) % tuple(self.weights.tolist())
-        p = self.weight_params
-        return _JSON % (self.kind, self.n, float(p.alpha), float(p.beta),
-                        nodes, weights, self.exact_mdegree)
-
-    @functools.cached_property
-    def csv_text(self) -> str:
-        """`rule_to_csv(self)`: formatted straight from the floats on the
-        rule's first CSV export, then kept with the rule."""
         table = np.column_stack((self.nodes, self.weights))
-        return "x,y,weight\n" + "%.17g,%.17g,%.17g\n" * len(table) % tuple(table.ravel().tolist())
+        rows = "%.17g,%.17g,%.17g\n" * count % tuple(table.ravel().tolist())
+        digits = rows.replace("\n", ",").split(",")  # x, y, weight per node, then ""
+        del digits[-1]
+        weights = ", ".join(digits[2::3])
+        del digits[2::3]
+        nodes = ",\n".join(["    [%s, %s]"] * count) % tuple(digits)
+        p = self.weight_params
+        return (_JSON % (self.kind, self.n, float(p.alpha), float(p.beta),
+                         nodes, weights, self.exact_mdegree),
+                "x,y,weight\n" + rows)
 
 
 def _lattice_size(family: TrigFamily, n: int) -> int:
@@ -124,7 +128,8 @@ def _build_rule(kind: str, n: int) -> CubatureRule:
         raise ValueError("n must be >= 1")
     d, p = family.sines
     shift = family.shift
-    m = _lattice_size(family, int(n))  # an int lattice for n = 4.0 or True too
+    n_int = int(n)  # an int lattice and degree for n = 4.0 or True too
+    m = _lattice_size(family, n_int)
     j = enum_upsilon(m)
     j1, j2, j3 = j.T
     vanishes = ((d == 1) & (j1 == j2)) | ((p == 1) & ((j2 == 0) | (j3 == -m)))
@@ -137,7 +142,7 @@ def _build_rule(kind: str, n: int) -> CubatureRule:
         weights=weights,
         kind=kind,
         n=n,
-        exact_mdegree=2 * n - 1,
+        exact_mdegree=2 * n_int - 1,
         weight_params=WeightParams(*family.params),
         indices=j,
     )
@@ -224,16 +229,16 @@ _JSON = """{
 
 
 def rule_to_json(rule: CubatureRule) -> str:
-    """The rule in the layout `jsonio.dumps` gives its fields.  The text is
-    formatted on the rule's first JSON export and kept with the cached rule
-    (`rule.json_text`, ~160 KB at n = 160), so a later JSON export of the
-    same rule in the same process formats nothing."""
-    return rule.json_text
+    """The rule in the layout `jsonio.dumps` gives its fields.  A rule's
+    first export, in either format, lays out both texts from one %.17g
+    pass over its floats and keeps them with the cached rule
+    (`rule.texts`, ~160 KB of JSON and ~140 KB of CSV at n = 160), so a
+    later export of the same rule in the same process formats nothing."""
+    return rule.texts[0]
 
 
 def rule_to_csv(rule: CubatureRule) -> str:
     """The rule as CSV: an "x,y,weight" header, then one "x,y,weight" line
-    per node in node order.  The text is formatted on the rule's first CSV
-    export and kept with the cached rule (`rule.csv_text`, ~140 KB at
-    n = 160), so a later CSV export of the same rule formats nothing."""
-    return rule.csv_text
+    per node in node order, with the digits of `rule_to_json` (see there:
+    both texts come from one formatting pass and are kept with the rule)."""
+    return rule.texts[1]

@@ -89,7 +89,7 @@ def test_weight_w_matches_trig_product():
         sc = trig("sc", make_index(1, 0), t)
         cs = trig("cs", make_index(1, 1), t)
         expect = (4 * math.pi ** 2 / 3) * abs(sc * cs)
-        assert weight_w(PP, x, y) == pytest.approx(expect, rel=1e-12)
+        assert weight_w(PP, x, y) == pytest.approx(expect, rel=1e-12, abs=0)
 
 
 def test_weight_w_domain_errors():
@@ -357,15 +357,16 @@ def test_weight_mass_steps_by_the_moments_of_the_factors(a, b):
     p = WeightParams(a, b)
     mass = weight_mass(p)
     assert weight_mass(WeightParams(a + 1, b)) == pytest.approx(
-        mass * continuous_inner(p, f1, one) / 3, rel=1e-13)
+        mass * continuous_inner(p, f1, one) / 3, rel=1e-13, abs=0)
     assert weight_mass(WeightParams(a, b + 1)) == pytest.approx(
-        mass * continuous_inner(p, f2, one), rel=1e-13)
+        mass * continuous_inner(p, f2, one), rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("a,b", [(200, 150), (400, 0), (170, 0)])
 def test_weight_mass_at_large_parameters_is_one_exp_of_summed_logs(a, b):
     # 36^-(a+b) underflows at (200, 150) and the Gamma product overflows at
-    # (400, 0); the exp's error grows with |ln mass|, hence rel 1e-11
+    # (400, 0); the exp's error grows with |ln mass|, hence rel 1e-11, and
+    # abs 0 so that 0.0 fails where the mass is ~1e-242
     x, y = BivarPoly.x(), BivarPoly.y()
     f1 = 1 + 2 * y - 3 * x * x
     f2 = 24 * x * x * x - y * y - 12 * x * y - 6 * x - 4 * y - 1
@@ -374,9 +375,9 @@ def test_weight_mass_at_large_parameters_is_one_exp_of_summed_logs(a, b):
     mass = weight_mass(p)
     assert 0 < mass < math.inf
     assert weight_mass(WeightParams(a + 1, b)) == pytest.approx(
-        mass * continuous_inner(p, f1, one) / 3, rel=1e-11)
+        mass * continuous_inner(p, f1, one) / 3, rel=1e-11, abs=0)
     assert weight_mass(WeightParams(a, b + 1)) == pytest.approx(
-        mass * continuous_inner(p, f2, one), rel=1e-11)
+        mass * continuous_inner(p, f2, one), rel=1e-11, abs=0)
 
 
 def test_weight_mass_outside_the_float_range_raises_value_error():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from g2cub import cubature, jsonio
 from g2cub.chebyshev import (
@@ -84,7 +84,7 @@ def test_gauss_weight_from_domain_polynomial():
     for (x, y), w, j in zip(rule.nodes, rule.weights, rule.indices):
         ss = trig("ss", make_index(2, 1), point_from_index(j, m))
         assert ss * ss == pytest.approx(3 * deltoid_F(x, y), rel=1e-10)
-        assert w == pytest.approx(144.0 / m ** 2 * ss * ss, rel=1e-12)
+        assert w == pytest.approx(144.0 / m ** 2 * ss * ss, rel=1e-12, abs=0)
         assert w == pytest.approx(432.0 / m ** 2 * deltoid_F(x, y), rel=1e-10)
 
 
@@ -171,11 +171,13 @@ def test_make_rule_peaks_near_the_arrays_it_keeps():
 
 @pytest.mark.parametrize("n", [4, 4.0, True])
 def test_make_rule_builds_an_int_lattice_for_any_integral_n(n):
-    # the lattice is built on int(n); the rule keeps n as given
+    # the lattice and the degree are built on int(n); the rule keeps n as given
     rule = make_rule("gauss", n)
     assert rule.indices.dtype == np.int64
     assert type(rule.n) is type(n)
     assert rule.indices.tolist() == make_rule("gauss", int(n)).indices.tolist()
+    assert type(rule.exact_mdegree) is int
+    assert rule.exact_mdegree == 2 * int(n) - 1
 
 
 @pytest.mark.parametrize("n", [4.5, 0.5, Fraction(9, 2), float("inf"), float("nan")])
@@ -393,8 +395,9 @@ def test_rule_csv_matches_csv_writer(kind):
 @pytest.mark.parametrize("kind", RULE_KINDS)
 @pytest.mark.parametrize("n", [1, 2, 8, 40, 160])
 def test_export_does_not_depend_on_call_order_or_cache_state(kind, n):
-    # each export is formatted on its first call for a rule and kept with it,
-    # so either export may come first and a repeat returns the kept text
+    # a rule's first export, in either format, lays out both texts and keeps
+    # them with the rule, so either export may come first and a repeat
+    # returns the kept text
     for order in ((rule_to_csv, rule_to_json), (rule_to_json, rule_to_csv)):
         _build_rule.cache_clear()  # a fresh rule, never exported
         rule = make_rule(kind, n)
@@ -411,3 +414,30 @@ def test_export_does_not_depend_on_call_order_or_cache_state(kind, n):
         assert other is not rule and other == rule and hash(rule) == hash(other) == key
         for arr, before in zip((rule.nodes, rule.weights, rule.indices), arrays):
             assert not arr.flags.writeable and arr.tolist() == before
+
+
+def json_number_tokens(text):
+    """The x, y and weight tokens of a rule's JSON text, node by node."""
+    rows = re.findall(r"^    \[([^,\]]+), ([^,\]]+)\]", text, re.MULTILINE)
+    weights = re.search(r'^  "weights": \[(.*)\],$', text, re.MULTILINE).group(1).split(", ")
+    return [[x, y, w] for (x, y), w in zip(rows, weights, strict=True)]
+
+
+@pytest.mark.parametrize("kind", RULE_KINDS)
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 200))
+@example(1)
+@example(2)
+@example(3)
+@example(160)
+def test_json_and_csv_exports_share_their_digits(kind, n):
+    # both texts come from one %.17g pass, so the JSON's numbers and the
+    # CSV's fields are the same strings, whichever export comes first
+    for order in ((rule_to_csv, rule_to_json), (rule_to_json, rule_to_csv)):
+        _build_rule.cache_clear()  # a fresh rule, never exported
+        rule = make_rule(kind, n)
+        text = {export: export(rule) for export in order}
+        want = [[format(v, ".17g") for v in row]
+                for row in np.column_stack((rule.nodes, rule.weights)).tolist()]
+        csv_fields = [line.split(",") for line in text[rule_to_csv].splitlines()[1:]]
+        assert csv_fields == json_number_tokens(text[rule_to_json]) == want
