@@ -151,14 +151,12 @@ def orthogonality_constant(p: WeightParams, k) -> float:
     """Squared norm of a family polynomial under the unit-normalized
     weighted inner product.
 
-    Equal to the orbit constant of the numerator index divided by the
-    orbit constant of the denominator index of the quotient form.
+    Equal to |orbit(shift)| / |orbit(num)|, with the numerator index and
+    the family's shift, the denominator index, of the quotient form; the
+    first kind's shift is the zero index, whose orbit has size 1.
     """
-    _, num, den = _quotient(p, MIndex.of(k))
-    value = 1.0 / orbit_size(num)
-    if den is not None:
-        value /= 1.0 / orbit_size(den)
-    return value
+    fam, num, _ = _quotient(p, MIndex.of(k))
+    return orbit_size(fam.shift) / orbit_size(num)
 
 
 # weighted integrals ---------------------------------------------------------

@@ -60,7 +60,7 @@ def _power_rows(row: list, values: list, exponents) -> dict:
 def _times(f: dict, g: dict) -> dict:
     """The coefficients of the product of two coefficient dicts: each term
     pair added in turn, f-major, and a key dropped where its sum cancels.
-    `BivarPoly.__mul__` and `sturm.apply_L` share it, so one key order."""
+    `BivarPoly.__mul__` and `sturm.continuous_inner` share it, so one key order."""
     out = {}
     for (i1, j1), c1 in f.items():
         for (i2, j2), c2 in g.items():
@@ -127,17 +127,22 @@ class BivarPoly:
         return cls({(0, 1): Fraction(1)})
 
     # arithmetic ---------------------------------------------------------
-    def __add__(self, other):
+    def _merged(self, other, op):
+        """op(self, other) termwise: self's keys in their order, then other's
+        new keys in theirs, and a key dropped where its result cancels."""
         if not isinstance(other, BivarPoly):
             other = BivarPoly.constant(other)
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            s = out.get(key, 0) + c
+            s = op(out.get(key, 0), c)
             if s:
                 out[key] = s
             elif key in out:
                 del out[key]
         return BivarPoly._of(out)
+
+    def __add__(self, other):
+        return self._merged(other, operator.add)
 
     __radd__ = __add__
 
@@ -145,9 +150,7 @@ class BivarPoly:
         return BivarPoly._of({k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, BivarPoly):
-            other = BivarPoly.constant(other)
-        return self + (-other)
+        return self._merged(other, operator.sub)
 
     def __rsub__(self, other):
         return (-self) + other

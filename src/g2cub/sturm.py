@@ -22,12 +22,13 @@ integral coefficient an int, and the weighted order as a list of
 positions grown one degree class at a time, with each eigenvalue and
 lowered monomial image at its position, scaled by the one common
 denominator D = 2 lcm(den alpha, den beta) so that for rational
-parameters they are Python ints.  `apply_L` multiplies q's derivatives
-by the coefficient polynomials in q's own arithmetic and never reads the
-lowered images.  The moments stay in the table as ints over their
-least common denominator, so a deeper call goes on where the last one
-stopped, `moments` builds its Fractions from them on each call, and
-`continuous_inner` pairs two polynomials against them directly.
+parameters they are Python ints.  `apply_L` forms the operator from q's
+derivatives and the coefficient polynomials in `BivarPoly` arithmetic
+and never reads the lowered images.  The moments stay in the table as
+ints over their least common denominator, so a deeper call goes on
+where the last one stopped, `moments` builds its Fractions from them on
+each call, and `continuous_inner` pairs two polynomials against them
+directly.
 The exact results keep one form: an eigenpolynomial's coefficient, an
 eigenvalue or a coefficient of `apply_L` is an int where it is integral
 and a Fraction only where it is not.  Float parameters take the same
@@ -159,30 +160,16 @@ def operator_coeffs(p: WeightParams) -> OperatorCoeffs:
 
 def apply_L(p: WeightParams, q: BivarPoly) -> BivarPoly:
     """Apply the operator by differentiating q (`BivarPoly.diff_x` and
-    `diff_y`) and multiplying by the parameters' cached coefficient
-    polynomials in q's own arithmetic.  An exact coefficient is an int
-    where it is integral and a Fraction only where it is not.
-
-    The five products are formed and summed on plain dicts, in the order
-    and with the arithmetic of -(A11 q_xx) - 2 (A12 q_xy) - (A22 q_yy)
-    + B1 q_x + B2 q_y in `BivarPoly`, so every bit and key order is theirs.
+    `diff_y`) and forming -(A11 q_xx) - 2 (A12 q_xy) - (A22 q_yy)
+    + B1 q_x + B2 q_y in `BivarPoly` arithmetic on the parameters' cached
+    coefficient polynomials.  An exact coefficient is an int where it is
+    integral and a Fraction only where it is not.
     """
     A11, A12, A22, B1, B2 = operator_coeffs(p)
     qx, qy = q.diff_x(), q.diff_y()
-    qxx, qxy, qyy = qx.diff_x(), qx.diff_y(), qy.diff_y()
-    out = {}
-    for negate, prod in ((True, _times(A11.coeffs, qxx.coeffs)),
-                         (True, {e: c * 2 for e, c in _times(A12.coeffs, qxy.coeffs).items()}),
-                         (True, _times(A22.coeffs, qyy.coeffs)),
-                         (False, _times(B1.coeffs, qx.coeffs)),
-                         (False, _times(B2.coeffs, qy.coeffs))):
-        for e, c in prod.items():
-            s = out.get(e, 0) - c if negate else out.get(e, 0) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-    return BivarPoly._of({e: _int(v) for e, v in out.items()})
+    out = (-(A11 * qx.diff_x()) - 2 * (A12 * qx.diff_y()) - (A22 * qy.diff_y())
+           + B1 * qx + B2 * qy)
+    return BivarPoly._of({e: _int(v) for e, v in out.coeffs.items()})
 
 
 def monomial_image(p: WeightParams, j: int, k: int):
@@ -248,15 +235,11 @@ def _twice_eigenvalue(table: _Table, k1, k2):
 
 def eigen_residual(p: WeightParams, k, polynomial: BivarPoly) -> float:
     """Coefficient-space relative residual of L q = lambda q: the largest
-    |(L q)_e - lambda q_e| over both supports, in one pass, relative to
+    |(L q - lambda q)_e|, with lambda as a float, relative to
     max(1, |lambda| max |q_e|)."""
     lam = float(eigenvalue(p, k))
-    image = apply_L(p, polynomial).coeffs
-    q = polynomial.coeffs if lam else {}
-    diffs = [v - lam * float(q[e]) if e in q else v for e, v in image.items()]
-    diffs += [lam * float(c) for e, c in q.items() if e not in image]
-    resid = max((abs(float(d)) for d in diffs if d), default=0.0)
-    return resid / max(1.0, abs(lam) * polynomial.max_abs_coeff())
+    resid = apply_L(p, polynomial) - lam * polynomial
+    return resid.max_abs_coeff() / max(1.0, abs(lam) * polynomial.max_abs_coeff())
 
 
 def _reduced(r: int, d: int):

@@ -195,3 +195,33 @@ def test_numpy_integer_coefficients_are_exact_rationals():
     assert continuous_inner(HH, q, q) == continuous_inner(HH, same, same)
     assert poly_to_json_dict(HH, (0, 0), q)["terms"] == [
         {"i": 0, "j": 0, "num": 2, "den": 1}, {"i": 1, "j": 0, "num": 3, "den": 1}]
+
+
+def stored(p):
+    """The terms in storage order, with each coefficient's type and repr."""
+    return [(e, type(c), repr(c)) for e, c in p.coeffs.items()]
+
+
+SMALL_EXPONENTS = st.tuples(st.integers(0, 4), st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(SMALL_EXPONENTS, MIXED_COEFFS, max_size=8),
+    st.dictionaries(SMALL_EXPONENTS, MIXED_COEFFS, max_size=8),
+    st.data(),
+    MIXED_COEFFS,
+)
+def test_subtraction_is_addition_of_the_negation_in_storage_order_and_bits(ac, bc, data, s):
+    a = BivarPoly(ac)
+    # some of a's terms copied into b, so that their difference cancels
+    shared = data.draw(st.lists(st.sampled_from(sorted(ac)), unique=True) if ac else st.just([]))
+    b = BivarPoly({**bc, **{e: ac[e] for e in shared}})
+    assert all(e not in (a - b).coeffs for e in shared)
+    pairs = [(a, b), (a, s), (s, a), (a, a)]
+    if a.coeffs.get((0, 0)):
+        pairs.append((a, a.coeffs[(0, 0)]))  # the constant term cancels
+    for x, y in pairs:
+        got, want = x - y, x + (-y)
+        assert stored(got) == stored(want)
+        assert repr(got) == repr(want)

@@ -922,3 +922,32 @@ def test_an_overflow_part_way_up_leaves_the_table_whole():
         assert table.order == [tuple(m) for m in star_indices_upto(7)]
         assert len(table.lam) == len(table.lowered) == len(table.order)
 
+
+
+# from just above -1 up to 1e300, as an int, a Fraction or a float
+LARGE_PARAMETER = st.one_of(
+    st.integers(0, 10 ** 300),
+    st.fractions(min_value=-1, max_value=10 ** 300, max_denominator=1000).filter(lambda v: v > -1),
+    st.floats(min_value=-1, max_value=1e300, exclude_min=True).map(Fraction),
+    st.floats(min_value=-1, max_value=1e300, exclude_min=True),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(LARGE_PARAMETER, LARGE_PARAMETER)
+@example(10 ** 300, 0)
+@example(0.0, 1e300)
+@example(Fraction(1e300), Fraction(-999, 1000))
+@example(1e300, 1e300)
+def test_eigen_check_returns_or_raises_value_error_over_the_parameter_range(a, b):
+    # a tie or an overflow is a ValueError; an OverflowError, a ZeroDivisionError
+    # or a RuntimeWarning (an error under pytest's filterwarnings) fails the test
+    p = WeightParams(a, b)
+    for k in star_indices_upto(8):
+        try:
+            q = eigen_poly(p, k)
+            apply_L(p, q)
+            resid = eigen_residual(p, k, q)
+        except ValueError:
+            continue
+        assert math.isfinite(resid) and resid <= 1e-8, (a, b, k, resid)
