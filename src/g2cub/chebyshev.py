@@ -88,8 +88,6 @@ def cheb_poly(p: WeightParams, k) -> BivarPoly:
     orthogonality constant, makes it equal to its trigonometric quotient.
     """
     k = MIndex.of(k)
-    if k.k1 < 0 or k.k2 < 0:
-        raise ValueError("index components must be nonnegative")
     fam, num, _ = _quotient(p, k)
     lead = 6 ** (k.k1 + k.k2) * orbit_size(fam.shift)
     if type(p.alpha) is not Fraction or type(p.beta) is not Fraction:

@@ -121,12 +121,12 @@ def orbit_size(k) -> int:
     return 12
 
 
-def in_fundamental_triangle(t, tol: float = TRIANGLE_TOL) -> bool:
-    """Membership test for 0 <= t2 <= t1 <= -t3 <= 1, boundaries included."""
+def in_fundamental_triangle(t) -> bool:
+    """Membership test for 0 <= t2 <= t1 <= -t3 <= 1, to within TRIANGLE_TOL."""
     t1, t2, t3 = t
     return (
-        t2 >= -tol
-        and t1 >= t2 - tol
-        and -t3 >= t1 - tol
-        and -t3 <= 1.0 + tol
+        t2 >= -TRIANGLE_TOL
+        and t1 >= t2 - TRIANGLE_TOL
+        and -t3 >= t1 - TRIANGLE_TOL
+        and -t3 <= 1.0 + TRIANGLE_TOL
     )

@@ -32,7 +32,7 @@ from .coords import orbit_size, point_from_index
 from .gentrig import TrigFamily, eval as trig_eval, xy_map
 from .lattice import enum_upsilon, upsilon_weight
 from .poly import BivarPoly
-from .quad import DEFAULT_TOL, Rule
+from .quad import Rule
 from .sturm import MIndex, WeightParams, continuous_inner, star_class
 
 # rule kind -> the trig family whose squared shift member is its factor
@@ -163,11 +163,11 @@ def integrate_poly(rule: CubatureRule, p: BivarPoly) -> float:
     return p.exact_sum(*rule.columns)
 
 
-def reference_integral(p: WeightParams, f, tol=DEFAULT_TOL) -> float:
+def reference_integral(p: WeightParams, f) -> float:
     """Independent oracle: `continuous_inner` of f and 1, exact and rounded
-    once for a polynomial, by quadrature at tol for any other callable."""
+    once for a polynomial, by quadrature at `quad.DEFAULT_TOL` otherwise."""
     one = BivarPoly.constant(1) if isinstance(f, BivarPoly) else (lambda x, y: 1.0)
-    return continuous_inner(p, f, one, tol=tol)
+    return continuous_inner(p, f, one)
 
 
 # variety checks --------------------------------------------------------------

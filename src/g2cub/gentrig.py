@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coords import G2, HexIndex
+from .coords import G2, TRIANGLE_TOL, HexIndex
 
 
 class TrigFamily(enum.Enum):
@@ -151,13 +151,14 @@ def laplace_eigenvalue(k) -> float:
     return 2.0 * math.pi ** 2 / 9.0 * (d1 * d1 + d2 * d2 + d3 * d3)
 
 
-def on_edge(t, edge: str, tol: float = 1e-12) -> bool:
+def on_edge(t, edge: str) -> bool:
+    """Whether t lies on the named edge to within `coords.TRIANGLE_TOL`."""
     if edge == "B1":
-        return abs(t[2] + 1.0) <= tol
+        return abs(t[2] + 1.0) <= TRIANGLE_TOL
     if edge == "B2":
-        return abs(t[1]) <= tol
+        return abs(t[1]) <= TRIANGLE_TOL
     if edge == "B3":
-        return abs(t[0] - t[1]) <= tol
+        return abs(t[0] - t[1]) <= TRIANGLE_TOL
     raise ValueError(f"unknown edge {edge!r}")
 
 

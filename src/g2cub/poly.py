@@ -160,7 +160,7 @@ class BivarPoly:
             return BivarPoly._of(_times(self.coeffs, other.coeffs))
         if not other:
             return BivarPoly.zero()
-        return BivarPoly._of({k: c * other for k, c in self.coeffs.items()})
+        return BivarPoly._of({k: v for k, c in self.coeffs.items() if (v := c * other)})
 
     __rmul__ = __mul__
 

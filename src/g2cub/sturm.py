@@ -64,9 +64,13 @@ class MIndex(NamedTuple):
 
     @classmethod
     def of(cls, k) -> "MIndex":
-        """k as an index of Python ints: numpy integers are converted, and a
-        component that is not an integer raises TypeError."""
-        return cls(*map(operator.index, k))
+        """k as an index of Python ints, the one index check: numpy integers
+        are converted, a component that is not an integer raises TypeError
+        and a negative one ValueError (see `chebyshev.resolve_index`)."""
+        m = cls(*map(operator.index, k))
+        if m.k1 < 0 or m.k2 < 0:
+            raise ValueError(f"index components must be nonnegative, got {tuple(m)}")
+        return m
 
 
 def _parameter(v):
@@ -179,8 +183,6 @@ def monomial_image(p: WeightParams, j: int, k: int):
     order.  The exponents go through `MIndex.of`; at rational parameters a
     coefficient is an int where it is integral and a Fraction elsewhere."""
     m = MIndex.of((j, k))
-    if m.k1 < 0 or m.k2 < 0:
-        raise ValueError("exponents must be nonnegative")
     table = _table(p.alpha, p.beta)
     lam = eigenvalue(p, m)
     return ([(tuple(m), lam)] if lam else []) + [
@@ -328,8 +330,8 @@ def _grow(table: _Table, max_mdeg: int) -> None:
         for m, lam2 in lams:
             pos[m] = len(order)
             order.append(m)
-            table.lam.append(lam2 // 2 if table.D > 1 else lam2 / 2)
-            table.lowered.append([(pos[e], _int(c)) for e, c in _image_terms(table, *m)])
+            table.lam.append(_over(lam2, 2))
+            table.lowered.append([(pos[e], c) for e, c in _image_terms(table, *m)])
         table.degree = d
 
 
@@ -352,8 +354,6 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
     parameters, where it would spoil the exact result.
     """
     k = MIndex.of(k)
-    if k.k1 < 0 or k.k2 < 0:
-        raise ValueError("index components must be nonnegative")
     table = _table(p.alpha, p.beta)
     exact = table.D > 1
     if exact and not isinstance(lead, (int, Fraction)):
@@ -372,7 +372,7 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
     scale = max(table.D, abs(lam))
     # exact gaps are ints, so the bound's floor, taken on ints, makes the same test
     tie = scale * _TIE_NUM // _TIE_DEN if exact else TIE_RTOL * scale
-    c, den = integer_ratio(lead) if exact else (lead, 1)
+    c, den = integer_ratio(lead) if exact else (lead * table.one, 1)
     coeffs = {order[top]: c}
     acc = [0] * top
     for e, v in lowered[top]:
@@ -402,8 +402,6 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
             acc[e] += c * v
     if den > 1:
         coeffs = {m: _over(n, den) for m, n in coeffs.items()}
-    elif not exact:  # each coefficient takes the type of c * one
-        coeffs = {m: c * table.one for m, c in coeffs.items()}
     # every coefficient is nonzero: the lead, or r / gap with r != 0
     table.polys[(k, lead)] = q = BivarPoly._of(coeffs)
     return q
@@ -452,7 +450,7 @@ def moments(p: WeightParams, max_mdeg: int) -> dict:
     return {e: Fraction(n, den) for e, n in ints.items()}
 
 
-def continuous_inner(p: WeightParams, f, g, tol=quad.DEFAULT_TOL):
+def continuous_inner(p: WeightParams, f, g):
     """Weighted inner product normalized so that <1, 1> = 1.
 
     Two polynomials, whatever their coefficients, are paired exactly: f
@@ -460,12 +458,12 @@ def continuous_inner(p: WeightParams, f, g, tol=quad.DEFAULT_TOL):
     (`poly.integer_form`), f * g is formed on those ints, c * mu is summed
     over its terms against the moments the parameter table keeps as ints
     over one denominator (`_integer_moments`, brought to that form once as
-    the moments grow, not on each call), and the sum is rounded once.  tol
-    applies only to general callables (x, y) -> value, pulled back to the
-    parameter triangle and integrated by product Gauss-Jacobi quadrature
-    (`quad.triangle_quadrature`): tol bounds its error estimate relative
-    to max(1, |result|), and QuadratureError is raised when the estimate
-    stays above tol at the order cap `quad.ORDER_CAP`.  Raises ValueError
+    the moments grow, not on each call), and the sum is rounded once.
+    General callables (x, y) -> value are pulled back to the parameter
+    triangle and integrated by product Gauss-Jacobi quadrature
+    (`quad.triangle_quadrature`) to `quad.DEFAULT_TOL` relative to
+    max(1, |result|); QuadratureError is raised when the error estimate
+    stays above it at the order cap `quad.ORDER_CAP`.  Raises ValueError
     where the weight is not integrable.
     """
     if isinstance(f, BivarPoly) and isinstance(g, BivarPoly):
@@ -477,8 +475,7 @@ def continuous_inner(p: WeightParams, f, g, tol=quad.DEFAULT_TOL):
     def values(x, y):
         return np.broadcast_to(f(x, y) * g(x, y), x.shape)
 
-    return quad.triangle_quadrature(
-        values, tol=tol, alpha=float(p.alpha), beta=float(p.beta))
+    return quad.triangle_quadrature(values, alpha=float(p.alpha), beta=float(p.beta))
 
 
 def jacobi_poly(p: WeightParams, k) -> BivarPoly:

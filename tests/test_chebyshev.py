@@ -248,6 +248,27 @@ def test_weight_params_reject_what_is_not_a_real_number(bad):
         WeightParams(0.5, bad)
 
 
+INDEX_TAKERS = {
+    "eigenvalue": eigenvalue,
+    "eigen_poly": eigen_poly,
+    "jacobi_poly": jacobi_poly,
+    "monomial_image": lambda p, k: sturm.monomial_image(p, *k),
+    "cheb_poly": cheb_poly,
+    "cheb_eval_trig": lambda p, k: cheb_eval_trig(p, k, make_point(0.2, 0.1)),
+    "orthogonality_constant": orthogonality_constant,
+    "poly_to_json_dict": lambda p, k: poly_to_json_dict(p, k, BivarPoly.constant(1)),
+}
+
+
+@pytest.mark.parametrize("name", INDEX_TAKERS)
+@pytest.mark.parametrize("k", [(-1, 2), (2, -1)], ids=str)
+def test_every_index_taking_function_rejects_a_negative_component(name, k):
+    # out-of-quadrant members exist only through resolve_index, which at
+    # (1/2, 1/2) finds both of these identically zero
+    with pytest.raises(ValueError, match=re.escape(f"nonnegative, got {k}")):
+        INDEX_TAKERS[name](PP, k)
+
+
 @pytest.mark.parametrize("alpha,beta,k1,k2", [(0.3, 0.7, -1, 2), (-0.3, 0.7, 3, -1), (0.3, 0.7, -3, 1)])
 def test_resolve_index_rejects_parameters_off_the_half_integer_cases(alpha, beta, k1, k2):
     with pytest.raises(ValueError, match="half-integer"):
@@ -442,7 +463,7 @@ def test_continuous_inner_sums_float_coefficients_exactly():
     P = jacobi_poly(p, (0, 4))
     value = continuous_inner(p, P, P)
     assert value > 0
-    assert value == float(fraction_inner(p, P, P)) == continuous_inner(p, P, P, tol=1e-14)
+    assert value == float(fraction_inner(p, P, P)) == continuous_inner(p, P, P)
     # monic float eigenpolynomials of weighted degree 36 and 42: summed in
     # floats, their squared norms came out as 5.8e-19 and -2.8e-17
     p = WeightParams(0.3, 1.2)

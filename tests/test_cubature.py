@@ -187,6 +187,13 @@ def test_make_rule_rejects_a_non_integral_n(n):
         make_rule("gauss", n)
 
 
+@pytest.mark.parametrize("kind,n,message", [("bogus", 8, "unknown rule kind 'bogus'"),
+                                            ("gauss", 0, "n must be >= 1")])
+def test_make_rule_rejects_an_unknown_kind_and_an_n_below_1(kind, n, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_rule(kind, n)
+
+
 @pytest.mark.parametrize("kind", RULE_KINDS)
 def test_integrate_equals_the_loop_over_the_arrays_bit_for_bit(kind):
     f = lambda x, y: math.exp(0.7 * x - 0.3 * y) * math.cos(1.3 * x + 0.4 * y)

@@ -185,6 +185,17 @@ def test_gamma_cardinalities(family, n, count):
     assert len(enum_gamma(family, n)) == count
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: enum_upsilon(0), "n must be >= 1"),
+    (lambda: enum_gamma("cc", 0), "n must be >= 1"),
+    (lambda: enum_H(0), "n must be >= 1"),
+    (lambda: dim_pi_star(-1), "n must be >= 0"),
+], ids=["enum_upsilon", "enum_gamma", "enum_H", "dim_pi_star"])
+def test_lattice_sizes_below_the_smallest_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_gamma_members():
     assert enum_gamma("ss", 6).tolist() == [[2, 1, -3]]
     assert enum_gamma("sc", 3).tolist() == [[1, 0, -1]]

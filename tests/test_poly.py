@@ -26,6 +26,9 @@ def test_no_zero_terms_stored():
     assert (0, 1) not in p.coeffs
     q = p - p
     assert not q.coeffs and not q
+    # a scalar product that underflows stores nothing
+    r = BivarPoly({(1, 0): 1e-200, (0, 0): Fraction(1, 10**400)}) * 1e-200
+    assert not r.coeffs and not r and r == BivarPoly.zero()
 
 
 def test_arithmetic_exact():

@@ -106,7 +106,7 @@ def test_callable_integrals_near_the_vertex_limits_meet_tol(a, b):
     p = WeightParams(a, b)
     x, y = BivarPoly.x(), BivarPoly.y()
     for f in (x * y, y * y, x * x * x):
-        got = continuous_inner(p, lambda u, v: f(u, v), lambda u, v: 1.0, tol=1e-12)
+        got = continuous_inner(p, lambda u, v: f(u, v), lambda u, v: 1.0)
         assert abs(got - reference_integral(p, f)) <= 1e-12
 
 
