@@ -90,7 +90,7 @@ def cheb_poly(p: WeightParams, k) -> BivarPoly:
     k = MIndex.of(k)
     fam, num, _ = _quotient(p, k)
     lead = 6 ** (k.k1 + k.k2) * orbit_size(fam.shift)
-    if type(p.alpha) is not Fraction or type(p.beta) is not Fraction:
+    if type(p.alpha) is float:
         p = WeightParams(*fam.params)  # float half-integers name the exact families
     return eigen_poly(p, k, Fraction(lead, orbit_size(num)))
 

@@ -31,8 +31,8 @@ each call, and `continuous_inner` pairs two polynomials against them
 directly.
 The exact results keep one form: an eigenpolynomial's coefficient, an
 eigenvalue or a coefficient of `apply_L` is an int where it is integral
-and a Fraction only where it is not.  Float parameters take the same
-code with D = 1.
+and a Fraction only where it is not.  A pair that holds a float is a
+float pair (`WeightParams`), which takes the same code with D = 1.
 """
 
 from __future__ import annotations
@@ -74,13 +74,13 @@ class MIndex(NamedTuple):
 
 
 def _parameter(v):
-    """v as an int (numpy integers too), a Fraction, or another real as a
-    float; TypeError for anything else."""
+    """v as an int where it is integral (numpy integers and Fractions too),
+    a Fraction, or another real as a float; TypeError for anything else."""
     if not isinstance(v, numbers.Real):
         raise TypeError(f"weight parameters must be real numbers, got {v!r}")
     if isinstance(v, numbers.Integral):
         return operator.index(v)
-    return v if isinstance(v, Fraction) else float(v)
+    return _int(v) if isinstance(v, Fraction) else float(v)
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,9 @@ class WeightParams:
         a, b = float(self.alpha), float(self.beta)
         if not (a > -1 and b > -1):
             raise ValueError("weight parameters must both exceed -1")
+        if (type(self.alpha) is float) != (type(self.beta) is float):  # exact or float
+            object.__setattr__(self, "alpha", a)
+            object.__setattr__(self, "beta", b)
 
     @functools.cached_property
     def family(self):
@@ -110,7 +113,8 @@ class WeightParams:
         return _FAMILY_OF_PARAMS.get((self.alpha, self.beta))
 
     def key(self):
-        return (Fraction(self.alpha), Fraction(self.beta))
+        """The exact pair in the fields' form; (alpha, beta) at exact ones."""
+        return (_int(Fraction(self.alpha)), _int(Fraction(self.beta)))
 
 
 _FAMILY_OF_PARAMS = {fam.params: fam for fam in TrigFamily}
@@ -194,12 +198,13 @@ def _image_terms(table: _Table, j, k):
     the table's scale: each coefficient is linear in (one, alpha, beta)
     with integer factors, so it is D times the operator's coefficient."""
     one, a, b = table.one, table.a, table.b
+    # a term whose integer factor is 0 is left out, so inf * 0 makes no nan
     coeff = {  # shift (mu, nu) -> coefficient of x^(j-2mu+3nu) y^(k+mu-2nu)
         (0, 1): -108 * k * (k - 1) * one,
         (1, 0): -j * (j - 1) * one,
-        (1, 1): 18 * k * ((3 * k - 2 - 2 * j) * one + 2 * a),
-        (2, 1): 3 * j * ((-j + 2 + 4 * k) * one + 2 * a),
-        (3, 2): 9 * k * (k * one + 2 * b),
+        (1, 1): 18 * k * ((3 * k - 2 - 2 * j) * one + 2 * a) if k else 0,
+        (2, 1): 3 * j * ((-j + 2 + 4 * k) * one + 2 * a) if j else 0,
+        (3, 2): 9 * k * (k * one + 2 * b) if k else 0,
         (4, 2): -2 * j * (j - 1) * one,
         (4, 3): 27 * k * (k - 1) * one,
         (5, 3): 6 * j * k * one,
@@ -231,6 +236,8 @@ def _twice_eigenvalue(table: _Table, k1, k2):
     m = 2 * k1 + 3 * k2
     lam2 = 3 * m * ((m + 5) * one + 4 * a + 6 * b) + 9 * k2 * ((k2 + 1) * one + 2 * b)
     if type(lam2) is float and not math.isfinite(lam2):
+        if not m:  # 0 * inf: the constant member's eigenvalue is 0 all the same
+            return 0 * one
         raise ValueError(f"weight parameters ({a}, {b}) overflow the eigenvalue of {(k1, k2)}")
     return lam2
 
@@ -278,7 +285,7 @@ class _Table:
     `op` is the operator's coefficient record (`operator_coeffs`).  `one`,
     `a` and `b` are the unit and the parameters in the table's scale: D, D
     alpha and D beta at rational parameters, where all three are ints, and
-    at float parameters the unit of alpha's type, alpha and beta, with D = 1.
+    at float parameters 1.0, alpha and beta, with D = 1.
     `order` is the weighted monomial order through weighted degree `degree`,
     grown in place one class at a time, so a position, once given, never
     changes; `pos` inverts it.  At each position, `lam` holds D lambda and
@@ -303,7 +310,7 @@ class _Table:
 # typed: Fraction(1, 2) == 0.5, and the exact and float tables stay apart
 @functools.lru_cache(maxsize=None, typed=True)
 def _table(alpha, beta) -> _Table:
-    """The table at parameters (alpha, beta), built on first use with its
+    """The table at a `WeightParams`' fields, built on first use with its
     operator record, every integral coefficient an int, and an empty order.
 
     D = 2 lcm(den alpha, den beta) for rational parameters, else 1.
@@ -311,10 +318,9 @@ def _table(alpha, beta) -> _Table:
     factors 3/2 and 9/2, and monomial images are integer-linear in them, so
     D times either is an integer.
     """
-    exact = isinstance(alpha, (int, Fraction)) and isinstance(beta, (int, Fraction))
     op = _operator(alpha, beta)
-    if not exact:
-        return _Table(1, type(alpha)(1), alpha, beta, op)
+    if type(alpha) is float:
+        return _Table(1, 1.0, alpha, beta, op)
     D = 2 * math.lcm(alpha.denominator, beta.denominator)
     return _Table(D, D, _int(D * alpha), _int(D * beta), op)
 
@@ -417,10 +423,11 @@ def _integer_moments(p: WeightParams, max_mdeg: int):
     mu_m = -sum_e c_e mu_e / lambda_m from mu_(0,0) = 1, up the weighted
     order, with c_e and lambda_m both scaled by the table's D.  A step sums
     its at most eight c_e n_e and divides by lambda_m; where that leaves a
-    remainder, den grows and the kept ints are rescaled (`_reduced`).  Float parameters enter by their exact binary value.  Returns
-    the table's dict itself, do not modify it.  Raises ValueError where the
-    weight is not integrable; elsewhere every lambda_m with m != 0 is
-    positive.
+    remainder, den grows and the kept ints are rescaled (`_reduced`).
+    Float parameters enter by their exact binary value (`WeightParams.key`).
+    Returns the table's dict itself, do not modify it.  Raises ValueError
+    where the weight is not integrable; elsewhere every lambda_m with
+    m != 0 is positive.
     """
     _require_integrable(p.alpha, p.beta)
     table = _table(*p.key())

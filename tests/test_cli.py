@@ -407,3 +407,5 @@ def test_overflowing_parameters_exit_2(argv, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and err.startswith("error:") and "1e+308" in err
+    # the constant member is 1 there, so the first overflow is at (1, 0)
+    assert "(1, 0)" in err and "(0, 0)" not in err

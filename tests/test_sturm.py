@@ -87,6 +87,53 @@ def test_operator_coeffs_are_the_closed_forms_with_their_types_and_key_order(a, 
     assert [typed_terms(c) for c in operator_coeffs(p)] == [typed_terms(c) for c in want]
 
 
+EXACT_PARAMETER = st.one_of(
+    st.integers(0, 3),
+    st.integers(0, 3).map(np.int64),
+    st.integers(0, 3).map(Fraction),
+    st.fractions(min_value=0, max_value=3, max_denominator=6),
+)
+
+
+def exact_spellings(v):
+    """Every spelling of the exact parameter v: an int, a numpy int and a
+    Fraction where it is integral, the Fraction alone elsewhere."""
+    return [v, np.int64(v), Fraction(v)] if type(v) is int else [v]
+
+
+@settings(max_examples=40, deadline=None)
+@given(EXACT_PARAMETER, EXACT_PARAMETER)
+@example(Fraction(1), 2)  # int, Fraction and mixed spellings once built three tables
+def test_an_exact_pair_takes_one_form_and_one_table(x, y):
+    p = WeightParams(x, y)
+    for field, v in ((p.alpha, x), (p.beta, y)):
+        assert field == v
+        assert type(field) is (int if Fraction(v).denominator == 1 else Fraction)
+    assert [(type(v), v) for v in p.key()] == [(type(v), v) for v in (p.alpha, p.beta)]
+    sturm._table.cache_clear()
+    for a in exact_spellings(p.alpha):
+        for b in exact_spellings(p.beta):
+            q = WeightParams(a, b)
+            assert typed_terms(eigen_poly(q, (1, 1))) == typed_terms(eigen_poly(p, (1, 1)))
+            assert moments(q, 5) == moments(p, 5)
+    assert sturm._table.cache_info().currsize == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(EXACT_PARAMETER, st.floats(min_value=0, max_value=3))
+@example(Fraction(1, 2), 0.5)  # a Fraction lead and float coefficients once
+@example(1, 0.3)  # an int lead once
+def test_a_float_in_either_slot_makes_a_float_pair(x, f):
+    for pair in ((x, f), (f, x)):
+        p = WeightParams(*pair)
+        assert type(p.alpha) is type(p.beta) is float
+        assert (p.alpha, p.beta) == tuple(map(float, pair))
+        q = eigen_poly(p, (3, 2))
+        assert {type(c) for c in q.coeffs.values()} == {float}
+        sturm._table.cache_clear()  # the float pair builds its own table anew
+        assert typed_terms(q) == typed_terms(eigen_poly(WeightParams(*map(float, pair)), (3, 2)))
+
+
 def domain_poly():
     return BivarPoly(
         {(0, 0): Fraction(1), (0, 1): Fraction(2), (2, 0): Fraction(-3)}
@@ -898,16 +945,25 @@ OVERFLOWING = WeightParams(1e308, 0.0)
 
 
 @pytest.mark.parametrize("fn, args", [
-    (eigenvalue, ((0, 0),)),
+    (eigenvalue, ((0, 1),)),
     (eigenvalue, ((1, 0),)),
     (monomial_image, (1, 0)),
     (eigen_poly, ((1, 0),)),
     (jacobi_poly, ((3, 2),)),
 ])
 def test_overflowing_float_parameters_raise_value_error(fn, args):
-    # lambda_(0,0) = 0 * inf is nan here, and 0 * inf in an image term passed the zero test
     with pytest.raises(ValueError, match=r"\(1e\+308, 0\.0\)"):
         fn(OVERFLOWING, *args)
+
+
+@pytest.mark.parametrize("a, b", [(1e308, 0.0), (0.0, 1e308), (1e308, 1e308)])
+def test_the_constant_member_at_huge_float_parameters(a, b):
+    # a term whose integer factor is 0 adds nothing: 0 * inf once made
+    # lambda_(0,0) nan and put nan image terms in the table
+    p = WeightParams(a, b)
+    assert eigenvalue(p, (0, 0)) == 0
+    assert eigen_poly(p, (0, 0)) == 1
+    assert sturm._table(p.alpha, p.beta).lowered == [[]]
 
 
 def test_an_overflow_part_way_up_leaves_the_table_whole():
