@@ -98,18 +98,22 @@ def eval(family, k, t):
 
     The components of k and t may be scalars or numpy arrays and broadcast
     against each other.  Scalar input gives a float, array input an array.
+    A cosine plain factor at a scalar plain frequency k2 = 0 is 1.0 at
+    every finite point, so it is left out of the product (x * 1.0 == x);
+    a nan or infinite component still makes a difference factor nan.
     """
     family = TrigFamily.of(family)
     a = np.pi * (k[0] - k[2]) / 3.0
     b = np.pi * k[1]
     d, p = family.sines
     f1 = _FACTOR[d][0]
-    f2 = _FACTOR[p][0]
+    f2 = None if not p and np.ndim(b) == 0 and b == 0 else _FACTOR[p][0]
     total = 0.0
     for (u0, u1), v in _TERMS:
-        total = total + f1(a * (t[u0] - t[u1])) * f2(b * t[v])
+        term = f1(a * (t[u0] - t[u1]))
+        total = total + (term if f2 is None else term * f2(b * t[v]))
     zero = _structural_zero(family, k) | _structural_zero(family, t)
-    value = np.where(zero, 0.0, total / 3.0)
+    value = total / 3.0 if zero is False else np.where(zero, 0.0, total / 3.0)
     return float(value) if value.ndim == 0 else value
 
 

@@ -5,11 +5,17 @@ round-trip and identical inputs produce byte-identical files."""
 
 from __future__ import annotations
 
+import math
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str, in C
 
 
 def format_float(x: float) -> str:
-    return format(float(x), ".17g")
+    """x with 17 significant digits; ValueError for inf and nan, which JSON
+    cannot hold and no output of the package may carry."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{x} is not a finite number and is not written")
+    return format(x, ".17g")
 
 
 def dumps(obj, indent=0) -> str:

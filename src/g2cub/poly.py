@@ -73,6 +73,31 @@ def _times(f: dict, g: dict) -> dict:
     return out
 
 
+def signed_sum(terms) -> dict:
+    """The coefficients of n_1 f_1 + n_2 f_2 + ... for terms (n, f), each f
+    a coefficient dict and n a scalar, merged in order into one dict: f_1,
+    with n_1 = 1 or -1, starts it as f_1 or -f_1; after it a term with
+    n == 0 adds nothing, and otherwise each c * |n| (c itself where
+    |n| == 1) is added, or subtracted where n < 0, key by key as
+    `BivarPoly.__add__` and `__sub__` do, with a key dropped where its sum
+    cancels.  So the key order and every bit are those of the chained
+    expression, -f_1 - 2 f_2 + f_3 as -F1 - 2 * F2 + F3, with one dict in
+    place of one per operation."""
+    (n, f), *rest = terms
+    out = {key: -c for key, c in f.items()} if n < 0 else dict(f)
+    for n, f in rest:
+        if not n:
+            continue
+        op, m = (operator.sub, -n) if n < 0 else (operator.add, n)
+        for key, c in f.items():
+            s = op(out.get(key, 0), c if m == 1 else c * m)
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+    return out
+
+
 def star_key(k):
     """Ascending sort key for the weighted monomial order."""
     return (2 * k[0] + 3 * k[1], k[1])
@@ -213,18 +238,22 @@ class BivarPoly:
 
     def __call__(self, x, y):
         """Float value at (x, y), scalars or arrays that broadcast, with no
-        error bound (`exact_sum` is exact).  Powers of x and y are built by
-        repeated multiplication, then float(c) x^i y^j is added term by term
-        in storage order, in place into one array for array input, with no
-        BLAS call: scalar and array calls give the same bits."""
-        xp, yp = [x ** 0], [y ** 0]  # ones of the shapes of x and y
-        total = 0.0 * xp[0] * yp[0]
+        error bound (`exact_sum` is exact).  Powers of x, in the broadcast
+        shape, and of y are built by repeated multiplication, then
+        (float(c) x^i) y^j is added term by term in storage order, each term
+        formed in one temporary and added in place into one array for array
+        input, with no BLAS call: scalar and array calls give the same bits."""
+        one = x ** 0 * y ** 0  # ones of the broadcast shape; 1 x^i is x^i exactly
+        xp, yp = [one], [y ** 0]
+        total = 0.0 * one
         for _ in range(max((i for i, _ in self.coeffs), default=0)):
             xp.append(xp[-1] * x)
         for _ in range(max((j for _, j in self.coeffs), default=0)):
             yp.append(yp[-1] * y)
         for (i, j), c in self.coeffs.items():
-            total += float(c) * xp[i] * yp[j]
+            term = float(c) * xp[i]
+            term *= yp[j]
+            total += term
         return total
 
     def exact_sum(self, xs, ys, ws) -> float:

@@ -11,6 +11,9 @@ vanishing at V, e those vanishing on the edge V-M.  Gauss-Jacobi nodes
 for r^(c+1) (one r is the Jacobian's) and s^e integrate both powers at
 interior nodes.  The smooth factor divides each vanishing sine, as a
 function of (r, s), by r or r s, so it stays accurate at the vertices.
+The triangles' geometry depends on neither the order nor the parameters,
+so it is fixed at import (`_GEOMETRY`); a rule build only solves for the
+Gauss-Jacobi nodes and forms the weight at them.
 """
 
 from __future__ import annotations
@@ -84,13 +87,11 @@ def _gauss_jacobi(order, b):
     return nodes, vecs[:, 0] ** 2 / (b + 1.0)
 
 
-def _nodes(order, alpha, beta):
-    """Nodes (t1, t2) and weights with order nodes per axis on each Duffy
-    triangle, for the weight at parameters (alpha, beta); ValueError where
-    the weight is not integrable."""
-    _require_integrable(alpha, beta)
-    # per triangle, two at each vertex: V, M - V, P - V; per triangle and factor:
-    # l.V, l.(M - V), l.(P - V), and whether it vanishes at V and along V-M
+def _geometry():
+    """The six Duffy triangles, fixed for every order and parameter pair:
+    per triangle, two at each vertex, V, M - V, P - V and twice its area;
+    per triangle and factor, l.V, l.(M - V), l.(P - V), and whether the
+    factor vanishes at V and along V-M.  All read-only."""
     V = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5]], 2, axis=0)
     A, B = (V[[2, 4, 0, 4, 0, 2]] - V) / 2.0, np.array([0.5, 1.0 / 6.0]) - V
     area2 = np.abs(A[:, :1] * B[:, 1:] - A[:, 1:] * B[:, :1])
@@ -98,6 +99,21 @@ def _nodes(order, alpha, beta):
     at_v = lv == np.round(lv)
     on_e = at_v & (la == 0.0)
     lv[at_v] = 0.0  # an integer l.V only flips the sign of sin(pi l.t)
+    arrays = (V, A, B, area2, lv, la, lb, at_v, on_e)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+_GEOMETRY = _geometry()
+
+
+def _nodes(order, alpha, beta):
+    """Nodes (t1, t2) and weights with order nodes per axis on each Duffy
+    triangle, for the weight at parameters (alpha, beta); ValueError where
+    the weight is not integrable."""
+    _require_integrable(alpha, beta)
+    V, A, B, area2, lv, la, lb, at_v, on_e = _GEOMETRY
     expo = np.repeat([2.0 * float(alpha) + 1.0, 2.0 * float(beta) + 1.0], 3)
     # 12 uses, r^(c+1) per triangle then s^e, of at most 5 distinct exponents
     uses = np.concatenate(((at_v * expo).sum(1) + 1.0, (on_e * expo).sum(1))).tolist()
@@ -107,14 +123,15 @@ def _nodes(order, alpha, beta):
     (r, s), (wr, ws) = np.split(nodes[use], 2), np.split(weights[use], 2)  # (triangle, node)
     w = (wr[:, :, None] * ws[:, None, :]).reshape(6, -1) * area2
     r, s = np.repeat(r, order, axis=1), np.tile(s, order)
+    s1, rs = 1 - s, r * s
     sines = [1.0, 1.0]  # the products over the factors of sc_(1,0) and of cs_(1,1)
     for f in range(6):  # l.t = l.V + r l.((1-s)(M-V) + s(P-V))
-        lt = lv[:, f, None] + r * ((1 - s) * la[:, f, None] + s * lb[:, f, None])
-        den = np.where(on_e[:, f, None], r * s, np.where(at_v[:, f, None], r, 1.0))
+        lt = lv[:, f, None] + r * (s1 * la[:, f, None] + s * lb[:, f, None])
+        den = np.where(on_e[:, f, None], rs, np.where(at_v[:, f, None], r, 1.0))
         sines[f // 3] = sines[f // 3] * np.sin(np.pi * lt) / den
     w = w * (4.0 / 3.0) ** (expo[0] + expo[3])  # sc_(1,0) and cs_(1,1) are 4/3 times their sine products
     w = w * np.abs(sines[0]) ** expo[0] * np.abs(sines[1]) ** expo[3]
-    t1, t2 = (V[:, i, None] + r * ((1 - s) * A[:, i, None] + s * B[:, i, None]) for i in (0, 1))
+    t1, t2 = (V[:, i, None] + r * (s1 * A[:, i, None] + s * B[:, i, None]) for i in (0, 1))
     return t1.ravel(), t2.ravel(), w.ravel()
 
 

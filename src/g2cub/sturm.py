@@ -23,7 +23,7 @@ positions grown one degree class at a time, with each eigenvalue and
 lowered monomial image at its position, scaled by the one common
 denominator D = 2 lcm(den alpha, den beta) so that for rational
 parameters they are Python ints.  `apply_L` forms the operator from q's
-derivatives and the coefficient polynomials in `BivarPoly` arithmetic
+derivatives and the coefficient polynomials in one `poly.signed_sum`
 and never reads the lowered images.  The moments stay in the table as
 ints over their least common denominator, so a deeper call goes on
 where the last one stopped, `moments` builds its Fractions from them on
@@ -50,7 +50,8 @@ import numpy as np
 from . import quad
 from .gentrig import TrigFamily
 from .lattice import dim_pi_star
-from .poly import BivarPoly, _times, integer_form, integer_ratio, mdegree_of, rounded_quotient
+from .poly import (BivarPoly, _times, integer_form, integer_ratio, mdegree_of, rounded_quotient,
+                   signed_sum)
 from .quad import _require_integrable
 
 
@@ -169,15 +170,23 @@ def operator_coeffs(p: WeightParams) -> OperatorCoeffs:
 def apply_L(p: WeightParams, q: BivarPoly) -> BivarPoly:
     """Apply the operator by differentiating q (`BivarPoly.diff_x` and
     `diff_y`) and forming -(A11 q_xx) - 2 (A12 q_xy) - (A22 q_yy)
-    + B1 q_x + B2 q_y in `BivarPoly` arithmetic on the parameters' cached
-    coefficient polynomials.  An exact coefficient is an int where it is
-    integral and a Fraction only where it is not.
+    + B1 q_x + B2 q_y on the parameters' cached coefficient polynomials,
+    the five products merged by `poly.signed_sum` with the key order and
+    bits of that `BivarPoly` expression.  An exact coefficient is an int
+    where it is integral and a Fraction only where it is not.
     """
+    return BivarPoly._of({e: _int(v) for e, v in signed_sum(_L_terms(p, q)).items()})
+
+
+def _L_terms(p: WeightParams, q: BivarPoly) -> list:
+    """The five signed products of `apply_L`, as `poly.signed_sum` terms."""
     A11, A12, A22, B1, B2 = operator_coeffs(p)
     qx, qy = q.diff_x(), q.diff_y()
-    out = (-(A11 * qx.diff_x()) - 2 * (A12 * qx.diff_y()) - (A22 * qy.diff_y())
-           + B1 * qx + B2 * qy)
-    return BivarPoly._of({e: _int(v) for e, v in out.coeffs.items()})
+    return [(-1, _times(A11.coeffs, qx.diff_x().coeffs)),
+            (-2, _times(A12.coeffs, qx.diff_y().coeffs)),
+            (-1, _times(A22.coeffs, qy.diff_y().coeffs)),
+            (1, _times(B1.coeffs, qx.coeffs)),
+            (1, _times(B2.coeffs, qy.coeffs))]
 
 
 def monomial_image(p: WeightParams, j: int, k: int):
@@ -245,9 +254,10 @@ def _twice_eigenvalue(table: _Table, k1, k2):
 def eigen_residual(p: WeightParams, k, polynomial: BivarPoly) -> float:
     """Coefficient-space relative residual of L q = lambda q: the largest
     |(L q - lambda q)_e|, with lambda as a float, relative to
-    max(1, |lambda| max |q_e|)."""
+    max(1, |lambda| max |q_e|); - lambda q is the sixth term of
+    `apply_L`'s `poly.signed_sum`."""
     lam = float(eigenvalue(p, k))
-    resid = apply_L(p, polynomial) - lam * polynomial
+    resid = BivarPoly._of(signed_sum(_L_terms(p, polynomial) + [(-lam, polynomial.coeffs)]))
     return resid.max_abs_coeff() / max(1.0, abs(lam) * polynomial.max_abs_coeff())
 
 

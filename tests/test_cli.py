@@ -147,11 +147,31 @@ def test_eval_is_the_correctly_rounded_exact_sum(capsys):
             assert (code, out) == (0, format_float(float(exact)) + "\n"), (alpha, beta, k, x, y)
 
 
-def test_eval_past_the_float_range_prints_inf(capsys):
-    for k1, k2, value in (("2", "0", "inf"), ("0", "2", "-inf"), ("0", "1", "1.2e+201")):
-        code, out, _ = run(capsys, "eval", "--alpha", "0.5", "--beta", "0.5",
-                           "--k1", k1, "--k2", k2, "--x", "1e200", "--y", "1e200")
-        assert (code, out) == (0, value + "\n")
+def test_eval_past_the_float_range_is_a_usage_error(capsys):
+    # the exact value rounds to +-inf: exit 2 with nothing on stdout, --coeffs too
+    for argv in (("--k1", "2", "--k2", "0", "--x", "1e200", "--y", "1e200"),
+                 ("--k1", "0", "--k2", "2", "--x", "1e200", "--y", "1e200"),
+                 ("--k1", "1", "--k2", "0", "--x", "1e308", "--y", "1e308"),
+                 ("--k1", "1", "--k2", "0", "--x=-1e308", "--y", "1e308"),
+                 ("--k1", "40", "--k2", "0", "--x", "1e10", "--y", "1", "--coeffs")):
+        code, out, err = run(capsys, "eval", "--alpha", "0.5", "--beta", "0.5", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "beyond the float range" in err
+    # a large value that the float range holds is printed
+    code, out, _ = run(capsys, "eval", "--alpha", "0.5", "--beta", "0.5",
+                       "--k1", "0", "--k2", "1", "--x", "1e200", "--y", "1e200")
+    assert (code, out) == (0, "1.2e+201\n")
+    code, out, _ = run(capsys, "eval", "--alpha", "0.5", "--beta", "0.5",
+                       "--k1", "1", "--k2", "0", "--x", "1e307", "--y", "1")
+    assert (code, out) == (0, format_float(float(1 + 6 * Fraction(1e307))) + "\n")  # 1 + 6x
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_format_float_refuses_non_finite_values(value):
+    with pytest.raises(ValueError, match="not a finite number"):
+        format_float(value)
+    with pytest.raises(ValueError, match="not a finite number"):
+        g2cub.jsonio.dumps({"value": [1.0, value]})
 
 
 def test_eval_rejects_bad_parameters(capsys):

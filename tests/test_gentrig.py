@@ -23,6 +23,7 @@ from g2cub.gentrig import (
     partial_t,
     phi,
     product_expand,
+    xy_map,
 )
 
 from helpers import interior_points
@@ -306,3 +307,57 @@ def test_sine_bits_name_the_family(family):
         for g in G2:
             chi = g.sign ** (d + p) * g.parity ** d
             assert trig(family, g.apply(k), t) == pytest.approx(chi * trig(family, k, t), abs=1e-13)
+
+
+def _three_terms(family, k, t):
+    """The closed form written out term by term, the plain factor
+    cos(0 t) = 1.0 included at k2 = 0, with no structural zeros."""
+    d, p = family.sines
+    f1, f2 = (np.sin if d else np.cos), (np.sin if p else np.cos)
+    a, b = np.pi * (k[0] - k[2]) / 3.0, np.pi * k[1]
+    total = 0.0
+    for (u0, u1), v in (((0, 2), 1), ((1, 0), 2), ((2, 1), 0)):
+        total = total + f1(a * (t[u0] - t[u1])) * f2(b * t[v])
+    return total / 3.0
+
+
+COORD = st.floats(-4.0, 4.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([TrigFamily.CC, TrigFamily.SC]), st.integers(0, 12),
+       st.lists(st.tuples(COORD, COORD), min_size=1, max_size=6))
+def test_eval_at_zero_plain_frequency_is_the_three_term_sum_bit_for_bit(family, k1, pts):
+    # sc vanishes where two components are equal; elsewhere no term is dropped
+    pts = [(t1, t2) for t1, t2 in pts if len({t1, t2, -t1 - t2}) == 3] or [(0.3, 0.1)]
+    k = make_index(k1, 0)
+    t = tuple(np.array(c) for c in zip(*((t1, t2, -t1 - t2) for t1, t2 in pts)))
+    want = _three_terms(family, k, t)
+    assert trig(family, k, t).tobytes() == want.tobytes()
+    for i, (t1, t2) in enumerate(pts):
+        got = trig(family, k, (t1, t2, -t1 - t2))
+        assert type(got) is float and np.float64(got).tobytes() == want[i].tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(COORD, COORD), min_size=1, max_size=6))
+def test_xy_map_is_the_three_term_sums_bit_for_bit(pts):
+    t = tuple(np.array(c) for c in zip(*((t1, t2, -t1 - t2) for t1, t2 in pts)))
+    x, y = xy_map(t)
+    assert x.tobytes() == _three_terms(TrigFamily.CC, make_index(1, 0), t).tobytes()
+    assert y.tobytes() == _three_terms(TrigFamily.CC, make_index(1, 1), t).tobytes()
+
+
+@pytest.mark.parametrize("family", list(TrigFamily))
+@pytest.mark.parametrize("k1,k2", [(0, 0), (1, 0), (3, 0), (2, 1)])
+def test_a_nan_point_component_gives_nan(family, k1, k2):
+    k, nan = make_index(k1, k2), float("nan")
+    for i in range(3):
+        t = [0.3, 0.1, -0.4]
+        t[i] = nan
+        value = trig(family, k, tuple(t))
+        zero = (family.sines[1] and 0 in k) or (family.sines[0] and len(set(k)) < 3)
+        assert value == 0.0 if zero else math.isnan(value), (t, value)
+        arrays = tuple(np.array([c, 0.2]) for c in t)
+        assert np.isnan(trig(family, k, arrays)[0]) != bool(zero)
+    assert all(math.isnan(v) for v in xy_map((nan, 0.1, -0.1)))

@@ -14,7 +14,7 @@ from g2cub.chebyshev import (
 )
 from g2cub.coords import make_point
 from g2cub.cubature import RULE_KINDS, integrate_poly, make_rule
-from g2cub.poly import BivarPoly, mdegree_of, star_cmp, star_key
+from g2cub.poly import BivarPoly, mdegree_of, signed_sum, star_cmp, star_key
 
 from helpers import leading_star_term
 
@@ -228,3 +228,50 @@ def test_subtraction_is_addition_of_the_negation_in_storage_order_and_bits(ac, b
         got, want = x - y, x + (-y)
         assert stored(got) == stored(want)
         assert repr(got) == repr(want)
+
+
+# few keys and few values, so that sums cancel and keys are dropped and come back
+SMALL_COEFFS = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 1)),
+    st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2), 0.5, -0.5, 0.1, -0.3]),
+    max_size=5,
+)
+FACTORS = st.sampled_from([1, -1, 2, -2, 0, 0.0, -0.0, 0.75, -1.5, Fraction(1, 3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, -1]), SMALL_COEFFS, st.lists(st.tuples(FACTORS, SMALL_COEFFS), max_size=5))
+def test_signed_sum_is_the_chained_expression_in_key_order_type_and_bits(n1, f1, rest):
+    chain = BivarPoly(f1) if n1 == 1 else -BivarPoly(f1)
+    for n, f in rest:
+        if n < 0:
+            chain = chain - (-n) * BivarPoly(f)
+        elif n > 0:
+            chain = chain + n * BivarPoly(f)
+    got = signed_sum([(n1, BivarPoly(f1).coeffs)] + [(n, BivarPoly(f).coeffs) for n, f in rest])
+    typed = [(k, type(c), repr(c)) for k, c in got.items()]
+    assert typed == [(k, type(c), repr(c)) for k, c in chain.coeffs.items()]
+
+
+def _term_by_term(p, x, y):
+    """p(x, y) on Python floats: (float(c) x^i) y^j added in storage order,
+    with x^i and y^j by repeated multiplication."""
+    total = 0.0
+    for (i, j), c in p.coeffs.items():
+        xi, yj = 1.0, 1.0
+        for _ in range(i):
+            xi *= x
+        for _ in range(j):
+            yj *= y
+        total += float(c) * xi * yj
+    return total
+
+
+@settings(max_examples=50, deadline=None)
+@given(POLYS, st.lists(st.tuples(POINT, POINT), min_size=1, max_size=8))
+def test_calls_give_the_bits_of_the_term_by_term_float_sum(p, points):
+    want = np.array([_term_by_term(p, x, y) for x, y in points])
+    xs, ys = (np.array(c) for c in zip(*points))
+    assert p(xs, ys).tobytes() == want.tobytes()
+    x, y = points[0]
+    assert type(p(x, y)) is float and np.float64(p(x, y)).tobytes() == want[0].tobytes()

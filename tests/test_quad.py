@@ -213,3 +213,51 @@ def test_sine_product_forms_of_sc_and_cs(u, v):
     # keeps only an absolute error of a few ulps of 1 (worst seen 5.8e-16)
     assert sc == pytest.approx(trig("sc", make_index(1, 0), t), rel=1e-12, abs=2e-15)
     assert cs == pytest.approx(trig("cs", make_index(1, 1), t), rel=1e-12, abs=2e-15)
+
+
+def _nodes_built_per_call(order, alpha, beta):
+    """`quad._nodes` as it was before its Duffy geometry became module
+    constants: the geometry rebuilt on every call, and 1 - s and r s formed
+    again for each of the six factors."""
+    quad._require_integrable(alpha, beta)
+    V = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5]], 2, axis=0)
+    A, B = (V[[2, 4, 0, 4, 0, 2]] - V) / 2.0, np.array([0.5, 1.0 / 6.0]) - V
+    area2 = np.abs(A[:, :1] * B[:, 1:] - A[:, 1:] * B[:, :1])
+    lv, la, lb = ((u[:, None] * np.array(quad._L)).sum(-1) for u in (V, A, B))
+    at_v = lv == np.round(lv)
+    on_e = at_v & (la == 0.0)
+    lv[at_v] = 0.0
+    expo = np.repeat([2.0 * float(alpha) + 1.0, 2.0 * float(beta) + 1.0], 3)
+    uses = np.concatenate(((at_v * expo).sum(1) + 1.0, (on_e * expo).sum(1))).tolist()
+    exponents = list(dict.fromkeys(uses))
+    nodes, weights = quad._gauss_jacobi(order, np.array(exponents))
+    use = [exponents.index(b) for b in uses]
+    (r, s), (wr, ws) = np.split(nodes[use], 2), np.split(weights[use], 2)
+    w = (wr[:, :, None] * ws[:, None, :]).reshape(6, -1) * area2
+    r, s = np.repeat(r, order, axis=1), np.tile(s, order)
+    sines = [1.0, 1.0]
+    for f in range(6):
+        lt = lv[:, f, None] + r * ((1 - s) * la[:, f, None] + s * lb[:, f, None])
+        den = np.where(on_e[:, f, None], r * s, np.where(at_v[:, f, None], r, 1.0))
+        sines[f // 3] = sines[f // 3] * np.sin(np.pi * lt) / den
+    w = w * (4.0 / 3.0) ** (expo[0] + expo[3])
+    w = w * np.abs(sines[0]) ** expo[0] * np.abs(sines[1]) ** expo[3]
+    t1, t2 = (V[:, i, None] + r * ((1 - s) * A[:, i, None] + s * B[:, i, None]) for i in (0, 1))
+    return t1.ravel(), t2.ravel(), w.ravel()
+
+
+@settings(max_examples=20, deadline=None)
+@given(INTEGRABLE, st.sampled_from([8, 16, 32]))
+def test_rule_is_bit_equal_to_the_geometry_built_per_call(ab, order):
+    t1, t2, w = _nodes_built_per_call(order, *ab)
+    for got, want in zip(quad._nodes(order, *ab), (t1, t2, w)):
+        assert got.tobytes() == want.tobytes()
+    rule = quad.rule(order, *ab)
+    assert rule.weights.tobytes() == (w / w.sum()).tobytes()
+    assert rule.nodes.tobytes() == np.array(xy_map((t1, t2, -t1 - t2))).T.tobytes()
+
+
+def test_duffy_geometry_is_read_only():
+    for array in quad._GEOMETRY:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
