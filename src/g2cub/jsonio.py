@@ -14,7 +14,7 @@ def format_float(x: float) -> str:
     cannot hold and no output of the package may carry."""
     x = float(x)
     if not math.isfinite(x):
-        raise ValueError(f"{x} is not a finite number and is not written")
+        raise ValueError(f"{x} is not a finite number (beyond the float range, or nan) and is not written")
     return format(x, ".17g")
 
 

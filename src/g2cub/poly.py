@@ -75,12 +75,12 @@ def _times(f: dict, g: dict) -> dict:
 
 def signed_sum(terms) -> dict:
     """The coefficients of n_1 f_1 + n_2 f_2 + ... for terms (n, f), each f
-    a coefficient dict and n a scalar, merged in order into one dict: f_1,
-    with n_1 = 1 or -1, starts it as f_1 or -f_1; after it a term with
-    n == 0 adds nothing, and otherwise each c * |n| (c itself where
-    |n| == 1) is added, or subtracted where n < 0, key by key as
-    `BivarPoly.__add__` and `__sub__` do, with a key dropped where its sum
-    cancels.  So the key order and every bit are those of the chained
+    a coefficient dict and n a scalar, merged in order into one dict, the
+    one merge loop of the module: f_1, with n_1 the int 1 or -1, starts it
+    as f_1 or -f_1; after it a term with n == 0 adds nothing, and otherwise
+    c * |n| (c itself where |n| is the int 1) is added key by key, or
+    subtracted where n < 0, and a key is dropped where its sum cancels.  So
+    the key order, types and bits are those of the chained `BivarPoly`
     expression, -f_1 - 2 f_2 + f_3 as -F1 - 2 * F2 + F3, with one dict in
     place of one per operation."""
     (n, f), *rest = terms
@@ -89,8 +89,9 @@ def signed_sum(terms) -> dict:
         if not n:
             continue
         op, m = (operator.sub, -n) if n < 0 else (operator.add, n)
+        unit = type(m) is int and m == 1
         for key, c in f.items():
-            s = op(out.get(key, 0), c if m == 1 else c * m)
+            s = op(out.get(key, 0), c if unit else c * m)
             if s:
                 out[key] = s
             elif key in out:
@@ -152,22 +153,15 @@ class BivarPoly:
         return cls({(0, 1): Fraction(1)})
 
     # arithmetic ---------------------------------------------------------
-    def _merged(self, other, op):
-        """op(self, other) termwise: self's keys in their order, then other's
-        new keys in theirs, and a key dropped where its result cancels."""
+    def _signed(self, n, other):
+        """self + n other for n = 1 or -1 by `signed_sum`: self's keys in
+        their order, then other's new keys in theirs; a scalar is a constant."""
         if not isinstance(other, BivarPoly):
             other = BivarPoly.constant(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            s = op(out.get(key, 0), c)
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return BivarPoly._of(out)
+        return BivarPoly._of(signed_sum([(1, self.coeffs), (n, other.coeffs)]))
 
     def __add__(self, other):
-        return self._merged(other, operator.add)
+        return self._signed(1, other)
 
     __radd__ = __add__
 
@@ -175,7 +169,7 @@ class BivarPoly:
         return BivarPoly._of({k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self._merged(other, operator.sub)
+        return self._signed(-1, other)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -12,8 +12,8 @@ for r^(c+1) (one r is the Jacobian's) and s^e integrate both powers at
 interior nodes.  The smooth factor divides each vanishing sine, as a
 function of (r, s), by r or r s, so it stays accurate at the vertices.
 The triangles' geometry depends on neither the order nor the parameters,
-so it is fixed at import (`_GEOMETRY`); a rule build only solves for the
-Gauss-Jacobi nodes and forms the weight at them.
+so the first rule build makes it once (`_geometry`), and every build only
+solves for the Gauss-Jacobi nodes and forms the weight at them.
 """
 
 from __future__ import annotations
@@ -87,11 +87,13 @@ def _gauss_jacobi(order, b):
     return nodes, vecs[:, 0] ** 2 / (b + 1.0)
 
 
+@lru_cache(maxsize=None)
 def _geometry():
-    """The six Duffy triangles, fixed for every order and parameter pair:
+    """The six Duffy triangles, the same for every order and parameter pair:
     per triangle, two at each vertex, V, M - V, P - V and twice its area;
     per triangle and factor, l.V, l.(M - V), l.(P - V), and whether the
-    factor vanishes at V and along V-M.  All read-only."""
+    factor vanishes at V and along V-M.  All read-only; made on the first
+    call, so an import that builds no rule does no array work."""
     V = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5]], 2, axis=0)
     A, B = (V[[2, 4, 0, 4, 0, 2]] - V) / 2.0, np.array([0.5, 1.0 / 6.0]) - V
     area2 = np.abs(A[:, :1] * B[:, 1:] - A[:, 1:] * B[:, :1])
@@ -105,15 +107,12 @@ def _geometry():
     return arrays
 
 
-_GEOMETRY = _geometry()
-
-
 def _nodes(order, alpha, beta):
     """Nodes (t1, t2) and weights with order nodes per axis on each Duffy
     triangle, for the weight at parameters (alpha, beta); ValueError where
     the weight is not integrable."""
     _require_integrable(alpha, beta)
-    V, A, B, area2, lv, la, lb, at_v, on_e = _GEOMETRY
+    V, A, B, area2, lv, la, lb, at_v, on_e = _geometry()
     expo = np.repeat([2.0 * float(alpha) + 1.0, 2.0 * float(beta) + 1.0], 3)
     # 12 uses, r^(c+1) per triangle then s^e, of at most 5 distinct exponents
     uses = np.concatenate(((at_v * expo).sum(1) + 1.0, (on_e * expo).sum(1))).tolist()

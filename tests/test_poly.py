@@ -236,7 +236,8 @@ SMALL_COEFFS = st.dictionaries(
     st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2), 0.5, -0.5, 0.1, -0.3]),
     max_size=5,
 )
-FACTORS = st.sampled_from([1, -1, 2, -2, 0, 0.0, -0.0, 0.75, -1.5, Fraction(1, 3)])
+FACTORS = st.sampled_from([1, -1, 1.0, -1.0, Fraction(1), 2, -2, 0, 0.0, -0.0, 0.75, -1.5,
+                          Fraction(1, 3)])
 
 
 @settings(max_examples=200, deadline=None)

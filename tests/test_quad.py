@@ -216,9 +216,9 @@ def test_sine_product_forms_of_sc_and_cs(u, v):
 
 
 def _nodes_built_per_call(order, alpha, beta):
-    """`quad._nodes` as it was before its Duffy geometry became module
-    constants: the geometry rebuilt on every call, and 1 - s and r s formed
-    again for each of the six factors."""
+    """`quad._nodes` as it was before its Duffy geometry was made once:
+    the geometry rebuilt on every call, and 1 - s and r s formed again for
+    each of the six factors."""
     quad._require_integrable(alpha, beta)
     V = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5]], 2, axis=0)
     A, B = (V[[2, 4, 0, 4, 0, 2]] - V) / 2.0, np.array([0.5, 1.0 / 6.0]) - V
@@ -258,6 +258,6 @@ def test_rule_is_bit_equal_to_the_geometry_built_per_call(ab, order):
 
 
 def test_duffy_geometry_is_read_only():
-    for array in quad._GEOMETRY:
+    for array in quad._geometry():
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0

@@ -816,6 +816,18 @@ def test_eigen_residual_is_the_polynomial_difference_bit_for_bit(p, k, coeffs):
     assert eigen_residual(p, k, q).hex() == want.hex()
 
 
+
+def test_eigen_residual_at_the_eigenvalue_one_is_the_polynomial_difference_bit_for_bit():
+    # lambda = 1 at (-2/3, -2/3), (1, 0): the float factor 1.0 turns q's
+    # Fraction coefficients into floats in the difference, and so in the residual
+    p = WeightParams(Fraction(-2, 3), Fraction(-2, 3))
+    assert eigenvalue(p, (1, 0)) == 1
+    # the residual is 14.777777777777777; with q kept exact it would be ...779
+    q = BivarPoly({(0, 1): Fraction(25, 26), (3, 0): Fraction(7, 18)})
+    resid = apply_L(p, q) - 1.0 * q
+    want = resid.max_abs_coeff() / max(1.0, q.max_abs_coeff())
+    assert eigen_residual(p, (1, 0), q).hex() == want.hex()
+
 POLY_COEFFS = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 3)), COEFFS, max_size=6)
 
 
