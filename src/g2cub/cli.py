@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: dims, nodes, eval, poly, verify.  Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 I/O failure.  All numeric
-output uses 17 significant digits so identical invocations produce
-byte-identical files.
+1 verification failure, 2 usage error, 3 I/O failure.  Floats are printed
+with %.17g, except `verify`'s errors and tolerances (%.3e) and the
+coefficients of `eval --coeffs`, printed as Python prints them (an int,
+p/q or a float's shortest repr); `poly` gives each coefficient as exact
+num/den ints.  Identical invocations print identical bytes.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 
 from . import lattice
@@ -37,6 +40,19 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
+
+
+def _join_negative_values(argv) -> list:
+    """argv with each token that starts with - and a digit or a point joined
+    to the long option before it, `--x -1e3` as `--x=-1e3`: argparse reads
+    only -5 and -0.5 as numbers, and -1e3 as an option name."""
+    out = []
+    for token in argv:
+        if out and re.match(r"-[\d.]", token) and re.fullmatch(r"--[^=]+", out[-1]):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _family_poly(args) -> BivarPoly:
@@ -149,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     if getattr(args, "n", None) is not None and args.n < 1:
         print("error: --n must be >= 1", file=sys.stderr)
         return EXIT_USAGE

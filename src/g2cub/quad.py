@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -87,7 +87,7 @@ def _gauss_jacobi(order, b):
     return nodes, vecs[:, 0] ** 2 / (b + 1.0)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _geometry():
     """The six Duffy triangles, the same for every order and parameter pair:
     per triangle, two at each vertex, V, M - V, P - V and twice its area;
@@ -171,5 +171,6 @@ def triangle_quadrature(values_fn, tol=DEFAULT_TOL, alpha=0.0, beta=0.0):
             if delta <= tol:
                 return est if est.ndim else float(est)
         prev, order = est, 2 * order
-    raise QuadratureError(f"quadrature did not converge: at order {order // 2} (cap {ORDER_CAP}) "
-                          f"the relative change was {delta:.3e}, above tol {tol:.3e}")
+    raise QuadratureError(f"quadrature at parameters ({alpha}, {beta}) did not converge: at order "
+                          f"{order // 2} (cap {ORDER_CAP}) the relative change was {delta:.3e}, "
+                          f"above tol {tol:.3e}")

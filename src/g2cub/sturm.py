@@ -86,6 +86,9 @@ def _parameter(v):
 
 @dataclass(frozen=True)
 class WeightParams:
+    """(alpha, beta), both exact or both float.  WeightParams(0.5, 0.5) equals and hashes as
+    WeightParams(Fraction(1, 2), Fraction(1, 2)) yet has a float table: key no cache on one."""
+
     alpha: object
     beta: object
 
@@ -317,8 +320,7 @@ class _Table:
         self.ints, self.ints_den = {(0, 0): 1}, 1
 
 
-# typed: Fraction(1, 2) == 0.5, and the exact and float tables stay apart
-@functools.lru_cache(maxsize=None, typed=True)
+@functools.lru_cache(maxsize=32, typed=True)  # typed: Fraction(1, 2) == 0.5, yet its table is exact
 def _table(alpha, beta) -> _Table:
     """The table at a `WeightParams`' fields, built on first use with its
     operator record, every integral coefficient an int, and an empty order.

@@ -183,6 +183,34 @@ def test_eval_rejects_bad_parameters(capsys):
     assert code == 2
 
 
+def exit_code(capsys, argv):
+    """main's return value, or the code argparse exits with."""
+    try:
+        return run(capsys, *argv)[0]
+    except SystemExit as exc:
+        capsys.readouterr()
+        return exc.code
+
+
+def test_negative_numbers_in_exponent_form_are_option_values(capsys):
+    # argparse takes only -5 and -0.5 for numbers: -1e3 once read as an option name
+    member = ["--k1", "1", "--k2", "0"]
+    for alpha, beta, x, y in (("0.5", "0.5", "-1e3", "0.1"), ("-1e-3", "-2E-1", "0.1", "-.5"),
+                              ("-.5", "1.", "-1.5e+2", "-5.")):
+        spaced = run(capsys, "eval", "--alpha", alpha, "--beta", beta, *member, "--x", x, "--y", y)
+        joined = run(capsys, "eval", f"--alpha={alpha}", f"--beta={beta}", *member, f"--x={x}", f"--y={y}")
+        assert spaced == joined and spaced[0] == 0, (alpha, beta, x, y)
+    assert run(capsys, "eval", "--alpha", "0.5", "--beta", "0.5", *member, "--x", "-1e3",
+               "--y", "0.1")[:2] == (0, "-5999\n")  # 1 + 6x
+    code, _, err = run(capsys, "verify", "--suite", "identities", "--tol", "-1e-3")
+    assert code == 2 and "--tol must be positive" in err
+    # a missing value and negative or non-integral indices stay usage errors
+    for argv in (["--k1", "1", "--k2", "0", "--x", "--y", "0.1"],
+                 ["--k1", "-1", "--k2", "0", "--x", "0.1", "--y", "0.1"],
+                 ["--k1", "-1e3", "--k2", "0", "--x", "0.1", "--y", "0.1"]):
+        assert exit_code(capsys, ["eval", "--alpha", "0.5", "--beta", "0.5", *argv]) == 2, argv
+
+
 def test_poly_json(capsys):
     code, out, _ = run(capsys, "poly", "--alpha", "-0.5", "--beta", "-0.5",
                        "--k1", "0", "--k2", "2")

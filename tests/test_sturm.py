@@ -1,10 +1,12 @@
 import math
+import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from g2cub import sturm
 from g2cub.chebyshev import (
@@ -12,10 +14,14 @@ from g2cub.chebyshev import (
     WeightParams,
     cheb_poly,
     continuous_inner,
+    normalization_c,
     star_indices_upto,
+    weight_mass,
 )
+from g2cub.cubature import reference_integral
 from g2cub.lattice import dim_pi_star
 from g2cub.poly import BivarPoly, star_key
+from g2cub.quad import QuadratureError
 from g2cub.sturm import (
     TIE_RTOL,
     apply_L,
@@ -368,6 +374,38 @@ def test_eigen_poly_exact_identity(a, b, k):
     q = eigen_poly(p, k)
     assert leading_star_term(q) == (tuple(k), 1)
     assert apply_L(p, q) == eigenvalue(p, k) * q
+
+
+# every integrable rational pair: alpha > -1, beta > -5/6, alpha + beta > -4/3
+INTEGRABLE_PAIR = st.tuples(
+    st.fractions(min_value=-1, max_value=3, max_denominator=24),
+    st.fractions(min_value=Fraction(-5, 6), max_value=3, max_denominator=24),
+).filter(lambda ab: ab[0] > -1 and ab[1] > Fraction(-5, 6) and sum(ab) > Fraction(-4, 3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(INTEGRABLE_PAIR)
+@example((Fraction(3, 10), Fraction(6, 5)))
+@example((Fraction(1, 4), Fraction(2, 3)))
+@example((Fraction(0.17), Fraction(-0.23)))  # the binary value of a float pair
+def test_the_papers_identities_hold_exactly_at_rational_parameters(ab):
+    # L q = lambda q, orthogonality to every earlier monomial summed in
+    # Fractions, and the symmetry of L, all with tolerance 0
+    p = WeightParams(*ab)
+    order = star_indices_upto(12)
+    try:
+        members = [eigen_poly(p, k) for k in order]
+    except ValueError as exc:
+        assert "eigenvalue tie" in str(exc)
+        assume(False)
+    monomials = [BivarPoly.monomial(*m, 1) for m in order]
+    for i, (k, q) in enumerate(zip(order, members)):
+        assert apply_L(p, q) == eigenvalue(p, k) * q, k
+        assert all(fraction_inner(p, q, m) == 0 for m in monomials[:i]), k
+    for i, f in enumerate(monomials):
+        for g in monomials[i:]:
+            lhs, rhs = selfadjointness_check(p, f, g)
+            assert lhs == rhs, (f, g)
 
 
 EXACT = st.one_of(st.integers(0, 3), RATIONAL)
@@ -877,6 +915,52 @@ def test_table_cache_keeps_exact_and_float_parameters_apart():
     assert sturm._table.cache_info().currsize == 2
 
 
+def test_a_sweep_over_many_float_pairs_holds_at_most_32_tables():
+    # each float pair's table through weighted degree 12 holds ~29 KB; unbounded,
+    # the second 50 pairs would double the memory the first 50 left behind
+    rng = random.Random(951)
+    sturm._table.cache_clear()
+    held = []
+    tracemalloc.start()
+    try:
+        for count in range(1, 101):
+            p = WeightParams(rng.uniform(-0.9, 3.0), rng.uniform(-0.9, 3.0))
+            for k in star_indices_upto(12):
+                eigen_poly(p, k)
+            if count % 50 == 0:
+                held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    info = sturm._table.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (32, 32, 100)
+    assert held[1] - held[0] < 0.2 * held[0], held
+
+
+def snapshot(p, degree=12):
+    """The type and repr of every coefficient, eigenvalue and moment of p
+    through the weighted degree, coefficients in storage order."""
+    order = star_indices_upto(degree)
+    return ([(k, e, type(c), repr(c)) for k in order for e, c in eigen_poly(p, k).coeffs.items()],
+            [(type(lam), repr(lam)) for lam in (eigenvalue(p, k) for k in order)],
+            [(e, type(mu), repr(mu)) for e, mu in moments(p, degree).items()])
+
+
+def test_an_evicted_table_is_rebuilt_with_the_same_results():
+    pairs = (frac_params(Fraction(3, 10), Fraction(6, 5)), WeightParams(0.3, 1.2),
+             WeightParams(0.5, 0.5), WeightParams(HALF, HALF))
+    sturm._table.cache_clear()
+    before = [snapshot(p) for p in pairs]
+    tables = [sturm._table(p.alpha, p.beta) for p in pairs]
+    # equal and equally hashed, the two spellings of (1/2, 1/2) keep their own tables
+    assert pairs[2] == pairs[3] and hash(pairs[2]) == hash(pairs[3])
+    assert tables[2] is not tables[3] and before[2] != before[3]
+    for i in range(32):  # 32 other tables evict every one of them
+        eigen_poly(WeightParams(i + 0.25, 0.5), (1, 0))
+    assert sturm._table.cache_info().currsize == 32
+    assert [snapshot(p) for p in pairs] == before
+    assert all(sturm._table(p.alpha, p.beta) is not t for p, t in zip(pairs, tables))
+
+
 # monomial images and eigenvalues: one formula for lambda ----------------------
 
 ABOVE_MINUS_ONE = st.fractions(min_value=-1, max_value=3, max_denominator=12).filter(lambda v: v > -1)
@@ -1019,3 +1103,42 @@ def test_eigen_check_returns_or_raises_value_error_over_the_parameter_range(a, b
         except ValueError:
             continue
         assert math.isfinite(resid) and resid <= 1e-8, (a, b, k, resid)
+
+
+RANGE_POLY = BivarPoly({(0, 0): 3, (1, 0): 0.25, (2, 1): Fraction(-1, 7)})
+
+
+def names_the_parameters(p, exc):
+    """alpha and beta each appear in the message, as given or as floats."""
+    return all(str(v) in str(exc) or str(float(v)) in str(exc) for v in (p.alpha, p.beta))
+
+
+@settings(max_examples=80, deadline=None)
+@given(LARGE_PARAMETER, LARGE_PARAMETER)
+@example(200, 150)  # weight_mass and normalization_c once underflowed to 0.0
+@example(1000, 0)  # every weight of quad.rule underflows
+@example(1e300, 1e300)  # the Jacobi matrices of quad.rule overflow
+@example(36.0, 36.0)  # the quadrature of a callable does not converge
+def test_the_open_functions_return_finite_values_or_name_the_parameters_over_the_range(a, b):
+    p = WeightParams(a, b)
+    calls = [
+        ("weight_mass", lambda: [weight_mass(p)]),
+        ("normalization_c", lambda: [normalization_c(p)]),
+        ("moments", lambda: list(moments(p, 4).values())),
+        ("reference_integral", lambda: [reference_integral(p, RANGE_POLY)]),
+        ("reference_integral", lambda: [reference_integral(p, lambda x, y: 1.0 + x * y)]),
+    ]
+    for k in star_indices_upto(4):
+        calls.append(("eigenvalue", lambda k=k: [eigenvalue(p, k)]))
+        calls.append(("jacobi_poly", lambda k=k: list(jacobi_poly(p, k).coeffs.values())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call in calls:
+            try:
+                values = call()
+            except (ValueError, QuadratureError) as exc:
+                assert names_the_parameters(p, exc), (name, str(exc))
+                continue
+            assert all(math.isfinite(v) for v in values), (name, a, b, values)
+            if name in ("weight_mass", "normalization_c"):
+                assert values[0] > 0, (name, a, b)
