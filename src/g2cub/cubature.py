@@ -23,7 +23,6 @@ deterministic.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,24 +44,23 @@ _RULE_FAMILY = {
 RULE_KINDS = tuple(_RULE_FAMILY)
 
 
-@dataclass(frozen=True, eq=False)
 class CubatureRule(Rule):
     """One of the four rules: nodes (N, 2) in lexicographic lattice order,
     their weights, and indices (N, 3), the generating lattice triples in
-    the same order, all read-only.  The rule is a function of (kind, n),
-    so it compares and hashes by them.  Its first export builds both the
-    JSON and the CSV text (`texts`) from one formatting pass, and the
-    cached rule keeps them."""
+    the same order, all read-only, with its kind, n, exactness degree and
+    weight parameters.  The rule is a function of (kind, n), so it
+    compares and hashes by them.  Its first export builds both the JSON
+    and the CSV text (`texts`) from one formatting pass, and the cached
+    rule keeps them."""
 
-    kind: str
-    n: int
-    exact_mdegree: int
-    weight_params: WeightParams
-    indices: np.ndarray
+    _fields = Rule._fields + ("kind", "n", "exact_mdegree", "weight_params", "indices")
 
-    def __post_init__(self):
-        super().__post_init__()
-        self.indices.flags.writeable = False
+    def __init__(self, nodes, weights, kind: str, n: int, exact_mdegree: int,
+                 weight_params: WeightParams, indices: np.ndarray):
+        super().__init__(nodes, weights)
+        indices.flags.writeable = False
+        vars(self).update(kind=kind, n=n, exact_mdegree=exact_mdegree,
+                          weight_params=weight_params, indices=indices)
 
     def __eq__(self, other):
         return isinstance(other, CubatureRule) and (self.kind, self.n) == (other.kind, other.n)

@@ -19,7 +19,6 @@ solves for the Gauss-Jacobi nodes and forms the weight at them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, lru_cache
 
 import numpy as np
@@ -51,16 +50,30 @@ def _require_integrable(alpha, beta):
         )
 
 
-@dataclass(frozen=True, eq=False)
 class Rule:
     """A weighted point set on the domain: nodes (N, 2), one (x, y) per
-    row, and weights (N,) summing to one, both read-only float64 arrays."""
+    row, and weights (N,) summing to one, both read-only float64 arrays.
+    Immutable, and equal only to itself; a pickled or copied rule is built
+    again from its fields, so its arrays are read-only too."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    _fields = ("nodes", "weights")
 
-    def __post_init__(self):
-        self.nodes.flags.writeable = self.weights.flags.writeable = False
+    def __init__(self, nodes, weights):
+        nodes.flags.writeable = weights.flags.writeable = False
+        vars(self).update(nodes=nodes, weights=weights)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
     def mean(self, values):
         """The weighted sum over the last axis of values at the nodes, in

@@ -41,7 +41,6 @@ import functools
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -84,44 +83,59 @@ def _parameter(v):
     return _int(v) if isinstance(v, Fraction) else float(v)
 
 
-@dataclass(frozen=True)
+_FAMILY_OF_PARAMS = {fam.params: fam for fam in TrigFamily}
+
+
 class WeightParams:
-    """(alpha, beta), both exact or both float.  WeightParams(0.5, 0.5) equals and hashes as
-    WeightParams(Fraction(1, 2), Fraction(1, 2)) yet has a float table: key no cache on one."""
+    """(alpha, beta), both exact or both float, immutable.  WeightParams(0.5, 0.5) equals and
+    hashes as WeightParams(Fraction(1, 2), Fraction(1, 2)) yet has a float table: key no cache
+    on one.  `family`, set with the fields, is the trig family whose polynomials have these
+    parameters (`TrigFamily.params`), or None off the four half-integer cases; 0.5 and
+    Fraction(1, 2) both match."""
 
-    alpha: object
-    beta: object
+    __slots__ = ("alpha", "beta", "family")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _parameter(self.alpha))
-        object.__setattr__(self, "beta", _parameter(self.beta))
-        for name in ("alpha", "beta"):
+    def __init__(self, alpha, beta):
+        alpha, beta = _parameter(alpha), _parameter(beta)
+        for name, v in (("alpha", alpha), ("beta", beta)):
             try:
-                finite = math.isfinite(getattr(self, name))
+                finite = math.isfinite(v)
             except OverflowError:  # an int or Fraction beyond the float range
                 finite = False
             if not finite:
                 raise ValueError(f"weight parameter {name} must be finite as a float")
-        a, b = float(self.alpha), float(self.beta)
+        a, b = float(alpha), float(beta)
         if not (a > -1 and b > -1):
             raise ValueError("weight parameters must both exceed -1")
-        if (type(self.alpha) is float) != (type(self.beta) is float):  # exact or float
-            object.__setattr__(self, "alpha", a)
-            object.__setattr__(self, "beta", b)
+        if (type(alpha) is float) != (type(beta) is float):  # exact or float
+            alpha, beta = a, b
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "family", _FAMILY_OF_PARAMS.get((alpha, beta)))
 
-    @functools.cached_property
-    def family(self):
-        """The trig family whose polynomials have these parameters
-        (`TrigFamily.params`), or None off the four half-integer cases;
-        0.5 and Fraction(1, 2) both match."""
-        return _FAMILY_OF_PARAMS.get((self.alpha, self.beta))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # pickle and copy go through __init__, not __setattr__
+        return WeightParams, (self.alpha, self.beta)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.alpha, self.beta) == (other.alpha, other.beta)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.alpha, self.beta))
+
+    def __repr__(self):
+        return f"WeightParams(alpha={self.alpha!r}, beta={self.beta!r})"
 
     def key(self):
         """The exact pair in the fields' form; (alpha, beta) at exact ones."""
         return (_int(Fraction(self.alpha)), _int(Fraction(self.beta)))
-
-
-_FAMILY_OF_PARAMS = {fam.params: fam for fam in TrigFamily}
 
 
 # star order ---------------------------------------------------------------

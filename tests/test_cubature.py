@@ -1,7 +1,9 @@
+import copy
 import csv
 import io
 import json
 import math
+import pickle
 import re
 import tracemalloc
 from fractions import Fraction
@@ -448,3 +450,22 @@ def test_json_and_csv_exports_share_their_digits(kind, n):
                 for row in np.column_stack((rule.nodes, rule.weights)).tolist()]
         csv_fields = [line.split(",") for line in text[rule_to_csv].splitlines()[1:]]
         assert csv_fields == json_number_tokens(text[rule_to_json]) == want
+
+
+def test_a_cubature_rule_keeps_its_contract_through_pickle_and_deepcopy():
+    rule = make_rule("radau2", 5)
+    assert repr(rule) == (
+        f"CubatureRule(nodes={rule.nodes!r}, weights={rule.weights!r}, kind='radau2', n=5, "
+        f"exact_mdegree=9, weight_params={rule.weight_params!r}, indices={rule.indices!r})")
+    for name in ("kind", "indices", "columns"):
+        with pytest.raises(AttributeError):
+            setattr(rule, name, None)
+    assert rule.columns is rule.columns and rule.texts is rule.texts  # cached_property
+    for copied in (pickle.loads(pickle.dumps(rule)), copy.deepcopy(rule)):
+        assert type(copied) is cubature.CubatureRule and copied is not rule
+        assert copied == rule and hash(copied) == hash(rule) and repr(copied) == repr(rule)
+        assert copied.weight_params == rule.weight_params
+        for name in ("nodes", "weights", "indices"):
+            got = getattr(copied, name)
+            assert got.tobytes() == getattr(rule, name).tobytes() and not got.flags.writeable
+        assert copied.texts == rule.texts and copied.columns == rule.columns

@@ -1,9 +1,13 @@
 """The package's modules import each other at module level only, in one
 direction: coords, gentrig, quad, sturm, chebyshev, cubature, verify, cli,
-with lattice, poly and jsonio beside them."""
+with lattice, poly and jsonio beside them; importing the CLI loads no
+`dataclasses`."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -71,3 +75,12 @@ def test_benchmark_imports_resolve():
                   if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "LAYERS")
     for layer in layers:
         importlib.import_module(f"g2cub.{layer}")
+
+
+def test_importing_the_cli_leaves_dataclasses_unloaded():
+    # dataclasses writes and execs each decorated class's methods at import, ~2 ms for four
+    code = "import sys, g2cub.cli; print('dataclasses' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "False\n", result.stdout

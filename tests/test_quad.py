@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 import warnings
 from fractions import Fraction
@@ -261,3 +263,14 @@ def test_duffy_geometry_is_read_only():
     for array in quad._geometry():
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+
+
+def test_a_rule_is_immutable_and_pickles_and_deep_copies_with_read_only_arrays():
+    rule = quad.rule(8, 0.3, 1.2)
+    assert repr(rule) == f"Rule(nodes={rule.nodes!r}, weights={rule.weights!r})"
+    with pytest.raises(AttributeError):
+        rule.weights = rule.weights
+    for copied in (pickle.loads(pickle.dumps(rule)), copy.deepcopy(rule)):
+        assert type(copied) is quad.Rule and copied != rule  # a rule equals only itself
+        for got, want in ((copied.nodes, rule.nodes), (copied.weights, rule.weights)):
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable

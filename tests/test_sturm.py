@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import tracemalloc
 import warnings
@@ -17,6 +19,7 @@ from g2cub.chebyshev import (
     normalization_c,
     star_indices_upto,
     weight_mass,
+    weight_w,
 )
 from g2cub.cubature import reference_integral
 from g2cub.lattice import dim_pi_star
@@ -1106,6 +1109,7 @@ def test_eigen_check_returns_or_raises_value_error_over_the_parameter_range(a, b
 
 
 RANGE_POLY = BivarPoly({(0, 0): 3, (1, 0): 0.25, (2, 1): Fraction(-1, 7)})
+RANGE_POINT = (0.26967233145831593, -1 / 3)  # xy_map(make_point(0.4, 0.1)), interior
 
 
 def names_the_parameters(p, exc):
@@ -1119,9 +1123,12 @@ def names_the_parameters(p, exc):
 @example(1000, 0)  # every weight of quad.rule underflows
 @example(1e300, 1e300)  # the Jacobi matrices of quad.rule overflow
 @example(36.0, 36.0)  # the quadrature of a callable does not converge
+@example(300.0, 300.0)  # weight_w ~476.43, where (4 pi^2)^(a+b) alone overflowed
+@example(400.0, 0.0)  # weight_w ~2.362e-119, where (4 pi^2)^(a+b) alone overflowed
 def test_the_open_functions_return_finite_values_or_name_the_parameters_over_the_range(a, b):
     p = WeightParams(a, b)
     calls = [
+        ("weight_w", lambda: [weight_w(p, *RANGE_POINT)]),
         ("weight_mass", lambda: [weight_mass(p)]),
         ("normalization_c", lambda: [normalization_c(p)]),
         ("moments", lambda: list(moments(p, 4).values())),
@@ -1140,5 +1147,23 @@ def test_the_open_functions_return_finite_values_or_name_the_parameters_over_the
                 assert names_the_parameters(p, exc), (name, str(exc))
                 continue
             assert all(math.isfinite(v) for v in values), (name, a, b, values)
-            if name in ("weight_mass", "normalization_c"):
+            if name in ("weight_w", "weight_mass", "normalization_c"):
                 assert values[0] > 0, (name, a, b)
+
+
+def test_weight_params_keep_equality_hash_repr_and_immutability_through_pickle_and_deepcopy():
+    exact, approx = WeightParams(Fraction(1, 2), Fraction(1, 2)), WeightParams(0.5, 0.5)
+    assert approx == exact and hash(approx) == hash(exact)
+    assert approx != (0.5, 0.5) and approx != WeightParams(0.5, -0.5)
+    assert repr(approx) == "WeightParams(alpha=0.5, beta=0.5)"
+    assert repr(exact) == "WeightParams(alpha=Fraction(1, 2), beta=Fraction(1, 2))"
+    assert repr(WeightParams(1, 0.25)) == "WeightParams(alpha=1.0, beta=0.25)"
+    for name in ("alpha", "beta", "family", "other"):
+        with pytest.raises(AttributeError):
+            setattr(approx, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(approx, name)
+    for p in (exact, approx, WeightParams(Fraction(3, 10), 2), WeightParams(0.3, 1.2)):
+        for copied in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert copied == p and hash(copied) == hash(p) and repr(copied) == repr(p)
+            assert copied.family is p.family

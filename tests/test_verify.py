@@ -1,7 +1,10 @@
+import copy
+import pickle
+
 import pytest
 
 from g2cub.cubature import RULE_KINDS
-from g2cub.verify import run_suite
+from g2cub.verify import Check, run_suite
 
 
 @pytest.mark.parametrize("suite, names", [
@@ -23,3 +26,15 @@ def test_variety_passes_where_the_normalizing_sample_meets_small_denominators():
     checks = run_suite("variety", n=98)
     assert [c.name for c in checks] == [f"variety-{kind}" for kind in RULE_KINDS]
     assert all(c.passed for c in checks), checks
+
+
+def test_a_check_keeps_its_repr_equality_and_immutability_through_pickle_and_deepcopy():
+    check = Check("jacobian", 1e-3, 1e-2)
+    assert repr(check) == "Check(name='jacobian', max_error=0.001, tol=0.01)"
+    assert check == Check(name="jacobian", max_error=1e-3, tol=1e-2)
+    assert hash(check) == hash(Check("jacobian", 1e-3, 1e-2))
+    assert check.passed and not Check("jacobian", 2e-2, 1e-2).passed
+    with pytest.raises(AttributeError):
+        check.tol = 1.0
+    for copied in (pickle.loads(pickle.dumps(check)), copy.deepcopy(check)):
+        assert copied == check and repr(copied) == repr(check)
