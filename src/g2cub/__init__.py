@@ -9,32 +9,22 @@ from .coords import (
     GroupElem,
     HexIndex,
     TriplePoint,
-    cart_to_homog,
-    compose,
     hat,
-    in_fundamental_triangle,
     make_index,
     make_point,
-    orbit,
     orbit_size,
     point_from_index,
 )
 from .gentrig import (
     TrigFamily,
-    boundary_normal_derivative,
     eval as trig_eval,
-    laplace_eigenvalue,
-    phi,
     product_expand,
     xy_map,
 )
 from .lattice import (
     dim_pi_star,
-    enum_H,
     enum_gamma,
     enum_upsilon,
-    hex_cubature,
-    triangle_discrete_inner,
     upsilon_weight,
 )
 from .poly import BivarPoly, star_cmp, star_key

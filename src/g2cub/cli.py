@@ -92,7 +92,12 @@ def cmd_eval(args) -> int:
     """Print the value of one family polynomial at (x, y): the exact sum
     of its coefficients at the floats x and y, rounded once; ValueError
     from `format_float`, with nothing printed, where that is beyond the
-    float range."""
+    float range.  At general parameters the coefficients are
+    `jacobi_poly`'s floats, which past weighted degree ~30 can differ
+    from the exact member: at (0.17, -0.23), index (12, 8) and
+    (x, y) = (0.7360889282495083, 0.31583701797971936) this prints
+    1.0093772586416274e-15, where the exact member gives
+    -2.1397892465810083e-15."""
     poly = _family_poly(args)
     print(format_float(poly.exact_value(args.x, args.y)))
     if args.coeffs:

@@ -13,12 +13,8 @@ plain permutation of the coordinates or the negation of one.
 
 from __future__ import annotations
 
-import math
+import operator
 from typing import NamedTuple
-
-TRIANGLE_TOL = 1e-12
-
-SQRT3 = math.sqrt(3.0)
 
 
 class TriplePoint(NamedTuple):
@@ -64,32 +60,17 @@ G2 = A2 + tuple(GroupElem(-g.sign, g.perm, g.parity, "-" + g.name) for g in A2)
 A2_STAR = tuple(g for g in G2 if g.sign == 1)
 
 
-def compose(g: GroupElem, h: GroupElem) -> GroupElem:
-    """Element acting as g followed by h: t*(g h) = (t*g)*h."""
-    sign = g.sign * h.sign
-    perm = tuple(g.perm[h.perm[i]] for i in range(3))
-    for elem in G2:
-        if elem.sign == sign and elem.perm == perm:
-            return elem
-    raise AssertionError("composition left the 12-element table")
-
-
 def make_point(t1: float, t2: float) -> TriplePoint:
     """Point from two free coordinates, third forced by the sum-zero plane."""
     return TriplePoint(float(t1), float(t2), -float(t1) - float(t2))
 
 
-def cart_to_homog(x1: float, x2: float) -> TriplePoint:
-    """Cartesian (x1, x2) to homogeneous coordinates."""
-    return TriplePoint(
-        SQRT3 / 2.0 * x1 - 0.5 * x2,
-        x2,
-        -SQRT3 / 2.0 * x1 - 0.5 * x2,
-    )
-
-
 def make_index(k1: int, k2: int) -> HexIndex:
-    return HexIndex(int(k1), int(k2), -int(k1) - int(k2))
+    """Index from two free components, third forced by the sum-zero plane;
+    each component goes through `operator.index`, so numpy integers become
+    ints and a component that is not an integer raises TypeError."""
+    k1, k2 = operator.index(k1), operator.index(k2)
+    return HexIndex(k1, k2, -k1 - k2)
 
 
 def point_from_index(j, n: int) -> TriplePoint:
@@ -105,14 +86,10 @@ def hat(k: HexIndex) -> HexIndex:
     return HexIndex(k[2] - k[1], k[0] - k[2], k[1] - k[0])
 
 
-def orbit(k: HexIndex) -> frozenset:
-    """All distinct images of k under the 12-element group."""
-    return frozenset(g.apply(HexIndex(*k)) for g in G2)
-
-
 def orbit_size(k) -> int:
-    """|orbit(k)| in closed form: 1 for the zero index, 6 when a component
-    is 0 or two components are equal, 12 otherwise."""
+    """The size of k's orbit under the 12-element group in closed form: 1
+    for the zero index, 6 when a component is 0 or two components are
+    equal, 12 otherwise."""
     k1, k2, k3 = k
     if not (k1 or k2):
         return 1
@@ -120,13 +97,3 @@ def orbit_size(k) -> int:
         return 6
     return 12
 
-
-def in_fundamental_triangle(t) -> bool:
-    """Membership test for 0 <= t2 <= t1 <= -t3 <= 1, to within TRIANGLE_TOL."""
-    t1, t2, t3 = t
-    return (
-        t2 >= -TRIANGLE_TOL
-        and t1 >= t2 - TRIANGLE_TOL
-        and -t3 >= t1 - TRIANGLE_TOL
-        and -t3 <= 1.0 + TRIANGLE_TOL
-    )

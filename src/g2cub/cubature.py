@@ -18,6 +18,16 @@ of weighted degree up to 2n-1 and is normalized so the weights sum to
 one.  Nodes whose factor vanishes identically are dropped by integer
 predicates on the generating lattice triple, so node counts are
 deterministic.
+
+Accuracy, to first order in u = 2^-53 with sin and cos within 1 ulp:
+a node coordinate and the factor v at j/m come from the closed form of
+`gentrig.eval`, whose error adds up over its rounded arguments, u per
+sin, cos and product, and its three-term sum (README, "Rule accuracy").
+So x is within 16 u and y within 34 u of xy(j/m), and v within E = 48 u
+(gauss), 16 u (radau1), 34 u (radau2) and 0 (lobatto).  The weight
+|orbit(shift)| upsilon(j) v^2 / m^2 adds 4 roundings, so it is within
+(4 u + 2 E / V) max w, V = m (max w / (12 |orbit(shift)|))^(1/2): 155 u,
+42 u, 82 u and 4 u times the largest weight for 40 <= n <= 1000.
 """
 
 from __future__ import annotations

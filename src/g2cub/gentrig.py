@@ -19,8 +19,8 @@ at the index `TrigFamily.shift` = (d+p, p, -d-2p).
 
 `eval` is the one evaluator of these closed forms: index and point
 components may be scalars or numpy arrays that broadcast against each
-other, and the same numpy expression serves both; `phi`, `partial_t`
-and `xy_map`, the change of variables (x, y) = (cc_{1,0,-1},
+other, and the same numpy expression serves both; `partial_t` and
+`xy_map`, the change of variables (x, y) = (cc_{1,0,-1},
 cc_{1,1,-2}) onto the deltoid-bounded domain, work the same way.
 Structural zeros are returned as exact 0.0: the families with p = 1
 vanish identically when the index (or the point) contains a zero
@@ -31,12 +31,11 @@ components.
 from __future__ import annotations
 
 import enum
-import math
 from fractions import Fraction
 
 import numpy as np
 
-from .coords import G2, TRIANGLE_TOL, HexIndex
+from .coords import G2, HexIndex
 
 
 class TrigFamily(enum.Enum):
@@ -70,14 +69,6 @@ _TERMS = (((0, 2), 1), ((1, 0), 2), ((2, 1), 0))
 
 # sine bit of the factor -> (factor, its derivative)
 _FACTOR = ((np.cos, lambda x: -np.sin(x)), (np.sin, np.cos))
-
-
-def phi(k, t):
-    """Plane-wave exponential exp(2*pi*i/3 * k.t) on the sum-zero plane;
-    k and t broadcast as in `eval`, and scalar input gives a complex."""
-    dot = k[0] * t[0] + k[1] * t[1] + k[2] * t[2]
-    value = np.exp(2j * np.pi / 3.0 * dot)
-    return complex(value) if value.ndim == 0 else value
 
 
 def _structural_zero(family: TrigFamily, v):
@@ -145,40 +136,6 @@ def partial_t(family, k, t, i: int):
             total = total + b * f1(arg1) * d2(arg2)
     value = np.where(_structural_zero(family, k), 0.0, total / 3.0)
     return float(value) if value.ndim == 0 else value
-
-
-def laplace_eigenvalue(k) -> float:
-    """Eigenvalue of -Laplace for the plane wave and all four families."""
-    d1 = k[0] - k[1]
-    d2 = k[1] - k[2]
-    d3 = k[2] - k[0]
-    return 2.0 * math.pi ** 2 / 9.0 * (d1 * d1 + d2 * d2 + d3 * d3)
-
-
-def on_edge(t, edge: str) -> bool:
-    """Whether t lies on the named edge to within `coords.TRIANGLE_TOL`."""
-    if edge == "B1":
-        return abs(t[2] + 1.0) <= TRIANGLE_TOL
-    if edge == "B2":
-        return abs(t[1]) <= TRIANGLE_TOL
-    if edge == "B3":
-        return abs(t[0] - t[1]) <= TRIANGLE_TOL
-    raise ValueError(f"unknown edge {edge!r}")
-
-
-def boundary_normal_derivative(family, k, t, edge: str) -> float:
-    """Exterior normal derivative of the closed form on one triangle edge.
-
-    B1 is t3 = -1 (normal -d/dt3), B2 is t2 = 0 (normal -d/dt2), B3 is
-    t1 = t2 (normal d/dt2 - d/dt1).  Rejects points off the named edge.
-    """
-    if not on_edge(t, edge):
-        raise ValueError(f"point {tuple(t)} is not on edge {edge}")
-    if edge == "B1":
-        return -partial_t(family, k, t, 2)
-    if edge == "B2":
-        return -partial_t(family, k, t, 1)
-    return partial_t(family, k, t, 1) - partial_t(family, k, t, 0)
 
 
 def product_expand(family_a, j, family_b, k):

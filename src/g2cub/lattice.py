@@ -1,12 +1,13 @@
-"""Index sets as integer arrays, the lattice weight, and the discrete
-cubature / inner products on the hexagon and on the fundamental triangle.
+"""Index sets as integer arrays, the lattice weight, the discrete
+orthogonality constants and the dimension of the polynomial spaces.
 
-Two integer lattices appear: the full sum-zero integer triples (dagger
-lattice) and its sublattice of triples whose components are congruent
-mod 3.  Every enumeration is built row by row (`_rows`): for each first
-component k1 the second runs over one arithmetic range read off the
-set's inequalities, so only the kept triples are ever built.  Each
-returns an (N, 3) int64 array whose rows are in lexicographic order.
+Two integer lattices appear: the full sum-zero integer triples, which
+index the family members (`enum_gamma`), and its sublattice of triples
+whose components are congruent mod 3, the triangle's nodes
+(`enum_upsilon`).  Every enumeration is built row by row (`_rows`): for
+each first component k1 the second runs over one arithmetic range read
+off the set's inequalities, so only the kept triples are ever built.
+Each returns an (N, 3) int64 array whose rows are in lexicographic order.
 The weight of a triangle lattice node, and of any congruent triple
 through its orbit representative, is `upsilon_weight`.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coords import hat, point_from_index
+from .coords import hat
 from .gentrig import TrigFamily
 
 
@@ -36,34 +37,6 @@ def _rows(k1, lo, hi, step: int = 1):
     np.add(first, second, out=third)
     np.negative(third, out=third)
     return out
-
-
-def enum_H(n: int):
-    """The mod-3 congruent lattice inside the closed hexagon of size n and
-    the dagger lattice with all pairwise differences bounded by n, both
-    with -n <= k1, k2 <= n, built row by row over k1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    k1 = np.arange(-n, n + 1)
-    # h: |k3| <= n and k2 = k1 mod 3
-    lo = np.maximum(-n, -n - k1)
-    h = _rows(k1, lo + (k1 - lo) % 3, np.minimum(n, n - k1), 3)
-    # hdag: |k1 + 2 k2|, |2 k1 + k2| and |k2 - k1| at most n, which keep |k2| <= n
-    lo = np.maximum.reduce([-((n + k1) // 2), -n - 2 * k1, k1 - n])
-    hi = np.minimum.reduce([(n - k1) // 2, n - 2 * k1, k1 + n])
-    return h, _rows(k1, lo, hi)
-
-
-def hex_cubature(f, n: int):
-    """Equal-spaced cubature over the hexagon, exact for plane waves of
-    index set size up to 2n-1: coefficient 1 inside, 1/2 on an edge, 1/3
-    at the six corners (each corner has three periodic copies).  f is
-    called once, on a point whose components are the arrays of all nodes,
-    and must broadcast."""
-    h, _ = enum_H(n)
-    inside = np.max(np.abs(h), axis=1) < n
-    coef = np.where(inside, 1.0, np.where(np.any(h == 0, axis=1), 1.0 / 3.0, 0.5))
-    return np.sum(coef * f(point_from_index(h.T, n))) / n ** 2
 
 
 def enum_upsilon(n: int):
@@ -113,16 +86,6 @@ def dim_pi_star(n: int) -> int:
     f3 = n // 3
     f2 = n // 2
     return (3 * f3 - 2 * n) * (f3 + 1) // 2 - (f2 - n - 1) * (f2 + 1)
-
-
-def triangle_discrete_inner(f, g, n: int):
-    """Weighted discrete inner product over the triangle lattice,
-    conjugate-linear in the second argument.  f and g are each called
-    once, on a point whose components are the arrays of all nodes, and
-    must broadcast."""
-    j = enum_upsilon(n).T
-    t = point_from_index(j, n)
-    return np.sum(upsilon_weight(j, n) * f(t) * np.conj(g(t))) / n ** 2
 
 
 def discrete_ortho_constant(k, n: int):

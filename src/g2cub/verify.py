@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gentrig, lattice
 from .chebyshev import cheb_poly, deltoid_F, deltoid_factors, orthogonality_constant
-from .coords import make_index, make_point
+from .coords import make_index, make_point, point_from_index
 from .cubature import RULE_KINDS, integrate_poly, make_rule, reference_integral, variety_check
 from .poly import BivarPoly
 from .sturm import (
@@ -63,7 +63,7 @@ def suite_orthogonality(n: int = 12, tol: float = None):
     errors = {family: [] for family in gentrig.TrigFamily}
     for m in range(1, n + 1):
         j = lattice.enum_upsilon(m).T
-        t = lattice.point_from_index(j, m)
+        t = point_from_index(j, m)
         weights = lattice.upsilon_weight(j, m)
         for family, family_errors in errors.items():
             k = lattice.enum_gamma(family, m).T

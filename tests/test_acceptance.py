@@ -21,7 +21,7 @@ from g2cub.chebyshev import (
     xy_map,
 )
 from g2cub.cli import main as cli_main
-from g2cub.coords import cart_to_homog, make_index, make_point, point_from_index
+from g2cub.coords import make_index, make_point, point_from_index
 from g2cub.cubature import (
     _build_rule,
     integrate_poly,
@@ -29,7 +29,7 @@ from g2cub.cubature import (
     reference_integral,
     variety_check,
 )
-from g2cub.gentrig import TrigFamily, eval as trig, laplace_eigenvalue, partial_t
+from g2cub.gentrig import TrigFamily, eval as trig, partial_t
 from g2cub.lattice import (
     dim_pi_star,
     discrete_ortho_constant,
@@ -47,7 +47,7 @@ from g2cub.sturm import (
     star_class,
 )
 
-from helpers import interior_points
+from helpers import cart_to_homog, interior_points, laplace_eigenvalue
 
 HALF = Fraction(1, 2)
 HALF_PARAMS = tuple(WeightParams(sa * HALF, sb * HALF) for sa in (-1, 1) for sb in (-1, 1))

@@ -29,12 +29,12 @@ from g2cub.chebyshev import (
 from g2cub.coords import make_point
 from g2cub import sturm
 from g2cub.gentrig import TrigFamily, eval as trig
-from g2cub.coords import make_index, orbit, orbit_size
+from g2cub.coords import make_index, orbit_size
 from g2cub.jsonio import dumps
 from g2cub.poly import BivarPoly, star_key
 from g2cub.sturm import apply_L, eigen_poly, eigenvalue, jacobi_poly, moments
 
-from helpers import fraction_inner, interior_points, leading_star_term
+from helpers import fraction_inner, interior_points, leading_star_term, orbit
 
 HALF = Fraction(1, 2)
 MM = WeightParams(-HALF, -HALF)

@@ -1,5 +1,8 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -9,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from g2cub.chebyshev import MIndex, WeightParams, cheb_poly, star_indices_upto, xy_map
 import g2cub
@@ -457,3 +461,29 @@ def test_overflowing_parameters_exit_2(argv, capsys):
     assert out == "" and err.startswith("error:") and "1e+308" in err
     # the constant member is 1 there, so the first overflow is at (1, 0)
     assert "(1, 0)" in err and "(0, 0)" not in err
+
+
+# alpha and beta from just above -1 up to 1e300, x and y out to +-1e200
+CLI_PARAMETER = st.floats(min_value=-1, max_value=1e300, exclude_min=True)
+CLI_COORDINATE = st.floats(min_value=-1e200, max_value=1e200)
+
+
+@settings(max_examples=60, deadline=None)
+@given(CLI_PARAMETER, CLI_PARAMETER, st.sampled_from(star_indices_upto(12)),
+       CLI_COORDINATE, CLI_COORDINATE)
+@example(1e300, 1e300, (12, 8), 0.1, 0.2)
+@example(1e200, 0.5, (12, 8), 0.1, 0.2)
+@example(1e308, 0, (1, 0), 0.1, 0.2)
+def test_eval_and_poly_exit_0_or_2_over_the_whole_parameter_range(alpha, beta, k, x, y):
+    member = ["--alpha", repr(alpha), "--beta", repr(beta), "--k1", str(k[0]), "--k2", str(k[1])]
+    for argv in (["eval", *member, "--x", repr(x), "--y", repr(y)], ["poly", *member]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2), (argv, code, err.getvalue())
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue().startswith("error:"), argv
+        elif argv[0] == "eval":
+            assert out.getvalue().endswith("\n") and math.isfinite(float(out.getvalue())), argv
+        else:
+            json.loads(out.getvalue())

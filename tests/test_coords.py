@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,20 +12,27 @@ from g2cub.coords import (
     IDENTITY,
     GroupElem,
     HexIndex,
-    cart_to_homog,
-    compose,
     hat,
-    in_fundamental_triangle,
     make_index,
     make_point,
-    orbit,
 )
+
+from helpers import cart_to_homog, compose, in_fundamental_triangle, orbit
 
 
 def test_make_point_examples():
     assert make_point(0, 0) == (0.0, 0.0, 0.0)
     assert make_point(1, 0) == (1.0, 0.0, -1.0)
     assert make_point(0.6, 0.2) == (0.6, 0.2, -0.8)
+
+
+def test_make_index_takes_integers_only():
+    k = make_index(np.int64(2), 1)
+    assert k == (2, 1, -3) and all(type(c) is int for c in k)
+    # a fraction used to be dropped: (1.5, 0.7) gave (1, 0, -1)
+    for k1, k2 in ((1.5, 0.7), (2.0, 1), (1, Fraction(1, 2))):
+        with pytest.raises(TypeError):
+            make_index(k1, k2)
 
 
 def test_cart_to_homog_examples():

@@ -8,6 +8,7 @@ import re
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,7 +21,7 @@ from g2cub.chebyshev import (
     star_indices_upto,
     xy_map,
 )
-from g2cub.coords import point_from_index
+from g2cub.coords import orbit_size, point_from_index
 from g2cub.cubature import (
     RULE_KINDS,
     _build_rule,
@@ -124,6 +125,44 @@ def test_rule_equals_the_per_node_scalar_loop(kind, family, k, scale, shift):
         assert (x, y) == xy_map(t)
         value = 1.0 if family is None else trig(family, make_index(*k), t)
         assert w == scale / m ** 2 * upsilon_weight(j, m) * (value * value)
+
+
+def _closed_form_mp(sines, k, t):
+    """The three-term closed form of `gentrig.eval` in mpmath."""
+    a, b = mpmath.pi * (k[0] - k[2]) / 3, mpmath.pi * k[1]
+    f1, f2 = (mpmath.sin if sines[0] else mpmath.cos), (mpmath.sin if sines[1] else mpmath.cos)
+    return sum(f1(a * (t[u] - t[w])) * f2(b * t[v]) for u, w, v in ((0, 2, 1), (1, 0, 2), (2, 1, 0))) / 3
+
+
+# the bounds the cubature docstring derives term by term, in units of 2^-53:
+# node coordinates, and by kind the factor's error E and the least V for
+# 40 <= n <= 1000 (lobatto's V is 1, up to the rounding of its largest weight)
+X_BOUND, Y_BOUND = 16, 34
+FACTOR_BOUND = {"gauss": (48, 0.637), "lobatto": (0, 1 - 1e-15), "radau1": (16, 0.849),
+                "radau2": (34, 0.849)}
+
+
+@pytest.mark.parametrize("kind,n", [(kind, 40) for kind in RULE_KINDS] + [("gauss", 160)])
+def test_nodes_and_weights_meet_the_stated_bounds_against_mpmath(kind, n):
+    u = 2.0 ** -53
+    rule = make_rule(kind, n)
+    family = rule.weight_params.family
+    m = cubature._lattice_size(family, n)
+    factor, least_v = FACTOR_BOUND[kind]
+    top = rule.weights.max()
+    v = m * math.sqrt(top / (12 * orbit_size(family.shift)))
+    assert v >= least_v
+    worst = [0.0, 0.0, 0.0]
+    with mpmath.workdps(40):
+        for j, (x, y), w in zip(rule.indices.tolist(), rule.nodes.tolist(), rule.weights.tolist()):
+            t = [mpmath.mpf(c) / m for c in j]
+            value = _closed_form_mp(family.sines, family.shift, t)
+            exact = orbit_size(family.shift) * upsilon_weight(j, m) * value ** 2 / m ** 2
+            errors = (x - _closed_form_mp((0, 0), (1, 0, -1), t), y - _closed_form_mp((0, 0), (1, 1, -2), t),
+                      (w - exact) / top)
+            worst = [max(e, float(abs(d)) / u) for e, d in zip(worst, errors)]
+    assert worst[0] <= X_BOUND and worst[1] <= Y_BOUND, worst
+    assert worst[2] <= 4 + 2 * factor / v, (worst, 4 + 2 * factor / v)
 
 
 def test_make_rule_builds_only_the_requested_radau_rule(monkeypatch):

@@ -10,23 +10,19 @@ from g2cub.coords import (
     A2,
     A2_STAR,
     G2,
-    cart_to_homog,
     make_index,
     make_point,
     point_from_index,
 )
 from g2cub.gentrig import (
     TrigFamily,
-    boundary_normal_derivative,
     eval as trig,
-    laplace_eigenvalue,
     partial_t,
-    phi,
     product_expand,
     xy_map,
 )
 
-from helpers import interior_points
+from helpers import boundary_normal_derivative, cart_to_homog, interior_points, laplace_eigenvalue, phi
 
 
 def eval_expansion(terms, t) -> float:

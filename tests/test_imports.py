@@ -1,11 +1,12 @@
 """The package's modules import each other at module level only, in one
 direction: coords, gentrig, quad, sturm, chebyshev, cubature, verify, cli,
 with lattice, poly and jsonio beside them; importing the CLI loads no
-`dataclasses`."""
+`dataclasses`; and every public function has a user outside the tests."""
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from graphlib import CycleError, TopologicalSorter
@@ -84,3 +85,32 @@ def test_importing_the_cli_leaves_dataclasses_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout == "False\n", result.stdout
+
+
+def _unused_public_functions(root):
+    """The public top-level defs under root/src/g2cub, as module.name, with
+    no user outside the tests.  A user is a word match in another module
+    (the re-exports of __init__ aside) or in the def's own module beyond its
+    def line, a mention in bench/*.py or the CI workflow, or the name in
+    backticks in README.md, a fenced block included."""
+    sources = {path.stem: path.read_text() for path in sorted((root / "src" / "g2cub").glob("*.py"))}
+    del sources["__init__"]
+    outside = [path.read_text() for path in sorted((root / "bench").glob("*.py"))]
+    outside.append((root / ".github" / "workflows" / "ci.yml").read_text())
+    outside += re.findall(r"```.*?```|`[^`]+`", (root / "README.md").read_text(), re.S)
+    unused = []
+    for stem, text in sources.items():
+        lines = text.splitlines()
+        others = [other for name, other in sources.items() if name != stem] + outside
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                own = "\n".join(lines[:node.lineno - 1] + lines[node.lineno:])
+                word = re.compile(rf"\b{node.name}\b")
+                if not any(word.search(t) for t in [own, *others]):
+                    unused.append(f"{stem}.{node.name}")
+    return unused
+
+
+def test_every_public_function_has_a_user_outside_the_tests():
+    # a function only tests call belongs in tests/helpers.py, not in the package
+    assert _unused_public_functions(ROOT) == []

@@ -6,17 +6,16 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from g2cub.coords import HexIndex, hat, make_index, make_point, point_from_index
-from g2cub.gentrig import TrigFamily, eval as trig, phi
+from g2cub.gentrig import TrigFamily, eval as trig
 from g2cub.lattice import (
     dim_pi_star,
     discrete_ortho_constant,
-    enum_H,
     enum_gamma,
     enum_upsilon,
-    hex_cubature,
-    triangle_discrete_inner,
     upsilon_weight,
 )
+
+from helpers import enum_H, hex_cubature, phi, triangle_discrete_inner
 
 
 # reference implementation: nested loops over scalar integer predicates
