@@ -14,6 +14,13 @@ function of (r, s), by r or r s, so it stays accurate at the vertices.
 The triangles' geometry depends on neither the order nor the parameters,
 so the first rule build makes it once (`_geometry`), and every build only
 solves for the Gauss-Jacobi nodes and forms the weight at them.
+
+`triangle_quadrature` raises the per-axis order through `ORDERS` (8, 12,
+16, 24, ..., 96, 128) until two successive estimates agree.  A rule
+costs order^2, and the stop needs one order past the first converged
+one: a x1.5 step pays 2.25 times the converged order's cost to confirm
+it, against 4 times for a doubling step, and every order 8 * 2^k is
+among those tried.
 """
 
 from __future__ import annotations
@@ -27,7 +34,9 @@ from .gentrig import xy_map
 
 DEFAULT_TOL = 1e-12
 ORDER_CAP = 128
-START_ORDER = 8
+# the per-axis orders `triangle_quadrature` walks: each 8 * 2^k up to the
+# cap, and 1.5 times each below it
+ORDERS = (8, 12, 16, 24, 32, 48, 64, 96, ORDER_CAP)
 
 # the factors sin(pi l.t), t3 = -t1 - t2: three of sc_(1,0), three of cs_(1,1)
 _L = ((1 / 3, -1 / 3), (1 / 3, 2 / 3), (-2 / 3, -1 / 3), (1.0, 0.0), (0.0, 1.0), (-1.0, -1.0))
@@ -172,18 +181,22 @@ def rule(order, alpha, beta) -> Rule:
 def triangle_quadrature(values_fn, tol=DEFAULT_TOL, alpha=0.0, beta=0.0):
     """Weighted mean at parameters (alpha, beta) of a function on the
     domain: values_fn(x, y) gets the images of the nodes as arrays and may
-    return a stack of integrands, shape (m, npoints).  The order doubles
-    from START_ORDER until the mean moves by at most tol * max(1, |mean|):
-    the error estimate is relative to the normalized result."""
-    order, prev, delta = START_ORDER, None, np.inf
-    while order <= ORDER_CAP:
+    return a stack of integrands, shape (m, npoints).  The per-axis order
+    walks `ORDERS`, 8, 12, 16, 24, ..., 96, 128, in steps of x1.5 and x4/3,
+    until the mean moves by at most tol * max(1, |mean|) from the previous
+    order's: the error estimate is relative to the normalized result.  A
+    rule of order n has 6 n^2 nodes, and the stop takes one order past the
+    first that has converged, which costs at most (3/2)^2 = 2.25 times its
+    points, against 4 times for a doubling step."""
+    prev, delta = None, np.inf
+    for order in ORDERS:
         r = rule(order, alpha, beta)
         est = r.mean(values_fn(*r.nodes.T))
         if prev is not None:
             delta = float(np.max(np.abs(est - prev))) / max(1.0, float(np.max(np.abs(est))))
             if delta <= tol:
                 return est if est.ndim else float(est)
-        prev, order = est, 2 * order
+        prev = est
     raise QuadratureError(f"quadrature at parameters ({alpha}, {beta}) did not converge: at order "
-                          f"{order // 2} (cap {ORDER_CAP}) the relative change was {delta:.3e}, "
+                          f"{ORDER_CAP} (cap {ORDER_CAP}) the relative change was {delta:.3e}, "
                           f"above tol {tol:.3e}")

@@ -17,8 +17,8 @@ PACKAGE = ROOT / "src" / "g2cub"
 ORDER = ("coords", "gentrig", "quad", "sturm", "chebyshev", "cubature", "verify", "cli")
 
 
-def _trees():
-    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+def _trees(package=PACKAGE):
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(package.glob("*.py"))}
 
 
 def _imported_modules(node):
@@ -87,26 +87,45 @@ def test_importing_the_cli_leaves_dataclasses_unloaded():
     assert result.stdout == "False\n", result.stdout
 
 
+def _code_names(tree, skip=None):
+    """The names tree refers to in code, outside the subtree skip: each
+    `ast.Name`, attribute and imported name; docstrings and comments name
+    nothing."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
 def _unused_public_functions(root):
     """The public top-level defs under root/src/g2cub, as module.name, with
-    no user outside the tests.  A user is a word match in another module
-    (the re-exports of __init__ aside) or in the def's own module beyond its
-    def line, a mention in bench/*.py or the CI workflow, or the name in
-    backticks in README.md, a fenced block included."""
-    sources = {path.stem: path.read_text() for path in sorted((root / "src" / "g2cub").glob("*.py"))}
-    del sources["__init__"]
+    no user outside the tests.  A user is a code reference in another
+    module (the re-exports of __init__ aside) or in the def's own module
+    outside the def, a mention in bench/*.py or the CI workflow, or the
+    name in backticks in README.md, a fenced block included."""
+    trees = _trees(root / "src" / "g2cub")
+    del trees["__init__"]
+    names = {stem: _code_names(tree) for stem, tree in trees.items()}
     outside = [path.read_text() for path in sorted((root / "bench").glob("*.py"))]
     outside.append((root / ".github" / "workflows" / "ci.yml").read_text())
     outside += re.findall(r"```.*?```|`[^`]+`", (root / "README.md").read_text(), re.S)
     unused = []
-    for stem, text in sources.items():
-        lines = text.splitlines()
-        others = [other for name, other in sources.items() if name != stem] + outside
-        for node in ast.parse(text).body:
+    for stem, tree in trees.items():
+        for node in tree.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                own = "\n".join(lines[:node.lineno - 1] + lines[node.lineno:])
+                used = _code_names(tree, skip=node).union(
+                    *(other for name, other in names.items() if name != stem))
                 word = re.compile(rf"\b{node.name}\b")
-                if not any(word.search(t) for t in [own, *others]):
+                if node.name not in used and not any(word.search(t) for t in outside):
                     unused.append(f"{stem}.{node.name}")
     return unused
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from g2cub import quad
 from g2cub.chebyshev import (
@@ -23,7 +23,7 @@ from g2cub.coords import make_index
 from g2cub.cubature import reference_integral
 from g2cub.gentrig import eval as trig
 from g2cub.poly import BivarPoly
-from g2cub.sturm import eigenvalue, moments, monomial_image
+from g2cub.sturm import eigenvalue, jacobi_poly, moments, monomial_image
 
 
 def _oracle(a, b, exponents, tol=1e-13):
@@ -177,6 +177,47 @@ def test_callable_moments_meet_tol_against_the_exact_moments(a, b):
     got = _oracle(float(a), float(b), indices, tol=tol)
     for m, value in zip(indices, got):
         assert abs(float(mu[m]) - value) <= tol, m
+
+
+@settings(max_examples=25, deadline=None)
+@given(INTEGRABLE)
+@example((-0.6, 0.3))
+@example((0.3, -0.7))
+@example((-0.9, 0.2))
+def test_callable_moments_meet_tol_over_the_integrable_range(ab):
+    # INTEGRABLE stops at 3: past about alpha or beta = 33 the Golub-Welsch
+    # weights themselves miss tol, on any order schedule
+    tol = 1e-12
+    indices = star_indices_upto(12)
+    mu = moments(WeightParams(*ab), 12)
+    got = _oracle(*ab, indices, tol=tol)
+    for m, value in zip(indices, got):
+        assert abs(float(mu[m]) - value) <= tol, (ab, m)
+
+
+def test_orders_step_by_at_most_half_and_keep_every_doubling():
+    orders = quad.ORDERS
+    assert orders[0] == 8 and orders[-1] == quad.ORDER_CAP == 128
+    assert {8 * 2 ** k for k in range(5)} <= set(orders)
+    for low, high in zip(orders, orders[1:]):
+        assert low < high <= 1.5 * low, orders
+
+
+def test_a_callable_integral_converged_at_order_16_builds_no_higher_order(monkeypatch):
+    # order 16 already meets tol here; a doubling step built order 32 only to confirm it
+    built, rule = [], quad.rule
+
+    def recording(order, alpha, beta):
+        built.append(order)
+        return rule(order, alpha, beta)
+
+    monkeypatch.setattr(quad, "rule", recording)
+    p = WeightParams(0.3, 1.2)
+    f, g = jacobi_poly(p, (6, 0)), jacobi_poly(p, (3, 2))
+    got = continuous_inner(p, lambda x, y: f(x, y), lambda x, y: g(x, y))
+    assert built and max(built) <= 16, built
+    scale = 1 + sum(abs(c) for c in (f * g).coeffs.values())
+    assert abs(got - continuous_inner(p, f, g)) <= quad.DEFAULT_TOL * scale
 
 
 def test_quadrature_error_states_the_order_and_the_last_change():
