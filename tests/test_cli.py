@@ -37,6 +37,10 @@ def test_dims_table(capsys):
     assert rows[1].split()[:2] == ["1", "1"]
     assert rows[6].split()[:2] == ["6", "7"]
     assert rows[12].split()[:2] == ["12", "19"]
+    code, out, _ = run(capsys, "dims", "--n", "30")
+    rows = out.strip().splitlines()
+    assert code == 0 and len(rows) == 31
+    assert rows[30].split() == ["30", "91", "91", "75", "75", "61"]
 
 
 def test_nodes_json_stdout(capsys):
@@ -108,6 +112,10 @@ def test_eval_general_parameters(capsys):
                        "--k1", "1", "--k2", "0", "--x", "0.0", "--y", "0.0")
     assert code == 0
     assert float(out.strip()) == pytest.approx(1.0 / 7.0, abs=1e-10)
+    for alpha in ("0.3", "-1e-3"):
+        code, out, err = run(capsys, "eval", "--alpha", alpha, "--beta", "1.2",
+                             "--k1", "3", "--k2", "2", "--x", "0.1", "--y", "0.2")
+        assert code == 0 and err == "" and math.isfinite(float(out)), alpha
 
 
 def test_eval_coeff_listing(capsys):
@@ -129,16 +137,11 @@ def test_eval_prints_the_exact_value_where_the_float_sum_loses_every_digit(capsy
         assert (code, out, err) == (0, value + "\n", "")
 
 
-# the seven parameter pairs of the CI's polynomial export
-CI_PAIRS = ((0.5, 0.5), (-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5),
-            (0.3, 1.2), (-0.4, 0.7), (0.17, -0.23))
-
-
 def test_eval_is_the_correctly_rounded_exact_sum(capsys):
     # oracle: the sum in Fractions at the binary values of x and y, whose
     # float() is the nearest float
     rng = random.Random(48)
-    for alpha, beta in CI_PAIRS:
+    for alpha, beta in POLY_SHA256:  # the seven pairs of the poly pins
         for k in rng.sample(star_indices_upto(48), 3) + [MIndex(24, 0), MIndex(0, 16)]:
             t2 = rng.uniform(0.0, 0.5)
             x, y = xy_map(make_point(rng.uniform(t2, 1.0 - t2), t2))
@@ -185,15 +188,23 @@ def test_eval_rejects_bad_parameters(capsys):
     code, _, _ = run(capsys, "eval", "--alpha", "0.5", "--beta", "0.5",
                      "--k1", "-1", "--k2", "0", "--x", "0", "--y", "0")
     assert code == 2
+    # a missing --k2, a negative index component, and parameters whose
+    # eigenvalues overflow: exit 2 with nothing on stdout
+    for argv in (["poly", "--alpha", "0.3", "--beta", "1.2", "--k1", "3"],
+                 ["eval", "--alpha", "0.3", "--beta", "1.2", "--k1", "3", "--x", "0.1", "--y", "0.2"],
+                 ["eval", "--alpha", "0.3", "--beta", "1.2", "--k1", "-1", "--k2", "2",
+                  "--x", "0.1", "--y", "0.2"],
+                 ["poly", "--alpha", "0.5", "--beta", "0.5", "--k1", "2", "--k2", "-1"],
+                 ["poly", "--alpha", "1e308", "--beta", "0", "--k1", "1", "--k2", "0"]):
+        assert exit_code(capsys, argv) == (2, ""), argv
 
 
 def exit_code(capsys, argv):
-    """main's return value, or the code argparse exits with."""
+    """main's return value, or the code argparse exits with, and stdout."""
     try:
-        return run(capsys, *argv)[0]
+        return run(capsys, *argv)[:2]
     except SystemExit as exc:
-        capsys.readouterr()
-        return exc.code
+        return exc.code, capsys.readouterr().out
 
 
 def test_negative_numbers_in_exponent_form_are_option_values(capsys):
@@ -212,7 +223,7 @@ def test_negative_numbers_in_exponent_form_are_option_values(capsys):
     for argv in (["--k1", "1", "--k2", "0", "--x", "--y", "0.1"],
                  ["--k1", "-1", "--k2", "0", "--x", "0.1", "--y", "0.1"],
                  ["--k1", "-1e3", "--k2", "0", "--x", "0.1", "--y", "0.1"]):
-        assert exit_code(capsys, ["eval", "--alpha", "0.5", "--beta", "0.5", *argv]) == 2, argv
+        assert exit_code(capsys, ["eval", "--alpha", "0.5", "--beta", "0.5", *argv]) == (2, ""), argv
 
 
 def test_poly_json(capsys):
@@ -396,6 +407,22 @@ def test_poly_output_bytes_are_pinned(capsys, alpha, beta):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (alpha, beta, k1, k2)
 
 
+# SHA-256 of `g2cub verify` stdout: every residual and error the eigen suite
+# (through apply_L and eigen_residual) and the orthogonality suite (against
+# orthogonality_constant) print, bit for bit
+VERIFY_SHA256 = {
+    ("--suite", "eigen", "--n", "20"): "8fa42b031375c012594f4b93ce8acd5d24e559004dc2db6d00fe61c9201fd377",
+    ("--suite", "orthogonality"): "6df1ed22e462291a3f6429c905a42a19cd4bf995153156e9a36f3a9e0bb9e7b5",
+}
+
+
+@pytest.mark.parametrize("args", list(VERIFY_SHA256), ids=" ".join)
+def test_verify_output_bytes_are_pinned(capsys, args):
+    code, out, _ = run(capsys, "verify", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[args]
+
+
 @pytest.mark.parametrize("n", ["18", "24"])
 def test_verify_variety_passes_past_weighted_degree_30(capsys, n):
     # the generators go through the bounded closed forms, not float monomial sums
@@ -405,40 +432,58 @@ def test_verify_variety_passes_past_weighted_degree_30(capsys, n):
     assert len(lines) == 4 and all(line.endswith("PASS") for line in lines)
 
 
-# SHA-256 of `g2cub nodes` stdout, recorded while the rule record held tuples
-# of floats, before it held read-only arrays; the bytes must not move
+# SHA-256 of `g2cub nodes` stdout, so that a change to the lattice, the rule
+# build or either layout of the shared formatting pass shows; n = 1, 8 and 160
+# were recorded while the rule record held tuples of floats, before it held
+# read-only arrays; the bytes must not move
 NODES_SHA256 = {
     "gauss": {
         (1, "json"): "4f3026d03ff71460e4a4600b1b4930a3f2619e427cc4be39ef21e397343bf7de",
         (1, "csv"): "c2d5aacb3cbb0f1b27acee5c80b4f0610c8c344712a1c0c284d6346e79bcd8fa",
         (8, "json"): "08e76c8f39022fff1c48a38b0cec8da9a34ace5a5d41bfbfd9786f9d8a5f3f4c",
         (8, "csv"): "ea7a9370b5848fb3d8183c34edd9d0a20e3c0335fd3777ff948cdc695efc9e08",
+        (40, "json"): "859b504285507b40ebaa8cfbbd8d59d4fd0f1947d5671c44b131b0a64552eb88",
+        (40, "csv"): "f02cb58c081288b19b399388c90feefcd6fd45c82c1465637325cd1a7197676b",
         (160, "json"): "7b11b218d7a7cac0822aeacc1612c4febda7dc7557ac121dce022ebdb632514d",
         (160, "csv"): "29d2356453a21b582e7602ae359301ae2f199661ada14327caff7a5ebf027c82",
+        (600, "json"): "c970094d1bc3c4abfd40d425215776217568b2932846333b82f60b500af8c22a",
+        (600, "csv"): "79a46a704b4974640a3b4a8b5b2f8ad9d207c856f1ae6cbd0abb1544de444846",
     },
     "lobatto": {
         (1, "json"): "c55a9b3728ed4ed81a36404e47d97e5101f2e4b6136b6be1a5e0af324db31cd2",
         (1, "csv"): "240f6dbf0967e194516619731ad978d3389cee4c8063d28c9c4426cea0ca47c9",
         (8, "json"): "104de9ecef46426f432556c270dd17b972ed0787f8fe78f8cf932e248d28e7d2",
         (8, "csv"): "1954c8714412b88b34b3b0c228148f00957d88dba90db92cff325cde21991d3c",
+        (40, "json"): "ddd79e7a246b9babc1465693c83910a806ac3c767567da348f9b7f621082f22e",
+        (40, "csv"): "e6780671962e5dc1cf68e4c09603b0a7cab8cc5bf128dd7fb4e7d35e859e9446",
         (160, "json"): "709052658f4551a64d7fe3ac7a55b97f201473629464f13776955f2561692514",
         (160, "csv"): "1da21c968682da5725bd5c6d23475c2cdde432aa78be8f8e3e12439bc1fc8c88",
+        (600, "json"): "8ff545f36ff1016fde43b234a00441d02c1ad84d530db6eed99ef99265cccec1",
+        (600, "csv"): "5f8fb9c72ae63313122f991995e17cc29dacdf25bc8d3015ba837f4a1b0b7c5b",
     },
     "radau1": {
         (1, "json"): "bc177d6bc23531a86f052c573a1082d8b550b15b0d73efb2066b12f25212e257",
         (1, "csv"): "c3bfecc612957060fae8892aa79c49025c2b5d3cb14a84dbdb75047bdb22ad38",
         (8, "json"): "ab2315dfbab8668562219755505ff03bd20286313200e837b8649d09d50073a9",
         (8, "csv"): "bf69c366a66318e7598ba78885a56f95f4d69630eacb0906062abee5fce12b5e",
+        (40, "json"): "37c1ff824ed125b35627fc400664e3bd101621a0cdd72d8cae1241264af2b149",
+        (40, "csv"): "957e37d1a8a71cba729be0c28ea19082269361a7ce8ef4c8ea8904a272ce4ff2",
         (160, "json"): "10c97729e2b1752fb14520c1cc82b260e5cae209afa0596dee8f182d5188948e",
         (160, "csv"): "8fc47d6d962c917bd69a78f4d3e4447fd47d993e33711aea1176b2f6cc43ef40",
+        (600, "json"): "57e08854921429e35cce6611ab64ac75568d45a06c8c8e2cbc6f7b47b8d74556",
+        (600, "csv"): "2301a4ef9652626f384b738fc035415170d3877871f92a0542672443e5f196fe",
     },
     "radau2": {
         (1, "json"): "33640f354cea14f25c053accc53d81214acb556d300471ee8c0dd415fbcae102",
         (1, "csv"): "47f51a4a28696126a819b2c91fb851d4e1e574b7bf90b607d3ef4f2f357e7f92",
         (8, "json"): "0902442fabec3f2f2b1594ce101c522948ee6899f66f62de82760d4ae7399fd6",
         (8, "csv"): "67a5b400f9d7dadd7bc86cf427f7cd4481f90db7048fa664abc976d0fbbdf5dd",
+        (40, "json"): "0adf6ea831e7fb2675eba3ae6fb8c07b82e1204289cd0a80ef1e98c2e1dd090b",
+        (40, "csv"): "d49d773200721bc13ac37c75106537b37a29bfff93f58085effee9b921ee5099",
         (160, "json"): "d5df1e94c1987b97740ac27ed04c107b581eb89b7ebb2ab9de332af9bea59d33",
         (160, "csv"): "d6dd22477eab8573610397ff32abe447dde992dc83613738445d7806fe5f4567",
+        (600, "json"): "fd53b4a9e08fdb4dd377100777fa740be826e5d523b290359b0749a798d2ed13",
+        (600, "csv"): "ae2a7f910c7b78fd0ddab16f54ea01986d05e394682580a341bc3c1974e095a2",
     },
 }
 

@@ -4,7 +4,6 @@ with lattice, poly and jsonio beside them; importing the CLI loads no
 `dataclasses`; and every public function has a user outside the tests."""
 
 import ast
-import importlib
 import os
 import re
 import subprocess
@@ -14,6 +13,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "g2cub"
+ENV = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
 ORDER = ("coords", "gentrig", "quad", "sturm", "chebyshev", "cubature", "verify", "cli")
 
 
@@ -75,16 +75,22 @@ def test_benchmark_imports_resolve():
     layers = next(ast.literal_eval(node.value) for node in tracer.body
                   if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "LAYERS")
     for layer in layers:
-        importlib.import_module(f"g2cub.{layer}")
+        # each in a fresh interpreter, with warnings as errors, so it imports alone
+        subprocess.run([sys.executable, "-W", "error", "-c", f"import g2cub.{layer}"],
+                       env=ENV, check=True)
 
 
 def test_importing_the_cli_leaves_dataclasses_unloaded():
     # dataclasses writes and execs each decorated class's methods at import, ~2 ms for four
     code = "import sys, g2cub.cli; print('dataclasses' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    result = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True,
                             text=True, check=True)
     assert result.stdout == "False\n", result.stdout
+    # -X importtime logs every module the `python -m g2cub` entry point loads
+    result = subprocess.run([sys.executable, "-W", "error", "-X", "importtime", "-m", "g2cub",
+                             "dims", "--n", "1"], env=ENV, capture_output=True, text=True, check=True)
+    assert "import time:" in result.stderr
+    assert not re.search(r"\bdataclasses\b", result.stderr), result.stderr
 
 
 def _code_names(tree, skip=None):

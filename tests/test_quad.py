@@ -4,6 +4,7 @@ import pickle
 import re
 import warnings
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -204,7 +205,11 @@ def test_orders_step_by_at_most_half_and_keep_every_doubling():
 
 
 def test_a_callable_integral_converged_at_order_16_builds_no_higher_order(monkeypatch):
-    # order 16 already meets tol here; a doubling step built order 32 only to confirm it
+    # at the general-params pairs every inner product of two members through
+    # weighted degree 12 by quadrature of callables agrees with the exact sum
+    # over the moments; order 16 already meets tol (24 for some members with
+    # k2 >= 3 at (-0.4, 0.7)), and a doubling step built order 32 only to confirm it
+    quad.rule.cache_clear()
     built, rule = [], quad.rule
 
     def recording(order, alpha, beta):
@@ -212,12 +217,18 @@ def test_a_callable_integral_converged_at_order_16_builds_no_higher_order(monkey
         return rule(order, alpha, beta)
 
     monkeypatch.setattr(quad, "rule", recording)
-    p = WeightParams(0.3, 1.2)
-    f, g = jacobi_poly(p, (6, 0)), jacobi_poly(p, (3, 2))
-    got = continuous_inner(p, lambda x, y: f(x, y), lambda x, y: g(x, y))
-    assert built and max(built) <= 16, built
-    scale = 1 + sum(abs(c) for c in (f * g).coeffs.values())
-    assert abs(got - continuous_inner(p, f, g)) <= quad.DEFAULT_TOL * scale
+    for ab, top in (((0.3, 1.2), 16), ((-0.4, 0.7), 24), ((0.17, -0.23), 16)):
+        built.clear()
+        p = WeightParams(*ab)
+        for ki, kj in combinations_with_replacement(star_indices_upto(12), 2):
+            f, g = jacobi_poly(p, ki), jacobi_poly(p, kj)
+            got = continuous_inner(p, lambda x, y: f(x, y), lambda x, y: g(x, y))
+            scale = 1 + sum(abs(c) for c in (f * g).coeffs.values())
+            assert abs(got - continuous_inner(p, f, g)) <= quad.DEFAULT_TOL * scale, (ab, ki, kj)
+        assert built and max(built) <= top, (ab, built)
+        misses = rule.cache_info().misses
+        rule(32, *ab)
+        assert rule.cache_info().misses == misses + 1, ab
 
 
 def test_quadrature_error_states_the_order_and_the_last_change():

@@ -794,6 +794,18 @@ def test_moments_grown_one_degree_at_a_time_stay_over_the_least_denominator(p):
     assert len(dens) > 31  # the denominator grew at more than half of the 60 steps
 
 
+def test_moments_through_weighted_degree_84_regrown_in_steps_of_12():
+    # the moments' common denominator changes at 58 of the 84 degree steps,
+    # and a table grown 12 degrees at a time must keep every change
+    p = WeightParams(0.3, 1.2)
+    want = list(fraction_moments(p, 84).items())
+    assert list(moments(p, 84).items()) == want
+    cold(p)
+    for d in range(0, 85, 12):
+        grown = moments(p, d)
+    assert list(grown.items()) == want
+
+
 @pytest.mark.parametrize("p", [frac_params(Fraction(3, 10), Fraction(6, 5)), WeightParams(0.3, 1.2)],
                          ids=["exact", "float"])
 def test_eigen_poly_with_zero_lead_stores_no_coefficients(p):
@@ -991,9 +1003,19 @@ def test_monomial_image_is_the_eigenvalue_then_apply_L_in_ints_where_integral(a,
     assert all(type(c) is int or c.denominator > 1 for _, c in image)
 
 
+def at_the_general_params_pairs(test):
+    """test with one explicit example per general-params pair and index
+    through weighted degree 24; (0, 0) is left out, its eigenvalue 0 is
+    dropped from the image."""
+    for ab in ((0.3, 1.2), (-0.4, 0.7), (0.17, -0.23)):
+        for m in star_indices_upto(24)[1:]:
+            test = example(*ab, m)(test)
+    return test
+
+
 @settings(max_examples=80, deadline=None)
 @given(FLOAT_PARAM, FLOAT_PARAM, UPTO_24)
-@example(0.3, 1.2, MIndex(2, 1))
+@at_the_general_params_pairs
 def test_monomial_image_diagonal_has_the_bits_of_eigenvalue_at_float_parameters(a, b, m):
     p = WeightParams(a, b)
     got, lam = starts_with_eigenvalue(monomial_image(p, *m), p, m)

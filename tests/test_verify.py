@@ -3,8 +3,9 @@ import pickle
 
 import pytest
 
+from g2cub.cli import main
 from g2cub.cubature import RULE_KINDS
-from g2cub.verify import Check, run_suite
+from g2cub.verify import SUITES, Check, run_suite
 
 
 @pytest.mark.parametrize("suite, names", [
@@ -16,6 +17,15 @@ def test_suite_runs_its_named_checks_and_passes(suite, names):
     checks = run_suite(suite)
     assert [c.name for c in checks] == names
     assert all(c.passed for c in checks), checks
+
+
+@pytest.mark.parametrize("suite, n", [*((s, None) for s in SUITES),
+                                      ("cubature", 16), ("eigen", 20), ("eigen", 36)])
+def test_every_suite_passes_through_the_cli(capsys, suite, n):
+    # eigen at 20 is the benchmark's eigen degree, at 36 the exact-basis workload's
+    code = main(["verify", "--suite", suite, *(["--n", str(n)] if n else [])])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0 and lines and all(line.endswith("PASS") for line in lines), lines
 
 
 def test_variety_passes_where_the_normalizing_sample_meets_small_denominators():
