@@ -128,7 +128,7 @@ def suite_eigen(n: int = 12, tol: float = 1e-8):
         p = WeightParams(a, b)
         worst = max(
             eigen_residual(p, k, jacobi_poly(p, k))
-            for k in star_indices_upto(min(n, 8))
+            for k in star_indices_upto(n)
         )
         checks.append(Check(f"eigen-residual-({a},{b})", worst, tol))
     return checks
