@@ -27,7 +27,7 @@ from .lattice import (
     enum_upsilon,
     upsilon_weight,
 )
-from .poly import BivarPoly, star_cmp, star_key
+from .poly import BivarPoly, star_key
 from .sturm import (
     MIndex,
     OperatorCoeffs,

@@ -104,12 +104,6 @@ def star_key(k):
     return (2 * k[0] + 3 * k[1], k[1])
 
 
-def star_cmp(a, b) -> int:
-    """-1, 0 or 1 as a comes before, equals, or comes after b."""
-    ka, kb = star_key(a), star_key(b)
-    return (ka > kb) - (ka < kb)
-
-
 def mdegree_of(k) -> int:
     return 2 * k[0] + 3 * k[1]
 

@@ -24,6 +24,12 @@ def leading_star_term(q):
     return key, q.coeffs[key]
 
 
+def star_cmp(a, b) -> int:
+    """-1, 0 or 1 as a comes before, equals, or comes after b."""
+    ka, kb = star_key(a), star_key(b)
+    return (ka > kb) - (ka < kb)
+
+
 def interior_points(count, seed):
     """count points drawn from random.Random(seed), each at least 0.02 inside
     every edge of the fundamental triangle."""

@@ -115,23 +115,22 @@ def _code_names(tree, skip=None):
 def _unused_public_functions(root):
     """The public top-level defs under root/src/g2cub, as module.name, with
     no user outside the tests.  A user is a code reference in another
-    module (the re-exports of __init__ aside) or in the def's own module
-    outside the def, a mention in bench/*.py or the CI workflow, or the
-    name in backticks in README.md, a fenced block included."""
+    module (the re-exports of __init__ aside), in the def's own module
+    outside the def or in bench/*.py, or the name in backticks in
+    README.md, a fenced block included."""
     trees = _trees(root / "src" / "g2cub")
     del trees["__init__"]
     names = {stem: _code_names(tree) for stem, tree in trees.items()}
-    outside = [path.read_text() for path in sorted((root / "bench").glob("*.py"))]
-    outside.append((root / ".github" / "workflows" / "ci.yml").read_text())
-    outside += re.findall(r"```.*?```|`[^`]+`", (root / "README.md").read_text(), re.S)
+    bench = set().union(*map(_code_names, _trees(root / "bench").values()))
+    readme = re.findall(r"```.*?```|`[^`]+`", (root / "README.md").read_text(), re.S)
     unused = []
     for stem, tree in trees.items():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 used = _code_names(tree, skip=node).union(
-                    *(other for name, other in names.items() if name != stem))
+                    bench, *(other for name, other in names.items() if name != stem))
                 word = re.compile(rf"\b{node.name}\b")
-                if node.name not in used and not any(word.search(t) for t in outside):
+                if node.name not in used and not any(word.search(t) for t in readme):
                     unused.append(f"{stem}.{node.name}")
     return unused
 

@@ -14,9 +14,9 @@ from g2cub.chebyshev import (
 )
 from g2cub.coords import make_point
 from g2cub.cubature import RULE_KINDS, integrate_poly, make_rule
-from g2cub.poly import BivarPoly, mdegree_of, signed_sum, star_cmp, star_key
+from g2cub.poly import BivarPoly, mdegree_of, signed_sum, star_key
 
-from helpers import leading_star_term
+from helpers import leading_star_term, star_cmp
 
 HH = WeightParams(Fraction(1, 2), Fraction(1, 2))
 
