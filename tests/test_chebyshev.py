@@ -338,9 +338,9 @@ def test_normalization_constants():
     assert normalization_c(PP) == pytest.approx(243 / math.pi ** 4, rel=1e-11)
 
 
-def _normalization_c_50_digits(a, b):
-    """(3 / (4 pi^2))^(a+b+1) / mass in 50-digit mpmath, the mass from
-    Macdonald's constant-term product as in `weight_mass`."""
+def _mass_50_digits(a, b):
+    """The weight's mass from Macdonald's constant-term product, as in
+    `weight_mass`, in 50-digit mpmath."""
     with mpmath.workdps(50):
         a, b = mpmath.mpf(a), mpmath.mpf(b)
         ks, kl = a + mpmath.mpf(1) / 2, b + mpmath.mpf(1) / 2
@@ -349,7 +349,13 @@ def _normalization_c_50_digits(a, b):
         mass = mpmath.mpf(1) / (144 * mpmath.mpf(36) ** (a + b))
         for c, k in roots:
             mass *= mpmath.gamma(c + k + 1) * mpmath.gamma(c - k + 1) / mpmath.gamma(c + 1) ** 2
-        return float((3 / (4 * mpmath.pi ** 2)) ** (a + b + 1) / mass)
+        return mass
+
+
+def _normalization_c_50_digits(a, b):
+    """(3 / (4 pi^2))^(a+b+1) / mass in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        return float((3 / (4 * mpmath.pi ** 2)) ** (mpmath.mpf(a) + b + 1) / _mass_50_digits(a, b))
 
 
 @pytest.mark.parametrize("a,b", [(200, 150), (300, 0), (170, 0), (0.3, 1.2), (-0.4, 0.7), (-0.5, -0.5)])
@@ -396,7 +402,7 @@ def test_weight_mass_at_large_parameters_is_one_exp_of_summed_logs(a, b):
     one = BivarPoly.constant(Fraction(1))
     p = WeightParams(a, b)
     mass = weight_mass(p)
-    assert 0 < mass < math.inf
+    assert mass == pytest.approx(float(_mass_50_digits(a, b)), rel=1e-11, abs=0)
     assert weight_mass(WeightParams(a + 1, b)) == pytest.approx(
         mass * continuous_inner(p, f1, one) / 3, rel=1e-11, abs=0)
     assert weight_mass(WeightParams(a, b + 1)) == pytest.approx(

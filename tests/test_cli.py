@@ -112,10 +112,10 @@ def test_eval_general_parameters(capsys):
                        "--k1", "1", "--k2", "0", "--x", "0.0", "--y", "0.0")
     assert code == 0
     assert float(out.strip()) == pytest.approx(1.0 / 7.0, abs=1e-10)
-    for alpha in ("0.3", "-1e-3"):
-        code, out, err = run(capsys, "eval", "--alpha", alpha, "--beta", "1.2",
+    for alpha, beta in (("0.3", "1.2"), ("-1e-3", "0.5")):
+        code, out, err = run(capsys, "eval", "--alpha", alpha, "--beta", beta,
                              "--k1", "3", "--k2", "2", "--x", "0.1", "--y", "0.2")
-        assert code == 0 and err == "" and math.isfinite(float(out)), alpha
+        assert code == 0 and err == "" and math.isfinite(float(out)), (alpha, beta)
 
 
 def test_eval_coeff_listing(capsys):

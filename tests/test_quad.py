@@ -209,7 +209,6 @@ def test_a_callable_integral_converged_at_order_16_builds_no_higher_order(monkey
     # weighted degree 12 by quadrature of callables agrees with the exact sum
     # over the moments; order 16 already meets tol (24 for some members with
     # k2 >= 3 at (-0.4, 0.7)), and a doubling step built order 32 only to confirm it
-    quad.rule.cache_clear()
     built, rule = [], quad.rule
 
     def recording(order, alpha, beta):
@@ -226,9 +225,6 @@ def test_a_callable_integral_converged_at_order_16_builds_no_higher_order(monkey
             scale = 1 + sum(abs(c) for c in (f * g).coeffs.values())
             assert abs(got - continuous_inner(p, f, g)) <= quad.DEFAULT_TOL * scale, (ab, ki, kj)
         assert built and max(built) <= top, (ab, built)
-        misses = rule.cache_info().misses
-        rule(32, *ab)
-        assert rule.cache_info().misses == misses + 1, ab
 
 
 def test_quadrature_error_states_the_order_and_the_last_change():
