@@ -16,6 +16,7 @@ identities of those functions.  `WeightParams`, `star_indices_upto`,
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from fractions import Fraction
 
@@ -112,7 +113,9 @@ def resolve_index(alpha: Fraction, beta: Fraction, k1: int, k2: int):
     reflection with the sign (-1)^bit, and a component equal to -bit
     makes the member vanish.  Returns (sign, MIndex) or (0, None) when
     the member is identically zero.  Raises ValueError off the four
-    half-integer cases, where these identities do not hold."""
+    half-integer cases, where these identities do not hold; k1 and k2 go
+    through `operator.index`, so a non-integer raises TypeError."""
+    k1, k2 = operator.index(k1), operator.index(k2)
     d, p = _family(WeightParams(alpha, beta)).sines
     sign = 1
     for _ in range(64):

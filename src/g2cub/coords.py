@@ -89,8 +89,8 @@ def hat(k: HexIndex) -> HexIndex:
 def orbit_size(k) -> int:
     """The size of k's orbit under the 12-element group in closed form: 1
     for the zero index, 6 when a component is 0 or two components are
-    equal, 12 otherwise."""
-    k1, k2, k3 = k
+    equal, 12 otherwise.  Each component goes through `operator.index`."""
+    k1, k2, k3 = map(operator.index, k)
     if not (k1 or k2):
         return 1
     if not (k1 and k2 and k3) or k1 == k2 or k2 == k3 or k1 == k3:

@@ -33,6 +33,7 @@ So x is within 16 u and y within 34 u of xy(j/m), and v within E = 48 u
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -115,29 +116,22 @@ def make_rule(kind: str, n: int) -> CubatureRule:
     of its factor family: lattice size m = n + shift1 - shift3, weight
     parameters (d - 1/2, p - 1/2), scale |orbit(shift)|, and the nodes
     where the factor vanishes dropped, j1 = j2 when d = 1 and j2 = 0 or
-    j3 = -m when p = 1.  n must be an integer >= 1; a non-integral n
-    raises ValueError.  Rules are immutable, so the last 32 built are
-    cached and shared (see `_build_rule`)."""
-    return _build_rule(kind, n)
+    j3 = -m when p = 1.  n goes through `operator.index`, so a non-integer
+    n raises TypeError, and one below 1 ValueError.  Rules are immutable,
+    so the last 32 built are cached and shared (see `_build_rule`)."""
+    return _build_rule(kind, operator.index(n))
 
 
-@functools.lru_cache(maxsize=32, typed=True)  # typed: n = 4.0 or True is not the int rule's key
+@functools.lru_cache(maxsize=32)
 def _build_rule(kind: str, n: int) -> CubatureRule:
     family = _RULE_FAMILY.get(kind)
     if family is None:
         raise ValueError(f"unknown rule kind {kind!r}")
-    try:
-        integral = n == int(n)
-    except (OverflowError, ValueError):  # int() of an infinity or a nan
-        integral = False
-    if not integral:
-        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
     d, p = family.sines
     shift = family.shift
-    n_int = int(n)  # an int lattice and degree for n = 4.0 or True too
-    m = _lattice_size(family, n_int)
+    m = _lattice_size(family, n)
     j = enum_upsilon(m)
     j1, j2, j3 = j.T
     vanishes = ((d == 1) & (j1 == j2)) | ((p == 1) & ((j2 == 0) | (j3 == -m)))
@@ -150,7 +144,7 @@ def _build_rule(kind: str, n: int) -> CubatureRule:
         weights=weights,
         kind=kind,
         n=n,
-        exact_mdegree=2 * n_int - 1,
+        exact_mdegree=2 * n - 1,
         weight_params=WeightParams(*family.params),
         indices=j,
     )

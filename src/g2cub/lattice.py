@@ -9,10 +9,13 @@ each first component k1 the second runs over one arithmetic range read
 off the set's inequalities, so only the kept triples are ever built.
 Each returns an (N, 3) int64 array whose rows are in lexicographic order.
 The weight of a triangle lattice node, and of any congruent triple
-through its orbit representative, is `upsilon_weight`.
+through its orbit representative, is `upsilon_weight`.  Every size n goes
+through `operator.index`, so an n that is not an integer raises TypeError.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -43,6 +46,7 @@ def enum_upsilon(n: int):
     """Nodes of the triangle lattice 0 <= j2 <= j1 <= -j3 <= n (components
     congruent mod 3), sorted lexicographically: for each j1, j2 runs from
     j1 mod 3 to min(j1, n - j1) in steps of 3, about n^2/12 rows."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     j1 = np.arange(n + 1)
@@ -55,6 +59,7 @@ def upsilon_weight(j, n: int):
     30, 60 and 90 degree vertices, 12 inside and 6 on an edge.  The
     components j[0], j[1], j[2] may be arrays of one shape; scalar input
     gives an int."""
+    n = operator.index(n)
     low, mid, top = np.sort(np.array([j[0], j[1], j[2]]), axis=0)
     j1 = np.where(mid >= 0, top, -low)
     j2 = np.abs(mid)
@@ -72,6 +77,7 @@ def enum_gamma(family, n: int):
     k1, k2 runs from p to min(k1 - d, n - d - 2 k1), sorted
     lexicographically."""
     family = TrigFamily.of(family)
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     d, p = family.sines
@@ -81,6 +87,7 @@ def enum_gamma(family, n: int):
 
 def dim_pi_star(n: int) -> int:
     """Dimension of the span of monomials x^a y^b with 2a+3b <= n."""
+    n = operator.index(n)
     if n < 0:
         raise ValueError("n must be >= 0")
     f3 = n // 3

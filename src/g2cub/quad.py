@@ -59,17 +59,12 @@ def _require_integrable(alpha, beta):
         )
 
 
-class Rule:
-    """A weighted point set on the domain: nodes (N, 2), one (x, y) per
-    row, and weights (N,) summing to one, both read-only float64 arrays.
-    Immutable, and equal only to itself; a pickled or copied rule is built
-    again from its fields, so its arrays are read-only too."""
+class Record:
+    """Base of the immutable records: nothing can be set or deleted after
+    __init__, the repr lists the fields named in `_fields`, and pickle and
+    copy call the class on those fields, so its checks run again."""
 
-    _fields = ("nodes", "weights")
-
-    def __init__(self, nodes, weights):
-        nodes.flags.writeable = weights.flags.writeable = False
-        vars(self).update(nodes=nodes, weights=weights)
+    __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -83,6 +78,19 @@ class Rule:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+class Rule(Record):
+    """A weighted point set on the domain: nodes (N, 2), one (x, y) per
+    row, and weights (N,) summing to one, both read-only float64 arrays.
+    Immutable, and equal only to itself; a pickled or copied rule is built
+    again from its fields, so its arrays are read-only too."""
+
+    _fields = ("nodes", "weights")
+
+    def __init__(self, nodes, weights):
+        nodes.flags.writeable = weights.flags.writeable = False
+        vars(self).update(nodes=nodes, weights=weights)
 
     def mean(self, values):
         """The weighted sum over the last axis of values at the nodes, in

@@ -44,8 +44,6 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from . import quad
 from .gentrig import TrigFamily
 from .lattice import dim_pi_star
@@ -86,7 +84,7 @@ def _parameter(v):
 _FAMILY_OF_PARAMS = {fam.params: fam for fam in TrigFamily}
 
 
-class WeightParams:
+class WeightParams(quad.Record):
     """(alpha, beta), both exact or both float, immutable.  WeightParams(0.5, 0.5) equals and
     hashes as WeightParams(Fraction(1, 2), Fraction(1, 2)) yet has a float table: key no cache
     on one.  `family`, set with the fields, is the trig family whose polynomials have these
@@ -94,6 +92,7 @@ class WeightParams:
     Fraction(1, 2) both match."""
 
     __slots__ = ("alpha", "beta", "family")
+    _fields = ("alpha", "beta")
 
     def __init__(self, alpha, beta):
         alpha, beta = _parameter(alpha), _parameter(beta)
@@ -113,15 +112,6 @@ class WeightParams:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "family", _FAMILY_OF_PARAMS.get((alpha, beta)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # pickle and copy go through __init__, not __setattr__
-        return WeightParams, (self.alpha, self.beta)
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.alpha, self.beta) == (other.alpha, other.beta)
@@ -129,9 +119,6 @@ class WeightParams:
 
     def __hash__(self):
         return hash((self.alpha, self.beta))
-
-    def __repr__(self):
-        return f"WeightParams(alpha={self.alpha!r}, beta={self.beta!r})"
 
     def key(self):
         """The exact pair in the fields' form; (alpha, beta) at exact ones."""
@@ -141,7 +128,8 @@ class WeightParams:
 # star order ---------------------------------------------------------------
 
 def star_class(n: int):
-    """Index pairs of weighted degree exactly n, in order."""
+    """Index pairs of weighted degree exactly n, in order; n goes through `operator.index`."""
+    n = operator.index(n)
     return [MIndex((n - 3 * j) // 2, j) for j in range(n % 2, n // 3 + 1, 2)]
 
 
@@ -505,10 +493,8 @@ def continuous_inner(p: WeightParams, f, g):
         mus, den = _integer_moments(p, max(map(mdegree_of, prod), default=0))
         return rounded_quotient(sum([c * mus[e] for e, c in prod.items()]), fd * gd * den)
 
-    def values(x, y):
-        return np.broadcast_to(f(x, y) * g(x, y), x.shape)
-
-    return quad.triangle_quadrature(values, alpha=float(p.alpha), beta=float(p.beta))
+    return quad.triangle_quadrature(lambda x, y: f(x, y) * g(x, y),
+                                    alpha=float(p.alpha), beta=float(p.beta))
 
 
 def jacobi_poly(p: WeightParams, k) -> BivarPoly:

@@ -217,8 +217,11 @@ def test_numpy_index_leaves_the_exact_cache_exact():
     sturm._table.cache_clear()
     assert big == cheb_poly(p, (20, 10))
     assert dumps(poly_to_json_dict(p, np.array([20, 10]), big)) == dumps(poly_to_json_dict(p, (20, 10), big))
+    sign, k = resolve_index(*p.key(), *np.array([4, 2]))
+    assert (sign, k) == (1, (4, 2)) and all(type(c) is int for c in k)
     for bad in ((4.0, 2), (4, 2.5)):
-        for call in (cheb_poly, eigenvalue, orthogonality_constant):
+        for call in (cheb_poly, eigenvalue, orthogonality_constant,
+                     lambda p, k: resolve_index(*p.key(), *k)):
             with pytest.raises(TypeError):
                 call(p, bad)
         with pytest.raises(TypeError):
@@ -321,6 +324,9 @@ def test_orbit_size_closed_form_matches_the_orbit():
         for k2 in range(-12, 13):
             k = make_index(k1, k2)
             assert orbit_size(k) == len(orbit(k)), k
+    assert orbit_size(np.array([2, 1, -3])) == 12
+    with pytest.raises(TypeError):  # once counted as 12
+        orbit_size((1.5, 0.5, -2.0))
 
 
 def test_leading_coefficient_positive():

@@ -186,15 +186,15 @@ def test_make_rule_returns_the_cached_rule():
 
 
 def test_make_rule_does_not_depend_on_the_call_history():
-    # the cache key carries the type of n, so an int rule is not handed
-    # out for a float or bool n of equal value, nor the other way round
-    for warm, other in ((4, 4.0), (1, True), (4.0, 4), (True, 1)):
+    # n goes through operator.index before the cache, so a numpy or bool n
+    # shares the int rule's entry, whichever of the two is built first
+    for warm, other in ((4, np.int64(4)), (1, True), (np.int64(4), 4), (True, 1)):
         _build_rule.cache_clear()
         cold = make_rule("gauss", other)
         _build_rule.cache_clear()
-        make_rule("gauss", warm)
-        rule = make_rule("gauss", other)
-        assert type(rule.n) is type(other) is type(cold.n)
+        rule = make_rule("gauss", warm)
+        assert make_rule("gauss", other) is rule
+        assert type(rule.n) is type(cold.n) is int
         assert rule_to_json(rule) == rule_to_json(cold)
 
 
@@ -210,21 +210,22 @@ def test_make_rule_peaks_near_the_arrays_it_keeps():
     assert peak <= 4 * (rule.nodes.nbytes + rule.weights.nbytes + rule.indices.nbytes)
 
 
-@pytest.mark.parametrize("n", [4, 4.0, True])
+@pytest.mark.parametrize("n", [4, np.int64(4), True])
 def test_make_rule_builds_an_int_lattice_for_any_integral_n(n):
-    # the lattice and the degree are built on int(n); the rule keeps n as given
+    # n, its lattice and its degree are ints: the rule is the int rule
     rule = make_rule("gauss", n)
+    assert rule is make_rule("gauss", int(n))
     assert rule.indices.dtype == np.int64
-    assert type(rule.n) is type(n)
-    assert rule.indices.tolist() == make_rule("gauss", int(n)).indices.tolist()
+    assert type(rule.n) is int and rule.n == n
     assert type(rule.exact_mdegree) is int
     assert rule.exact_mdegree == 2 * int(n) - 1
 
 
-@pytest.mark.parametrize("n", [4.5, 0.5, Fraction(9, 2), float("inf"), float("nan")])
+@pytest.mark.parametrize("n", [4.5, 0.5, Fraction(9, 2), float("inf"), float("nan"), 4.0, Fraction(4)])
 def test_make_rule_rejects_a_non_integral_n(n):
-    # int(4.5) would build the 2-node n = 4 rule and label it n = 4
-    with pytest.raises(ValueError, match=re.escape(f"integer, got {n!r}")):
+    # int(4.5) would build the 2-node n = 4 rule and label it n = 4; an
+    # integral float or Fraction is refused too, as operator.index refuses it
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         make_rule("gauss", n)
 
 
@@ -337,6 +338,7 @@ def test_variety_reports():
                          ("radau1", ["(3, 0)", "(0, 2)"]), ("radau2", ["(2, 1)-(1, 1)"])):
         residuals = variety_check(kind, 6)
         assert list(residuals) == labels
+        assert list(variety_check(kind, np.int64(6))) == labels  # once "(np.int64(3), 0)"
         assert all(0.0 <= r <= 1e-13 for r in residuals.values()), residuals
     # negative control: the constant does not vanish anywhere
     rule = make_rule("gauss", 4)

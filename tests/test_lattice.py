@@ -195,6 +195,22 @@ def test_lattice_sizes_below_the_smallest_raise(call, message):
         call()
 
 
+@pytest.mark.parametrize("size", [
+    enum_upsilon,
+    lambda n: enum_gamma("cc", n),
+    dim_pi_star,
+    lambda n: upsilon_weight((3, 0, -3), n),
+    lambda n: discrete_ortho_constant((1, 0, -1), n),
+], ids=["enum_upsilon", "enum_gamma", "dim_pi_star", "upsilon_weight", "discrete_ortho_constant"])
+def test_lattice_sizes_go_through_operator_index(size):
+    # dim_pi_star(4.5) once returned 4.5 and enum_upsilon(4.0) failed inside numpy
+    want, got = size(4), size(np.int64(4))
+    assert type(got) is type(want) and np.asarray(got).tolist() == np.asarray(want).tolist()
+    for bad in (4.0, 4.5):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            size(bad)
+
+
 def test_gamma_members():
     assert enum_gamma("ss", 6).tolist() == [[2, 1, -3]]
     assert enum_gamma("sc", 3).tolist() == [[1, 0, -1]]
