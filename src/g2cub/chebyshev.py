@@ -8,9 +8,9 @@ out by F(x, y) >= 0.  Polynomials are graded by the weighted degree
 2*k1 + 3*k2.  Each family member is the eigenpolynomial of the operator
 in `sturm` for its half-integer parameters, scaled by an exact leading
 coefficient so that it equals a quotient of trigonometric functions;
-`resolve_index` folds out-of-range indices back by the reflection
-identities of those functions.  `WeightParams`, `star_indices_upto`,
-`continuous_inner` and `xy_map` can still be imported from here.
+`resolve_index` folds out-of-range indices back by the group and its
+character.  `WeightParams`, `star_indices_upto`, `continuous_inner` and
+`xy_map` can still be imported from here.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coords import make_index, orbit_size
+from .coords import G2, make_index, orbit_size
 from .gentrig import TrigFamily, eval as trig_eval, xy_map
 from .poly import BivarPoly, integer_ratio
 from .quad import _require_integrable
@@ -82,13 +82,14 @@ def weight_w(p: WeightParams, x: float, y: float) -> float:
 # exact polynomials ----------------------------------------------------------
 
 def _quotient(p: WeightParams, k: MIndex):
-    """Trig family, numerator index and denominator index (None for the
-    first kind) of the quotient form of one family member: the family's
-    sine bits are the signs of alpha and beta, its denominator is the
-    family's shift and the numerator (k1+k2, k2) plus that shift."""
+    """Trig family, numerator index and denominator index of the quotient
+    form F_num / F_den of one family member: the family's sine bits are the
+    signs of alpha and beta, its denominator is the family's shift (for the
+    first kind the zero index, whose member is 1.0 at every finite point)
+    and the numerator (k1+k2, k2) plus that shift."""
     fam = _family(p)
     num = make_index(k.k1 + k.k2 + fam.shift[0], k.k2 + fam.shift[1])
-    return fam, num, fam.shift if any(fam.sines) else None
+    return fam, num, fam.shift
 
 
 def cheb_poly(p: WeightParams, k) -> BivarPoly:
@@ -99,43 +100,37 @@ def cheb_poly(p: WeightParams, k) -> BivarPoly:
     orthogonality constant, makes it equal to its trigonometric quotient.
     """
     k = MIndex.of(k)
-    fam, num, _ = _quotient(p, k)
-    lead = 6 ** (k.k1 + k.k2) * orbit_size(fam.shift)
+    fam, num, den = _quotient(p, k)
     if type(p.alpha) is float:
         p = WeightParams(*fam.params)  # float half-integers name the exact families
-    return eigen_poly(p, k, Fraction(lead, orbit_size(num)))
+    return eigen_poly(p, k, Fraction(6 ** (k.k1 + k.k2) * orbit_size(den), orbit_size(num)))
 
 
 def resolve_index(alpha: Fraction, beta: Fraction, k1: int, k2: int):
-    """Fold an arbitrary integer index pair back into the quadrant using
-    the reflection identities: with the family's sine bits (d, p), a
-    negative k2 reflects about -p and a negative k1 about -d, each
-    reflection with the sign (-1)^bit, and a component equal to -bit
-    makes the member vanish.  Returns (sign, MIndex) or (0, None) when
-    the member is identically zero.  Raises ValueError off the four
-    half-integer cases, where these identities do not hold; k1 and k2 go
+    """Fold an arbitrary integer index pair back into the quadrant by the
+    group: the member is F_num / F_shift, and with the first g in G2 that
+    takes num to v in the chamber v0 >= v1 >= 0 it is chi(g)
+    (`TrigFamily.character`) times the member (v0-v1-d, v1-p), or zero on
+    a wall where the family vanishes (v0 == v1 if d = 1, v1 == 0 if p = 1).
+    Returns (sign, MIndex) or (0, None).  Raises ValueError off the four
+    half-integer cases, where the quotient form does not hold; k1 and k2 go
     through `operator.index`, so a non-integer raises TypeError."""
-    k1, k2 = operator.index(k1), operator.index(k2)
-    d, p = _family(WeightParams(alpha, beta)).sines
-    sign = 1
-    for _ in range(64):
-        if k1 >= 0 and k2 >= 0:
-            return sign, MIndex(k1, k2)
-        if k2 < 0:
-            if k2 == -p:
-                return 0, None
-            k1, k2, sign = k1 + 3 * (k2 + p), -k2 - 2 * p, sign * (-1) ** p
-        else:
-            if k1 == -d:
-                return 0, None
-            k1, k2, sign = -k1 - 2 * d, k2 + k1 + d, sign * (-1) ** d
-    raise RuntimeError("index reflection did not terminate")
+    fam, num, _ = _quotient(WeightParams(alpha, beta), MIndex(operator.index(k1), operator.index(k2)))
+    d, p = fam.sines
+    for g in G2:  # the chamber holds a point of every orbit
+        v0, v1, _ = g.apply(num)
+        if v0 >= v1 >= 0:
+            break
+    if (d and v0 == v1) or (p and v1 == 0):
+        return 0, None
+    return fam.character(g), MIndex(v0 - v1 - d, v1 - p)
 
 
 # trigonometric evaluation ---------------------------------------------------
 
 def cheb_eval_trig(p: WeightParams, k, t):
-    """Evaluate a family member through its trigonometric quotient form.
+    """Evaluate a family member through its trigonometric quotient form
+    F_num / F_den, whose F_den is 1.0 at every finite point for the first kind.
 
     The components of t may be scalars or numpy arrays that broadcast
     against each other, as in `gentrig.eval`; scalar input gives a float.
@@ -146,8 +141,6 @@ def cheb_eval_trig(p: WeightParams, k, t):
     k = MIndex.of(k)
     fam, num, den = _quotient(p, k)
     numerator = trig_eval(fam, num, t)
-    if den is None:
-        return numerator
     denominator = trig_eval(fam, den, t)
     small = np.abs(denominator) < DENOM_FALLBACK
     if not small.any():
@@ -166,8 +159,8 @@ def orthogonality_constant(p: WeightParams, k) -> float:
     the family's shift, the denominator index, of the quotient form; the
     first kind's shift is the zero index, whose orbit has size 1.
     """
-    fam, num, _ = _quotient(p, MIndex.of(k))
-    return orbit_size(fam.shift) / orbit_size(num)
+    _, num, den = _quotient(p, MIndex.of(k))
+    return orbit_size(den) / orbit_size(num)
 
 
 # weighted integrals ---------------------------------------------------------

@@ -10,12 +10,13 @@ The two choices are the family's sine bits (d, p), `TrigFamily.sines`:
 d = 1 when the difference factor is a sine, p = 1 when the plain factor
 is; every per-family rule in the package is read off these bits.  Under
 a group element g a member changes by the character
-chi(g) = sign(g)^(d+p) parity(g)^d, so cc is invariant under the full
-12-element group, ss is anti-invariant under reflections, and sc and cs
-are the two mixed types.  Hence every product of two members, all 16
-ordered family pairs, linearizes into one signed 1/12 sum over the group
-(`product_expand`).  The lowest member that is not identically zero sits
-at the index `TrigFamily.shift` = (d+p, p, -d-2p).
+chi(g) = sign(g)^(d+p) parity(g)^d (`TrigFamily.character`), so cc is
+invariant under the full 12-element group, ss is anti-invariant under
+reflections, and sc and cs are the two mixed types.  Hence every product
+of two members, all 16 ordered family pairs, linearizes into one signed
+1/12 sum over the group (`product_expand`).  The lowest member that is
+not identically zero sits at the index `TrigFamily.shift` = (d+p, p,
+-d-2p).
 
 `eval` is the one evaluator of these closed forms: index and point
 components may be scalars or numpy arrays that broadcast against each
@@ -51,6 +52,11 @@ class TrigFamily(enum.Enum):
         self.shift = HexIndex(d + p, p, -d - 2 * p)
         # the weight parameters (d - 1/2, p - 1/2) of the family's polynomials
         self.params = (Fraction(2 * d - 1, 2), Fraction(2 * p - 1, 2))
+
+    def character(self, g) -> int:
+        """chi(g): the sign a member picks up when g moves its index or point."""
+        d, p = self.sines
+        return g.sign ** (d + p) * g.parity ** d
 
     @classmethod
     def of(cls, value) -> "TrigFamily":
@@ -146,17 +152,16 @@ def product_expand(family_a, j, family_b, k):
     family (da ^ db, pa ^ pb) summed over the group as
     (-1)^(da db + pa pb) / 12 * sum_g chi_a(g) f_(k + j*g), where the sign
     counts the sines the two factors share and chi_a is the character of
-    the first family (see the module docstring).  Returns a list of
+    the first family (`TrigFamily.character`).  Returns a list of
     (family, index, Fraction) terms whose pointwise sum equals the product
     everywhere.
     """
-    da, pa = TrigFamily.of(family_a).sines
-    db, pb = TrigFamily.of(family_b).sines
+    family_a, family_b = TrigFamily.of(family_a), TrigFamily.of(family_b)
+    (da, pa), (db, pb) = family_a.sines, family_b.sines
     family = TrigFamily.from_sines(da ^ db, pa ^ pb)
     c = Fraction((-1) ** (da * db + pa * pb), 12)
     j = HexIndex(*j)
     return [
-        (family, HexIndex(*(a + b for a, b in zip(k, g.apply(j)))),
-         g.sign ** (da + pa) * g.parity ** da * c)
+        (family, HexIndex(*(a + b for a, b in zip(k, g.apply(j)))), family_a.character(g) * c)
         for g in G2
     ]
