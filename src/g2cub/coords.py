@@ -76,7 +76,11 @@ def make_index(k1: int, k2: int) -> HexIndex:
 def point_from_index(j, n: int) -> TriplePoint:
     """Lattice node j/n.  Each component is divided separately so that
     lattice points on symmetry lines keep exact float equalities
-    (j1 == j2 gives t1 == t2, j3 == -n gives t3 == -1.0)."""
+    (j1 == j2 gives t1 == t2, j3 == -n gives t3 == -1.0).  n goes through
+    `operator.index` and must be >= 1."""
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError(f"the lattice size n must be >= 1, got {n}")
     return TriplePoint(j[0] / n, j[1] / n, j[2] / n)
 
 

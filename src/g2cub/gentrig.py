@@ -32,6 +32,7 @@ components.
 from __future__ import annotations
 
 import enum
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -90,6 +91,17 @@ def _structural_zero(family: TrigFamily, v):
     return zero
 
 
+def _require_integer_index(k):
+    """TypeError unless every component of the index k is an integer: an
+    array component by its dtype, any other through `operator.index`."""
+    for c in k:
+        if isinstance(c, np.ndarray):
+            if c.dtype.kind not in "iu":
+                raise TypeError(f"index arrays must have an integer dtype, got {c.dtype}")
+        else:
+            operator.index(c)
+
+
 def eval(family, k, t):
     """Evaluate one family member through its three-term closed form.
 
@@ -98,8 +110,10 @@ def eval(family, k, t):
     A cosine plain factor at a scalar plain frequency k2 = 0 is 1.0 at
     every finite point, so it is left out of the product (x * 1.0 == x);
     a nan or infinite component still makes a difference factor nan.
+    A float index component raises TypeError (`_require_integer_index`).
     """
     family = TrigFamily.of(family)
+    _require_integer_index(k)
     a = np.pi * (k[0] - k[2]) / 3.0
     b = np.pi * k[1]
     d, p = family.sines
@@ -126,6 +140,7 @@ def partial_t(family, k, t, i: int):
     treating t1, t2, t3 as independent.  k and t broadcast as in `eval`;
     an index where the family vanishes identically gives exact 0.0."""
     family = TrigFamily.of(family)
+    _require_integer_index(k)
     a = np.pi * (k[0] - k[2]) / 3.0
     b = np.pi * k[1]
     d, p = family.sines
@@ -154,8 +169,10 @@ def product_expand(family_a, j, family_b, k):
     counts the sines the two factors share and chi_a is the character of
     the first family (`TrigFamily.character`).  Returns a list of
     (family, index, Fraction) terms whose pointwise sum equals the product
-    everywhere.
+    everywhere; a float index component raises TypeError.
     """
+    _require_integer_index(j)
+    _require_integer_index(k)
     family_a, family_b = TrigFamily.of(family_a), TrigFamily.of(family_b)
     (da, pa), (db, pb) = family_a.sines, family_b.sines
     family = TrigFamily.from_sines(da ^ db, pa ^ pb)

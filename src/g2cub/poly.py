@@ -32,9 +32,14 @@ def integer_form(coeffs: dict):
     return {e: n * (den // d) for e, (n, d) in ratios.items()}, den
 
 
-def _binary_form(values) -> tuple:
-    """([n], e) with float(values[k]) == n_k / 2^e over the least e >= 0."""
-    ratios = [float(v).as_integer_ratio() for v in values]
+def _binary_form(values, name: str) -> tuple:
+    """([n], e) with float(values[k]) == n_k / 2^e over the least e >= 0;
+    ValueError naming the column and the value where one is not finite."""
+    try:
+        ratios = [float(v).as_integer_ratio() for v in values]
+    except (ValueError, OverflowError):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise ValueError(f"an exact sum needs finite values, got {name} = {bad}") from None
     e = max(d for _, d in ratios).bit_length() - 1
     return [n << (e - d.bit_length() + 1) for n, d in ratios], e
 
@@ -115,8 +120,11 @@ class BivarPoly:
         self.coeffs = {}
         if coeffs:
             for key, c in coeffs.items():
+                i, j = map(operator.index, key)
+                if i < 0 or j < 0:
+                    raise ValueError(f"exponents must be nonnegative, got {(i, j)}")
                 if c:
-                    self.coeffs[(int(key[0]), int(key[1]))] = c
+                    self.coeffs[(i, j)] = c
 
     # constructors -------------------------------------------------------
     @classmethod
@@ -251,7 +259,7 @@ class BivarPoly:
         ws each become ints over one denominator."""
         nums, den = integer_form(self.coeffs)
         imax, jmax = (max((e[axis] for e in nums), default=0) for axis in (0, 1))
-        (xs, xe), (ys, ye), (ws, we) = map(_binary_form, (xs, ys, ws))
+        (xs, xe), (ys, ye), (ws, we) = map(_binary_form, (xs, ys, ws), ("x", "y", "w"))
         wx = _power_rows(ws, xs, (i for i, _ in nums))  # W X^i at every node
         yp = _power_rows([1] * len(ys), ys, (j for _, j in nums))
         # n x^i y^j = n 2^(xe (imax-i) + ye (jmax-j)) X^i Y^j / 2^(xe imax + ye jmax)

@@ -43,7 +43,8 @@ _L = ((1 / 3, -1 / 3), (1 / 3, 2 / 3), (-2 / 3, -1 / 3), (1.0, 0.0), (0.0, 1.0),
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the error estimate is still above tol at the order cap."""
+    """Raised when the error estimate is still above tol at the order cap,
+    or when an estimate is not finite."""
 
 
 def _require_integrable(alpha, beta):
@@ -195,11 +196,17 @@ def triangle_quadrature(values_fn, tol=DEFAULT_TOL, alpha=0.0, beta=0.0):
     order's: the error estimate is relative to the normalized result.  A
     rule of order n has 6 n^2 nodes, and the stop takes one order past the
     first that has converged, which costs at most (3/2)^2 = 2.25 times its
-    points, against 4 times for a doubling step."""
+    points, against 4 times for a doubling step.  It stops at the first
+    order whose estimate is not finite with a QuadratureError."""
     prev, delta = None, np.inf
     for order in ORDERS:
         r = rule(order, alpha, beta)
-        est = r.mean(values_fn(*r.nodes.T))
+        values = values_fn(*r.nodes.T)
+        with np.errstate(invalid="ignore"):  # inf - inf or inf * 0 in the mean, refused below
+            est = r.mean(values)
+        if not np.isfinite(est).all():
+            raise QuadratureError(f"quadrature at parameters ({alpha}, {beta}) stopped: the "
+                                  f"order-{order} estimate is not finite ({est})")
         if prev is not None:
             delta = float(np.max(np.abs(est - prev))) / max(1.0, float(np.max(np.abs(est))))
             if delta <= tol:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from g2cub.chebyshev import (
     MIndex,
@@ -277,6 +277,44 @@ def test_every_index_taking_function_rejects_a_negative_component(name, k):
 def test_resolve_index_rejects_parameters_off_the_half_integer_cases(alpha, beta, k1, k2):
     with pytest.raises(ValueError, match="half-integer"):
         resolve_index(alpha, beta, k1, k2)
+
+
+U = 2.0 ** -53
+
+
+def _eval_error_bound(m) -> float:
+    """A bound on the rounding error of `gentrig.eval` at the index m and a
+    point of the closed triangle, |t_i| <= 1: the argument pi (m1-m3)/3
+    (t_i - t_j) is off by at most 6u of its size 2 pi |m1-m3| / 3 (three
+    roundings in the frequency, one in the difference, one in the product
+    and one from t3 = -t1 - t2), pi m2 t_k by 4u of pi |m2|; each factor
+    adds a u, each product a u, and the sum of three terms over 3 three."""
+    return 4 * math.pi * U * (abs(m[0] - m[2]) + abs(m[1]) + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(list(TrigFamily)), k1=st.integers(-40, 40), k2=st.integers(-40, 40),
+       t2=st.floats(0.01, 0.49), frac=st.floats(0.01, 0.99))
+@example(TrigFamily.SS, -40, -40, 0.2, 0.3)
+@example(TrigFamily.SC, -1, 3, 0.2, 0.3)  # num on the wall v0 == v1
+@example(TrigFamily.CS, 5, -1, 0.2, 0.3)  # num on the wall v1 == 0
+@example(TrigFamily.CC, 40, -40, 0.2, 0.3)
+def test_resolve_index_names_a_member_with_the_same_numerator_up_to_its_sign(family, k1, k2, t2, frac):
+    # the member (k1, k2) is F_num / F_shift with num = (k1+k2+d+p, k2+p), for
+    # any integers; resolve_index must say it vanishes, where eval at num is an
+    # exact structural zero, or name a quadrant member whose numerator is
+    # sign * F_num at interior points, within the rounding of the two evals
+    d, p = family.sines
+    t = make_point(t2 + frac * (1.0 - 2.0 * t2), t2)
+    num = make_index(k1 + k2 + d + p, k2 + p)
+    sign, m = resolve_index(*family.params, k1, k2)
+    if m is None:
+        assert sign == 0 and trig(family, num, t) == 0.0
+        return
+    assert sign in (1, -1) and m.k1 >= 0 and m.k2 >= 0 and all(type(c) is int for c in m)
+    other = make_index(m.k1 + m.k2 + d + p, m.k2 + p)
+    bound = _eval_error_bound(num) + _eval_error_bound(other)
+    assert abs(trig(family, num, t) - sign * trig(family, other, t)) <= bound
 
 
 def test_generic_recurrences_exact():

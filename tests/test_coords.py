@@ -15,6 +15,7 @@ from g2cub.coords import (
     hat,
     make_index,
     make_point,
+    point_from_index,
 )
 
 from helpers import cart_to_homog, compose, in_fundamental_triangle, orbit
@@ -33,6 +34,19 @@ def test_make_index_takes_integers_only():
     for k1, k2 in ((1.5, 0.7), (2.0, 1), (1, Fraction(1, 2))):
         with pytest.raises(TypeError):
             make_index(k1, k2)
+
+
+def test_point_from_index_takes_an_integer_n_of_at_least_one():
+    want = point_from_index((3, 1, -4), 4)
+    got = point_from_index((3, 1, -4), np.int64(4))
+    assert got == want == (0.75, 0.25, -1.0) and all(type(c) is float for c in got)
+    # 4.5 once gave a point and 0 a ZeroDivisionError
+    for n in (4.5, 4.0, Fraction(4), float("nan")):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            point_from_index((3, 1, -4), n)
+    for n in (0, -4, np.int64(0)):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            point_from_index((3, 1, -4), n)
 
 
 def test_cart_to_homog_examples():

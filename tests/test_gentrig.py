@@ -111,6 +111,9 @@ def test_array_eval_matches_scalar_bit_for_bit(family, ks, m, js):
     for name, f, zero in _broadcasting_evaluators(family):
         values = f(k_arr, t_arr)
         assert values.shape == (len(ks), len(js)), name
+        if name != "phi":  # the same index as floats is refused
+            with pytest.raises(TypeError, match="integer dtype"):
+                f(k_arr.astype(float), t_arr)
         scalar_type = complex if name == "phi" else float
         for a, k in enumerate(ks):
             by_point = f(k, t_arr)
@@ -357,3 +360,40 @@ def test_a_nan_point_component_gives_nan(family, k1, k2):
         arrays = tuple(np.array([c, 0.2]) for c in t)
         assert np.isnan(trig(family, k, arrays)[0]) != bool(zero)
     assert all(math.isnan(v) for v in xy_map((nan, 0.1, -0.1)))
+
+
+INDEX_TAKERS = {
+    "eval": lambda k: trig(TrigFamily.CC, k, make_point(0.2, 0.1)),
+    "partial_t": lambda k: partial_t(TrigFamily.SC, k, make_point(0.2, 0.1), 1),
+    "product_expand_j": lambda k: product_expand("cs", k, "ss", make_index(2, 1)),
+    "product_expand_k": lambda k: product_expand("cs", make_index(2, 1), "ss", k),
+}
+
+
+@pytest.mark.parametrize("name", INDEX_TAKERS)
+@pytest.mark.parametrize("bad", [
+    (1.5, 0.5, -2.0),  # eval once returned 0.2252 and product_expand HexIndex(2.5, 0.5, -3.0)
+    (2.0, 1, -3),
+    (np.float64(2.0), 1, -3),
+    (2, Fraction(1), -3),
+    (np.array([2.0]), 1, -3),
+    (np.array([2, 3]), np.array([1.0, 1.0]), np.array([-3, -4])),
+    (np.array([True]), 1, -2),
+], ids=str)
+def test_every_index_taking_function_rejects_a_non_integer_component(name, bad):
+    with pytest.raises(TypeError):
+        INDEX_TAKERS[name](bad)
+
+
+@pytest.mark.parametrize("name", INDEX_TAKERS)
+def test_integer_scalars_and_arrays_give_the_int_index_bits(name):
+    call = INDEX_TAKERS[name]
+    want = call((2, 1, -3))
+    for k in ((np.int64(2), np.int32(1), -3), (np.array(2, dtype=np.int16), 1, np.int16(-3)),
+              (np.array([2], dtype=np.int32), np.array([1]), np.array([-3]))):
+        got = call(k)
+        if name.startswith("product_expand"):
+            assert [(f, tuple(map(int, np.ravel(i))), c) for f, i, c in got] == \
+                [(f, tuple(i), c) for f, i, c in want]
+        else:
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

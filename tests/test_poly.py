@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -169,6 +170,42 @@ def test_integrate_poly_is_the_exact_rule_sum_rounded_once(kind, n, coeffs):
 @given(POLYS, POINT, POINT)
 def test_exact_value_is_the_one_node_exact_sum(p, x, y):
     assert p.exact_value(x, y) == p.exact_sum([x], [y], [1.0]) == float(fraction_sum(p, [(x, y, 1)]))
+
+
+NON_FINITE = (float("nan"), float("inf"), -float("inf"), np.float64("nan"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(POLYS, st.sampled_from(["x", "y", "w"]), st.sampled_from(NON_FINITE), st.integers(0, 3))
+def test_exact_sums_name_a_non_finite_input(p, column, bad, at):
+    # nan once raised "cannot convert NaN to integer ratio" and inf an OverflowError
+    cols = {"x": [0.1, 0.2, 0.3, 0.4], "y": [0.5, -0.5, 0.25, 0.0], "w": [1.0] * 4}
+    cols[column][at] = bad
+    with pytest.raises(ValueError, match=f"finite values, got {column} = {bad}"):
+        p.exact_sum(cols["x"], cols["y"], cols["w"])
+    if column != "w":
+        x, y = (bad, 0.5) if column == "x" else (0.5, bad)
+        with pytest.raises(ValueError, match=f"finite values, got {column} = {bad}"):
+            p.exact_value(x, y)
+
+
+@pytest.mark.parametrize("make", [
+    lambda i, j: BivarPoly({(i, j): 1}),
+    lambda i, j: BivarPoly({(0, 0): 2, (i, j): 0}),  # a zero coefficient is still checked
+    lambda i, j: BivarPoly.monomial(i, j),
+], ids=["dict", "zero-coefficient", "monomial"])
+def test_exponents_are_nonnegative_integers(make):
+    q = make(np.int64(2), np.int32(1))
+    assert all(type(e) is int for key in q.coeffs for e in key)
+    assert q == make(2, 1)
+    # 1.5 was read as 1 and 2.9 as 2
+    for i, j in ((1.5, 0), (2.9, 1), (2.0, 1), (0, Fraction(1))):
+        with pytest.raises(TypeError):
+            make(i, j)
+    # a negative exponent once failed inside exact_value with "negative shift count"
+    for i, j in ((-1, 0), (0, -2)):
+        with pytest.raises(ValueError, match=re.escape(f"exponents must be nonnegative, got {(i, j)}")):
+            make(i, j)
 
 
 def test_integral_where_the_float_sum_loses_every_digit_is_exact():

@@ -233,6 +233,28 @@ def test_quadrature_error_states_the_order_and_the_last_change():
         quad.triangle_quadrature(rough, tol=1e-14)
 
 
+@pytest.mark.parametrize("values", [
+    lambda x, y: np.full_like(x, np.inf),
+    lambda x, y: np.where(x > 0.0, np.inf, -np.inf),  # once "invalid value encountered in reduce"
+    lambda x, y: np.full_like(x, np.nan),
+    lambda x, y: np.stack([x, np.where(y > 0.0, np.inf, 0.0)]),
+], ids=["inf", "inf-minus-inf", "nan", "stacked"])
+def test_quadrature_stops_at_the_first_non_finite_estimate(values, monkeypatch):
+    # an inf integrand once walked every order to 128 before a nan message
+    built, rule = [], quad.rule
+
+    def recording(order, alpha, beta):
+        built.append(order)
+        return rule(order, alpha, beta)
+
+    monkeypatch.setattr(quad, "rule", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(quad.QuadratureError, match=r"\(0.3, 1.2\) stopped: the order-8 estimate is not finite"):
+            quad.triangle_quadrature(values, alpha=0.3, beta=1.2)
+    assert built == [8]
+
+
 def test_rule_arrays_are_read_only():
     r = quad.rule(8, 0.3, 1.2)
     assert r.nodes.shape == (r.weights.size, 2)
