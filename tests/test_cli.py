@@ -409,10 +409,17 @@ def test_poly_output_bytes_are_pinned(capsys, alpha, beta):
 
 # SHA-256 of `g2cub verify` stdout: every residual and error the eigen suite
 # (through apply_L and eigen_residual) and the orthogonality suite (against
-# orthogonality_constant) print, bit for bit
+# orthogonality_constant) print, bit for bit; the other suites at their
+# default n and --tol, which replaces each nonzero tolerance and leaves the
+# exact checks at 0, were pinned before the suites lost their tol parameters
 VERIFY_SHA256 = {
     ("--suite", "eigen", "--n", "20"): "4857fdb569ff9bdbcf20d2e0a0f24fb66583522a3271bf524d8cbec71479f31a",
     ("--suite", "orthogonality"): "6df1ed22e462291a3f6429c905a42a19cd4bf995153156e9a36f3a9e0bb9e7b5",
+    ("--suite", "cubature"): "8b89917213a3ca8e64f42dcb644b321fb62a79ca2728e6e7ae7dbfa0d4a23c93",
+    ("--suite", "identities"): "b17236106edc95e9e2e8304cf931628a85260276a8028b0d02a442851c339ac8",
+    ("--suite", "variety"): "6ef3940e8d99a92c21d6c4215960777a99230b343bc341fe92b6127c5d42e9a4",
+    ("--suite", "eigen"): "ad447ed295f44b78d9d658d461ac5b770ff0602df433d653a943405c8c5d5440",
+    ("--suite", "identities", "--tol", "1e-3"): "f61745adafd476c00601dcc6966b887a8d0df3acc820dd4462055f3d5fb153c3",
 }
 
 
@@ -421,6 +428,19 @@ def test_verify_output_bytes_are_pinned(capsys, args):
     code, out, _ = run(capsys, "verify", *args)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[args]
+
+
+# a failing run prints the same lines, ending in FAIL, and exits 1
+VERIFY_FAIL_SHA256 = {
+    ("--suite", "orthogonality", "--n", "4", "--tol", "1e-30"): "0937140c0e3edcc7233e4ef616a69e592770451a02dcbd539cb7ff7ad205caad",
+}
+
+
+@pytest.mark.parametrize("args", list(VERIFY_FAIL_SHA256), ids=" ".join)
+def test_failing_verify_output_bytes_are_pinned(capsys, args):
+    code, out, _ = run(capsys, "verify", *args)
+    assert code == 1 and "FAIL" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FAIL_SHA256[args]
 
 
 @pytest.mark.parametrize("n", ["18", "24"])
