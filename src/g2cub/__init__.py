@@ -63,9 +63,9 @@ from .cubature import (
     reference_integral,
     rule_to_csv,
     rule_to_json,
-    variety_check,
 )
 from .quad import QuadratureError
+from .verify import variety_check
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -37,13 +37,12 @@ import operator
 
 import numpy as np
 
-from .chebyshev import cheb_eval_trig
 from .coords import orbit_size, point_from_index
 from .gentrig import TrigFamily, eval as trig_eval, xy_map
 from .lattice import enum_upsilon, upsilon_weight
 from .poly import BivarPoly
 from .quad import Rule
-from .sturm import MIndex, WeightParams, continuous_inner, star_class
+from .sturm import WeightParams, continuous_inner
 
 # rule kind -> the trig family whose squared shift member is its factor
 _RULE_FAMILY = {
@@ -170,46 +169,6 @@ def reference_integral(p: WeightParams, f) -> float:
     once for a polynomial, by quadrature at `quad.DEFAULT_TOL` otherwise."""
     one = BivarPoly.constant(1) if isinstance(f, BivarPoly) else (lambda x, y: 1.0)
     return continuous_inner(p, f, one)
-
-
-# variety checks --------------------------------------------------------------
-
-
-def variety_check(kind: str, n: int) -> dict:
-    """Residuals of the ideal generators attached to a rule on its node
-    set, {generator label: normalized residual}.
-
-    gauss:   members of the (1/2, 1/2) family of weighted degree n
-    lobatto: differences of first-kind members of weighted degree n+1
-    radau1:  members of the (1/2, -1/2) family of weighted degree n
-    radau2:  differences of (-1/2, 1/2) members of weighted degree n+1
-
-    Each generator is evaluated through the closed forms
-    (`cheb_eval_trig`) at the nodes' lattice points j/m, where the
-    quotient's denominator is the rule's own factor and does not vanish.
-    Residuals are normalized by the generator's max over the interior
-    nodes of a fixed gauss rule.
-    """
-    rule, sample = make_rule(kind, n), make_rule("gauss", max(24, 2 * n))
-    family = _RULE_FAMILY[kind]
-    t_rule = point_from_index(rule.indices.T, _lattice_size(family, n))
-    t_sample = point_from_index(sample.indices.T, _lattice_size(TrigFamily.SS, sample.n))
-    p = rule.weight_params
-    if family.sines[0]:
-        gens = [(str(tuple(k)), k, None) for k in star_class(n)]
-    else:
-        # k pairs with (k1-1, k2) when k1 > 0, else with (1, k2-1)
-        pairs = [(k, MIndex(k.k1 - 1, k.k2) if k.k1 else MIndex(1, k.k2 - 1))
-                 for k in star_class(n + 1)]
-        gens = [(f"{tuple(k)}-{tuple(j)}", k, j) for k, j in pairs]
-
-    def sup(k, partner, t):
-        value = cheb_eval_trig(p, k, t)
-        if partner is not None:
-            value = value - cheb_eval_trig(p, partner, t)
-        return float(np.max(np.abs(value)))
-
-    return {label: sup(k, j, t_rule) / (sup(k, j, t_sample) or 1.0) for label, k, j in gens}
 
 
 # serialization ----------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Named verification suites behind the command-line `verify` subcommand.
+"""Named verification suites behind the command-line `verify` subcommand,
+run through `run_suite`, and the rules' variety residuals (`variety_check`).
 
-Each suite returns a list of Check records; a suite passes when every
-check's max error is at or below its tolerance.  Random points use a
-fixed seed so runs are reproducible.
-"""
+Each suite returns a list of Check records, each stating its tolerance;
+0 marks an exact check.  A suite passes when every check's max error is
+at or below its tolerance.  Random points use a fixed seed."""
 
 from __future__ import annotations
 
@@ -15,11 +15,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gentrig, lattice
-from .chebyshev import cheb_poly, deltoid_F, deltoid_factors, orthogonality_constant
+from .chebyshev import cheb_eval_trig, cheb_poly, deltoid_F, deltoid_factors, orthogonality_constant
 from .coords import make_index, make_point, point_from_index
-from .cubature import RULE_KINDS, integrate_poly, make_rule, reference_integral, variety_check
+from .cubature import RULE_KINDS, _lattice_size, integrate_poly, make_rule, reference_integral
 from .poly import BivarPoly
 from .sturm import (
+    MIndex,
     WeightParams,
     apply_L,
     continuous_inner,
@@ -27,6 +28,7 @@ from .sturm import (
     eigenvalue,
     jacobi_poly,
     operator_coeffs,
+    star_class,
     star_indices_upto,
 )
 
@@ -55,11 +57,9 @@ def _interior_points(count, seed=20120904, margin=0.02):
     return pts
 
 
-def suite_orthogonality(n: int = 12, tol: float = None):
+def _orthogonality(n: int = 12):
     """Within-family orthogonality: discrete on the triangle lattice for
     every size up to n, continuous through the exact moments at low degree."""
-    cont_tol = 1e-9 if tol is None else tol
-    tol = 1e-12 if tol is None else tol
     errors = {family: [] for family in gentrig.TrigFamily}
     for m in range(1, n + 1):
         j = lattice.enum_upsilon(m).T
@@ -74,7 +74,7 @@ def suite_orthogonality(n: int = 12, tol: float = None):
                 family_errors.append(float(np.max(np.abs(gram - expect))))
     # no line for a family with no member at any size up to n
     checks = [
-        Check(f"discrete-ortho-{family.value}", max(family_errors), tol)
+        Check(f"discrete-ortho-{family.value}", max(family_errors), 1e-12)
         for family, family_errors in errors.items() if family_errors
     ]
     for p in HALF_PARAMS:
@@ -87,15 +87,13 @@ def suite_orthogonality(n: int = 12, tol: float = None):
                 expect = orthogonality_constant(p, ka) if a == b else 0.0
                 worst = max(worst, abs(value - expect))
         tag = f"{p.alpha},{p.beta}"
-        checks.append(Check(f"continuous-ortho-({tag})", worst, cont_tol))
+        checks.append(Check(f"continuous-ortho-({tag})", worst, 1e-9))
     return checks
 
 
-def suite_cubature(n: int = 8, tol: float = 1e-9):
+def _cubature(n: int = 8):
     """Exactness of the four rules against `reference_integral` of every
     monomial through weighted degree 2m - 1, for every size m from 2 to n."""
-    if n < 2:
-        raise ValueError("the cubature suite needs n >= 2")
     checks = []
     for kind in RULE_KINDS:
         worst = 0.0
@@ -106,16 +104,14 @@ def suite_cubature(n: int = 8, tol: float = 1e-9):
                 got = integrate_poly(rule, mono)
                 ref = reference_integral(rule.weight_params, mono)
                 worst = max(worst, abs(got - ref) / (1.0 + abs(ref)))
-        checks.append(Check(f"cubature-exactness-{kind}", worst, tol))
+        checks.append(Check(f"cubature-exactness-{kind}", worst, 1e-9))
     return checks
 
 
-def suite_eigen(n: int = 12, tol: float = 1e-8):
+def _eigen(n: int = 12):
     """Exact eigen identities for half-integer parameters plus numeric
     residuals for three general parameter pairs, through weighted degree
     n; n = 1 would check only the constant polynomial."""
-    if n < 2:
-        raise ValueError("the eigen suite needs n >= 2")
     checks = []
     worst = 0.0
     for p in HALF_PARAMS:
@@ -130,19 +126,17 @@ def suite_eigen(n: int = 12, tol: float = 1e-8):
             eigen_residual(p, k, jacobi_poly(p, k))
             for k in star_indices_upto(n)
         )
-        checks.append(Check(f"eigen-residual-({a},{b})", worst, tol))
+        checks.append(Check(f"eigen-residual-({a},{b})", worst, 1e-8))
     return checks
 
 
-def suite_identities(n: int = 100, tol: float = None):
+def _identities(n: int = 100):
     """Pointwise product identities and exact polynomial identities.
 
-    n counts the random interior sample points.  Without an explicit
-    tolerance the pointwise checks run at 1e-12 and the Jacobian check,
-    which divides by a derivative scale, at 1e-9.
+    n counts the random interior sample points.  The Jacobian check divides
+    by a derivative scale, so it runs at 1e-9 where the other pointwise
+    checks run at 1e-12.
     """
-    jac_tol = 1e-9 if tol is None else tol
-    tol = 1e-12 if tol is None else tol
     t = np.array(_interior_points(n)).T
     sc = gentrig.eval("sc", make_index(1, 0), t)
     cs = gentrig.eval("cs", make_index(1, 1), t)
@@ -166,9 +160,9 @@ def suite_identities(n: int = 100, tol: float = None):
             np.abs(sc ** 2 - f1 / 3), np.abs(cs ** 2 - f2)
         ),
     }
-    checks = [Check(name, float(np.max(np.abs(e))), tol) for name, e in errors.items()]
+    checks = [Check(name, float(np.max(np.abs(e))), 1e-12) for name, e in errors.items()]
     worst = np.max(np.abs(jac - expect) / np.maximum(1.0, np.abs(expect)))
-    checks.append(Check("jacobian", float(worst), jac_tol))
+    checks.append(Check("jacobian", float(worst), 1e-9))
 
     # exact polynomial identities
     coeffs = operator_coeffs(WeightParams(*gentrig.TrigFamily.SS.params))
@@ -183,24 +177,67 @@ def suite_identities(n: int = 100, tol: float = None):
     return checks
 
 
-def suite_variety(n: int = 6, tol: float = 1e-10):
+def variety_check(kind: str, n: int) -> dict:
+    """Residuals of the ideal generators attached to a rule on its node
+    set, {generator label: normalized residual}.
+
+    gauss:   members of the (1/2, 1/2) family of weighted degree n
+    lobatto: differences of first-kind members of weighted degree n+1
+    radau1:  members of the (1/2, -1/2) family of weighted degree n
+    radau2:  differences of (-1/2, 1/2) members of weighted degree n+1
+
+    Each generator is evaluated through the closed forms
+    (`cheb_eval_trig`) at the nodes' lattice points j/m, where the
+    quotient's denominator is the rule's own factor and does not vanish.
+    Residuals are normalized by the generator's max over the interior
+    nodes of a fixed gauss rule.
+    """
+    rule, sample = make_rule(kind, n), make_rule("gauss", max(24, 2 * n))
+    family = rule.weight_params.family
+    t_rule = point_from_index(rule.indices.T, _lattice_size(family, n))
+    t_sample = point_from_index(sample.indices.T, _lattice_size(gentrig.TrigFamily.SS, sample.n))
+    p = rule.weight_params
+    if family.sines[0]:
+        gens = [(str(tuple(k)), k, None) for k in star_class(n)]
+    else:
+        # k pairs with (k1-1, k2) when k1 > 0, else with (1, k2-1)
+        pairs = [(k, MIndex(k.k1 - 1, k.k2) if k.k1 else MIndex(1, k.k2 - 1))
+                 for k in star_class(n + 1)]
+        gens = [(f"{tuple(k)}-{tuple(j)}", k, j) for k, j in pairs]
+
+    def sup(k, partner, t):
+        value = cheb_eval_trig(p, k, t)
+        if partner is not None:
+            value = value - cheb_eval_trig(p, partner, t)
+        return float(np.max(np.abs(value)))
+
+    return {label: sup(k, j, t_rule) / (sup(k, j, t_sample) or 1.0) for label, k, j in gens}
+
+
+def _variety(n: int = 6):
     """Common zeros of each rule's ideal generators, at rule size n; the
     gauss and radau1 rules have no generators of weighted degree 1."""
-    if n < 2:
-        raise ValueError("the variety suite needs n >= 2")
-    return [Check(f"variety-{kind}", max(variety_check(kind, n).values()), tol)
+    return [Check(f"variety-{kind}", max(variety_check(kind, n).values()), 1e-10)
             for kind in RULE_KINDS]
 
 
+# name -> (suite, the least n it takes)
 SUITES = {
-    "orthogonality": suite_orthogonality,
-    "cubature": suite_cubature,
-    "eigen": suite_eigen,
-    "identities": suite_identities,
-    "variety": suite_variety,
+    "orthogonality": (_orthogonality, 1),
+    "cubature": (_cubature, 2),
+    "eigen": (_eigen, 2),
+    "identities": (_identities, 1),
+    "variety": (_variety, 2),
 }
 
 
 def run_suite(name: str, n=None, tol=None):
-    kwargs = {"n": n, "tol": tol}
-    return SUITES[name](**{key: v for key, v in kwargs.items() if v is not None})
+    """The named suite's checks at size n (its default when None), or
+    ValueError below its least n; tol replaces every nonzero tolerance."""
+    suite, least = SUITES[name]
+    if n is not None and n < least:
+        raise ValueError(f"the {name} suite needs n >= {least}")
+    checks = suite() if n is None else suite(n)
+    if tol is not None:
+        checks = [c._replace(tol=tol) if c.tol else c for c in checks]
+    return checks

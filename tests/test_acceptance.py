@@ -27,7 +27,6 @@ from g2cub.cubature import (
     integrate_poly,
     make_rule,
     reference_integral,
-    variety_check,
 )
 from g2cub.gentrig import TrigFamily, eval as trig, partial_t
 from g2cub.lattice import (
@@ -46,6 +45,7 @@ from g2cub.sturm import (
     operator_coeffs,
     star_class,
 )
+from g2cub.verify import variety_check
 
 from helpers import cart_to_homog, interior_points, laplace_eigenvalue
 

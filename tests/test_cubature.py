@@ -31,13 +31,13 @@ from g2cub.cubature import (
     reference_integral,
     rule_to_csv,
     rule_to_json,
-    variety_check,
 )
 from g2cub.gentrig import eval as trig
 from g2cub.coords import make_index
 from g2cub.lattice import dim_pi_star, enum_upsilon, upsilon_weight
 from g2cub.poly import BivarPoly
 from g2cub.sturm import star_class
+from g2cub.verify import variety_check
 
 HALF = Fraction(1, 2)
 
