@@ -17,7 +17,8 @@ the scale and the dropped nodes all follow from the family's sine bits
 of weighted degree up to 2n-1 and is normalized so the weights sum to
 one.  Nodes whose factor vanishes identically are dropped by integer
 predicates on the generating lattice triple, so node counts are
-deterministic.
+deterministic.  The residuals of each rule's ideal generators on its
+nodes are checked in `verify` (`variety_check`).
 
 Accuracy, to first order in u = 2^-53 with sin and cos within 1 ulp:
 a node coordinate and the factor v at j/m come from the closed form of

@@ -93,11 +93,12 @@ def _structural_zero(family: TrigFamily, v):
 
 def _require_integer_index(k):
     """TypeError unless every component of the index k is an integer: an
-    array component by its dtype, any other through `operator.index`."""
+    array component by its signed dtype (a sum-zero index has a negative
+    component, which reflections move), any other through `operator.index`."""
     for c in k:
         if isinstance(c, np.ndarray):
-            if c.dtype.kind not in "iu":
-                raise TypeError(f"index arrays must have an integer dtype, got {c.dtype}")
+            if c.dtype.kind != "i":
+                raise TypeError(f"index arrays must have a signed integer dtype, got {c.dtype}")
         else:
             operator.index(c)
 
@@ -110,7 +111,8 @@ def eval(family, k, t):
     A cosine plain factor at a scalar plain frequency k2 = 0 is 1.0 at
     every finite point, so it is left out of the product (x * 1.0 == x);
     a nan or infinite component still makes a difference factor nan.
-    A float index component raises TypeError (`_require_integer_index`).
+    A float index component or an unsigned index array raises TypeError
+    (`_require_integer_index`).
     """
     family = TrigFamily.of(family)
     _require_integer_index(k)

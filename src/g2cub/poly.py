@@ -13,6 +13,7 @@ Every value the package reports is an exact sum rounded once
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from fractions import Fraction
 
@@ -186,8 +187,9 @@ class BivarPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("polynomial powers take nonnegative int exponents")
+        e = operator.index(e)
+        if e < 0:
+            raise ValueError(f"polynomial powers take nonnegative exponents, got {e}")
         result = BivarPoly.constant(1)
         for _ in range(e):
             result = result * self
@@ -196,8 +198,8 @@ class BivarPoly:
     def __truediv__(self, scalar):
         if isinstance(scalar, BivarPoly):
             raise TypeError("polynomial division is not supported")
-        if isinstance(scalar, (int, Fraction)):
-            return self * (Fraction(1) / scalar)
+        if isinstance(scalar, numbers.Rational):  # numpy integers too: exactly
+            return self * Fraction(operator.index(scalar.denominator), operator.index(scalar.numerator))
         return self * (1.0 / scalar)
 
     def __eq__(self, other):

@@ -379,6 +379,8 @@ INDEX_TAKERS = {
     (np.array([2.0]), 1, -3),
     (np.array([2, 3]), np.array([1.0, 1.0]), np.array([-3, -4])),
     (np.array([True]), 1, -2),
+    (np.array([2], dtype=np.uint8), 1, -3),  # product_expand once raised OverflowError in numpy
+    (np.array([2], dtype=np.uint64), np.array([1], dtype=np.uint64), np.array([-3])),
 ], ids=str)
 def test_every_index_taking_function_rejects_a_non_integer_component(name, bad):
     with pytest.raises(TypeError):

@@ -1,7 +1,8 @@
 """The package's modules import each other at module level only, in one
 direction: coords, gentrig, quad, sturm, chebyshev, cubature, verify, cli,
 with lattice, poly and jsonio beside them; importing the CLI loads no
-`dataclasses`; and every public function has a user outside the tests."""
+`dataclasses`; every public function has a user outside the tests; and
+every source file parses with the Python 3.10 grammar."""
 
 import ast
 import os
@@ -134,3 +135,12 @@ def _unused_public_functions(root):
 def test_every_public_function_has_a_user_outside_the_tests():
     # a function only tests call belongs in tests/helpers.py, not in the package
     assert _unused_public_functions(ROOT) == []
+
+
+def test_every_source_file_parses_with_the_python_3_10_grammar():
+    # pyproject asks for Python >= 3.10; feature_version refuses later syntax
+    # (except*, type parameter lists, ...) on a newer interpreter
+    paths = [path for top in ("src", "tests", "bench") for path in sorted((ROOT / top).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))

@@ -94,9 +94,31 @@ def test_power():
     assert p ** 0 == BivarPoly.constant(1)
     assert p ** 1 == p
     assert p ** 3 == p * p * p
-    for bad in (-1, 0.5):
-        with pytest.raises(ValueError):
-            p ** bad
+    # the exponent goes through operator.index, as the constructor's do
+    with pytest.raises(ValueError, match="nonnegative exponents, got -1"):
+        p ** -1
+    with pytest.raises(TypeError):
+        p ** 0.5
+
+
+@pytest.mark.parametrize("three", [3, np.int64(3), np.uint8(3), Fraction(3)], ids=repr)
+def test_division_by_an_integer_scalar_is_exact(three):
+    # np.int64(3) once gave the coefficient np.float64(0.3333333333333333)
+    q = BivarPoly({(1, 0): Fraction(1), (0, 1): 2}) / three
+    assert q.coeffs == {(1, 0): Fraction(1, 3), (0, 1): Fraction(2, 3)}
+    assert all(type(c) is Fraction for c in q.coeffs.values())
+    assert (BivarPoly.x() / Fraction(-2, 3)).coeffs == {(1, 0): Fraction(-3, 2)}
+    assert (BivarPoly.x() / 4.0).coeffs == {(1, 0): 0.25}
+
+
+def test_power_takes_numpy_integers_and_refuses_other_exponents():
+    x = BivarPoly.x()
+    assert x ** np.int64(2) == x ** 2 == x * x  # np.int64(2) once raised ValueError
+    for bad in (2.0, np.float64(2.0), Fraction(2)):
+        with pytest.raises(TypeError):
+            x ** bad
+    with pytest.raises(ValueError, match="nonnegative exponents, got -1"):
+        x ** np.int64(-1)
 
 
 def test_evaluation():
