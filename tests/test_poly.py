@@ -252,9 +252,14 @@ def test_numpy_integer_coefficients_are_exact_rationals():
         {"i": 0, "j": 0, "num": 2, "den": 1}, {"i": 1, "j": 0, "num": 3, "den": 1}]
 
 
+def typed(coeffs):
+    """The terms of a coefficient dict in storage order, with each
+    coefficient's type and repr."""
+    return [(e, type(c), repr(c)) for e, c in coeffs.items()]
+
+
 def stored(p):
-    """The terms in storage order, with each coefficient's type and repr."""
-    return [(e, type(c), repr(c)) for e, c in p.coeffs.items()]
+    return typed(p.coeffs)
 
 
 SMALL_EXPONENTS = st.tuples(st.integers(0, 4), st.integers(0, 3))
@@ -292,18 +297,48 @@ FACTORS = st.sampled_from([1, -1, 1.0, -1.0, Fraction(1), 2, -2, 0, 0.0, -0.0, 0
                           Fraction(1, 3)])
 
 
+def _chained(terms):
+    """The chained `BivarPoly` expression of terms (n, f), -F1 - 2 * F2 + F3
+    for [(-1, f1), (-2, f2), (1, f3)], in plain dict loops: f_1 or its
+    negation for n_1 = 1 or -1; then each later term with n != 0 scaled to
+    c * |n| (products that vanish are not stored) and added key by key, or
+    subtracted where n < 0, a key dropped where its sum cancels."""
+    (n1, f1), *rest = terms
+    out = {k: -c for k, c in f1.items()} if n1 < 0 else dict(f1)
+    for n, f in rest:
+        if not n:
+            continue
+        for k, v in {k: v for k, c in f.items() if (v := c * abs(n))}.items():
+            s = out.get(k, 0) - v if n < 0 else out.get(k, 0) + v
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([1, -1]), SMALL_COEFFS, st.lists(st.tuples(FACTORS, SMALL_COEFFS), max_size=5))
 def test_signed_sum_is_the_chained_expression_in_key_order_type_and_bits(n1, f1, rest):
-    chain = BivarPoly(f1) if n1 == 1 else -BivarPoly(f1)
-    for n, f in rest:
-        if n < 0:
-            chain = chain - (-n) * BivarPoly(f)
-        elif n > 0:
-            chain = chain + n * BivarPoly(f)
-    got = signed_sum([(n1, BivarPoly(f1).coeffs)] + [(n, BivarPoly(f).coeffs) for n, f in rest])
-    typed = [(k, type(c), repr(c)) for k, c in got.items()]
-    assert typed == [(k, type(c), repr(c)) for k, c in chain.coeffs.items()]
+    terms = [(n1, BivarPoly(f1).coeffs)] + [(n, BivarPoly(f).coeffs) for n, f in rest]
+    assert typed(signed_sum(terms)) == typed(_chained(terms))
+
+
+# numpy scalars, and a 1e-200 whose products with 1e-200 underflow to zero
+SCALARS = st.one_of(FACTORS, st.sampled_from([np.int64(-2), np.int64(3), np.float64(-0.5), 1e-200]))
+SCALAR_COEFFS = st.dictionaries(
+    SMALL_EXPONENTS,
+    st.sampled_from([1, -2, Fraction(-3, 2), 0.1, -0.3, np.int64(-3), np.float64(0.25), 1e-200]),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SCALAR_COEFFS, SCALARS)
+def test_negation_and_scalar_products_are_termwise_in_key_order_type_and_bits(coeffs, s):
+    p = BivarPoly(coeffs)
+    assert stored(-p) == typed({k: -c for k, c in p.coeffs.items()})
+    assert stored(p * s) == typed({k: v for k, c in p.coeffs.items() if (v := c * s)})
 
 
 def _term_by_term(p, x, y):
