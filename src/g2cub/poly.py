@@ -81,23 +81,15 @@ def _times(f: dict, g: dict) -> dict:
 
 def signed_sum(terms) -> dict:
     """The coefficients of n_1 f_1 + n_2 f_2 + ... for terms (n, f), each f
-    a coefficient dict and n a scalar, merged in order into one dict, the
-    one merge loop of the module: f_1, with n_1 the int 1 or -1, starts it
-    as f_1 or -f_1; after it a term with n == 0 adds nothing, and otherwise
-    c * |n| (c itself where |n| is the int 1) is added key by key, or
-    subtracted where n < 0, and a key is dropped where its sum cancels.  So
-    the key order, types and bits are those of the chained `BivarPoly`
-    expression, -f_1 - 2 f_2 + f_3 as -F1 - 2 * F2 + F3, with one dict in
-    place of one per operation."""
-    (n, f), *rest = terms
-    out = {key: -c for key, c in f.items()} if n < 0 else dict(f)
-    for n, f in rest:
+    a coefficient dict and n a scalar: the package's one loop for linear
+    combinations.  Terms with n == 0 are skipped; every other c * n is added
+    key by key in order, and a key is dropped where its sum cancels."""
+    out = {}
+    for n, f in terms:
         if not n:
             continue
-        op, m = (operator.sub, -n) if n < 0 else (operator.add, n)
-        unit = type(m) is int and m == 1
         for key, c in f.items():
-            s = op(out.get(key, 0), c if unit else c * m)
+            s = out.get(key, 0) + c * n
             if s:
                 out[key] = s
             elif key in out:
@@ -169,7 +161,7 @@ class BivarPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return BivarPoly._of({k: -c for k, c in self.coeffs.items()})
+        return BivarPoly._of(signed_sum([(-1, self.coeffs)]))
 
     def __sub__(self, other):
         return self._signed(-1, other)
@@ -180,9 +172,7 @@ class BivarPoly:
     def __mul__(self, other):
         if isinstance(other, BivarPoly):
             return BivarPoly._of(_times(self.coeffs, other.coeffs))
-        if not other:
-            return BivarPoly.zero()
-        return BivarPoly._of({k: v for k, c in self.coeffs.items() if (v := c * other)})
+        return BivarPoly._of(signed_sum([(other, self.coeffs)]))
 
     __rmul__ = __mul__
 
