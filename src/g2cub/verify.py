@@ -8,6 +8,7 @@ at or below its tolerance.  Random points use a fixed seed."""
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import NamedTuple
@@ -47,12 +48,16 @@ class Check(NamedTuple):
         return self.max_error <= self.tol
 
 
-def _interior_points(count, seed=20120904, margin=0.02):
-    rng = random.Random(seed)
+_SEED = 20120904
+_MARGIN = 0.02  # the margin by which a sample point keeps off each edge
+
+
+def _interior_points(count):
+    rng = random.Random(_SEED)
     pts = []
     while len(pts) < count:
-        t2 = rng.uniform(margin, 0.5 - margin)
-        t1 = rng.uniform(t2 + margin, 1.0 - t2 - margin)
+        t2 = rng.uniform(_MARGIN, 0.5 - _MARGIN)
+        t1 = rng.uniform(t2 + _MARGIN, 1.0 - t2 - _MARGIN)
         pts.append(make_point(t1, t2))
     return pts
 
@@ -233,11 +238,16 @@ SUITES = {
 
 def run_suite(name: str, n=None, tol=None):
     """The named suite's checks at size n (its default when None), or
-    ValueError below its least n; tol replaces every nonzero tolerance."""
+    ValueError below its least n; tol replaces every nonzero tolerance.
+    n goes through `operator.index`, so a non-integer raises TypeError."""
     suite, least = SUITES[name]
-    if n is not None and n < least:
-        raise ValueError(f"the {name} suite needs n >= {least}")
-    checks = suite() if n is None else suite(n)
+    if n is None:
+        checks = suite()
+    else:
+        n = operator.index(n)
+        if n < least:
+            raise ValueError(f"the {name} suite needs n >= {least}")
+        checks = suite(n)
     if tol is not None:
         checks = [c._replace(tol=tol) if c.tol else c for c in checks]
     return checks

@@ -1,6 +1,7 @@
 import copy
 import pickle
 
+import numpy as np
 import pytest
 
 from g2cub.cli import main
@@ -34,6 +35,15 @@ def test_a_suite_below_its_least_n_raises_naming_it(suite):
     # reported checks of the constant alone
     with pytest.raises(ValueError, match=rf"^the {suite} suite needs n >= 1$"):
         run_suite(suite, n=0)
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_run_suite_takes_n_through_operator_index(suite):
+    # identities once drew ceil(2.5) points at n = 2.5 and passed
+    with pytest.raises(TypeError):
+        run_suite(suite, n=2.5)
+    least = SUITES[suite][1]
+    assert run_suite(suite, n=np.int64(least)) == run_suite(suite, n=least)
 
 
 def test_variety_passes_where_the_normalizing_sample_meets_small_denominators():
