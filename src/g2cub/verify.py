@@ -48,8 +48,7 @@ class Check(NamedTuple):
         return self.max_error <= self.tol
 
 
-_SEED = 20120904
-_MARGIN = 0.02  # the margin by which a sample point keeps off each edge
+_SEED, _MARGIN = 20120904, 0.02  # the interior sample's seed and its margin off each edge
 
 
 def _interior_points(count):
@@ -241,13 +240,10 @@ def run_suite(name: str, n=None, tol=None):
     ValueError below its least n; tol replaces every nonzero tolerance.
     n goes through `operator.index`, so a non-integer raises TypeError."""
     suite, least = SUITES[name]
-    if n is None:
-        checks = suite()
-    else:
-        n = operator.index(n)
-        if n < least:
-            raise ValueError(f"the {name} suite needs n >= {least}")
-        checks = suite(n)
+    n = None if n is None else operator.index(n)
+    if n is not None and n < least:
+        raise ValueError(f"the {name} suite needs n >= {least}")
+    checks = suite() if n is None else suite(n)
     if tol is not None:
         checks = [c._replace(tol=tol) if c.tol else c for c in checks]
     return checks
