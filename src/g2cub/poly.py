@@ -66,7 +66,8 @@ def _power_rows(row: list, values: list, exponents) -> dict:
 def _times(f: dict, g: dict) -> dict:
     """The coefficients of the product of two coefficient dicts: each term
     pair added in turn, f-major, and a key dropped where its sum cancels.
-    `BivarPoly.__mul__` and `sturm.continuous_inner` share it, so one key order."""
+    `BivarPoly.__mul__`, `sturm._L_terms` and `sturm.continuous_inner`
+    share it, so one key order."""
     out = {}
     for (i1, j1), c1 in f.items():
         for (i2, j2), c2 in g.items():

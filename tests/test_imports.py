@@ -1,10 +1,12 @@
 """The package's modules import each other at module level only, in one
 direction: coords, gentrig, quad, sturm, chebyshev, cubature, verify, cli,
 with lattice, poly and jsonio beside them; importing the CLI loads no
-`dataclasses`; every public function has a user outside the tests; and
-every source file parses with the Python 3.10 grammar."""
+`dataclasses`; every public function has a user outside the tests;
+every source file parses with the Python 3.10 grammar; and every name
+the docs cite as `module.name` exists."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -144,3 +146,36 @@ def test_every_source_file_parses_with_the_python_3_10_grammar():
     assert len(paths) > 20
     for path in paths:
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+def _cited_names(root=ROOT):
+    """The backticked `module.name` and `module.name.attr` references in
+    README.md (fenced blocks included) and in the package's docstrings,
+    module one of the package's modules; a file name such as `poly.py` is
+    none."""
+    trees = _trees(root / "src" / "g2cub")
+    modules = "|".join(stem for stem in trees if not stem.startswith("_"))
+    cited = re.compile(rf"(?<![\w.])(?:{modules})\.(?!py\b)\w+(?:\.\w+)?")
+    texts = [(root / "README.md").read_text()] + [
+        ast.get_docstring(node, clean=False) or "" for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+    return {name for text in texts for span in re.findall(r"```.*?```|`[^`]+`", text, re.S)
+            for name in cited.findall(span)}
+
+
+def _exists(name):
+    """Whether module.name[.attr] names an object in the package."""
+    module, *attrs = name.split(".")
+    obj = importlib.import_module(f"g2cub.{module}")
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_every_module_name_the_docs_cite_exists():
+    # a change that deletes or renames a name must take it out of the docs too
+    cited = _cited_names()
+    assert len(cited) > 20
+    assert [name for name in sorted(cited) if not _exists(name)] == []
