@@ -39,7 +39,7 @@ def test_a_suite_below_its_least_n_raises_naming_it(suite):
 
 @pytest.mark.parametrize("suite", SUITES)
 def test_run_suite_takes_n_through_operator_index(suite):
-    # identities once drew ceil(2.5) points at n = 2.5 and passed
+    # a float n would otherwise reach the suites: identities drew ceil(n) points
     with pytest.raises(TypeError):
         run_suite(suite, n=2.5)
     least = SUITES[suite][1]
