@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from g2cub.chebyshev import (
     WeightParams,
@@ -287,28 +287,31 @@ def test_subtraction_is_addition_of_the_negation_in_storage_order_and_bits(ac, b
         assert repr(got) == repr(want)
 
 
-# few keys and few values, so that sums cancel and keys are dropped and come back
+# few keys and few values, so that sums cancel and keys are dropped and come
+# back; a 1e-200 factor and coefficient, whose product underflows to zero
 SMALL_COEFFS = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 1)),
-    st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2), 0.5, -0.5, 0.1, -0.3]),
+    st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2), 0.5, -0.5, 0.1, -0.3, 1e-200]),
     max_size=5,
 )
 FACTORS = st.sampled_from([1, -1, 1.0, -1.0, Fraction(1), 2, -2, 0, 0.0, -0.0, 0.75, -1.5,
-                          Fraction(1, 3)])
+                          Fraction(1, 3), 1e-200])
 
 
-def _chained(terms):
-    """The chained `BivarPoly` expression of terms (n, f), -F1 - 2 * F2 + F3
-    for [(-1, f1), (-2, f2), (1, f3)], in plain dict loops: f_1 or its
+def _merged(terms):
+    """The signed merge of terms (n, f) in plain dict loops: f_1 or its
     negation for n_1 = 1 or -1; then each later term with n != 0 scaled to
-    c * |n| (products that vanish are not stored) and added key by key, or
-    subtracted where n < 0, a key dropped where its sum cancels."""
+    c * |n| and added key by key, or subtracted where n < 0, a key dropped
+    where its sum cancels.  A product that underflows to 0.0 is still added,
+    so 3 + 0.0 stores 3.0 where the chained `BivarPoly` expression, whose
+    scalar product stores no zero, keeps the int 3."""
     (n1, f1), *rest = terms
     out = {k: -c for k, c in f1.items()} if n1 < 0 else dict(f1)
     for n, f in rest:
         if not n:
             continue
-        for k, v in {k: v for k, c in f.items() if (v := c * abs(n))}.items():
+        for k, c in f.items():
+            v = c * abs(n)
             s = out.get(k, 0) - v if n < 0 else out.get(k, 0) + v
             if s:
                 out[k] = s
@@ -319,9 +322,11 @@ def _chained(terms):
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([1, -1]), SMALL_COEFFS, st.lists(st.tuples(FACTORS, SMALL_COEFFS), max_size=5))
-def test_signed_sum_is_the_chained_expression_in_key_order_type_and_bits(n1, f1, rest):
+@example(1, {(0, 0): 3}, [(1e-200, {(0, 0): 1e-200})])
+@example(-1, {(0, 0): Fraction(1, 2)}, [(-1e-200, {(0, 0): 1e-200}), (-1e-200, {(1, 0): 1e-200})])
+def test_signed_sum_is_the_signed_merge_in_key_order_type_and_bits(n1, f1, rest):
     terms = [(n1, BivarPoly(f1).coeffs)] + [(n, BivarPoly(f).coeffs) for n, f in rest]
-    assert typed(signed_sum(terms)) == typed(_chained(terms))
+    assert typed(signed_sum(terms)) == typed(_merged(terms))
 
 
 # numpy scalars, and a 1e-200 whose products with 1e-200 underflow to zero
