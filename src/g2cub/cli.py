@@ -174,9 +174,6 @@ def main(argv=None) -> int:
     if getattr(args, "n", None) is not None and args.n < 1:
         print("error: --n must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    if getattr(args, "tol", None) is not None and args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.fn(args)
     except ValueError as exc:

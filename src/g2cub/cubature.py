@@ -10,15 +10,13 @@ denominator of the corresponding weight function:
     radau1   factor sc(1/m j)^2   lattice m = n+2, nodes off the t1=t2 edge
     radau2   factor cs(1/m j)^2   lattice m = n+3, nodes off t2=0 and t3=-1
 
-Each kind names one trig family, and its factor is that family's member
-at the family's shift index; the lattice size, the weight parameters,
-the scale and the dropped nodes all follow from the family's sine bits
-(`make_rule`).  Each rule integrates its weight exactly on polynomials
-of weighted degree up to 2n-1 and is normalized so the weights sum to
-one.  Nodes whose factor vanishes identically are dropped by integer
-predicates on the generating lattice triple, so node counts are
-deterministic.  The residuals of each rule's ideal generators on its
-nodes are checked in `verify` (`variety_check`).
+Each kind names one trig family, whose member at its shift index is the
+factor; `CubatureRule` reads the rest of the rule off that family.  Each
+rule integrates its weight exactly on polynomials of weighted degree up
+to 2n-1 and is normalized so the weights sum to one.  Nodes whose factor
+vanishes identically are dropped by integer predicates on the generating
+lattice triple, so node counts are deterministic; `verify.variety_check`
+checks the residuals of each rule's ideal generators on its nodes.
 
 Accuracy, to first order in u = 2^-53 with sin and cos within 1 ulp:
 a node coordinate and the factor v at j/m come from the closed form of
@@ -56,22 +54,40 @@ RULE_KINDS = tuple(_RULE_FAMILY)
 
 
 class CubatureRule(Rule):
-    """One of the four rules: nodes (N, 2) in lexicographic lattice order,
-    their weights, and indices (N, 3), the generating lattice triples in
-    the same order, all read-only, with its kind, n, exactness degree and
-    weight parameters.  The rule is a function of (kind, n), so it
-    compares and hashes by them.  Its first export builds both the JSON
-    and the CSV text (`texts`) from one formatting pass, and the cached
-    rule keeps them."""
+    """The rule of kind and size n, read off the sine bits (d, p) and the
+    shift of its factor family: lattice size m = n + shift1 - shift3,
+    weight parameters (d - 1/2, p - 1/2), scale |orbit(shift)|, and the
+    nodes where the factor vanishes dropped, j1 = j2 when d = 1 and
+    j2 = 0 or j3 = -m when p = 1.  It holds m, nodes (N, 2) in
+    lexicographic lattice order, their weights and indices (N, 3), the
+    generating lattice triples in the same order, all read-only, its
+    exactness degree 2n - 1 and its weight parameters.  It prints,
+    compares and hashes by (kind, n), and pickle and copy build it again
+    from them.  Its first export builds both the JSON and the CSV text
+    (`texts`) from one formatting pass, and the cached rule keeps them."""
 
-    _fields = Rule._fields + ("kind", "n", "exact_mdegree", "weight_params", "indices")
+    _fields = ("kind", "n")
 
-    def __init__(self, nodes, weights, kind: str, n: int, exact_mdegree: int,
-                 weight_params: WeightParams, indices: np.ndarray):
-        super().__init__(nodes, weights)
-        indices.flags.writeable = False
-        vars(self).update(kind=kind, n=n, exact_mdegree=exact_mdegree,
-                          weight_params=weight_params, indices=indices)
+    def __init__(self, kind: str, n: int):
+        family = _RULE_FAMILY.get(kind)
+        if family is None:
+            raise ValueError(f"unknown rule kind {kind!r}")
+        n = operator.index(n)
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        d, p = family.sines
+        m = n + family.shift[0] - family.shift[2]
+        j = enum_upsilon(m)
+        j1, j2, j3 = j.T
+        vanishes = ((d == 1) & (j1 == j2)) | ((p == 1) & ((j2 == 0) | (j3 == -m)))
+        j = j[~vanishes]
+        t = point_from_index(j.T, m)
+        value = trig_eval(family, family.shift, t)
+        weights = orbit_size(family.shift) / m ** 2 * upsilon_weight(j.T, m) * (value * value)
+        super().__init__(np.array(xy_map(t)).T, weights)  # the transpose keeps x and y contiguous
+        j.flags.writeable = False
+        vars(self).update(kind=kind, n=n, m=m, exact_mdegree=2 * n - 1,
+                          weight_params=WeightParams(*family.params), indices=j)
 
     def __eq__(self, other):
         return isinstance(other, CubatureRule) and (self.kind, self.n) == (other.kind, other.n)
@@ -106,48 +122,15 @@ class CubatureRule(Rule):
                 "x,y,weight\n" + rows)
 
 
-def _lattice_size(family: TrigFamily, n: int) -> int:
-    """m = n + shift1 - shift3 for the rule of size n whose factor family is family."""
-    return n + family.shift[0] - family.shift[2]
-
-
 def make_rule(kind: str, n: int) -> CubatureRule:
-    """One of the four rules, read off the sine bits (d, p) and the shift
-    of its factor family: lattice size m = n + shift1 - shift3, weight
-    parameters (d - 1/2, p - 1/2), scale |orbit(shift)|, and the nodes
-    where the factor vanishes dropped, j1 = j2 when d = 1 and j2 = 0 or
-    j3 = -m when p = 1.  n goes through `operator.index`, so a non-integer
-    n raises TypeError, and one below 1 ValueError.  Rules are immutable,
-    so the last 32 built are cached and shared (see `_build_rule`)."""
+    """`CubatureRule(kind, n)`, with n through `operator.index` first, so
+    a non-integer n raises TypeError, and one below 1 ValueError, whether
+    or not the rule is cached.  Rules are immutable, so the last 32 built
+    are cached and shared (`_build_rule`)."""
     return _build_rule(kind, operator.index(n))
 
 
-@functools.lru_cache(maxsize=32)
-def _build_rule(kind: str, n: int) -> CubatureRule:
-    family = _RULE_FAMILY.get(kind)
-    if family is None:
-        raise ValueError(f"unknown rule kind {kind!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    d, p = family.sines
-    shift = family.shift
-    m = _lattice_size(family, n)
-    j = enum_upsilon(m)
-    j1, j2, j3 = j.T
-    vanishes = ((d == 1) & (j1 == j2)) | ((p == 1) & ((j2 == 0) | (j3 == -m)))
-    j = j[~vanishes]
-    t = point_from_index(j.T, m)
-    value = trig_eval(family, shift, t)
-    weights = orbit_size(shift) / m ** 2 * upsilon_weight(j.T, m) * (value * value)
-    return CubatureRule(
-        nodes=np.array(xy_map(t)).T,  # the transpose keeps x and y contiguous
-        weights=weights,
-        kind=kind,
-        n=n,
-        exact_mdegree=2 * n - 1,
-        weight_params=WeightParams(*family.params),
-        indices=j,
-    )
+_build_rule = functools.lru_cache(maxsize=32)(CubatureRule)
 
 
 def integrate(rule: CubatureRule, f) -> float:

@@ -41,7 +41,7 @@ def _binary_form(values, name: str) -> tuple:
     except (ValueError, OverflowError):
         bad = next(v for v in values if not math.isfinite(v))
         raise ValueError(f"an exact sum needs finite values, got {name} = {bad}") from None
-    e = max(d for _, d in ratios).bit_length() - 1
+    e = max((d for _, d in ratios), default=1).bit_length() - 1
     return [n << (e - d.bit_length() + 1) for n, d in ratios], e
 
 
@@ -249,7 +249,11 @@ class BivarPoly:
         """Sum of ws[k] * p(xs[k], ys[k]) over columns of floats of one
         length, exact at their binary values and rounded once
         (`rounded_quotient`): the coefficients (`integer_form`), xs, ys and
-        ws each become ints over one denominator."""
+        ws each become ints over one denominator.  Empty columns sum to
+        0.0; ValueError naming the lengths where they differ."""
+        if not len(xs) == len(ys) == len(ws):
+            raise ValueError(f"an exact sum needs columns of one length, "
+                             f"got {len(xs)} xs, {len(ys)} ys and {len(ws)} ws")
         nums, den = integer_form(self.coeffs)
         imax, jmax = (max((e[axis] for e in nums), default=0) for axis in (0, 1))
         (xs, xe), (ys, ye), (ws, we) = map(_binary_form, (xs, ys, ws), ("x", "y", "w"))

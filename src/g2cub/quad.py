@@ -26,6 +26,7 @@ among those tried.
 from __future__ import annotations
 
 import math
+import operator
 from functools import cache, lru_cache
 
 import numpy as np
@@ -165,14 +166,23 @@ def _nodes(order, alpha, beta):
     return t1.ravel(), t2.ravel(), w.ravel()
 
 
-@lru_cache(maxsize=32)
 def rule(order, alpha, beta) -> Rule:
-    """Images (x, y) of `_nodes` with their weights scaled to sum to one.
-    Raises ValueError where the weight is not integrable, where a scaled
-    weight is outside the float range, as at (1e3, 0), and if a node
-    rounds onto the boundary of the triangle, as happens within about
-    1e-10 of beta = -5/6: the weight, and an integrand, may be singular
-    there."""
+    """Images (x, y) of `_nodes` with their weights scaled to sum to one,
+    the last 32 built kept (`_rule`).  The order goes through
+    `operator.index` before that cache, so a non-integer order raises
+    TypeError and one below 1 ValueError, cached or not.  Raises
+    ValueError where the weight is not integrable, where a scaled weight
+    is outside the float range, as at (1e3, 0), and if a node rounds onto
+    the boundary of the triangle, as happens within about 1e-10 of
+    beta = -5/6: the weight, and an integrand, may be singular there."""
+    order = operator.index(order)
+    if order < 1:
+        raise ValueError(f"a rule needs order >= 1, got {order}")
+    return _rule(order, alpha, beta)
+
+
+@lru_cache(maxsize=32)
+def _rule(order, alpha, beta) -> Rule:
     with np.errstate(over="ignore", invalid="ignore"):  # such weights are refused below
         t1, t2, w = _nodes(order, alpha, beta)
         total = w.sum()

@@ -18,7 +18,7 @@ import numpy as np
 from . import gentrig, lattice
 from .chebyshev import cheb_eval_trig, cheb_poly, deltoid_F, deltoid_factors, orthogonality_constant
 from .coords import make_index, make_point, point_from_index
-from .cubature import RULE_KINDS, _lattice_size, integrate_poly, make_rule, reference_integral
+from .cubature import RULE_KINDS, integrate_poly, make_rule, reference_integral
 from .poly import BivarPoly
 from .sturm import (
     MIndex,
@@ -194,20 +194,21 @@ def variety_check(kind: str, n: int) -> dict:
     (`cheb_eval_trig`) at the nodes' lattice points j/m, where the
     quotient's denominator is the rule's own factor and does not vanish.
     Residuals are normalized by the generator's max over the interior
-    nodes of a fixed gauss rule.
+    nodes of a fixed gauss rule.  ValueError where the rule has no
+    generator, as gauss and radau1 at n = 1.
     """
     rule, sample = make_rule(kind, n), make_rule("gauss", max(24, 2 * n))
-    family = rule.weight_params.family
-    t_rule = point_from_index(rule.indices.T, _lattice_size(family, n))
-    t_sample = point_from_index(sample.indices.T, _lattice_size(gentrig.TrigFamily.SS, sample.n))
+    t_rule, t_sample = (point_from_index(r.indices.T, r.m) for r in (rule, sample))
     p = rule.weight_params
-    if family.sines[0]:
+    if p.family.sines[0]:
         gens = [(str(tuple(k)), k, None) for k in star_class(n)]
     else:
         # k pairs with (k1-1, k2) when k1 > 0, else with (1, k2-1)
         pairs = [(k, MIndex(k.k1 - 1, k.k2) if k.k1 else MIndex(1, k.k2 - 1))
                  for k in star_class(n + 1)]
         gens = [(f"{tuple(k)}-{tuple(j)}", k, j) for k, j in pairs]
+    if not gens:
+        raise ValueError(f"the {kind} rule at n = {n} has no ideal generator")
 
     def sup(k, partner, t):
         value = cheb_eval_trig(p, k, t)
@@ -219,8 +220,7 @@ def variety_check(kind: str, n: int) -> dict:
 
 
 def _variety(n: int = 6):
-    """Common zeros of each rule's ideal generators, at rule size n; the
-    gauss and radau1 rules have no generators of weighted degree 1."""
+    """Common zeros of each rule's ideal generators at rule size n (`variety_check`)."""
     return [Check(f"variety-{kind}", max(variety_check(kind, n).values()), 1e-10)
             for kind in RULE_KINDS]
 
@@ -236,9 +236,14 @@ SUITES = {
 
 
 def run_suite(name: str, n=None, tol=None):
-    """The named suite's checks at size n (its default when None), or
-    ValueError below its least n; tol replaces every nonzero tolerance.
-    n goes through `operator.index`, so a non-integer raises TypeError."""
+    """The named suite's checks at size n (its default when None); tol
+    replaces every nonzero tolerance.  n goes through `operator.index`, so
+    a non-integer raises TypeError; ValueError for an unknown name, an n
+    below the suite's least and a tol that is not positive and finite."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}, expected one of {', '.join(SUITES)}")
+    if tol is not None and not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     suite, least = SUITES[name]
     n = None if n is None else operator.index(n)
     if n is not None and n < least:

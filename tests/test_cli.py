@@ -218,7 +218,7 @@ def test_negative_numbers_in_exponent_form_are_option_values(capsys):
     assert run(capsys, "eval", "--alpha", "0.5", "--beta", "0.5", *member, "--x", "-1e3",
                "--y", "0.1")[:2] == (0, "-5999\n")  # 1 + 6x
     code, _, err = run(capsys, "verify", "--suite", "identities", "--tol", "-1e-3")
-    assert code == 2 and "--tol must be positive" in err
+    assert code == 2 and err == "error: tol must be positive and finite, got -0.001\n"
     # a missing value and negative or non-integral indices stay usage errors
     for argv in (["--k1", "1", "--k2", "0", "--x", "--y", "0.1"],
                  ["--k1", "-1", "--k2", "0", "--x", "0.1", "--y", "0.1"],

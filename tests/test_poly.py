@@ -204,6 +204,22 @@ def test_exact_sums_name_a_non_finite_input(p, column, bad, at):
             p.exact_value(x, y)
 
 
+@pytest.mark.parametrize("xs,ys,ws", [([0.5, 0.25], [0.125], [1.0, 1.0]),
+                                      ([0.5], [0.125, 7.0], [1.0, 1.0]),
+                                      ([0.5], [0.125], [])])
+def test_an_exact_sum_refuses_columns_of_unequal_length(xs, ys, ws):
+    # zip once cut the columns to the shortest: 0.625 and 7.625, with no error
+    p = BivarPoly({(1, 0): 1, (0, 1): 1})
+    with pytest.raises(ValueError, match=f"one length, got {len(xs)} xs, {len(ys)} ys and {len(ws)} ws"):
+        p.exact_sum(xs, ys, ws)
+
+
+@given(POLYS)
+def test_an_exact_sum_over_empty_columns_is_zero(p):
+    # once "max() arg is an empty sequence"
+    assert p.exact_sum([], [], []) == 0.0
+
+
 @pytest.mark.parametrize("make", [
     lambda i, j: BivarPoly({(i, j): 1}),
     lambda i, j: BivarPoly({(0, 0): 2, (i, j): 0}),  # a zero coefficient is still checked

@@ -21,7 +21,7 @@ from g2cub.chebyshev import (
     xy_map,
 )
 from g2cub.coords import make_index
-from g2cub.cubature import reference_integral
+from g2cub.cubature import _build_rule, make_rule, reference_integral
 from g2cub.gentrig import eval as trig
 from g2cub.poly import BivarPoly
 from g2cub.sturm import eigenvalue, jacobi_poly, moments, monomial_image
@@ -160,12 +160,31 @@ def test_rule_refuses_weights_outside_the_float_range(a, b, order):
     # the weights underflow to 0 at (1e3, 0), overflow at (1e5, 0), and the
     # Jacobi matrices overflow at (1e300, 1e300): no nan weight, no numpy
     # RuntimeWarning and no LinAlgError, but a ValueError naming the pair
-    quad.rule.cache_clear()
+    quad._rule.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=re.escape(
                 f"order-{order} rule at parameters ({a}, {b}) has weights outside the float range")):
             quad.rule(order, a, b)
+
+
+@pytest.mark.parametrize("build,cache", [(lambda size: make_rule("gauss", size), _build_rule),
+                                         (lambda size: quad.rule(size, 0.3, 1.2), quad._rule)],
+                         ids=["make_rule", "quad.rule"])
+def test_a_cached_builder_answers_warm_exactly_as_it_answers_cold(build, cache):
+    # quad.rule(8.0, ...) once raised TypeError on a cold cache and returned
+    # the order-8 rule once quad.rule(8, ...) had filled it; order 0 raised
+    # IndexError and -3 "negative dimensions are not allowed" from numpy
+    cache.cache_clear()
+    for warm in (False, True):
+        if warm:
+            assert build(np.int64(8)) is build(8)
+        for size in (8.0, Fraction(8), 0.0):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                build(size)
+        for size in (0, -3, False):
+            with pytest.raises(ValueError, match=">= 1"):
+                build(size)
 
 
 @pytest.mark.parametrize("a,b", [(Fraction(23, 20), Fraction(-9, 20)), (1.15, -0.45)])

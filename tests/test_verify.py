@@ -1,12 +1,14 @@
 import copy
+import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 
 from g2cub.cli import main
 from g2cub.cubature import RULE_KINDS
-from g2cub.verify import SUITES, Check, run_suite
+from g2cub.verify import SUITES, Check, run_suite, variety_check
 
 
 @pytest.mark.parametrize("suite, names", [
@@ -44,6 +46,32 @@ def test_run_suite_takes_n_through_operator_index(suite):
         run_suite(suite, n=2.5)
     least = SUITES[suite][1]
     assert run_suite(suite, n=np.int64(least)) == run_suite(suite, n=least)
+
+
+def test_run_suite_refuses_an_unknown_name_as_make_rule_refuses_an_unknown_kind():
+    # once a bare KeyError
+    with pytest.raises(ValueError, match=re.escape(f"unknown suite 'nope', expected one of {', '.join(SUITES)}")):
+        run_suite("nope")
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0, -0.0])
+def test_run_suite_refuses_a_tolerance_that_is_not_positive_and_finite(tol):
+    # inf once passed all 7 orthogonality checks, nan and -1 failed them,
+    # and 0 made every float check an exact one
+    with pytest.raises(ValueError, match=f"^tol must be positive and finite, got {tol}$"):
+        run_suite("orthogonality", n=4, tol=tol)
+
+
+@pytest.mark.parametrize("kind", ["gauss", "radau1"])
+def test_variety_check_refuses_a_rule_with_no_generator(kind):
+    # gauss and radau1 at n = 1 once returned {}, a residual check over nothing
+    with pytest.raises(ValueError, match=f"^the {kind} rule at n = 1 has no ideal generator$"):
+        variety_check(kind, 1)
+
+
+@pytest.mark.parametrize("kind", ["lobatto", "radau2"])
+def test_variety_check_at_n_1_keeps_its_one_generator(kind):
+    assert variety_check(kind, 1) == {"(1, 0)-(0, 0)": 0.0}
 
 
 def test_variety_passes_where_the_normalizing_sample_meets_small_denominators():
