@@ -2,10 +2,9 @@
 
 Subcommands: dims, nodes, eval, poly, verify.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 I/O failure.  Floats are printed
-with %.17g, except `verify`'s errors and tolerances (%.3e) and the
-coefficients of `eval --coeffs`, printed as Python prints them (an int,
-p/q or a float's shortest repr); `poly` gives each coefficient as exact
-num/den ints.  Identical invocations print identical bytes.
+with %.17g, except `verify`'s errors and tolerances (%.3e); `poly` gives
+each coefficient as exact num/den ints.  Identical invocations print
+identical bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from .cubature import RULE_KINDS, make_rule, rule_to_csv, rule_to_json
 from .gentrig import TrigFamily
 from .jsonio import dumps as json_dumps, format_float
 from .poly import BivarPoly
-from .sturm import WeightParams, jacobi_poly
+from .sturm import WeightParams, eigen_poly, jacobi_poly
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -55,9 +54,11 @@ def _join_negative_values(argv) -> list:
     return out
 
 
-def _family_poly(args) -> BivarPoly:
+def _family_poly(args, general) -> BivarPoly:
+    """The member (k1, k2) at (alpha, beta): `cheb_poly`'s at the four
+    half-integer pairs, general(p, k)'s at every other."""
     p = WeightParams(args.alpha, args.beta)
-    return (cheb_poly if p.family is not None else jacobi_poly)(p, (args.k1, args.k2))
+    return (cheb_poly if p.family is not None else general)(p, (args.k1, args.k2))
 
 
 def _write(text: str, out) -> int:
@@ -90,24 +91,17 @@ def cmd_nodes(args) -> int:
 
 def cmd_eval(args) -> int:
     """Print the value of one family polynomial at (x, y): the exact sum
-    of its coefficients at the floats x and y, rounded once; ValueError
-    from `format_float`, with nothing printed, where that is beyond the
-    float range.  At general parameters the coefficients are
-    `jacobi_poly`'s floats, which past weighted degree ~30 can differ
-    from the exact member: at (0.17, -0.23), index (12, 8) and
-    (x, y) = (0.7360889282495083, 0.31583701797971936) this prints
-    1.0093772586416274e-15, where the exact member gives
-    -2.1397892465810083e-15."""
-    poly = _family_poly(args)
+    of the exact member at the floats x and y, rounded once, where the
+    member at general parameters is the one at their binary values;
+    ValueError from `format_float`, with nothing printed, where that is
+    beyond the float range."""
+    poly = _family_poly(args, lambda p, k: eigen_poly(WeightParams(*p.key()), k))
     print(format_float(poly.exact_value(args.x, args.y)))
-    if args.coeffs:
-        for (i, j), c in poly.star_sorted_terms():
-            print(f"x^{i} y^{j} {c}")
     return EXIT_OK
 
 
 def cmd_poly(args) -> int:
-    poly = _family_poly(args)
+    poly = _family_poly(args, jacobi_poly)
     p = WeightParams(args.alpha, args.beta)
     text = json_dumps(poly_to_json_dict(p, (args.k1, args.k2), poly)) + "\n"
     return _write(text, args.out)
@@ -153,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", parents=[member], help="evaluate one family polynomial")
     p_eval.add_argument("--x", type=_finite_float, required=True)
     p_eval.add_argument("--y", type=_finite_float, required=True)
-    p_eval.add_argument("--coeffs", action="store_true", help="also print terms")
     p_eval.set_defaults(fn=cmd_eval)
 
     p_poly = sub.add_parser("poly", parents=[member], help="emit one polynomial as JSON")

@@ -405,7 +405,7 @@ def eigen_poly(p: WeightParams, k, lead=1) -> BivarPoly:
         if abs(gap) <= tie:
             raise ValueError(
                 f"eigenvalue tie between {tuple(k)} and {order[i]} at "
-                f"parameters ({p.alpha}, {p.beta}) leaves the polynomial undetermined"
+                f"parameters ({float(p.alpha)}, {float(p.beta)}) leaves the polynomial undetermined"
             )
         if exact:
             c, rem = divmod(r, gap)

@@ -20,7 +20,7 @@ from g2cub.cli import build_parser, main
 from g2cub.coords import make_point
 from g2cub.cubature import _build_rule
 from g2cub.jsonio import format_float
-from g2cub.sturm import jacobi_poly
+from g2cub.sturm import eigen_poly
 
 
 def run(capsys, *argv):
@@ -118,14 +118,6 @@ def test_eval_general_parameters(capsys):
         assert code == 0 and err == "" and math.isfinite(float(out)), (alpha, beta)
 
 
-def test_eval_coeff_listing(capsys):
-    code, out, _ = run(capsys, "eval", "--alpha", "-0.5", "--beta", "-0.5",
-                       "--k1", "2", "--k2", "0", "--x", "0", "--y", "0", "--coeffs")
-    lines = out.strip().splitlines()
-    assert lines[0] == "-1"
-    assert "x^2 y^0 6" in lines
-
-
 def test_eval_prints_the_exact_value_where_the_float_sum_loses_every_digit(capsys):
     # the images of t = (0.41, 0.13), where the float monomial sum gives
     # 82.17, and of t = (0.3 + 1e-9, 0.3), where it gives 65.61; the exact
@@ -138,8 +130,9 @@ def test_eval_prints_the_exact_value_where_the_float_sum_loses_every_digit(capsy
 
 
 def test_eval_is_the_correctly_rounded_exact_sum(capsys):
-    # oracle: the sum in Fractions at the binary values of x and y, whose
-    # float() is the nearest float
+    # oracle: the sum in Fractions of the exact member at the binary values
+    # of x and y, whose float() is the nearest float; at general pairs the
+    # member is the one at the binary values of alpha and beta
     rng = random.Random(48)
     for alpha, beta in POLY_SHA256:  # the seven pairs of the poly pins
         for k in rng.sample(star_indices_upto(48), 3) + [MIndex(24, 0), MIndex(0, 16)]:
@@ -148,19 +141,20 @@ def test_eval_is_the_correctly_rounded_exact_sum(capsys):
             code, out, _ = run(capsys, "eval", "--alpha", str(alpha), "--beta", str(beta),
                                "--k1", str(k.k1), "--k2", str(k.k2), "--x", repr(x), "--y", repr(y))
             p = WeightParams(alpha, beta)
-            poly = (cheb_poly if p.family is not None else jacobi_poly)(p, k)
+            poly = (cheb_poly(p, k) if p.family is not None
+                    else eigen_poly(WeightParams(Fraction(alpha), Fraction(beta)), k))
             exact = sum(Fraction(c) * Fraction(x) ** i * Fraction(y) ** j
                         for (i, j), c in poly.coeffs.items())
             assert (code, out) == (0, format_float(float(exact)) + "\n"), (alpha, beta, k, x, y)
 
 
 def test_eval_past_the_float_range_is_a_usage_error(capsys):
-    # the exact value rounds to +-inf: exit 2 with nothing on stdout, --coeffs too
+    # the exact value rounds to +-inf: exit 2 with nothing on stdout
     for argv in (("--k1", "2", "--k2", "0", "--x", "1e200", "--y", "1e200"),
                  ("--k1", "0", "--k2", "2", "--x", "1e200", "--y", "1e200"),
                  ("--k1", "1", "--k2", "0", "--x", "1e308", "--y", "1e308"),
                  ("--k1", "1", "--k2", "0", "--x=-1e308", "--y", "1e308"),
-                 ("--k1", "40", "--k2", "0", "--x", "1e10", "--y", "1", "--coeffs")):
+                 ("--k1", "40", "--k2", "0", "--x", "1e10", "--y", "1")):
         code, out, err = run(capsys, "eval", "--alpha", "0.5", "--beta", "0.5", *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:") and "beyond the float range" in err
@@ -524,8 +518,12 @@ def test_overflowing_parameters_exit_2(argv, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and err.startswith("error:") and "1e+308" in err
-    # the constant member is 1 there, so the first overflow is at (1, 0)
-    assert "(1, 0)" in err and "(0, 0)" not in err
+    if argv[0] == "poly":
+        # the float sweep: the constant member is 1 there, so the first overflow is at (1, 0)
+        assert "(1, 0)" in err and "(0, 0)" not in err
+    else:
+        # the exact member's eigenvalues are ints, which do not overflow, but they tie
+        assert "tie" in err
 
 
 # alpha and beta from just above -1 up to 1e300, x and y out to +-1e200
