@@ -408,7 +408,7 @@ def test_poly_output_bytes_are_pinned(capsys, alpha, beta):
 # exact checks at 0, were pinned before the suites lost their tol parameters
 VERIFY_SHA256 = {
     ("--suite", "eigen", "--n", "20"): "4857fdb569ff9bdbcf20d2e0a0f24fb66583522a3271bf524d8cbec71479f31a",
-    ("--suite", "orthogonality"): "6df1ed22e462291a3f6429c905a42a19cd4bf995153156e9a36f3a9e0bb9e7b5",
+    ("--suite", "orthogonality"): "10b3d8b55c639db7bf15df33d218f0ebef5131f32f27c12bb923f0be41b09faa",
     ("--suite", "cubature"): "8b89917213a3ca8e64f42dcb644b321fb62a79ca2728e6e7ae7dbfa0d4a23c93",
     ("--suite", "identities"): "b17236106edc95e9e2e8304cf931628a85260276a8028b0d02a442851c339ac8",
     ("--suite", "variety"): "6ef3940e8d99a92c21d6c4215960777a99230b343bc341fe92b6127c5d42e9a4",
@@ -426,7 +426,7 @@ def test_verify_output_bytes_are_pinned(capsys, args):
 
 # a failing run prints the same lines, ending in FAIL, and exits 1
 VERIFY_FAIL_SHA256 = {
-    ("--suite", "orthogonality", "--n", "4", "--tol", "1e-30"): "0937140c0e3edcc7233e4ef616a69e592770451a02dcbd539cb7ff7ad205caad",
+    ("--suite", "orthogonality", "--n", "4", "--tol", "1e-30"): "8b89b6fcb35431aee35fcb9881a3a600b4f79bcddce1ea80aa8221c175b2de63",
 }
 
 
