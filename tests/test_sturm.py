@@ -411,6 +411,29 @@ def test_the_papers_identities_hold_exactly_at_rational_parameters(ab):
             assert lhs == rhs, (f, g)
 
 
+@pytest.mark.parametrize("ab", [(Fraction(3, 10), Fraction(6, 5)), (Fraction(-1, 4), Fraction(2, 3)),
+                                (Fraction(0.17), Fraction(-0.23))],  # the binary value of a float pair
+                         ids=["3/10,6/5", "-1/4,2/3", "binary(0.17,-0.23)"])
+def test_x_and_y_times_a_member_expand_within_two_and_three_weighted_degrees(ab):
+    # the multiplication relations: x P_k is exactly a sum of the monic
+    # members P_j whose weighted degree is within 2 of k's, and y P_k of
+    # those within 3; expanded by leading terms down the weighted order,
+    # every k through weighted degree 20 reaches the top bound and some k
+    # the bottom one
+    p = WeightParams(*ab)
+    for factor, reach in ((BivarPoly.x(), 2), (BivarPoly.y(), 3)):
+        lowest = 0
+        for k in star_indices_upto(20):
+            rest, steps = factor * eigen_poly(p, k), set()
+            while rest:
+                j, c = leading_star_term(rest)
+                steps.add(MIndex(*j).mdegree - k.mdegree)
+                rest = rest - c * eigen_poly(p, j)
+            assert max(steps) == reach and min(steps) >= -reach, (k, steps)
+            lowest = min(lowest, *steps)
+        assert lowest == -reach
+
+
 EXACT = st.one_of(st.integers(0, 3), RATIONAL)
 
 
