@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -5,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -85,6 +87,19 @@ def test_usage_errors_exit_2_after_a_successful_call(tmp_path, capsys):
     assert run(capsys, "nodes", "--rule", "gauss", "--n", "0")[0] == 2
     code, out, _ = run(capsys, "nodes", "--rule", "gauss", "--n", "2")
     assert code == 0 and out == (tmp_path / "r.json").read_text()  # --out does not carry over
+
+
+def test_the_readme_names_exactly_the_options_the_parser_defines():
+    # the long options in README's CLI section against those of every
+    # subcommand, --help aside: an option documented but gone, or added
+    # but undocumented, shows
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = re.search(r"^## CLI\n(.*?)(?=^## )", readme, re.S | re.M).group(1)
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {option for parser in sub.choices.values() for action in parser._actions
+               for option in action.option_strings if option.startswith("--")}
+    assert named == defined - {"--help"}
 
 
 def test_nodes_io_error(tmp_path, capsys):
