@@ -20,7 +20,6 @@ from .chebyshev import cheb_poly, poly_to_json_dict
 from .cubature import RULE_KINDS, make_rule, rule_to_csv, rule_to_json
 from .gentrig import TrigFamily
 from .jsonio import dumps as json_dumps, format_float
-from .poly import BivarPoly
 from .sturm import WeightParams, eigen_poly, jacobi_poly
 from .verify import SUITES, run_suite
 
@@ -52,13 +51,6 @@ def _join_negative_values(argv) -> list:
         else:
             out.append(token)
     return out
-
-
-def _family_poly(args, general) -> BivarPoly:
-    """The member (k1, k2) at (alpha, beta): `cheb_poly`'s at the four
-    half-integer pairs, general(p, k)'s at every other."""
-    p = WeightParams(args.alpha, args.beta)
-    return (cheb_poly if p.family is not None else general)(p, (args.k1, args.k2))
 
 
 def _write(text: str, out) -> int:
@@ -95,15 +87,16 @@ def cmd_eval(args) -> int:
     member at general parameters is the one at their binary values;
     ValueError from `format_float`, with nothing printed, where that is
     beyond the float range."""
-    poly = _family_poly(args, lambda p, k: eigen_poly(WeightParams(*p.key()), k))
+    p, k = WeightParams(args.alpha, args.beta), (args.k1, args.k2)
+    poly = cheb_poly(p, k) if p.family is not None else eigen_poly(WeightParams(*p.key()), k)
     print(format_float(poly.exact_value(args.x, args.y)))
     return EXIT_OK
 
 
 def cmd_poly(args) -> int:
-    poly = _family_poly(args, jacobi_poly)
-    p = WeightParams(args.alpha, args.beta)
-    text = json_dumps(poly_to_json_dict(p, (args.k1, args.k2), poly)) + "\n"
+    p, k = WeightParams(args.alpha, args.beta), (args.k1, args.k2)
+    poly = (cheb_poly if p.family is not None else jacobi_poly)(p, k)
+    text = json_dumps(poly_to_json_dict(p, k, poly)) + "\n"
     return _write(text, args.out)
 
 
@@ -138,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_nodes.add_argument("--out", default=None)
     p_nodes.set_defaults(fn=cmd_nodes)
 
-    member = argparse.ArgumentParser(add_help=False)  # the arguments of `_family_poly`
+    member = argparse.ArgumentParser(add_help=False)  # the member of `eval` and `poly`
     member.add_argument("--alpha", type=_finite_float, required=True)
     member.add_argument("--beta", type=_finite_float, required=True)
     member.add_argument("--k1", type=int, required=True)
