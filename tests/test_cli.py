@@ -79,7 +79,9 @@ def test_nodes_usage_error(capsys):
 
 def test_usage_errors_exit_2_after_a_successful_call(tmp_path, capsys):
     assert run(capsys, "nodes", "--rule", "gauss", "--n", "2", "--out", str(tmp_path / "r.json"))[0] == 0
-    for argv in (["nodes", "--rule", "nope", "--n", "4"], ["poly", "--alpha", "0.5"], []):
+    for argv in (["nodes", "--rule", "nope", "--n", "4"], ["poly", "--alpha", "0.5"], [],
+                 ["eval", "--alpha", "0.5", "--beta", "0.5", "--k1", "2", "--k2", "0",
+                  "--x", "0", "--y", "0", "--coeffs"]):  # eval prints its value only
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
