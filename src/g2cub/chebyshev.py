@@ -23,22 +23,13 @@ from fractions import Fraction
 import numpy as np
 
 from .coords import G2, make_index, orbit_size
-from .gentrig import TrigFamily, eval as trig_eval, xy_map
+from .gentrig import eval as trig_eval, xy_map
 from .poly import BivarPoly, integer_ratio
 from .quad import _require_integrable
 from .sturm import MIndex, WeightParams, eigen_poly
 from .sturm import continuous_inner, star_indices_upto  # re-exported only
 
 DENOM_FALLBACK = 1e-8
-
-
-def _family(p: WeightParams) -> TrigFamily:
-    if p.family is None:
-        raise ValueError(
-            f"parameters ({p.alpha}, {p.beta}) are outside the four "
-            "half-integer cases"
-        )
-    return p.family
 
 
 def deltoid_factors(x, y):
@@ -82,48 +73,49 @@ def weight_w(p: WeightParams, x: float, y: float) -> float:
 # exact polynomials ----------------------------------------------------------
 
 def _quotient(p: WeightParams, k: MIndex):
-    """Trig family, numerator index and denominator index of the quotient
-    form F_num / F_den of one family member: the family's sine bits are the
-    signs of alpha and beta, its denominator is the family's shift (for the
-    first kind the zero index, whose member is 1.0 at every finite point)
-    and the numerator (k1+k2, k2) plus that shift."""
-    fam = _family(p)
-    num = make_index(k.k1 + k.k2 + fam.shift[0], k.k2 + fam.shift[1])
-    return fam, num, fam.shift
+    """Trig family and numerator index of the quotient form F_num / F_den
+    of one family member: the family's sine bits are the signs of alpha
+    and beta, F_den is its member at the family's shift (for the first kind
+    the zero index, whose member is 1.0 at every finite point) and the
+    numerator is (k1+k2, k2) plus that shift."""
+    fam = p.family
+    if fam is None:
+        raise ValueError(f"parameters ({p.alpha}, {p.beta}) are outside the four half-integer cases")
+    return fam, make_index(k.k1 + k.k2 + fam.shift[0], k.k2 + fam.shift[1])
 
 
 def cheb_poly(p: WeightParams, k) -> BivarPoly:
     """Exact polynomial of one family member; its coefficients are ints.
 
     It is the operator's eigenpolynomial whose leading coefficient
-    6^(k1+k2) |orbit(den)| / |orbit(num)|, that is 6^(k1+k2) times the
+    6^(k1+k2) |orbit(shift)| / |orbit(num)|, that is 6^(k1+k2) times the
     orthogonality constant, makes it equal to its trigonometric quotient.
     """
     k = MIndex.of(k)
-    fam, num, den = _quotient(p, k)
+    fam, num = _quotient(p, k)
     if type(p.alpha) is float:
         p = WeightParams(*fam.params)  # float half-integers name the exact families
-    return eigen_poly(p, k, Fraction(6 ** (k.k1 + k.k2) * orbit_size(den), orbit_size(num)))
+    return eigen_poly(p, k, Fraction(6 ** (k.k1 + k.k2) * orbit_size(fam.shift), orbit_size(num)))
 
 
 def resolve_index(alpha: Fraction, beta: Fraction, k1: int, k2: int):
-    """Fold an arbitrary integer index pair back into the quadrant by the
-    group: the member is F_num / F_shift, and with the first g in G2 that
-    takes num to v in the chamber v0 >= v1 >= 0 it is chi(g)
-    (`TrigFamily.character`) times the member (v0-v1-d, v1-p), or zero on
-    a wall where the family vanishes (v0 == v1 if d = 1, v1 == 0 if p = 1).
-    Returns (sign, MIndex) or (0, None).  Raises ValueError off the four
-    half-integer cases, where the quotient form does not hold; k1 and k2 go
-    through `operator.index`, so a non-integer raises TypeError."""
-    fam, num, _ = _quotient(WeightParams(alpha, beta), MIndex(operator.index(k1), operator.index(k2)))
-    d, p = fam.sines
+    """Fold an arbitrary integer index pair back into the quadrant by the group:
+    the member is F_num / F_shift, and with the first g in G2 that takes num
+    to v in the chamber v0 >= v1 >= 0 it is chi(g) (`TrigFamily.character`)
+    times the member (v0-v1-d, v1-p), or zero where the family vanishes at v
+    (`TrigFamily.vanishes`; in the chamber, v0 == v1 if d = 1 and v1 == 0 if
+    p = 1).  Returns (sign, MIndex) or (0, None).  Raises ValueError off the
+    four half-integer cases, where the quotient form does not hold; k1 and
+    k2 go through `operator.index`, so a non-integer raises TypeError."""
+    fam, num = _quotient(WeightParams(alpha, beta), MIndex(operator.index(k1), operator.index(k2)))
     for g in G2:  # the chamber holds a point of every orbit
-        v0, v1, _ = g.apply(num)
-        if v0 >= v1 >= 0:
+        v = g.apply(num)
+        if v[0] >= v[1] >= 0:
             break
-    if (d and v0 == v1) or (p and v1 == 0):
+    if fam.vanishes(v):
         return 0, None
-    return fam.character(g), MIndex(v0 - v1 - d, v1 - p)
+    d, p = fam.sines
+    return fam.character(g), MIndex(v[0] - v[1] - d, v[1] - p)
 
 
 # trigonometric evaluation ---------------------------------------------------
@@ -139,9 +131,9 @@ def cheb_eval_trig(p: WeightParams, k, t):
     once (`BivarPoly.exact_value`).
     """
     k = MIndex.of(k)
-    fam, num, den = _quotient(p, k)
+    fam, num = _quotient(p, k)
     numerator = trig_eval(fam, num, t)
-    denominator = trig_eval(fam, den, t)
+    denominator = trig_eval(fam, fam.shift, t)
     small = np.abs(denominator) < DENOM_FALLBACK
     if not small.any():
         return numerator / denominator
@@ -159,8 +151,8 @@ def orthogonality_constant(p: WeightParams, k) -> float:
     the family's shift, the denominator index, of the quotient form; the
     first kind's shift is the zero index, whose orbit has size 1.
     """
-    _, num, den = _quotient(p, MIndex.of(k))
-    return orbit_size(den) / orbit_size(num)
+    fam, num = _quotient(p, MIndex.of(k))
+    return orbit_size(fam.shift) / orbit_size(num)
 
 
 # weighted integrals ---------------------------------------------------------

@@ -14,8 +14,9 @@ Each kind names one trig family, whose member at its shift index is the
 factor; `CubatureRule` reads the rest of the rule off that family.  Each
 rule integrates its weight exactly on polynomials of weighted degree up
 to 2n-1 and is normalized so the weights sum to one.  Nodes whose factor
-vanishes identically are dropped by integer predicates on the generating
-lattice triple, so node counts are deterministic; `verify.variety_check`
+vanishes identically are dropped by integer tests: `TrigFamily.vanishes`
+on the generating lattice triple and, when p = 1, the t3 = -1 edge
+(j3 = -m), so node counts are deterministic; `verify.variety_check`
 checks the residuals of each rule's ideal generators on its nodes.
 
 Accuracy, to first order in u = 2^-53 with sin and cos within 1 ulp:
@@ -54,16 +55,16 @@ RULE_KINDS = tuple(_RULE_FAMILY)
 
 
 class CubatureRule(Rule):
-    """The rule of kind and size n, read off the sine bits (d, p) and the
-    shift of its factor family: lattice size m = n + shift1 - shift3,
-    weight parameters (d - 1/2, p - 1/2), scale |orbit(shift)|, and the
-    nodes where the factor vanishes dropped, j1 = j2 when d = 1 and
-    j2 = 0 or j3 = -m when p = 1.  It holds m, nodes (N, 2) in
-    lexicographic lattice order, their weights and indices (N, 3), the
-    generating lattice triples in the same order, all read-only, its
-    exactness degree 2n - 1 and its weight parameters.  It prints,
-    compares and hashes by (kind, n), and pickle and copy build it again
-    from them.  Its first export builds both the JSON and the CSV text
+    """The rule of kind and size n, read off the sine bits (d, p) and the shift of
+    its factor family: lattice size m = n + shift1 - shift3, weight
+    parameters (d - 1/2, p - 1/2), scale |orbit(shift)|, and the nodes where
+    the factor vanishes dropped: where `TrigFamily.vanishes` holds at the
+    lattice triple j and, when p = 1, on the t3 = -1 edge j3 = -m.  It holds
+    m, nodes (N, 2) in lexicographic lattice order, their weights and
+    indices (N, 3), the generating lattice triples in the same order, all
+    read-only, its exactness degree 2n - 1 and its weight parameters.  It
+    prints, compares and hashes by (kind, n), and pickle and copy build it
+    again from them.  Its first export builds both the JSON and the CSV text
     (`texts`) from one formatting pass, and the cached rule keeps them."""
 
     _fields = ("kind", "n")
@@ -75,12 +76,11 @@ class CubatureRule(Rule):
         n = operator.index(n)
         if n < 1:
             raise ValueError("n must be >= 1")
-        d, p = family.sines
         m = n + family.shift[0] - family.shift[2]
         j = enum_upsilon(m)
-        j1, j2, j3 = j.T
-        vanishes = ((d == 1) & (j1 == j2)) | ((p == 1) & ((j2 == 0) | (j3 == -m)))
-        j = j[~vanishes]
+        # with p = 1 the factor vanishes on the edge t3 = -1 too, a wall of its
+        # periodic extension that no zero or equal component of j marks
+        j = j[~(family.vanishes(j.T) | ((family.sines[1] == 1) & (j[:, 2] == -m)))]
         t = point_from_index(j.T, m)
         value = trig_eval(family, family.shift, t)
         weights = orbit_size(family.shift) / m ** 2 * upsilon_weight(j.T, m) * (value * value)

@@ -25,8 +25,8 @@ other, and the same numpy expression serves both; `partial_t` and
 cc_{1,1,-2}) onto the deltoid-bounded domain, work the same way.
 Structural zeros are returned as exact 0.0: the families with p = 1
 vanish identically when the index (or the point) contains a zero
-component, those with d = 1 when it contains two equal
-components.
+component, those with d = 1 when it contains two equal components
+(`TrigFamily.vanishes`, the one wall test of the package).
 """
 
 from __future__ import annotations
@@ -54,6 +54,18 @@ class TrigFamily(enum.Enum):
         # the weight parameters (d - 1/2, p - 1/2) of the family's polynomials
         self.params = (Fraction(2 * d - 1, 2), Fraction(2 * p - 1, 2))
 
+    def vanishes(self, v):
+        """Where the family vanishes identically at an integer index or a
+        lattice-exact point v: with p = 1 at a zero component, with d = 1 at
+        two equal components.  Components may be arrays; the result broadcasts."""
+        d, p = self.sines
+        zero = False
+        if p:
+            zero = (v[0] == 0) | (v[1] == 0) | (v[2] == 0)
+        if d:
+            zero = zero | (v[0] == v[1]) | (v[1] == v[2]) | (v[0] == v[2])
+        return zero
+
     def character(self, g) -> int:
         """chi(g): the sign a member picks up when g moves its index or point."""
         d, p = self.sines
@@ -76,19 +88,6 @@ _TERMS = (((0, 2), 1), ((1, 0), 2), ((2, 1), 0))
 
 # sine bit of the factor -> (factor, its derivative)
 _FACTOR = ((np.cos, lambda x: -np.sin(x)), (np.sin, np.cos))
-
-
-def _structural_zero(family: TrigFamily, v):
-    """Where the family vanishes identically at an integer index or a
-    lattice-exact point v: with p = 1 at a zero component, with d = 1 at two
-    equal components.  Components may be arrays; the result broadcasts."""
-    d, p = family.sines
-    zero = False
-    if p:
-        zero = (v[0] == 0) | (v[1] == 0) | (v[2] == 0)
-    if d:
-        zero = zero | (v[0] == v[1]) | (v[1] == v[2]) | (v[0] == v[2])
-    return zero
 
 
 def _require_integer_index(k):
@@ -125,7 +124,7 @@ def eval(family, k, t):
     for (u0, u1), v in _TERMS:
         term = f1(a * (t[u0] - t[u1]))
         total = total + (term if f2 is None else term * f2(b * t[v]))
-    zero = _structural_zero(family, k) | _structural_zero(family, t)
+    zero = family.vanishes(k) | family.vanishes(t)
     value = total / 3.0 if zero is False else np.where(zero, 0.0, total / 3.0)
     return float(value) if value.ndim == 0 else value
 
@@ -157,7 +156,7 @@ def partial_t(family, k, t, i: int):
             total = total + a * du * d1(arg1) * f2(arg2)
         if v == i:
             total = total + b * f1(arg1) * d2(arg2)
-    value = np.where(_structural_zero(family, k), 0.0, total / 3.0)
+    value = np.where(family.vanishes(k), 0.0, total / 3.0)
     return float(value) if value.ndim == 0 else value
 
 
