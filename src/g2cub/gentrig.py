@@ -93,13 +93,16 @@ _FACTOR = ((np.cos, lambda x: -np.sin(x)), (np.sin, np.cos))
 def _require_integer_index(k):
     """TypeError unless every component of the index k is an integer: an
     array component by its signed dtype (a sum-zero index has a negative
-    component, which reflections move), any other through `operator.index`."""
+    component, which reflections move), any other through `operator.index`;
+    then ValueError where k is off the sum-zero plane."""
     for c in k:
         if isinstance(c, np.ndarray):
             if c.dtype.kind != "i":
                 raise TypeError(f"index arrays must have a signed integer dtype, got {c.dtype}")
         else:
             operator.index(c)
+    if np.any(k[0] + k[1] + k[2]):
+        raise ValueError(f"index components must sum to zero, got {k}")
 
 
 def eval(family, k, t):
@@ -110,8 +113,8 @@ def eval(family, k, t):
     A cosine plain factor at a scalar plain frequency k2 = 0 is 1.0 at
     every finite point, so it is left out of the product (x * 1.0 == x);
     a nan or infinite component still makes a difference factor nan.
-    A float index component or an unsigned index array raises TypeError
-    (`_require_integer_index`).
+    A float index component or an unsigned index array raises TypeError,
+    an index off the sum-zero plane ValueError (`_require_integer_index`).
     """
     family = TrigFamily.of(family)
     _require_integer_index(k)
@@ -170,7 +173,8 @@ def product_expand(family_a, j, family_b, k):
     counts the sines the two factors share and chi_a is the character of
     the first family (`TrigFamily.character`).  Returns a list of
     (family, index, Fraction) terms whose pointwise sum equals the product
-    everywhere; a float index component raises TypeError.
+    everywhere; a float index component raises TypeError, an index off the
+    sum-zero plane ValueError.
     """
     _require_integer_index(j)
     _require_integer_index(k)

@@ -388,6 +388,18 @@ def test_every_index_taking_function_rejects_a_non_integer_component(name, bad):
 
 
 @pytest.mark.parametrize("name", INDEX_TAKERS)
+@pytest.mark.parametrize("bad", [
+    (1, 0, 0),  # eval once returned 0.9246975855984375 and product_expand indices off the plane
+    (2, 1, -2),
+    (np.int64(2), np.int32(1), -4),
+    (np.array([2, 3]), np.array([1, 1]), np.array([-3, -3])),  # the second index alone is off
+], ids=str)
+def test_every_index_taking_function_rejects_an_index_off_the_sum_zero_plane(name, bad):
+    with pytest.raises(ValueError, match="sum to zero"):
+        INDEX_TAKERS[name](bad)
+
+
+@pytest.mark.parametrize("name", INDEX_TAKERS)
 def test_integer_scalars_and_arrays_give_the_int_index_bits(name):
     call = INDEX_TAKERS[name]
     want = call((2, 1, -3))
