@@ -2,8 +2,8 @@
 direction: coords, gentrig, quad, sturm, chebyshev, cubature, verify, cli,
 with lattice, poly and jsonio beside them; importing the CLI loads no
 `dataclasses`; every public function has a user outside the tests;
-every source file parses with the Python 3.10 grammar; and every name
-the docs cite as `module.name` exists."""
+every source file parses with the Python 3.10 grammar; every name the
+docs cite as `module.name` exists; and README's library example runs."""
 
 import ast
 import importlib
@@ -179,3 +179,21 @@ def test_every_module_name_the_docs_cite_exists():
     cited = _cited_names()
     assert len(cited) > 20
     assert [name for name in sorted(cited) if not _exists(name)] == []
+
+
+def test_the_readme_library_example_runs_and_its_comments_hold():
+    readme = (ROOT / "README.md").read_text()
+    section = re.search(r"^## Library example\n(.*?)(?=^## |\Z)", readme, re.S | re.M).group(1)
+    [block] = re.findall(r"```python\n(.*?)```", section, re.S)
+    scope = {}
+    exec(block, scope)
+    half = scope["Fraction"](1, 2)
+    assert scope["p"] == scope["WeightParams"](-half, -half)
+    coeffs = scope["cheb_poly"](scope["p"], (2, 0)).coeffs
+    assert coeffs and all(type(c) is int for c in coeffs.values())  # "ints, as they are integral"
+    assert len(scope["rule"].nodes) == 5 and scope["rule"].exact_mdegree == 11
+    q, r = scope["q"].coeffs, scope["r"].coeffs  # the same member, in floats and exactly
+    assert r.keys() == q.keys()
+    for key, c in r.items():
+        assert type(c) is (int if c.denominator == 1 else scope["Fraction"])
+        assert abs(q[key] - c) <= 1e-12 * abs(c)
