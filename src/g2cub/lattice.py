@@ -73,8 +73,10 @@ def upsilon_weight(j, n: int):
 def enum_gamma(family, n: int):
     """Frequency index set of one family at transform size n, from the
     inequality chain 0 (<|<=) k2 (<|<=) k1 (<|<=) k3+n, whose three
-    inequalities are strict by the family's sine bits (p, d, d): for each
-    k1, k2 runs from p to min(k1 - d, n - d - 2 k1), sorted
+    inequalities are strict by the family's sine bits (p, d, d): the first
+    two drop the walls where `TrigFamily.vanishes` holds, a zero k2 and
+    k2 == k1, and the third the lattice's periodic wall k1 == k3 + n.  For
+    each k1, k2 runs from p to min(k1 - d, n - d - 2 k1), sorted
     lexicographically."""
     family = TrigFamily.of(family)
     n = operator.index(n)
