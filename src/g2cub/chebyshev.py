@@ -99,14 +99,15 @@ def cheb_poly(p: WeightParams, k) -> BivarPoly:
 
 
 def resolve_index(alpha: Fraction, beta: Fraction, k1: int, k2: int):
-    """Fold an arbitrary integer index pair back into the quadrant by the group:
-    the member is F_num / F_shift, and with the first g in G2 that takes num
-    to v in the chamber v0 >= v1 >= 0 it is chi(g) (`TrigFamily.character`)
-    times the member (v0-v1-d, v1-p), or zero where the family vanishes at v
-    (`TrigFamily.vanishes`; in the chamber, v0 == v1 if d = 1 and v1 == 0 if
-    p = 1).  Returns (sign, MIndex) or (0, None).  Raises ValueError off the
-    four half-integer cases, where the quotient form does not hold; k1 and
-    k2 go through `operator.index`, so a non-integer raises TypeError."""
+    """Fold an arbitrary integer index pair back into the quadrant by the
+    group: the member is F_num / F_shift, and with the first g in G2 that
+    takes num to v in the chamber v0 >= v1 >= 0 it is chi(g)
+    (`TrigFamily.character`) times the member (v0-v1-d, v1-p), or zero
+    where the family vanishes at v (`TrigFamily.vanishes`: v0 == v1 if
+    d = 1, v1 == 0 if p = 1, in the chamber).  Returns (sign, MIndex) or
+    (0, None).  Raises ValueError off the four half-integer cases, where
+    the quotient form does not hold; k1 and k2 go through `operator.index`,
+    so a non-integer raises TypeError."""
     fam, num = _quotient(WeightParams(alpha, beta), MIndex(operator.index(k1), operator.index(k2)))
     for g in G2:  # the chamber holds a point of every orbit
         v = g.apply(num)

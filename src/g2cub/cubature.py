@@ -55,8 +55,8 @@ RULE_KINDS = tuple(_RULE_FAMILY)
 
 
 class CubatureRule(Rule):
-    """The rule of kind and size n, read off the sine bits (d, p) and the shift of
-    its factor family: lattice size m = n + shift1 - shift3, weight
+    """The rule of kind and size n, read off the sine bits (d, p) and the
+    shift of its factor family: lattice size m = n + shift1 - shift3, weight
     parameters (d - 1/2, p - 1/2), scale |orbit(shift)|, and the nodes where
     the factor vanishes dropped: where `TrigFamily.vanishes` holds at the
     lattice triple j and, when p = 1, on the t3 = -1 edge j3 = -m.  It holds

@@ -111,7 +111,7 @@ def test_radau_dropped_nodes():
 def test_each_rule_drops_exactly_the_nodes_where_its_factor_vanishes(kind, family):
     # which nodes go, not only how many: a kept node on the t3 = -1 edge would
     # still have a positive weight (about 1e-32).  Through n = 320 every dropped
-    # factor is <= 4.7e-16 and every kept one >= 5.2e-10.
+    # factor is below 5e-16 and every kept one above 5.2e-10.
     family = TrigFamily(family)
     for n in [*range(1, 41), 80, 160]:
         rule = cubature.CubatureRule(kind, n)

@@ -11,8 +11,11 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
+
+from g2cub import WeightParams
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "g2cub"
@@ -187,13 +190,12 @@ def test_the_readme_library_example_runs_and_its_comments_hold():
     [block] = re.findall(r"```python\n(.*?)```", section, re.S)
     scope = {}
     exec(block, scope)
-    half = scope["Fraction"](1, 2)
-    assert scope["p"] == scope["WeightParams"](-half, -half)
+    assert scope["p"] == WeightParams(Fraction(-1, 2), Fraction(-1, 2))
     coeffs = scope["cheb_poly"](scope["p"], (2, 0)).coeffs
     assert coeffs and all(type(c) is int for c in coeffs.values())  # "ints, as they are integral"
     assert len(scope["rule"].nodes) == 5 and scope["rule"].exact_mdegree == 11
     q, r = scope["q"].coeffs, scope["r"].coeffs  # the same member, in floats and exactly
     assert r.keys() == q.keys()
     for key, c in r.items():
-        assert type(c) is (int if c.denominator == 1 else scope["Fraction"])
+        assert type(c) is (int if c.denominator == 1 else Fraction)
         assert abs(q[key] - c) <= 1e-12 * abs(c)
